@@ -39,15 +39,13 @@ from .oracle import (
     optimality_gap,
     summary_line,
 )
-from .synthgen import GeneratorSpec, generate, read_dataset, write_dataset
+from .synthgen import SCHEMA_VERSION, GeneratorSpec, generate, read_dataset, write_dataset
 from .truncation import (
     Method,
     TruncationConfig,
     sample_token,
     truncate,
 )
-
-SCHEMA_VERSION = 1
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -105,9 +103,7 @@ def _write_manifest(
         tool_version=__version__,
         duration_s=round(time.monotonic() - started, 6),
     )
-    with open(str(output) + ".manifest.json", "w", encoding="utf-8") as fh:
-        json.dump(asdict(manifest), fh, indent=2)
-        fh.write("\n")
+    hardness.save_json(asdict(manifest), str(output) + ".manifest.json")
 
 
 def _build_config(args) -> TruncationConfig:
@@ -352,25 +348,18 @@ def cmd_generate(args) -> int:
     return EXIT_OK
 
 
-def _load_ccss(path: str) -> hardness.CcssInstance:
+def _load_instance(path: str, from_json):
+    """Read a hardness JSON file and parse it with ``from_json``."""
     try:
         obj = hardness.load_json(path)
     except (OSError, json.JSONDecodeError) as exc:
         raise MalformedRecord(0, f"cannot parse {path}: {exc}") from exc
-    return hardness.ccss_from_json(obj)
-
-
-def _load_ecme(path: str) -> hardness.EcmeInstance:
-    try:
-        obj = hardness.load_json(path)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise MalformedRecord(0, f"cannot parse {path}: {exc}") from exc
-    return hardness.ecme_from_json(obj)
+    return from_json(obj)
 
 
 def cmd_reduce(args) -> int:
     started = time.monotonic()
-    instance = _load_ccss(args.input)
+    instance = _load_instance(args.input, hardness.ccss_from_json)
     prepped = hardness.prepare(instance)
     ecme = hardness.reduce_to_ecme(prepped, dps=args.dps)
     out = Path(args.output)
@@ -382,7 +371,7 @@ def cmd_reduce(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    instance = _load_ecme(args.input)
+    instance = _load_instance(args.input, hardness.ecme_from_json)
     checks: list[tuple[str, bool, str]] = []
     window = hardness.verify_budget_window(instance, dps=args.dps)
     checks.append((
@@ -411,14 +400,12 @@ def cmd_verify(args) -> int:
             "checks": [{"name": n, "ok": ok, "detail": d} for n, ok, d in checks],
             "all_ok": all_ok,
         }
-        with open(args.output, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=2)
-            fh.write("\n")
+        hardness.save_json(payload, args.output)
     return EXIT_OK if all_ok else EXIT_DOMAIN
 
 
 def cmd_decide(args) -> int:
-    instance = _load_ecme(args.input)
+    instance = _load_instance(args.input, hardness.ecme_from_json)
     decision = hardness.decide_ecme_small(instance, mode=args.mode, dps=args.dps)
     print("YES" if decision.is_yes else "NO")
     if decision.is_yes:
@@ -432,9 +419,7 @@ def cmd_decide(args) -> int:
             "witness_heavy": list(decision.witness) if decision.witness else None,
             "witness_boosters": decision.witness_boosters if decision.is_yes else None,
         }
-        with open(args.output, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=2)
-            fh.write("\n")
+        hardness.save_json(payload, args.output)
     return EXIT_OK
 
 

@@ -48,8 +48,8 @@ from .errors import (
     WrongCardinality,
     WrongMass,
 )
-
-SCHEMA_VERSION = 1
+from .oracle import mask_indices, subset_sums
+from .synthgen import SCHEMA_VERSION
 
 #: Working precision (significant decimal digits) for entropy terms.
 DEFAULT_DPS = 50
@@ -343,14 +343,7 @@ def heavy_subset_entropy(
     instance: EcmeInstance, heavy_indices: Sequence[int], dps: int = DEFAULT_DPS
 ) -> mp.mpf:
     """Entropy of the renormalized heavy subset (no boosters)."""
-    total = subset_weight(instance, heavy_indices)
-    with mp.workdps(dps):
-        ln_total = mp.log(total)
-        h = mp.mpf(0)
-        for i in heavy_indices:
-            w = instance.weights[i]
-            h += (mp.mpf(w) / total) * (ln_total - mp.log(w))
-        return +h
+    return mixed_subset_entropy(instance, heavy_indices, 0, dps=dps)
 
 
 def verify_entropy_gap(
@@ -420,18 +413,6 @@ def verify_booster_blowup(
         )
 
 
-def _subset_sum_tables(weights: Sequence[int]) -> tuple["np.ndarray", "np.ndarray"]:
-    """(weight, popcount) for every subset mask, by doubling; int64 throughout."""
-    if sum(weights) >= 2**62:
-        raise TooManyHeavyItems("weights too large for the vectorized enumerator")
-    sums = np.zeros(1, dtype=np.int64)
-    sizes = np.zeros(1, dtype=np.int64)
-    for w in weights:
-        sums = np.concatenate([sums, sums + w])
-        sizes = np.concatenate([sizes, sizes + 1])
-    return sums, sizes
-
-
 def verify_cardinality_lock(weights: Sequence[int], tau: int, k: int) -> bool:
     """Exhaustively confirm that booster-free subsets of weight tau have size K.
 
@@ -442,7 +423,10 @@ def verify_cardinality_lock(weights: Sequence[int], tau: int, k: int) -> bool:
         raise TooManyHeavyItems(
             f"m={len(weights)} exceeds the exhaustive limit {MAX_HEAVY_ITEMS}"
         )
-    sums, sizes = _subset_sum_tables(weights)
+    if sum(weights) >= 2**62:
+        raise TooManyHeavyItems("weights too large for the vectorized enumerator")
+    sums = subset_sums(np.asarray(weights, dtype=np.int64))
+    sizes = subset_sums(np.ones(len(weights), dtype=np.int64))
     hits = sums == tau
     return bool(np.all(sizes[hits] == k))
 
@@ -494,14 +478,14 @@ def decide_ecme_small(
         big_b = instance.booster_count
         if 2 * big_b * instance.tau >= 2**62:
             raise TooManyHeavyItems("booster count too large for the vectorized screen")
-        sums, _ = _subset_sum_tables(instance.weights)
+        if sum(instance.weights) >= 2**62:
+            raise TooManyHeavyItems("weights too large for the vectorized enumerator")
+        sums = subset_sums(np.asarray(instance.weights, dtype=np.int64))
         deficit = instance.tau - sums
         scaled = 2 * big_b * deficit
         valid = (deficit >= 0) & (scaled % instance.tau == 0) & (scaled // instance.tau <= big_b)
         valid[0] = False  # a sampler set cannot be empty
-        wlogw = np.zeros(1)
-        for w in instance.weights:
-            wlogw = np.concatenate([wlogw, wlogw + w * math.log(w)])
+        wlogw = subset_sums(np.asarray([w * math.log(w) for w in instance.weights]))
         w_b = float(instance.constants.w_b)
         b_counts = np.where(valid, scaled // instance.tau, 0)
         h_float = math.log(instance.tau) - (
@@ -510,7 +494,7 @@ def decide_ecme_small(
         candidates = np.nonzero(valid & (h_float <= float(instance.budget) + 1e-6))[0]
         with mp.workdps(dps):
             for mask in sorted(int(m) for m in candidates):
-                subset = tuple(i for i in range(instance.m) if mask >> i & 1)
+                subset = mask_indices(mask)
                 b = 2 * big_b * (instance.tau - subset_weight(instance, subset)) // instance.tau
                 h = mixed_subset_entropy(instance, subset, int(b), dps=dps)
                 if h <= instance.budget:

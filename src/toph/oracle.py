@@ -4,6 +4,9 @@ For small vocabularies the optimum is found by enumerating every
 non-empty subset, so the greedy selector can be scored against the true
 optimum.  The batch harness aggregates the per-instance mass ratio
 greedy/optimal into a plot-ready report.
+
+``subset_sums`` and ``mask_indices`` are the package's only subset
+enumerator; ``toph.hardness`` imports them for its exhaustive deciders.
 """
 
 from __future__ import annotations
@@ -77,23 +80,22 @@ class GapReport:
         return int(np.count_nonzero(self.ratios < 1.0 - RATIO_TIE_EPS))
 
 
-def _subset_tables(probs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Masses and sum(p ln p) for every subset mask of ``probs``.
+def subset_sums(values: np.ndarray) -> np.ndarray:
+    """Sum of ``values`` over every subset mask, in ``values.dtype``.
 
-    Entry ``m`` of each array corresponds to the subset whose members are
-    the set bits of ``m`` (bit i = token i).  Built by doubling, so the
-    whole table costs O(2**n) arithmetic.
+    Entry ``m`` is the sum over the set bits of ``m`` (bit i = value i),
+    added in ascending bit order.  Built by doubling, so the whole table
+    costs O(2**n) arithmetic.
     """
-    plp = np.where(probs > 0.0, probs * np.log(np.where(probs > 0.0, probs, 1.0)), 0.0)
-    mass = np.zeros(1)
-    hsum = np.zeros(1)
-    for i in range(probs.shape[0]):
-        mass = np.concatenate([mass, mass + probs[i]])
-        hsum = np.concatenate([hsum, hsum + plp[i]])
-    return mass, hsum
+    n = values.shape[0]
+    out = np.zeros(2**n, dtype=values.dtype)
+    for i in range(n):
+        out[2**i : 2 ** (i + 1)] = out[: 2**i] + values[i]
+    return out
 
 
-def _mask_indices(mask: int) -> tuple[int, ...]:
+def mask_indices(mask: int) -> tuple[int, ...]:
+    """The set bits of ``mask`` in ascending order."""
     out = []
     i = 0
     while mask:
@@ -117,7 +119,9 @@ def exact_ecmm(instance: EcmmInstance, slack: float = 0.0) -> EcmmSolution:
         )
     probs = instance.p.probs
     budget = instance.alpha * _entropy_of(probs) + slack
-    mass, hsum = _subset_tables(probs)
+    plp = np.where(probs > 0.0, probs * np.log(np.where(probs > 0.0, probs, 1.0)), 0.0)
+    mass = subset_sums(probs)
+    hsum = subset_sums(plp)
     with np.errstate(divide="ignore", invalid="ignore"):
         ent = np.log(mass) - hsum / mass
     ent[0] = np.inf  # empty set is not a valid sampler output
@@ -128,8 +132,8 @@ def exact_ecmm(instance: EcmmInstance, slack: float = 0.0) -> EcmmSolution:
         raise AssertionError("no feasible subset; distribution invalid")
     best_mass = mass[feasible].max()
     candidates = [int(m) for m in np.nonzero(feasible & (mass == best_mass))[0]]
-    best = min(candidates, key=lambda m: (bin(m).count("1"), _mask_indices(m)))
-    indices = _mask_indices(best)
+    best = min(candidates, key=lambda m: (bin(m).count("1"), mask_indices(m)))
+    indices = mask_indices(best)
     return EcmmSolution(
         indices=indices, gamma=float(mass[best]), entropy=float(ent[best])
     )

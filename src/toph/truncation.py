@@ -28,6 +28,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .distributions import (
+    MASS_TOLERANCE,
     EntropyAccumulator,
     ProbabilityDistribution,
     SubsetDistribution,
@@ -112,7 +113,7 @@ def _capped_view(
     order = _descending_order(p.probs)[: min(cap, p.n)]
     kept = p.probs[order]
     total = float(np.sum(kept))
-    if abs(total - 1.0) <= 1e-9:
+    if abs(total - 1.0) <= MASS_TOLERANCE:
         # cap did not bite (or only cut exact zeros): keep entries bit-exact
         return order, kept
     return order, kept / total
@@ -153,7 +154,6 @@ def top_h_truncate(
     p: ProbabilityDistribution,
     config: TruncationConfig,
     collect_trace: bool = False,
-    implementation: str = "incremental",
 ) -> TruncationResult:
     """Greedy prefix selection under the entropy budget alpha * H(p).
 
@@ -162,16 +162,9 @@ def top_h_truncate(
     strictly over the budget is removed, ending the scan.  At least one
     token is always selected (a singleton has entropy 0).  The budget is
     recomputed from the working distribution on every call.
-
-    ``implementation`` selects how the per-step entropy is obtained:
-    ``"incremental"`` uses the running-mass accumulator, ``"batch"``
-    renormalizes the prefix and evaluates -sum q ln q from scratch.  Both
-    must select identical sets.
     """
     if not 0.0 < config.alpha < 1.0:
         raise AlphaOutOfRange(f"alpha must be in (0, 1), got {config.alpha!r}")
-    if implementation not in ("incremental", "batch"):
-        raise ValueError(f"unknown implementation {implementation!r}")
     order, work = _capped_view(p, config.candidate_cap)
     h_p = _entropy_of(work)
     threshold = config.alpha * h_p
@@ -186,12 +179,7 @@ def top_h_truncate(
         if p_j <= 0.0:
             break
         acc.push(p_j)
-        if implementation == "incremental":
-            h = acc.entropy()
-        else:
-            prefix = work[: pos + 1]
-            q = prefix / float(np.sum(prefix))
-            h = float(-np.dot(q, np.log(q)))
+        h = acc.entropy()
         if h > budget and count > 0:
             acc.pop(p_j)
             break

@@ -281,6 +281,10 @@ class TestCardinalityLock:
         with pytest.raises(TooManyHeavyItems):
             verify_cardinality_lock(list(range(1, 27)), 30, 3)
 
+    def test_int64_overflow_guard(self):
+        with pytest.raises(TooManyHeavyItems, match="weights too large"):
+            verify_cardinality_lock([2**61, 2**61, 3], 3, 1)
+
 
 class TestDecide:
     def test_yes_pipeline(self, ecme_yes):
@@ -317,6 +321,18 @@ class TestDecide:
         )
         with pytest.raises(TooManyHeavyItems):
             decide_ecme_small(wide)
+
+    def test_full_mode_int64_overflow_guards(self, ecme_yes):
+        import dataclasses
+
+        # the smallest booster count with 2 * B * tau >= 2**62
+        smallest = -(-(2**61) // ecme_yes.tau)
+        huge_boosters = dataclasses.replace(ecme_yes, booster_count=smallest)
+        with pytest.raises(TooManyHeavyItems, match="booster count too large"):
+            decide_ecme_small(huge_boosters, mode="full")
+        huge_weights = dataclasses.replace(ecme_yes, weights=(2**61, 2**61, 3))
+        with pytest.raises(TooManyHeavyItems, match="weights too large"):
+            decide_ecme_small(huge_weights, mode="full")
 
 
 class TestRandomBatchAgreement:

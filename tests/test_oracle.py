@@ -14,7 +14,9 @@ from toph.oracle import (
     EcmmInstance,
     exact_ecmm,
     gap_report_csv,
+    mask_indices,
     optimality_gap,
+    subset_sums,
     summary_line,
 )
 
@@ -37,6 +39,29 @@ def brute_force_ecmm(p, alpha, slack=0.0):
                 if best is None or key < best:
                     best = key
     return best[2], -best[0]
+
+
+class TestSubsetSums:
+    @pytest.mark.parametrize("dtype", [np.float64, np.int64])
+    def test_matches_naive_ascending_bit_sums(self, dtype):
+        rng = np.random.default_rng(12)
+        for n in range(11):
+            if dtype is np.float64:
+                values = rng.random(n)
+            else:
+                values = rng.integers(-10**12, 10**12, n, dtype=np.int64)
+            expected = []
+            for mask in range(2**n):
+                idx = mask_indices(mask)
+                assert list(idx) == sorted(idx)
+                assert sum(1 << i for i in idx) == mask
+                acc = dtype(0)
+                for i in idx:
+                    acc = acc + values[i]
+                expected.append(acc)
+            table = subset_sums(values)
+            assert table.dtype == dtype
+            assert table.tobytes() == np.asarray(expected, dtype=dtype).tobytes()
 
 
 class TestExactEcmm:

@@ -27,6 +27,8 @@ from toph.truncation import (
     truncate,
 )
 
+from top_h_reference import reference_top_h
+
 
 def config(method=Method.TOP_H, **kw):
     return TruncationConfig(method=method, **kw)
@@ -101,13 +103,19 @@ class TestTopH:
 
     def test_incremental_equals_batch(self):
         rng = np.random.default_rng(6)
+        cases = []
         for _ in range(1000):
             n = int(rng.integers(2, 25))
-            p = random_distribution(rng, n)
-            alpha = float(rng.uniform(0.05, 0.95))
-            inc = top_h_truncate(p, config(alpha=alpha), implementation="incremental")
-            bat = top_h_truncate(p, config(alpha=alpha), implementation="batch")
-            assert inc.selected == bat.selected
+            cases.append((random_distribution(rng, n), float(rng.uniform(0.05, 0.95)), 100))
+        # caps that cut through a run of ties
+        for alpha in (0.1, 0.4, 0.7, 0.9):
+            cases.append((uniform_distribution(300), alpha, 100))
+            cases.append((make_distribution([0.1, 0.3, 0.2, 0.2, 0.2]), alpha, 3))
+        # prefix {0, 1} has entropy ln 2, exactly the budget 0.5 ln 4: kept
+        cases.append((uniform_distribution(4), 0.5, 100))
+        for p, alpha, cap in cases:
+            r = top_h_truncate(p, config(alpha=alpha, candidate_cap=cap))
+            assert r.selected == reference_top_h(p.probs, alpha, cap)
 
     def test_determinism(self):
         p = make_distribution([0.25, 0.25, 0.25, 0.25])
