@@ -52,6 +52,9 @@ EXIT_USAGE = 1
 EXIT_INPUT = 2
 EXIT_DOMAIN = 3
 
+#: Source of every truncation flag default.
+_DEFAULTS = TruncationConfig()
+
 _METHOD_FLAGS = {
     "top-h": Method.TOP_H,
     "top-k": Method.TOP_K,
@@ -116,7 +119,6 @@ def _build_config(args) -> TruncationConfig:
         p_base=args.p_base,
         eta=args.eta,
         candidate_cap=args.candidate_cap,
-        entropy_slack=args.entropy_slack,
     )
     # validate the active method's parameter up front so bad flags exit 1
     if method == Method.TOP_H and not 0.0 < config.alpha < 1.0:
@@ -136,13 +138,12 @@ def _build_config(args) -> TruncationConfig:
 
 def _add_method_flags(sub) -> None:
     sub.add_argument("--method", choices=sorted(_METHOD_FLAGS), default="top-h")
-    sub.add_argument("--alpha", type=float, default=0.4)
-    sub.add_argument("--k", type=int, default=20)
-    sub.add_argument("--p-nucleus", type=float, default=0.9)
-    sub.add_argument("--p-base", type=float, default=0.1)
-    sub.add_argument("--eta", type=float, default=0.0002)
-    sub.add_argument("--candidate-cap", type=int, default=100)
-    sub.add_argument("--entropy-slack", type=float, default=0.0)
+    sub.add_argument("--alpha", type=float, default=_DEFAULTS.alpha)
+    sub.add_argument("--k", type=int, default=_DEFAULTS.k)
+    sub.add_argument("--p-nucleus", type=float, default=_DEFAULTS.p_nucleus)
+    sub.add_argument("--p-base", type=float, default=_DEFAULTS.p_base)
+    sub.add_argument("--eta", type=float, default=_DEFAULTS.eta)
+    sub.add_argument("--candidate-cap", type=int, default=_DEFAULTS.candidate_cap)
 
 
 def _add_family_flags(sub) -> None:
@@ -264,7 +265,7 @@ def cmd_gap(args) -> int:
         except TophError as exc:
             raise UsageError(str(exc)) from exc
     instances = [EcmmInstance(p=d, alpha=args.alpha) for d in dists]
-    report = optimality_gap(instances, slack=args.entropy_slack)
+    report = optimality_gap(instances)
     out = Path(args.output)
     out.write_text(gap_report_csv(report), encoding="utf-8")
     print(summary_line(report))
@@ -272,7 +273,7 @@ def cmd_gap(args) -> int:
                     {"family": args.family, "n": args.n, "alpha": args.alpha,
                      "trials": args.trials, "s": args.s, "a": args.a,
                      "sigma": args.sigma, "temperature": args.temperature,
-                     "peak": args.peak, "entropy_slack": args.entropy_slack,
+                     "peak": args.peak,
                      "summary": {"mean": report.mean, "variance": report.variance,
                                  "min": report.minimum,
                                  "count_suboptimal": report.count_suboptimal}},
@@ -304,8 +305,7 @@ def cmd_sweep(args) -> int:
     lines = ["alpha,mean_selected,mean_gamma,mean_entropy_ratio,count"]
     for alpha in alphas:
         config = TruncationConfig(method=Method.TOP_H, alpha=alpha,
-                                  candidate_cap=args.candidate_cap,
-                                  entropy_slack=args.entropy_slack)
+                                  candidate_cap=args.candidate_cap)
         sizes, gammas, ratios = [], [], []
         for dist in dists:
             result = truncate(dist, config)
@@ -322,8 +322,7 @@ def cmd_sweep(args) -> int:
     _write_manifest(out, "sweep",
                     {"alphas": alphas, "family": getattr(args, "family", None),
                      "n": args.n, "trials": args.trials,
-                     "candidate_cap": args.candidate_cap,
-                     "entropy_slack": args.entropy_slack},
+                     "candidate_cap": args.candidate_cap},
                     args.seed, input_path, started)
     return EXIT_OK
 
@@ -361,19 +360,19 @@ def cmd_reduce(args) -> int:
     started = time.monotonic()
     instance = _load_instance(args.input, hardness.ccss_from_json)
     prepped = hardness.prepare(instance)
-    ecme = hardness.reduce_to_ecme(prepped, dps=args.dps)
+    ecme = hardness.reduce_to_ecme(prepped)
     out = Path(args.output)
     hardness.save_json(hardness.ecme_to_json(ecme), out)
     c = ecme.constants
     print(f"k={ecme.k} m={ecme.m} lambda={c.lambda_k} boosters={c.booster_count}")
-    _write_manifest(out, "reduce", {"dps": args.dps}, None, args.input, started)
+    _write_manifest(out, "reduce", {}, None, args.input, started)
     return EXIT_OK
 
 
 def cmd_verify(args) -> int:
     instance = _load_instance(args.input, hardness.ecme_from_json)
     checks: list[tuple[str, bool, str]] = []
-    window = hardness.verify_budget_window(instance, dps=args.dps)
+    window = hardness.verify_budget_window(instance)
     checks.append((
         "budget_window", window.holds,
         f"lower_margin={mp.nstr(window.lower_margin, 8)} "
@@ -406,7 +405,7 @@ def cmd_verify(args) -> int:
 
 def cmd_decide(args) -> int:
     instance = _load_instance(args.input, hardness.ecme_from_json)
-    decision = hardness.decide_ecme_small(instance, mode=args.mode, dps=args.dps)
+    decision = hardness.decide_ecme_small(instance, mode=args.mode)
     print("YES" if decision.is_yes else "NO")
     if decision.is_yes:
         print(f"witness_heavy={list(decision.witness)}")
@@ -446,10 +445,9 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("gap", help="greedy vs exhaustive-optimum mass ratios")
     _add_family_flags(p)
-    p.add_argument("--alpha", type=float, default=0.4)
+    p.add_argument("--alpha", type=float, default=_DEFAULTS.alpha)
     p.add_argument("--trials", type=int, default=1000)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--entropy-slack", type=float, default=0.0)
     p.add_argument("--input", default=None, help="JSONL dataset (else generate)")
     p.add_argument("--output", required=True, help="per-instance CSV path")
     p.set_defaults(func=cmd_gap)
@@ -460,8 +458,7 @@ def build_parser() -> _Parser:
     p.add_argument("--input", default=None, help="JSONL dataset (else generate)")
     p.add_argument("--trials", type=int, default=100)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--candidate-cap", type=int, default=100)
-    p.add_argument("--entropy-slack", type=float, default=0.0)
+    p.add_argument("--candidate-cap", type=int, default=_DEFAULTS.candidate_cap)
     p.add_argument("--output", required=True)
     p.set_defaults(func=cmd_sweep)
 
@@ -475,20 +472,17 @@ def build_parser() -> _Parser:
     p = sub.add_parser("reduce", help="CCSS JSON -> prepared ECME JSON")
     p.add_argument("--input", required=True)
     p.add_argument("--output", required=True)
-    p.add_argument("--dps", type=int, default=hardness.DEFAULT_DPS)
     p.set_defaults(func=cmd_reduce)
 
     p = sub.add_parser("verify", help="structural checks on an ECME JSON")
     p.add_argument("--input", required=True)
     p.add_argument("--output", default=None)
-    p.add_argument("--dps", type=int, default=hardness.DEFAULT_DPS)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("decide", help="decide an ECME JSON by exhaustive search")
     p.add_argument("--input", required=True)
     p.add_argument("--output", default=None)
     p.add_argument("--mode", choices=["structural", "full"], default="structural")
-    p.add_argument("--dps", type=int, default=hardness.DEFAULT_DPS)
     p.set_defaults(func=cmd_decide)
 
     return parser

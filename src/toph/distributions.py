@@ -20,6 +20,7 @@ from .errors import (
     IndexOutOfRange,
     MassOverflow,
     NegativeProbability,
+    NonFiniteValue,
     NonPositiveProbability,
     NonPositiveTemperature,
     NormalizationOutOfTolerance,
@@ -90,7 +91,11 @@ def make_distribution(
     ``INPUT_MASS_TOLERANCE``; the vector is renormalized exactly.
     ``mode="logits"``: returns softmax(values / temperature), computed with
     the usual max-shift for stability; ``temperature`` must be positive and
-    is ignored in probs mode.
+    is ignored in probs mode.  A ``-inf`` logit gives probability 0.
+
+    Raises ``NonFiniteValue`` when the probability sum or the softmax
+    normalizer is not finite: a NaN or +inf entry, every logit ``-inf``,
+    or a logit that overflows once divided by the temperature.
     """
     arr = np.asarray(values, dtype=np.float64)
     if arr.ndim != 1 or arr.size == 0:
@@ -99,6 +104,8 @@ def make_distribution(
         if np.any(arr < 0.0):
             raise NegativeProbability("probabilities must be non-negative")
         total = float(arr.sum())
+        if not math.isfinite(total):
+            raise NonFiniteValue(f"probabilities must be finite, got sum {total!r}")
         if abs(total - 1.0) > INPUT_MASS_TOLERANCE:
             raise NormalizationOutOfTolerance(
                 f"mass {total!r} deviates from 1 by more than {INPUT_MASS_TOLERANCE}"
@@ -110,10 +117,18 @@ def make_distribution(
     if mode == "logits":
         if not temperature > 0.0:
             raise NonPositiveTemperature(f"temperature must be > 0, got {temperature!r}")
-        scaled = arr / temperature
-        scaled = scaled - scaled.max()
-        ex = np.exp(scaled)
-        return ProbabilityDistribution(ex / ex.sum())
+        # overflow and inf - inf surface below as a non-finite normalizer
+        with np.errstate(over="ignore", invalid="ignore"):
+            scaled = arr / temperature
+            scaled = scaled - scaled.max()
+            ex = np.exp(scaled)
+        normalizer = float(ex.sum())
+        if not math.isfinite(normalizer):
+            raise NonFiniteValue(
+                f"softmax normalizer is {normalizer!r}; logits / temperature "
+                "must be finite and not all -inf"
+            )
+        return ProbabilityDistribution(ex / normalizer)
     raise ValueError(f"unknown mode {mode!r}; expected 'probs' or 'logits'")
 
 

@@ -24,6 +24,10 @@ class NormalizationOutOfTolerance(TophError):
     pass
 
 
+class NonFiniteValue(TophError):
+    pass
+
+
 class NonPositiveTemperature(TophError):
     pass
 

@@ -12,7 +12,7 @@ target beta and a high-precision entropy budget.
 Arithmetic discipline: weights and derived counts are arbitrary-precision
 integers, probabilities are exact rationals, and only the transcendental
 entropy/log terms are evaluated in high-precision floating point (mpmath,
-default 50 significant digits).
+``DEFAULT_DPS`` = 50 significant digits, fixed for every function here).
 
 Well-posedness note.  The analytic budget construction assumes the heavy
 ratios w_i/tau form a near-uniform probability vector, which pins the heavy
@@ -237,7 +237,7 @@ def lambda_exponent(k: int, theta: mp.mpf) -> tuple[int, mp.mpf]:
     return int(mp.ceil(raw)), raw
 
 
-def reduce_to_ecme(instance: CcssInstance, dps: int = DEFAULT_DPS) -> EcmeInstance:
+def reduce_to_ecme(instance: CcssInstance) -> EcmeInstance:
     """Map a narrow-range CCSS instance with K >= 20 to an ECME instance.
 
     The booster block has B = K**lambda identical items of weight
@@ -263,7 +263,7 @@ def reduce_to_ecme(instance: CcssInstance, dps: int = DEFAULT_DPS) -> EcmeInstan
             "apply pad_to_narrow_range/scale_to_k20 first"
         )
     k, tau = instance.k, instance.tau
-    with mp.workdps(dps):
+    with mp.workdps(DEFAULT_DPS):
         ln_k = mp.log(k)
         pseudo_h = _heavy_pseudo_entropy(instance.weights, tau)
         theta = ln_k - pseudo_h
@@ -314,19 +314,20 @@ def reduce_to_ecme(instance: CcssInstance, dps: int = DEFAULT_DPS) -> EcmeInstan
 
 # --- verifiers ---------------------------------------------------------------
 
-def verify_budget_window(instance: EcmeInstance, dps: int = DEFAULT_DPS) -> WindowCheck:
+def verify_budget_window(instance: EcmeInstance) -> WindowCheck:
     """Check ln K - gamma_K < budget < ln(K+1) with explicit margins."""
     k = instance.k
-    with mp.workdps(dps):
+    with mp.workdps(DEFAULT_DPS):
         lower_bound = mp.log(k) - _mpf(instance.constants.gamma_k)
         upper_bound = mp.log(k + 1)
         lower_margin = instance.budget - lower_bound
         upper_margin = upper_bound - instance.budget
-        tol = mp.mpf(10) ** (-(dps - 10))
+        tol = mp.mpf(10) ** (-(DEFAULT_DPS - 10))
         for margin in (lower_margin, upper_margin):
             if abs(margin) < tol:
                 raise PrecisionInsufficient(
-                    f"window margin {mp.nstr(margin, 5)} below resolvable scale at dps={dps}"
+                    f"window margin {mp.nstr(margin, 5)} below resolvable scale at "
+                    f"{DEFAULT_DPS} digits"
                 )
         return WindowCheck(
             holds=bool(lower_margin > 0 and upper_margin > 0),
@@ -339,16 +340,12 @@ def subset_weight(instance: EcmeInstance, heavy_indices: Iterable[int]) -> int:
     return sum(instance.weights[i] for i in heavy_indices)
 
 
-def heavy_subset_entropy(
-    instance: EcmeInstance, heavy_indices: Sequence[int], dps: int = DEFAULT_DPS
-) -> mp.mpf:
+def heavy_subset_entropy(instance: EcmeInstance, heavy_indices: Sequence[int]) -> mp.mpf:
     """Entropy of the renormalized heavy subset (no boosters)."""
-    return mixed_subset_entropy(instance, heavy_indices, 0, dps=dps)
+    return mixed_subset_entropy(instance, heavy_indices, 0)
 
 
-def verify_entropy_gap(
-    instance: EcmeInstance, heavy_subset: Sequence[int], dps: int = DEFAULT_DPS
-) -> bool:
+def verify_entropy_gap(instance: EcmeInstance, heavy_subset: Sequence[int]) -> bool:
     """Does the K-subset's entropy clear the gap bound ln K - gamma_K?
 
     The subset must have exactly K heavy items summing to tau.  Note the
@@ -363,16 +360,15 @@ def verify_entropy_gap(
         raise WrongCardinality(f"need exactly K={instance.k} items, got {len(idx)}")
     if subset_weight(instance, idx) != instance.tau:
         raise WrongMass("subset must sum exactly to tau")
-    with mp.workdps(dps):
+    with mp.workdps(DEFAULT_DPS):
         bound = mp.log(instance.k) - _mpf(instance.constants.gamma_k)
-        return bool(heavy_subset_entropy(instance, idx, dps=dps) <= bound)
+        return bool(heavy_subset_entropy(instance, idx) <= bound)
 
 
 def mixed_subset_entropy(
     instance: EcmeInstance,
     heavy_indices: Sequence[int],
     booster_count: int,
-    dps: int = DEFAULT_DPS,
 ) -> mp.mpf:
     """Entropy of a renormalized subset of heavy items plus b boosters.
 
@@ -384,7 +380,7 @@ def mixed_subset_entropy(
     total = Fraction(subset_weight(instance, heavy_indices)) + booster_count * instance.constants.w_b
     if total <= 0:
         raise WrongMass("subset carries no weight")
-    with mp.workdps(dps):
+    with mp.workdps(DEFAULT_DPS):
         total_mp = _mpf(total)
         ln_total = mp.log(total_mp)
         h = mp.mpf(0)
@@ -401,15 +397,13 @@ def verify_booster_blowup(
     instance: EcmeInstance,
     heavy_indices: Sequence[int],
     booster_count: int,
-    dps: int = DEFAULT_DPS,
 ) -> bool:
     """Numeric check of the exclusion property: the mixed set overshoots the budget."""
     if booster_count < 1:
         raise InvalidParameters("need at least one booster for the blow-up check")
-    with mp.workdps(dps):
+    with mp.workdps(DEFAULT_DPS):
         return bool(
-            mixed_subset_entropy(instance, heavy_indices, booster_count, dps=dps)
-            > instance.budget
+            mixed_subset_entropy(instance, heavy_indices, booster_count) > instance.budget
         )
 
 
@@ -433,9 +427,7 @@ def verify_cardinality_lock(weights: Sequence[int], tau: int, k: int) -> bool:
 
 # --- decision ----------------------------------------------------------------
 
-def decide_ecme_small(
-    instance: EcmeInstance, mode: str = "structural", dps: int = DEFAULT_DPS
-) -> EcmeDecision:
+def decide_ecme_small(instance: EcmeInstance, mode: str = "structural") -> EcmeDecision:
     """Decide the constructed instance by exhaustive search.
 
     ``structural`` mode applies the structural facts (booster-containing
@@ -453,14 +445,14 @@ def decide_ecme_small(
             raise TooManyHeavyItems(
                 f"m={instance.m} exceeds the decision limit {MAX_HEAVY_ITEMS}"
             )
-        with mp.workdps(dps):
+        with mp.workdps(DEFAULT_DPS):
             for subset in combinations(range(instance.m), instance.k):
                 if subset_weight(instance, subset) != instance.tau:
                     continue
                 mass = sum(instance.heavy_probs[i] for i in subset)
                 if mass != instance.beta:
                     continue
-                if heavy_subset_entropy(instance, subset, dps=dps) <= instance.budget:
+                if heavy_subset_entropy(instance, subset) <= instance.budget:
                     return EcmeDecision(is_yes=True, witness=subset)
         return EcmeDecision(is_yes=False, witness=None)
     if mode == "full":
@@ -492,11 +484,11 @@ def decide_ecme_small(
             wlogw + b_counts * (w_b * math.log(w_b))
         ) / instance.tau
         candidates = np.nonzero(valid & (h_float <= float(instance.budget) + 1e-6))[0]
-        with mp.workdps(dps):
+        with mp.workdps(DEFAULT_DPS):
             for mask in sorted(int(m) for m in candidates):
                 subset = mask_indices(mask)
                 b = 2 * big_b * (instance.tau - subset_weight(instance, subset)) // instance.tau
-                h = mixed_subset_entropy(instance, subset, int(b), dps=dps)
+                h = mixed_subset_entropy(instance, subset, int(b))
                 if h <= instance.budget:
                     return EcmeDecision(is_yes=True, witness=subset, witness_boosters=int(b))
         return EcmeDecision(is_yes=False, witness=None)

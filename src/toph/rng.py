@@ -50,11 +50,6 @@ def u01(seed: int, stream: int, counter: int) -> float:
     return (raw64(seed, stream, counter) >> 11) * 2.0 ** -53
 
 
-def u01_open(seed: int, stream: int, counter: int) -> float:
-    """Uniform double in (0, 1]; safe as a log() argument."""
-    return ((raw64(seed, stream, counter) >> 11) + 1) * 2.0 ** -53
-
-
 class Stream:
     """Sequential view of one (seed, stream) lane.
 

@@ -9,8 +9,8 @@ the result refer to the capped, renormalized working distribution.
 Conventions that pin down exact outputs:
 
 - the greedy rule stops at the first token whose inclusion pushes the
-  subset entropy strictly above ``alpha * H(p) + entropy_slack``; equality
-  keeps the token, and the over-budget token is rolled back by subtraction;
+  subset entropy strictly above ``alpha * H(p)``; equality keeps the
+  token, and the over-budget token is rolled back by subtraction;
 - cumulative-mass truncation treats "exceeds" inclusively (first prefix
   with mass >= the target);
 - scaled-max truncation keeps tokens with p >= p_base * max(p);
@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -67,10 +67,6 @@ class TruncationConfig:
     p_base: float = 0.1
     eta: float = 0.0002
     candidate_cap: int = 100
-    entropy_slack: float = 0.0
-
-    def with_method(self, method: Method) -> "TruncationConfig":
-        return replace(self, method=method)
 
 
 @dataclass(frozen=True)
@@ -168,7 +164,6 @@ def top_h_truncate(
     order, work = _capped_view(p, config.candidate_cap)
     h_p = _entropy_of(work)
     threshold = config.alpha * h_p
-    budget = threshold + config.entropy_slack
 
     acc = EntropyAccumulator()
     count = 0
@@ -180,7 +175,7 @@ def top_h_truncate(
             break
         acc.push(p_j)
         h = acc.entropy()
-        if h > budget and count > 0:
+        if h > threshold and count > 0:
             acc.pop(p_j)
             break
         count += 1

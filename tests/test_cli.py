@@ -71,6 +71,18 @@ class TestTruncateCommand:
         assert rc == 2
         assert "line 1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("method", ["top-h", "top-k", "top-p"])
+    def test_non_finite_record_exits_2(self, tmp_path, capsys, method):
+        bad = tmp_path / "nan.jsonl"
+        bad.write_text('{"id": "a", "probs": [0.5, 0.5]}\n'
+                       '{"id": "b", "probs": [NaN, 0.5, 0.5]}\n')
+        out = tmp_path / "x.jsonl"
+        rc = main(["truncate", "--method", method, "--input", str(bad),
+                   "--output", str(out)])
+        assert rc == 2
+        assert "line 2" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_missing_input_exits_2(self, tmp_path):
         rc = main(["truncate", "--input", str(tmp_path / "nope.jsonl"),
                    "--output", str(tmp_path / "x.jsonl")])

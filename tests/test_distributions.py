@@ -22,6 +22,7 @@ from toph.errors import (
     IndexOutOfRange,
     MassOverflow,
     NegativeProbability,
+    NonFiniteValue,
     NonPositiveProbability,
     NonPositiveTemperature,
     NormalizationOutOfTolerance,
@@ -79,6 +80,22 @@ class TestMakeDistribution:
             make_distribution([0.5, 0.4])
         with pytest.raises(NonPositiveTemperature):
             make_distribution([1.0, 2.0], mode="logits", temperature=0.0)
+
+    @pytest.mark.parametrize("values, mode, temperature", [
+        ([math.nan, 0.0], "logits", 1.0),
+        ([math.inf, 0.0], "logits", 1.0),
+        ([-math.inf, -math.inf], "logits", 1.0),
+        ([1e308, 0.0], "logits", 0.1),  # finite logit, overflows once scaled
+        ([math.nan, 0.5, 0.5], "probs", 1.0),
+        ([math.inf, 0.5, 0.5], "probs", 1.0),
+    ])
+    def test_non_finite_rejected(self, values, mode, temperature):
+        with pytest.raises(NonFiniteValue):
+            make_distribution(values, mode=mode, temperature=temperature)
+
+    def test_minus_inf_logit_masks_token(self):
+        p = make_distribution([1.0, -math.inf], mode="logits")
+        assert [float(x) for x in p.probs] == [1.0, 0.0]
 
 
 class TestEntropy:

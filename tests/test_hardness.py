@@ -11,6 +11,7 @@ from toph.errors import (
     KTooSmall,
     MalformedRecord,
     NarrowRangeViolated,
+    PrecisionInsufficient,
     ThetaOutOfBounds,
     TooManyHeavyItems,
     WrongCardinality,
@@ -134,6 +135,18 @@ class TestReduce:
         assert float(raw) == pytest.approx(5.4246, abs=1e-3)
         assert 20**lam == 64_000_000
 
+    def test_lambda_too_close_to_integer_raises(self):
+        # solve the exponent formula at K=20 for the deficit that puts the
+        # raw exponent 1e-45 above 6, closer than 50 digits can resolve
+        with mp.workdps(50):
+            ln20 = mp.log(20)
+            eps = (mp.mpf(384) / 10000 + mp.mpf(1) / 6400) / ln20
+            target = 6 + mp.mpf("1e-45")
+            delta = target * mp.mpf(133) / 1000 - mp.mpf(7333) / 10000 + eps
+            theta = 2 * ln20 * delta / 5
+            with pytest.raises(PrecisionInsufficient):
+                lambda_exponent(20, theta)
+
     def test_pipeline_yes_instance(self, ecme_yes):
         assert ecme_yes.k == 21
         assert ecme_yes.m == 21
@@ -214,6 +227,14 @@ class TestBudgetWindow:
         assert not check.holds
         assert check.upper_margin < 0
         assert check.lower_margin > 0
+
+    def test_budget_on_window_edge_raises(self, ecme_yes):
+        import dataclasses
+
+        with mp.workdps(50):
+            edge = dataclasses.replace(ecme_yes, budget=mp.log(ecme_yes.k + 1))
+        with pytest.raises(PrecisionInsufficient):
+            verify_budget_window(edge)
 
 
 class TestEntropyGap:

@@ -21,11 +21,11 @@ from toph.oracle import (
 )
 
 
-def brute_force_ecmm(p, alpha, slack=0.0):
+def brute_force_ecmm(p, alpha):
     """Independent oracle: itertools over all non-empty subsets."""
     probs = list(p.probs)
     n = len(probs)
-    budget = alpha * (-sum(x * math.log(x) for x in probs if x > 0)) + slack
+    budget = alpha * (-sum(x * math.log(x) for x in probs if x > 0))
     best = None
     for r in range(1, n + 1):
         for subset in itertools.combinations(range(n), r):

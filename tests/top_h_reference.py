@@ -12,7 +12,7 @@ import numpy as np
 from toph.distributions import MASS_TOLERANCE
 
 
-def reference_top_h(probs, alpha, candidate_cap=100, entropy_slack=0.0):
+def reference_top_h(probs, alpha, candidate_cap=100):
     """Selected token indices, in descending-probability order."""
     probs = np.asarray(probs, dtype=np.float64)
     order = np.argsort(-probs, kind="stable")[:candidate_cap]
@@ -21,7 +21,7 @@ def reference_top_h(probs, alpha, candidate_cap=100, entropy_slack=0.0):
     if abs(total - 1.0) > MASS_TOLERANCE:
         work = work / total
     pos = work[work > 0.0]
-    budget = alpha * float(-np.dot(pos, np.log(pos))) + entropy_slack
+    budget = alpha * float(-np.dot(pos, np.log(pos)))
     count = 0
     for k in range(1, work.shape[0] + 1):
         if work[k - 1] <= 0.0:
