@@ -2,11 +2,12 @@
 
 Exit codes (stable contract for scripting):
     0  success
-    1  usage or flag validation error
+    1  usage or flag validation error (any out-of-range flag, whatever
+       the method)
     2  malformed input data (offending line/file reported on stderr)
     3  domain precondition failure (e.g. instance too large to decide)
 
-Every command that writes an output file also writes a sidecar manifest
+Every command given ``--output`` also writes a sidecar manifest
 ``<output>.manifest.json`` recording the command, the fully resolved
 configuration, the seed, and the input/output paths: enough to reproduce
 the output byte-for-byte.  Outputs themselves contain no timestamps, so
@@ -55,13 +56,7 @@ EXIT_DOMAIN = 3
 #: Source of every truncation flag default.
 _DEFAULTS = TruncationConfig()
 
-_METHOD_FLAGS = {
-    "top-h": Method.TOP_H,
-    "top-k": Method.TOP_K,
-    "top-p": Method.TOP_P,
-    "min-p": Method.MIN_P,
-    "eta": Method.ETA,
-}
+_METHOD_FLAGS = {m.value.replace("_", "-"): m for m in Method}
 
 
 class UsageError(Exception):
@@ -93,26 +88,41 @@ class RunManifest:
     schema_version: int = SCHEMA_VERSION
 
 
-def _write_manifest(
-    output: Path, command: str, config: dict, seed: int | None,
-    input_path: str | None, started: float,
-) -> None:
+@dataclass(frozen=True)
+class CommandResult:
+    """What a command hands back to ``main``: its manifest fields and exit code."""
+
+    config: dict
+    seed: int | None = None
+    input: str | None = None
+    code: int = EXIT_OK
+
+
+def _write_manifest(command: str, result: CommandResult, output: str,
+                    started: float) -> None:
     manifest = RunManifest(
         command=command,
-        config=config,
-        seed=seed,
-        input=input_path,
-        output=str(output),
+        config=result.config,
+        seed=result.seed,
+        input=result.input,
+        output=output,
         tool_version=__version__,
         duration_s=round(time.monotonic() - started, 6),
     )
-    hardness.save_json(asdict(manifest), str(output) + ".manifest.json")
+    hardness.save_json(asdict(manifest), output + ".manifest.json")
+
+
+def _config(**fields) -> TruncationConfig:
+    """A ``TruncationConfig`` from flag values; an out-of-range one is a usage error."""
+    try:
+        return TruncationConfig(**fields)
+    except TophError as exc:
+        raise UsageError(str(exc)) from exc
 
 
 def _build_config(args) -> TruncationConfig:
-    method = _METHOD_FLAGS[args.method]
-    config = TruncationConfig(
-        method=method,
+    return _config(
+        method=_METHOD_FLAGS[args.method],
         alpha=args.alpha,
         k=args.k,
         p_nucleus=args.p_nucleus,
@@ -120,20 +130,6 @@ def _build_config(args) -> TruncationConfig:
         eta=args.eta,
         candidate_cap=args.candidate_cap,
     )
-    # validate the active method's parameter up front so bad flags exit 1
-    if method == Method.TOP_H and not 0.0 < config.alpha < 1.0:
-        raise UsageError(f"--alpha must be in (0, 1), got {config.alpha}")
-    if method == Method.TOP_K and config.k < 1:
-        raise UsageError(f"--k must be >= 1, got {config.k}")
-    if method == Method.TOP_P and not 0.0 < config.p_nucleus <= 1.0:
-        raise UsageError(f"--p-nucleus must be in (0, 1], got {config.p_nucleus}")
-    if method == Method.MIN_P and not 0.0 < config.p_base < 1.0:
-        raise UsageError(f"--p-base must be in (0, 1), got {config.p_base}")
-    if method == Method.ETA and not 0.0 < config.eta < 1.0:
-        raise UsageError(f"--eta must be in (0, 1), got {config.eta}")
-    if config.candidate_cap < 1:
-        raise UsageError(f"--candidate-cap must be >= 1, got {config.candidate_cap}")
-    return config
 
 
 def _add_method_flags(sub) -> None:
@@ -157,18 +153,23 @@ def _add_family_flags(sub) -> None:
     sub.add_argument("--shuffle", action="store_true", help="zipf index shuffle")
 
 
-def _spec_from_args(args, seed: int) -> GeneratorSpec:
-    return GeneratorSpec(
+def _generate(args, count: int) -> list:
+    """``count`` distributions from the family flags; a bad spec is a usage error."""
+    spec = GeneratorSpec(
         family=args.family,
         n=args.n,
-        seed=seed,
+        seed=args.seed,
         s=args.s,
         a=args.a,
         sigma=args.sigma,
         temperature=args.temperature,
         peak=args.peak,
-        shuffle=getattr(args, "shuffle", False),
+        shuffle=args.shuffle,
     )
+    try:
+        return generate(spec, count)
+    except TophError as exc:
+        raise UsageError(str(exc)) from exc
 
 
 def _config_dict(config: TruncationConfig) -> dict:
@@ -197,27 +198,33 @@ def _truncate_record(rid: str, dist, config: TruncationConfig, with_trace: bool)
     return record
 
 
-def cmd_truncate(args) -> int:
-    started = time.monotonic()
+def _distributions(args) -> list:
+    """The ``--input`` dataset, or ``--trials`` generated distributions."""
+    if args.input:
+        dists = [rec.dist for rec in read_dataset(args.input)]
+        if not dists:
+            raise UsageError(f"dataset {args.input} is empty")
+        return dists
+    if args.trials < 1:
+        raise UsageError(f"--trials must be >= 1, got {args.trials}")
+    return _generate(args, args.trials)
+
+
+def cmd_truncate(args) -> CommandResult:
     config = _build_config(args)
     records = read_dataset(args.input)
-    out = Path(args.output)
-    with open(out, "w", encoding="utf-8") as fh:
+    with open(args.output, "w", encoding="utf-8") as fh:
         for rec in records:
             fh.write(json.dumps(_truncate_record(rec.id, rec.dist, config, args.trace)) + "\n")
-    _write_manifest(out, "truncate", {**_config_dict(config), "trace": args.trace},
-                    None, args.input, started)
-    return EXIT_OK
+    return CommandResult({**_config_dict(config), "trace": args.trace}, input=args.input)
 
 
-def cmd_sample(args) -> int:
-    started = time.monotonic()
+def cmd_sample(args) -> CommandResult:
     config = _build_config(args)
     if args.num_samples < 1:
         raise UsageError(f"--num-samples must be >= 1, got {args.num_samples}")
     records = read_dataset(args.input)
-    out = Path(args.output)
-    with open(out, "w", encoding="utf-8") as fh:
+    with open(args.output, "w", encoding="utf-8") as fh:
         for pos, rec in enumerate(records):
             result = truncate(rec.dist, config)
             # draw_index is record-offset so records do not share variates
@@ -231,81 +238,50 @@ def cmd_sample(args) -> int:
                 "method": config.method.value,
                 "tokens": tokens,
             }) + "\n")
-    _write_manifest(out, "sample",
-                    {**_config_dict(config), "num_samples": args.num_samples},
-                    args.seed, args.input, started)
-    return EXIT_OK
+    return CommandResult({**_config_dict(config), "num_samples": args.num_samples},
+                         seed=args.seed, input=args.input)
 
 
-def cmd_gap(args) -> int:
-    started = time.monotonic()
-    if not 0.0 < args.alpha < 1.0:
-        raise UsageError(f"--alpha must be in (0, 1), got {args.alpha}")
-    if args.input:
-        dists = [rec.dist for rec in read_dataset(args.input)]
-        if not dists:
-            raise UsageError(f"dataset {args.input} is empty")
-        too_big = max(d.n for d in dists)
-        if too_big > ENUMERATION_LIMIT:
-            raise UsageError(
-                f"dataset contains n={too_big}, above the exhaustive-enumeration "
-                f"limit of {ENUMERATION_LIMIT}; the oracle walks all 2**n subsets"
-            )
-    else:
-        if args.n > ENUMERATION_LIMIT:
-            raise UsageError(
-                f"--n {args.n} exceeds the exhaustive-enumeration limit of "
-                f"{ENUMERATION_LIMIT}; the oracle walks all 2**n subsets"
-            )
-        if args.trials < 1:
-            raise UsageError(f"--trials must be >= 1, got {args.trials}")
-        spec = _spec_from_args(args, args.seed)
-        try:
-            dists = generate(spec, args.trials)
-        except TophError as exc:
-            raise UsageError(str(exc)) from exc
+def cmd_gap(args) -> CommandResult:
+    _config(alpha=args.alpha)  # range check only; the oracle builds its own configs
+    if not args.input and args.n > ENUMERATION_LIMIT:
+        raise UsageError(
+            f"--n {args.n} exceeds the exhaustive-enumeration limit of "
+            f"{ENUMERATION_LIMIT}; the oracle walks all 2**n subsets"
+        )
+    dists = _distributions(args)
+    too_big = max(d.n for d in dists)
+    if too_big > ENUMERATION_LIMIT:
+        raise UsageError(
+            f"dataset contains n={too_big}, above the exhaustive-enumeration "
+            f"limit of {ENUMERATION_LIMIT}; the oracle walks all 2**n subsets"
+        )
     instances = [EcmmInstance(p=d, alpha=args.alpha) for d in dists]
     report = optimality_gap(instances)
-    out = Path(args.output)
-    out.write_text(gap_report_csv(report), encoding="utf-8")
+    Path(args.output).write_text(gap_report_csv(report), encoding="utf-8")
     print(summary_line(report))
-    _write_manifest(out, "gap",
-                    {"family": args.family, "n": args.n, "alpha": args.alpha,
-                     "trials": args.trials, "s": args.s, "a": args.a,
-                     "sigma": args.sigma, "temperature": args.temperature,
-                     "peak": args.peak,
-                     "summary": {"mean": report.mean, "variance": report.variance,
-                                 "min": report.minimum,
-                                 "count_suboptimal": report.count_suboptimal}},
-                    args.seed, args.input, started)
-    return EXIT_OK
+    return CommandResult(
+        {"family": args.family, "n": args.n, "alpha": args.alpha,
+         "trials": args.trials, "s": args.s, "a": args.a,
+         "sigma": args.sigma, "temperature": args.temperature,
+         "peak": args.peak,
+         "summary": {"mean": report.mean, "variance": report.variance,
+                     "min": report.minimum,
+                     "count_suboptimal": report.count_suboptimal}},
+        seed=args.seed, input=args.input)
 
 
-def cmd_sweep(args) -> int:
-    started = time.monotonic()
+def cmd_sweep(args) -> CommandResult:
     try:
         alphas = [float(x) for x in args.alphas.split(",") if x.strip()]
     except ValueError as exc:
         raise UsageError(f"--alphas must be a comma-separated float list: {exc}")
-    if not alphas or any(not 0.0 < a < 1.0 for a in alphas):
-        raise UsageError("--alphas values must lie in (0, 1)")
-    if args.input:
-        dists = [rec.dist for rec in read_dataset(args.input)]
-        input_path = args.input
-    else:
-        spec = _spec_from_args(args, args.seed)
-        try:
-            dists = generate(spec, args.trials)
-        except TophError as exc:
-            raise UsageError(str(exc)) from exc
-        input_path = None
-    if not dists:
-        raise UsageError("no input distributions")
-    out = Path(args.output)
+    if not alphas:
+        raise UsageError("--alphas is empty")
+    configs = [_config(alpha=a, candidate_cap=args.candidate_cap) for a in alphas]
+    dists = _distributions(args)
     lines = ["alpha,mean_selected,mean_gamma,mean_entropy_ratio,count"]
-    for alpha in alphas:
-        config = TruncationConfig(method=Method.TOP_H, alpha=alpha,
-                                  candidate_cap=args.candidate_cap)
+    for config in configs:
         sizes, gammas, ratios = [], [], []
         for dist in dists:
             result = truncate(dist, config)
@@ -315,61 +291,49 @@ def cmd_sweep(args) -> int:
                 ratios.append(result.h_q / result.h_p)
         ratio_mean = float(np.mean(ratios)) if ratios else 0.0
         lines.append(
-            f"{alpha!r},{float(np.mean(sizes))!r},{float(np.mean(gammas))!r},"
+            f"{config.alpha!r},{float(np.mean(sizes))!r},{float(np.mean(gammas))!r},"
             f"{ratio_mean!r},{len(dists)}"
         )
-    out.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    _write_manifest(out, "sweep",
-                    {"alphas": alphas, "family": getattr(args, "family", None),
-                     "n": args.n, "trials": args.trials,
-                     "candidate_cap": args.candidate_cap},
-                    args.seed, input_path, started)
-    return EXIT_OK
+    Path(args.output).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return CommandResult(
+        {"alphas": alphas, "family": args.family, "n": args.n,
+         "trials": args.trials, "candidate_cap": args.candidate_cap},
+        seed=args.seed, input=args.input)
 
 
-def cmd_generate(args) -> int:
-    started = time.monotonic()
+def cmd_generate(args) -> CommandResult:
     if args.count < 1:
         raise UsageError(f"--count must be >= 1, got {args.count}")
-    spec = _spec_from_args(args, args.seed)
-    try:
-        dists = generate(spec, args.count)
-    except TophError as exc:
-        raise UsageError(str(exc)) from exc
-    out = Path(args.output)
-    write_dataset(out, dists)
-    _write_manifest(out, "generate",
-                    {"family": args.family, "n": args.n, "count": args.count,
-                     "s": args.s, "a": args.a, "sigma": args.sigma,
-                     "temperature": args.temperature, "peak": args.peak,
-                     "shuffle": args.shuffle},
-                    args.seed, None, started)
-    return EXIT_OK
+    write_dataset(args.output, _generate(args, args.count))
+    return CommandResult(
+        {"family": args.family, "n": args.n, "count": args.count,
+         "s": args.s, "a": args.a, "sigma": args.sigma,
+         "temperature": args.temperature, "peak": args.peak,
+         "shuffle": args.shuffle},
+        seed=args.seed)
 
 
 def _load_instance(path: str, from_json):
     """Read a hardness JSON file and parse it with ``from_json``."""
     try:
-        obj = hardness.load_json(path)
+        return from_json(hardness.load_json(path))
     except (OSError, json.JSONDecodeError) as exc:
-        raise MalformedRecord(0, f"cannot parse {path}: {exc}") from exc
-    return from_json(obj)
+        raise MalformedRecord(None, f"cannot parse {path}: {exc}") from exc
+    except MalformedRecord as exc:
+        raise MalformedRecord(None, f"{path}: {exc.reason}") from exc
 
 
-def cmd_reduce(args) -> int:
-    started = time.monotonic()
+def cmd_reduce(args) -> CommandResult:
     instance = _load_instance(args.input, hardness.ccss_from_json)
     prepped = hardness.prepare(instance)
     ecme = hardness.reduce_to_ecme(prepped)
-    out = Path(args.output)
-    hardness.save_json(hardness.ecme_to_json(ecme), out)
+    hardness.save_json(hardness.ecme_to_json(ecme), args.output)
     c = ecme.constants
     print(f"k={ecme.k} m={ecme.m} lambda={c.lambda_k} boosters={c.booster_count}")
-    _write_manifest(out, "reduce", {}, None, args.input, started)
-    return EXIT_OK
+    return CommandResult({}, input=args.input)
 
 
-def cmd_verify(args) -> int:
+def cmd_verify(args) -> CommandResult:
     instance = _load_instance(args.input, hardness.ecme_from_json)
     checks: list[tuple[str, bool, str]] = []
     window = hardness.verify_budget_window(instance)
@@ -400,10 +364,10 @@ def cmd_verify(args) -> int:
             "all_ok": all_ok,
         }
         hardness.save_json(payload, args.output)
-    return EXIT_OK if all_ok else EXIT_DOMAIN
+    return CommandResult({}, input=args.input, code=EXIT_OK if all_ok else EXIT_DOMAIN)
 
 
-def cmd_decide(args) -> int:
+def cmd_decide(args) -> CommandResult:
     instance = _load_instance(args.input, hardness.ecme_from_json)
     decision = hardness.decide_ecme_small(instance, mode=args.mode)
     print("YES" if decision.is_yes else "NO")
@@ -419,7 +383,7 @@ def cmd_decide(args) -> int:
             "witness_boosters": decision.witness_boosters if decision.is_yes else None,
         }
         hardness.save_json(payload, args.output)
-    return EXIT_OK
+    return CommandResult({"mode": args.mode}, input=args.input)
 
 
 def build_parser() -> _Parser:
@@ -489,13 +453,25 @@ def build_parser() -> _Parser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one command and return its exit code.
+
+    Each ``cmd_*`` does its command's work and returns a ``CommandResult``;
+    ``main`` times the run, writes the manifest whenever ``--output`` is
+    given, and maps errors onto the exit codes.  Parameter ranges are
+    checked by ``TruncationConfig`` itself; ``_config`` turns a bad flag
+    value into a usage error.
+    """
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
+    started = time.monotonic()
     try:
-        return args.func(args)
+        result = args.func(args)
+        if args.output:
+            _write_manifest(args.cmd, result, args.output, started)
+        return result.code
     except UsageError as exc:
         print(f"toph: error: {exc}", file=sys.stderr)
         return EXIT_USAGE

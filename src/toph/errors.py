@@ -121,8 +121,10 @@ class PrecisionInsufficient(TophError):
 # --- dataset I/O ----------------------------------------------------------
 
 class MalformedRecord(TophError):
-    def __init__(self, line_number: int, reason: str):
-        super().__init__(f"line {line_number}: {reason}")
+    """A bad input record; ``line_number`` is None when the whole file is bad."""
+
+    def __init__(self, line_number: int | None, reason: str):
+        super().__init__(reason if line_number is None else f"line {line_number}: {reason}")
         self.line_number = line_number
         self.reason = reason
 

@@ -532,8 +532,8 @@ def ccss_from_json(obj: dict) -> CcssInstance:
             tau=int(obj["tau"]),
             k=int(obj["k"]),
         )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise MalformedRecord(0, f"not a valid CCSS object: {exc}") from exc
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise MalformedRecord(None, f"not a valid CCSS object: {exc}") from exc
 
 
 def ecme_to_json(instance: EcmeInstance) -> dict:
@@ -592,8 +592,8 @@ def ecme_from_json(obj: dict) -> EcmeInstance:
                 budget=mp.mpf(obj["budget"]),
                 constants=constants,
             )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise MalformedRecord(0, f"not a valid ECME object: {exc}") from exc
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise MalformedRecord(None, f"not a valid ECME object: {exc}") from exc
 
 
 def save_json(obj: dict, path: str | os.PathLike) -> None:

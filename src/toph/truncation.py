@@ -6,6 +6,10 @@ the ``candidate_cap`` most probable tokens and renormalized, and the method
 then picks a prefix or threshold set of that order.  Entropies reported in
 the result refer to the capped, renormalized working distribution.
 
+``TruncationConfig`` validates every parameter range when it is built,
+whatever the method, so the method functions take their parameters as
+given.
+
 Conventions that pin down exact outputs:
 
 - the greedy rule stops at the first token whose inclusion pushes the
@@ -56,8 +60,12 @@ class Method(str, enum.Enum):
 class TruncationConfig:
     """Parameters for all methods; only the chosen method's fields are read.
 
-    Defaults follow the common experimental settings: alpha 0.4, k 20,
-    nucleus mass 0.9, base threshold 0.1, eta 2e-4, candidate cap 100.
+    Every field is validated at construction, whatever the method, and an
+    out-of-range value raises its typed error: alpha in (0, 1), k >= 1,
+    p_nucleus in (0, 1], p_base in (0, 1), eta in (0, 1) and
+    candidate_cap >= 1.  Defaults follow the common experimental settings:
+    alpha 0.4, k 20, nucleus mass 0.9, base threshold 0.1, eta 2e-4,
+    candidate cap 100.
     """
 
     method: Method = Method.TOP_H
@@ -67,6 +75,20 @@ class TruncationConfig:
     p_base: float = 0.1
     eta: float = 0.0002
     candidate_cap: int = 100
+
+    def __post_init__(self):
+        if not 0.0 < self.alpha < 1.0:
+            raise AlphaOutOfRange(f"alpha must be in (0, 1), got {self.alpha!r}")
+        if self.k < 1:
+            raise ZeroK(f"k must be >= 1, got {self.k}")
+        if not 0.0 < self.p_nucleus <= 1.0:
+            raise NucleusOutOfRange(f"p_nucleus must be in (0, 1], got {self.p_nucleus!r}")
+        if not 0.0 < self.p_base < 1.0:
+            raise PBaseOutOfRange(f"p_base must be in (0, 1), got {self.p_base!r}")
+        if not 0.0 < self.eta < 1.0:
+            raise EtaOutOfRange(f"eta must be in (0, 1), got {self.eta!r}")
+        if self.candidate_cap < 1:
+            raise ZeroK(f"candidate_cap must be >= 1, got {self.candidate_cap}")
 
 
 @dataclass(frozen=True)
@@ -104,8 +126,6 @@ def _capped_view(
     p: ProbabilityDistribution, cap: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """Descending-order original indices and capped renormalized probabilities."""
-    if cap < 1:
-        raise ZeroK(f"candidate_cap must be >= 1, got {cap}")
     order = _descending_order(p.probs)[: min(cap, p.n)]
     kept = p.probs[order]
     total = float(np.sum(kept))
@@ -159,8 +179,6 @@ def top_h_truncate(
     token is always selected (a singleton has entropy 0).  The budget is
     recomputed from the working distribution on every call.
     """
-    if not 0.0 < config.alpha < 1.0:
-        raise AlphaOutOfRange(f"alpha must be in (0, 1), got {config.alpha!r}")
     order, work = _capped_view(p, config.candidate_cap)
     h_p = _entropy_of(work)
     threshold = config.alpha * h_p
@@ -196,8 +214,6 @@ def top_h_truncate(
 
 def top_k_truncate(p: ProbabilityDistribution, config: TruncationConfig) -> TruncationResult:
     """Keep the k most probable tokens (all of them when k >= n)."""
-    if config.k < 1:
-        raise ZeroK(f"k must be >= 1, got {config.k}")
     order, work = _capped_view(p, config.candidate_cap)
     count = min(config.k, work.shape[0])
     return _result_from_prefix(order, work, count, p.n, _entropy_of(work))
@@ -205,10 +221,6 @@ def top_k_truncate(p: ProbabilityDistribution, config: TruncationConfig) -> Trun
 
 def top_p_truncate(p: ProbabilityDistribution, config: TruncationConfig) -> TruncationResult:
     """Shortest descending-order prefix whose cumulative mass reaches p_nucleus."""
-    if not 0.0 < config.p_nucleus <= 1.0:
-        raise NucleusOutOfRange(
-            f"p_nucleus must be in (0, 1], got {config.p_nucleus!r}"
-        )
     order, work = _capped_view(p, config.candidate_cap)
     cum = np.cumsum(work)
     count = int(np.searchsorted(cum, config.p_nucleus, side="left")) + 1
@@ -218,8 +230,6 @@ def top_p_truncate(p: ProbabilityDistribution, config: TruncationConfig) -> Trun
 
 def min_p_truncate(p: ProbabilityDistribution, config: TruncationConfig) -> TruncationResult:
     """Keep tokens with p >= p_base * max(p); the top token always survives."""
-    if not 0.0 < config.p_base < 1.0:
-        raise PBaseOutOfRange(f"p_base must be in (0, 1), got {config.p_base!r}")
     order, work = _capped_view(p, config.candidate_cap)
     cutoff = config.p_base * float(work[0])
     count = max(1, int(np.count_nonzero(work >= cutoff)))
@@ -228,8 +238,6 @@ def min_p_truncate(p: ProbabilityDistribution, config: TruncationConfig) -> Trun
 
 def eta_truncate(p: ProbabilityDistribution, config: TruncationConfig) -> TruncationResult:
     """Entropy-scaled cutoff: keep p >= min(eta, sqrt(eta) * exp(-H(p)))."""
-    if not 0.0 < config.eta < 1.0:
-        raise EtaOutOfRange(f"eta must be in (0, 1), got {config.eta!r}")
     order, work = _capped_view(p, config.candidate_cap)
     h_p = _entropy_of(work)
     epsilon = min(config.eta, math.sqrt(config.eta) * math.exp(-h_p))

@@ -63,6 +63,14 @@ class TestTruncateCommand:
         assert rc == 1
         assert "(0, 1)" in capsys.readouterr().err
 
+    def test_unused_bad_flag_exits_1(self, tmp_path, dataset):
+        # every flag is range-checked, not only the chosen method's
+        out = tmp_path / "x.jsonl"
+        rc = main(["truncate", "--method", "top-k", "--alpha", "1.5",
+                   "--input", str(dataset), "--output", str(out)])
+        assert rc == 1
+        assert not out.exists()
+
     def test_malformed_input_exits_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.jsonl"
         bad.write_text('{"id": "a", "probs": [0.9, 0.2]}\n')
@@ -200,6 +208,16 @@ class TestSweepCommand:
                    "--output", str(tmp_path / "s.csv")])
         assert rc == 1
 
+    def test_zero_candidate_cap_exits_1(self, tmp_path, dataset):
+        rc = main(["sweep", "--input", str(dataset), "--candidate-cap", "0",
+                   "--output", str(tmp_path / "s.csv")])
+        assert rc == 1
+
+    def test_zero_trials_exits_1(self, tmp_path, capsys):
+        rc = main(["sweep", "--trials", "0", "--output", str(tmp_path / "s.csv")])
+        assert rc == 1
+        assert "--trials must be >= 1" in capsys.readouterr().err
+
 
 class TestHardnessCommands:
     def yes_path(self, tmp_path):
@@ -242,6 +260,21 @@ class TestHardnessCommands:
         bad.write_text('{"kind": "ccss", "weights": "oops"}\n')
         rc = main(["reduce", "--input", str(bad), "--output", str(tmp_path / "o.json")])
         assert rc == 2
+
+    @pytest.mark.parametrize("content", [
+        None,  # missing file
+        '{"schema_version": 1, "kind": "ccss", "weights": ["3"], "tau": "3", "k": 1}\n',
+        "[1, 2]\n",
+    ], ids=["missing", "wrong-kind", "not-an-object"])
+    def test_whole_file_error_names_file(self, tmp_path, capsys, content):
+        path = tmp_path / "instance.json"
+        if content is not None:
+            path.write_text(content)
+        rc = main(["verify", "--input", str(path)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert str(path) in err
+        assert "line 0" not in err
 
     def test_corrupted_budget_fails_verify(self, tmp_path, capsys):
         ccss = self.yes_path(tmp_path)
@@ -289,6 +322,44 @@ class TestDeterminism:
             assert main(argv + ["--output", str(a)]) == 0
             assert main(argv + ["--output", str(b)]) == 0
             assert a.read_bytes() == b.read_bytes(), name
+
+
+class TestManifests:
+    @pytest.fixture()
+    def inputs(self, tmp_path, dataset):
+        ccss = tmp_path / "ccss.json"
+        save_json(ccss_to_json(CcssInstance((3, 5, 7), 15, 3)), ccss)
+        ecme = tmp_path / "ecme.json"
+        assert main(["reduce", "--input", str(ccss), "--output", str(ecme)]) == 0
+        return {"dataset": str(dataset), "ccss": str(ccss), "ecme": str(ecme)}
+
+    COMMANDS = {
+        "generate": ["--n", "5", "--count", "3"],
+        "truncate": ["--input", "{dataset}"],
+        "sample": ["--input", "{dataset}"],
+        "gap": ["--n", "6", "--trials", "3"],
+        "sweep": ["--input", "{dataset}"],
+        "reduce": ["--input", "{ccss}"],
+        "verify": ["--input", "{ecme}"],
+        "decide": ["--input", "{ecme}"],
+    }
+
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    def test_every_command_writes_manifest(self, tmp_path, inputs, command):
+        out = tmp_path / "out"
+        argv = [command] + [a.format(**inputs) for a in self.COMMANDS[command]]
+        assert main(argv + ["--output", str(out)]) == 0
+        manifest = json.loads((tmp_path / "out.manifest.json").read_text())
+        assert manifest["command"] == command
+        assert manifest["output"] == str(out)
+
+    def test_decide_manifest_records_mode(self, tmp_path, inputs):
+        out = tmp_path / "d.json"
+        assert main(["decide", "--input", inputs["ecme"], "--mode", "full",
+                     "--output", str(out)]) == 0
+        manifest = json.loads((tmp_path / "d.json.manifest.json").read_text())
+        assert manifest["config"] == {"mode": "full"}
+        assert manifest["input"] == inputs["ecme"]
 
 
 class TestGapFromDataset:

@@ -1,16 +1,18 @@
 """Unit tests for the truncation methods and token sampling."""
 
+import dataclasses
 import math
 from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from toph.distributions import entropy, make_distribution, uniform_distribution
 from toph.errors import (
     AlphaOutOfRange,
     EtaOutOfRange,
+    NonFiniteValue,
     NucleusOutOfRange,
     PBaseOutOfRange,
     ZeroK,
@@ -284,6 +286,88 @@ class TestCommonProperties:
         assert truncate(p, config(Method.TOP_K, k=2)).selected == top_k_truncate(
             p, config(Method.TOP_K, k=2)
         ).selected
+
+
+class TestConfigValidation:
+    def test_every_field_checked_at_construction(self):
+        # whatever the method, so a bad field cannot ride along unread
+        with pytest.raises(ZeroK):
+            TruncationConfig(k=0)
+        with pytest.raises(ZeroK):
+            TruncationConfig(method=Method.TOP_K, candidate_cap=0)
+        with pytest.raises(AlphaOutOfRange):
+            TruncationConfig(method=Method.TOP_K, alpha=1.5)
+        with pytest.raises(EtaOutOfRange):
+            dataclasses.replace(TruncationConfig(), eta=2.0)
+
+
+@st.composite
+def hostile_probs(draw):
+    """Exact zeros, denormals and all-equal runs, one run longer than the cap."""
+    cap = draw(st.integers(1, 1000))
+    runs = draw(st.lists(st.integers(1, cap + 50), min_size=1, max_size=3))
+    runs[0] = cap + draw(st.integers(1, 50))
+    weights = draw(st.lists(st.floats(0.01, 1.0), min_size=len(runs), max_size=len(runs)))
+    tiny = draw(st.lists(st.sampled_from([0.0, 5e-324, 1e-320]), max_size=60))
+    total = sum(weights)
+    parts = [np.full(n, w / total / n) for n, w in zip(runs, weights)]
+    probs = np.concatenate(parts + [np.asarray(tiny, dtype=np.float64)])
+    if draw(st.booleans()):
+        probs = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).permutation(probs)
+    return probs, cap
+
+
+def assert_top_h_matches_reference(p, r, alpha, cap):
+    """Equal to the reference, except where a prefix sits on the budget.
+
+    The library's running entropy ln(gamma) - h/gamma and the reference's
+    -sum q ln q round differently, so a prefix whose entropy equals the
+    budget (uniform runs make that common) can land on either side of it by
+    an ulp.  Only that one-token disagreement is allowed; 1e-12 is far above
+    the rounding of sums over at most 1000 terms and far below any real gap.
+    """
+    ref = reference_top_h(p.probs, alpha, cap)
+    if r.selected == ref:
+        return
+    short, long = sorted((r.selected, ref), key=len)
+    assert len(long) == len(short) + 1 and long[: len(short)] == short
+    q = p.probs[list(long)] / np.sum(p.probs[list(long)])
+    assert abs(float(-np.dot(q, np.log(q))) - r.threshold) <= 1e-12
+
+
+def check_all_methods(p, cap, alpha):
+    for method in Method:
+        r = truncate(p, config(method, alpha=alpha, candidate_cap=cap))
+        assert len(r.selected) >= 1
+        assert math.isfinite(r.h_q)
+        assert np.all(np.isfinite(r.subset.q))
+        if method == Method.TOP_H:
+            assert_top_h_matches_reference(p, r, alpha, cap)
+
+
+class TestHostileInputs:
+    @given(hostile_probs(), st.floats(0.01, 0.99))
+    # the library keeps 4 tokens at entropy ln 4 == budget; the reference 3
+    @example(case=(np.full(65, 1 / 65), 64), alpha=1 / 3)
+    @settings(max_examples=100, deadline=None)
+    def test_zeros_denormals_and_tied_runs(self, case, alpha):
+        probs, cap = case
+        check_all_methods(make_distribution(probs), cap, alpha)
+
+    @given(
+        st.lists(st.one_of(st.floats(-1e6, 1e6), st.sampled_from([-1e6, 0.0, 1e6])),
+                 min_size=1, max_size=200),
+        st.one_of(st.sampled_from([1e-6, 1.0]), st.floats(1e-6, 100.0)),
+        st.integers(1, 1000),
+        st.floats(0.01, 0.99),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_extreme_logits_and_temperatures(self, logits, temperature, cap, alpha):
+        try:
+            p = make_distribution(logits, mode="logits", temperature=temperature)
+        except NonFiniteValue:
+            return
+        check_all_methods(p, cap, alpha)
 
 
 class TestSampleToken:
