@@ -10,8 +10,10 @@ Exit codes (stable contract for scripting):
 Every command given ``--output`` also writes a sidecar manifest
 ``<output>.manifest.json`` recording the command, the fully resolved
 configuration, the seed, and the input/output paths: enough to reproduce
-the output byte-for-byte.  Outputs themselves contain no timestamps, so
-rerunning a command with the same manifest reproduces them exactly.
+the output byte-for-byte.  Runs that generate their distributions record
+every generator flag; runs that read ``--input`` record none of them.
+Outputs themselves contain no timestamps, so rerunning a command with the
+same manifest reproduces them exactly.
 """
 
 from __future__ import annotations
@@ -40,11 +42,12 @@ from .oracle import (
     optimality_gap,
     summary_line,
 )
+from .rng import u01
 from .synthgen import SCHEMA_VERSION, GeneratorSpec, generate, read_dataset, write_dataset
 from .truncation import (
     Method,
     TruncationConfig,
-    sample_token,
+    draw_tokens,
     truncate,
 )
 
@@ -172,6 +175,20 @@ def _generate(args, count: int) -> list:
         raise UsageError(str(exc)) from exc
 
 
+def _generator_fields(args, count_key: str) -> dict:
+    """Manifest fields of the generator flags, or none when ``--input`` gave the data.
+
+    ``count_key`` names the count flag (``trials`` or ``count``).  With the
+    seed, these fields regenerate the run's distributions exactly.
+    """
+    if getattr(args, "input", None):
+        return {}
+    return {"family": args.family, "n": args.n, count_key: getattr(args, count_key),
+            "s": args.s, "a": args.a, "sigma": args.sigma,
+            "temperature": args.temperature, "peak": args.peak,
+            "shuffle": args.shuffle}
+
+
 def _config_dict(config: TruncationConfig) -> dict:
     d = asdict(config)
     d["method"] = config.method.value
@@ -224,19 +241,18 @@ def cmd_sample(args) -> CommandResult:
     if args.num_samples < 1:
         raise UsageError(f"--num-samples must be >= 1, got {args.num_samples}")
     records = read_dataset(args.input)
+    per_record = args.num_samples
+    # draw_index = record_index * num_samples + j, so records do not share variates
+    u = u01(args.seed, 0, np.arange(len(records) * per_record, dtype=np.uint64))
     with open(args.output, "w", encoding="utf-8") as fh:
         for pos, rec in enumerate(records):
             result = truncate(rec.dist, config)
-            # draw_index is record-offset so records do not share variates
-            tokens = [
-                sample_token(result, args.seed, pos * args.num_samples + j)
-                for j in range(args.num_samples)
-            ]
+            tokens = draw_tokens(result, u[pos * per_record:(pos + 1) * per_record])
             fh.write(json.dumps({
                 "schema_version": SCHEMA_VERSION,
                 "id": rec.id,
                 "method": config.method.value,
-                "tokens": tokens,
+                "tokens": tokens.tolist(),
             }) + "\n")
     return CommandResult({**_config_dict(config), "num_samples": args.num_samples},
                          seed=args.seed, input=args.input)
@@ -261,14 +277,11 @@ def cmd_gap(args) -> CommandResult:
     Path(args.output).write_text(gap_report_csv(report), encoding="utf-8")
     print(summary_line(report))
     return CommandResult(
-        {"family": args.family, "n": args.n, "alpha": args.alpha,
-         "trials": args.trials, "s": args.s, "a": args.a,
-         "sigma": args.sigma, "temperature": args.temperature,
-         "peak": args.peak,
+        {**_generator_fields(args, "trials"), "alpha": args.alpha,
          "summary": {"mean": report.mean, "variance": report.variance,
                      "min": report.minimum,
                      "count_suboptimal": report.count_suboptimal}},
-        seed=args.seed, input=args.input)
+        seed=None if args.input else args.seed, input=args.input)
 
 
 def cmd_sweep(args) -> CommandResult:
@@ -296,21 +309,16 @@ def cmd_sweep(args) -> CommandResult:
         )
     Path(args.output).write_text("\n".join(lines) + "\n", encoding="utf-8")
     return CommandResult(
-        {"alphas": alphas, "family": args.family, "n": args.n,
-         "trials": args.trials, "candidate_cap": args.candidate_cap},
-        seed=args.seed, input=args.input)
+        {**_generator_fields(args, "trials"), "alphas": alphas,
+         "candidate_cap": args.candidate_cap},
+        seed=None if args.input else args.seed, input=args.input)
 
 
 def cmd_generate(args) -> CommandResult:
     if args.count < 1:
         raise UsageError(f"--count must be >= 1, got {args.count}")
     write_dataset(args.output, _generate(args, args.count))
-    return CommandResult(
-        {"family": args.family, "n": args.n, "count": args.count,
-         "s": args.s, "a": args.a, "sigma": args.sigma,
-         "temperature": args.temperature, "peak": args.peak,
-         "shuffle": args.shuffle},
-        seed=args.seed)
+    return CommandResult(_generator_fields(args, "count"), seed=args.seed)
 
 
 def _load_instance(path: str, from_json):

@@ -19,11 +19,20 @@ and GAMMA = 0x9E3779B97F4A7C15.  Uniform doubles take the top 53 bits:
 ``u = (value >> 11) * 2**-53`` lies in [0, 1); the open variant maps to
 (0, 1].  Normal and gamma variates are derived by Box-Muller and the
 Marsaglia-Tsang method, both of which consume the stream sequentially.
+
+``u01`` evaluates the same formula for a whole array of counters at once:
+``state`` is computed once in Python integers, and the rest runs
+element-wise in numpy ``uint64``, whose wrap-around is the ``mod 2**64``
+above, so ``u01(seed, stream, counters)[i]`` is bit-identical to the
+``i``-th scalar evaluation.  ``Stream`` reads counters 0, 1, 2, ... of its
+lane one at a time in Python integers.
 """
 
 from __future__ import annotations
 
 import math
+
+import numpy as np
 
 _MASK64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
@@ -40,14 +49,20 @@ def _state(seed: int, stream: int) -> int:
     return _mix(seed) ^ _mix((stream * _GAMMA + 1) & _MASK64)
 
 
-def raw64(seed: int, stream: int, counter: int) -> int:
-    """The counter-th 64-bit word of the (seed, stream) sequence."""
-    return _mix((_state(seed, stream) + (counter + 1) * _GAMMA) & _MASK64)
+def u01(seed: int, stream: int, counter) -> np.ndarray:
+    """Uniform doubles in [0, 1), one per entry of the integer array ``counter``.
 
-
-def u01(seed: int, stream: int, counter: int) -> float:
-    """Uniform double in [0, 1)."""
-    return (raw64(seed, stream, counter) >> 11) * 2.0 ** -53
+    Counters are non-negative and below 2**64; the result has the shape of
+    ``counter``, at least one-dimensional.  Only array operations touch
+    ``uint64`` values (numpy warns on ``uint64`` scalar overflow, never on
+    array wrap-around).
+    """
+    z = np.array(counter, dtype=np.uint64, ndmin=1)
+    z = (z + 1) * _GAMMA + _state(seed, stream)
+    z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9
+    z = (z ^ (z >> 27)) * 0x94D049BB133111EB
+    z = z ^ (z >> 31)
+    return (z >> 11) * 2.0 ** -53
 
 
 class Stream:

@@ -14,9 +14,16 @@ Conventions that pin down exact outputs:
 
 - the greedy rule stops at the first token whose inclusion pushes the
   subset entropy strictly above ``alpha * H(p)``; equality keeps the
-  token, and the over-budget token is rolled back by subtraction;
+  token, and the over-budget token is rolled back by subtraction.
+  Equality is decided on the running entropy ``ln G - h/G`` in float64;
+  the direct ``-sum q ln q`` of the same prefix can round one ulp the
+  other way (uniform(65), candidate cap 64, alpha 1/3: the 4-token prefix,
+  entropy ln 4, is kept here and is one ulp over budget the direct way);
 - cumulative-mass truncation treats "exceeds" inclusively (first prefix
   with mass >= the target);
+- sampling is an inverse CDF over the subset in its stored order: a
+  uniform picks the first token whose in-order cumulative sum is strictly
+  above it, and the last token when none is;
 - scaled-max truncation keeps tokens with p >= p_base * max(p);
 - the entropy-scaled rule keeps tokens with p >= min(eta, sqrt(eta) *
   exp(-H(p))), following the eta-sampling rule from the literature, and
@@ -178,6 +185,13 @@ def top_h_truncate(
     strictly over the budget is removed, ending the scan.  At least one
     token is always selected (a singleton has entropy 0).  The budget is
     recomputed from the working distribution on every call.
+
+    "Equality keeps the token" holds for the entropy as this scan computes
+    it, ``ln G - h/G`` with running mass ``G`` and ``h = sum p ln p``.  A
+    prefix whose exact entropy equals the budget can come out one ulp
+    either side of it, and ``-sum q ln q`` may round the other way from
+    the running form (uniform(65) at candidate cap 64 and alpha 1/3 keeps
+    4 tokens here; the direct form would keep 3).
     """
     order, work = _capped_view(p, config.candidate_cap)
     h_p = _entropy_of(work)
@@ -264,21 +278,29 @@ def truncate(
     return _DISPATCH[config.method](p, config)
 
 
+def draw_tokens(result: TruncationResult, u: np.ndarray) -> np.ndarray:
+    """Inverse-CDF tokens of the truncated distribution, one per uniform in ``u``.
+
+    The cumulative sums run over the subset in its stored
+    (descending-probability) order, adding in sequence; a uniform picks the
+    first token whose cumulative sum is strictly above it, so a uniform
+    exactly on a boundary picks the next token, and one at or above the
+    last sum (which can be 1 - ulp) picks the last token.
+    """
+    cum = np.cumsum(result.subset.q)
+    pos = np.searchsorted(cum, u, side="right")
+    np.minimum(pos, cum.shape[0] - 1, out=pos)
+    return np.asarray(result.subset.parent_indices)[pos]
+
+
 def sample_token(result: TruncationResult, seed: int, draw_index: int = 0) -> int:
     """Draw one token from the truncated distribution, reproducibly.
 
-    Inverse-CDF over the subset in its stored (descending-probability)
-    order, driven by the documented counter-based generator: the uniform
-    variate for a draw is ``u01(seed, stream=0, counter=draw_index)``.
-    Identical (seed, draw_index, result) triples give identical tokens
-    on every platform.
+    ``draw_tokens`` on a batch of one, driven by the documented
+    counter-based generator: the uniform variate for a draw is
+    ``u01(seed, stream=0, counter=draw_index)``.  Identical (seed,
+    draw_index, result) triples give identical tokens on every platform,
+    and the token equals entry ``draw_index`` of the batched draw
+    ``draw_tokens(result, u01(seed, 0, np.arange(n)))`` for any larger n.
     """
-    u = u01(seed, 0, draw_index)
-    cum = 0.0
-    q = result.subset.q
-    indices = result.subset.parent_indices
-    for i in range(len(indices)):
-        cum += float(q[i])
-        if u < cum:
-            return indices[i]
-    return indices[-1]
+    return int(draw_tokens(result, u01(seed, 0, draw_index))[0])

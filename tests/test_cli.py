@@ -25,6 +25,27 @@ def read_jsonl(path):
     return [json.loads(line) for line in Path(path).read_text().splitlines()]
 
 
+# Input of the pinned ``toph sample`` outputs in sample_golden.json: ties, a
+# zero tail, a singleton, and a record the candidate cap cuts.
+GOLDEN_RECORDS = [
+    {"id": "zipf12", "probs": [1.0 / (i + 1) / sum(1.0 / (j + 1) for j in range(12))
+                               for i in range(12)]},
+    {"id": "ties", "probs": [0.2] * 5},
+    {"id": "pairs", "probs": [0.05, 0.3, 0.15, 0.3, 0.05, 0.15]},
+    {"id": "zero_tail", "probs": [0.0, 0.5, 0.3, 0.2, 0.0]},
+    {"id": "single", "probs": [1.0]},
+    {"id": "wide150", "probs": [(i + 1) ** -0.5 / sum((j + 1) ** -0.5 for j in range(150))
+                                for i in range(150)]},
+]
+GOLDEN_SEEDS = (0, 7, 2**40 + 3)
+GOLDEN_NUM_SAMPLES = 12
+GOLDEN_PATH = Path(__file__).with_name("sample_golden.json")
+
+
+def write_golden_dataset(path):
+    path.write_text("".join(json.dumps(r) + "\n" for r in GOLDEN_RECORDS))
+
+
 class TestTruncateCommand:
     def test_top_h_golden(self, tmp_path, dataset):
         out = tmp_path / "out.jsonl"
@@ -136,6 +157,19 @@ class TestSampleCommand:
         assert main(argv + ["--output", str(out1)]) == 0
         assert main(argv + ["--output", str(out2)]) == 0
         assert out1.read_bytes() == out2.read_bytes()
+
+
+class TestSampleGolden:
+    @pytest.mark.parametrize("method", ["top-h", "top-k", "top-p", "min-p", "eta"])
+    @pytest.mark.parametrize("seed", GOLDEN_SEEDS)
+    def test_output_matches_pinned_bytes(self, tmp_path, method, seed):
+        data, out = tmp_path / "golden.jsonl", tmp_path / "tokens.jsonl"
+        write_golden_dataset(data)
+        assert main(["sample", "--method", method, "--seed", str(seed),
+                     "--num-samples", str(GOLDEN_NUM_SAMPLES),
+                     "--input", str(data), "--output", str(out)]) == 0
+        expected = json.loads(GOLDEN_PATH.read_text())[method][str(seed)]
+        assert out.read_text() == expected
 
 
 class TestGapCommand:
@@ -360,6 +394,57 @@ class TestManifests:
         manifest = json.loads((tmp_path / "d.json.manifest.json").read_text())
         assert manifest["config"] == {"mode": "full"}
         assert manifest["input"] == inputs["ecme"]
+
+
+class TestGeneratorManifests:
+    GENERATOR_KEYS = {"family", "n", "s", "a", "sigma", "temperature", "peak", "shuffle"}
+
+    def manifest_config(self, tmp_path, argv):
+        out = tmp_path / "out.csv"
+        assert main(argv + ["--output", str(out)]) == 0
+        return json.loads((tmp_path / "out.csv.manifest.json").read_text())
+
+    def test_sweep_records_every_generator_flag(self, tmp_path):
+        argv = ["sweep", "--family", "zipf", "--n", "8", "--trials", "3", "--alphas", "0.4"]
+        low = self.manifest_config(tmp_path, argv + ["--s", "1.1"])
+        high = self.manifest_config(tmp_path, argv + ["--s", "2.0", "--shuffle"])
+        assert low["config"] != high["config"]
+        assert low["config"]["s"] == 1.1 and high["config"]["s"] == 2.0
+        assert high["config"]["shuffle"] is True
+        assert self.GENERATOR_KEYS | {"trials"} <= set(low["config"])
+        assert low["seed"] == 0
+
+    def test_gap_records_shuffle(self, tmp_path, capsys):
+        manifest = self.manifest_config(
+            tmp_path, ["gap", "--n", "6", "--trials", "2", "--shuffle", "--seed", "4"])
+        assert manifest["config"]["shuffle"] is True
+        assert self.GENERATOR_KEYS | {"trials"} <= set(manifest["config"])
+        assert manifest["seed"] == 4
+
+    @pytest.mark.parametrize("command", ["gap", "sweep"])
+    def test_input_run_records_no_generator_flag(self, tmp_path, dataset, capsys, command):
+        manifest = self.manifest_config(
+            tmp_path, [command, "--input", str(dataset), "--family", "dirichlet", "--n", "9"])
+        assert not (self.GENERATOR_KEYS | {"trials"}) & set(manifest["config"])
+        assert manifest["seed"] is None
+        assert manifest["input"] == str(dataset)
+
+    def test_generate_manifest_regenerates_output(self, tmp_path):
+        out = tmp_path / "g.jsonl"
+        assert main(["generate", "--family", "zipf", "--n", "7", "--count", "4", "--s", "1.7",
+                     "--shuffle", "--seed", "5", "--output", str(out)]) == 0
+        manifest = json.loads((tmp_path / "g.jsonl.manifest.json").read_text())
+        config = manifest["config"]
+        replay = tmp_path / "replay.jsonl"
+        argv = ["generate", "--seed", str(manifest["seed"]), "--output", str(replay)]
+        for key, value in config.items():
+            flag = "--" + key
+            if isinstance(value, bool):
+                argv += [flag] if value else []
+            else:
+                argv += [flag, str(value)]
+        assert main(argv) == 0
+        assert replay.read_bytes() == out.read_bytes()
 
 
 class TestGapFromDataset:

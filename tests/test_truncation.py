@@ -8,7 +8,12 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from toph.distributions import entropy, make_distribution, uniform_distribution
+from toph.distributions import (
+    SubsetDistribution,
+    entropy,
+    make_distribution,
+    uniform_distribution,
+)
 from toph.errors import (
     AlphaOutOfRange,
     EtaOutOfRange,
@@ -20,6 +25,8 @@ from toph.errors import (
 from toph.truncation import (
     Method,
     TruncationConfig,
+    TruncationResult,
+    draw_tokens,
     eta_truncate,
     min_p_truncate,
     sample_token,
@@ -28,6 +35,8 @@ from toph.truncation import (
     top_p_truncate,
     truncate,
 )
+
+from toph.rng import u01
 
 from top_h_reference import reference_top_h
 
@@ -396,6 +405,67 @@ class TestSampleToken:
         r = top_k_truncate(p, config(Method.TOP_K, k=2))
         tokens = {sample_token(r, 3, i) for i in range(500)}
         assert tokens <= {0, 1}
+
+
+def result_with_q(indices, q):
+    """A truncation result over ``indices`` with exactly the weights ``q``."""
+    subset = SubsetDistribution(parent_n=max(indices) + 1, parent_indices=tuple(indices),
+                                q=np.asarray(q, dtype=np.float64), gamma=1.0)
+    return TruncationResult(selected=subset.parent_indices, subset=subset, h_p=0.0, h_q=0.0)
+
+
+def loop_draw(result, u):
+    """The sequential inverse CDF: first token whose running sum exceeds u."""
+    cum = 0.0
+    for token, q in zip(result.subset.parent_indices, result.subset.q):
+        cum += float(q)
+        if u < cum:
+            return token
+    return result.subset.parent_indices[-1]
+
+
+class TestDrawTokens:
+    def test_boundary_picks_next_token(self):
+        # probs [0.25, 0.5, 0.25] order as tokens 1, 0, 2 with sums 0.5, 0.75, 1
+        r = top_k_truncate(make_distribution([0.25, 0.5, 0.25]), config(Method.TOP_K, k=3))
+        assert r.selected == (1, 0, 2)
+        u = np.array([0.0, 0.5 - 2**-53, 0.5, 0.75 - 2**-53, 0.75])
+        assert draw_tokens(r, u).tolist() == [1, 1, 0, 0, 2]
+
+    def test_at_or_above_last_sum_picks_last_token(self):
+        # q sums to 1 - 2**-53, the largest uniform u01 can return
+        r = result_with_q([4, 9], [0.5, 0.5 - 2**-53])
+        assert float(np.cumsum(r.subset.q)[-1]) == 1.0 - 2**-53
+        u = np.array([1.0 - 2**-53, 0.5])
+        assert draw_tokens(r, u).tolist() == [9, 9]
+        assert draw_tokens(r, np.array([0.5 - 2**-54])).tolist() == [4]
+
+    def test_singleton_always_its_token(self):
+        r = result_with_q([17], [1.0])
+        assert set(draw_tokens(r, u01(5, 0, np.arange(1000))).tolist()) == {17}
+
+    def test_empty_batch(self):
+        r = result_with_q([0, 1], [0.5, 0.5])
+        assert draw_tokens(r, np.empty(0)).shape == (0,)
+
+    def test_sample_token_is_batch_of_one(self):
+        r = top_k_truncate(make_distribution([0.4, 0.3, 0.2, 0.1]), config(Method.TOP_K, k=4))
+        for seed in (0, 7, 2**40 + 3):
+            batch = draw_tokens(r, u01(seed, 0, np.arange(300)))
+            assert [sample_token(r, seed, i) for i in range(300)] == batch.tolist()
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(st.one_of(st.floats(0.0, 1.0), st.sampled_from([0.0, 5e-324, 0.5])),
+                 min_size=1, max_size=40),
+        st.lists(st.floats(0.0, 1.0, exclude_max=True), max_size=50),
+    )
+    def test_matches_sequential_loop(self, weights, us):
+        total = math.fsum(weights)
+        q = [w / total for w in weights] if total > 0.0 else [1.0] + [0.0] * (len(weights) - 1)
+        r = result_with_q(list(range(len(q))), q)
+        got = draw_tokens(r, np.array(us, dtype=np.float64)).tolist()
+        assert got == [loop_draw(r, u) for u in us]
 
 
 class TestScaleInvariance:
