@@ -32,7 +32,7 @@ import os
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import mpmath as mp
 import numpy as np
@@ -48,7 +48,7 @@ from .errors import (
     WrongCardinality,
     WrongMass,
 )
-from .oracle import mask_indices, subset_sums
+from .oracle import mask_indices, subset_blocks
 from .synthgen import SCHEMA_VERSION
 
 #: Working precision (significant decimal digits) for entropy terms.
@@ -57,7 +57,8 @@ DEFAULT_DPS = 50
 #: ``decide_ecme_small`` refuses instances with more heavy items than this.
 MAX_HEAVY_ITEMS = 24
 
-#: Full-space cross-validation enumerates 2**m subsets; capped lower.
+#: Full-space cross-validation walks all 2**m heavy subsets (in blocks, so
+#: memory does not grow with m); capped lower because the time does.
 MAX_FULL_SPACE_ITEMS = 22
 
 # Calibration constants of the booster-count exponent, taken verbatim as
@@ -411,7 +412,7 @@ def verify_cardinality_lock(weights: Sequence[int], tau: int, k: int) -> bool:
     """Exhaustively confirm that booster-free subsets of weight tau have size K.
 
     Works on any narrow-range weight family (not only reduction outputs);
-    2**m subsets are enumerated exactly in int64.
+    2**m subsets are enumerated exactly in int64, block by block.
     """
     if len(weights) > MAX_HEAVY_ITEMS:
         raise TooManyHeavyItems(
@@ -419,13 +420,45 @@ def verify_cardinality_lock(weights: Sequence[int], tau: int, k: int) -> bool:
         )
     if sum(weights) >= 2**62:
         raise TooManyHeavyItems("weights too large for the vectorized enumerator")
-    sums = subset_sums(np.asarray(weights, dtype=np.int64))
-    sizes = subset_sums(np.ones(len(weights), dtype=np.int64))
-    hits = sums == tau
-    return bool(np.all(sizes[hits] == k))
+    columns = (np.asarray(weights, dtype=np.int64), np.ones(len(weights), dtype=np.int64))
+    for _, (sums, sizes) in subset_blocks(columns):
+        if np.any(sizes[sums == tau] != k):
+            return False
+    return True
 
 
 # --- decision ----------------------------------------------------------------
+
+def _full_space_candidates(instance: EcmeInstance) -> Iterator[int]:
+    """Masks of the heavy subsets that pass the float screen, ascending.
+
+    Mass target as weight: subset weight + b * w_b == tau, i.e. the booster
+    count must be b = 2B * deficit / tau, a non-negative integer at most B.
+    Every mass-exact candidate renormalizes over total weight exactly tau,
+    so its entropy is
+        ln(tau) - (sum_{i in S} w ln w + b * w_b ln(w_b)) / tau.
+    That is screened vectorized in float64 on the valid entries of each
+    block; only candidates within float noise of the budget go on to the
+    high-precision confirmation.  The caller checks both int64 guards.
+    """
+    tau, big_b = instance.tau, instance.booster_count
+    w_b = float(instance.constants.w_b)
+    limit = float(instance.budget) + 1e-6
+    columns = (
+        np.asarray(instance.weights, dtype=np.int64),
+        np.asarray([w * math.log(w) for w in instance.weights]),
+    )
+    for first, (sums, wlogw) in subset_blocks(columns):
+        deficit = tau - sums
+        pos = np.flatnonzero(deficit >= 0)
+        if first == 0:
+            pos = pos[pos != 0]  # a sampler set cannot be empty
+        scaled = 2 * big_b * deficit[pos]
+        valid = (scaled % tau == 0) & (scaled // tau <= big_b)
+        pos, b_counts = pos[valid], scaled[valid] // tau
+        h_float = math.log(tau) - (wlogw[pos] + b_counts * (w_b * math.log(w_b))) / tau
+        yield from (first + pos[h_float <= limit]).tolist()
+
 
 def decide_ecme_small(instance: EcmeInstance, mode: str = "structural") -> EcmeDecision:
     """Decide the constructed instance by exhaustive search.
@@ -438,7 +471,10 @@ def decide_ecme_small(instance: EcmeInstance, mode: str = "structural") -> EcmeD
     every heavy subset and solving for the booster count that reaches the
     mass target exactly.
 
-    The witness is the lexicographically first qualifying subset.
+    In structural mode the witness is the lexicographically first
+    qualifying K-subset.  In full mode it is the qualifying subset with the
+    smallest mask (bit i = heavy item i), i.e. the colexicographically
+    first: ``(1,)`` (mask 2) comes before ``(0, 5)`` (mask 33).
     """
     if mode == "structural":
         if instance.m > MAX_HEAVY_ITEMS:
@@ -460,32 +496,13 @@ def decide_ecme_small(instance: EcmeInstance, mode: str = "structural") -> EcmeD
             raise TooManyHeavyItems(
                 f"m={instance.m} exceeds the full-space limit {MAX_FULL_SPACE_ITEMS}"
             )
-        # Mass target as weight: subset weight + b * w_b == tau, i.e. the
-        # booster count must be b = 2B * deficit / tau, a non-negative
-        # integer at most B.  Every mass-exact candidate renormalizes over
-        # total weight exactly tau, so its entropy is
-        #     ln(tau) - (sum_{i in S} w ln w + b * w_b ln(w_b)) / tau.
-        # That is screened vectorized in float64; only candidates within
-        # float noise of the budget are confirmed in high precision.
         big_b = instance.booster_count
         if 2 * big_b * instance.tau >= 2**62:
             raise TooManyHeavyItems("booster count too large for the vectorized screen")
         if sum(instance.weights) >= 2**62:
             raise TooManyHeavyItems("weights too large for the vectorized enumerator")
-        sums = subset_sums(np.asarray(instance.weights, dtype=np.int64))
-        deficit = instance.tau - sums
-        scaled = 2 * big_b * deficit
-        valid = (deficit >= 0) & (scaled % instance.tau == 0) & (scaled // instance.tau <= big_b)
-        valid[0] = False  # a sampler set cannot be empty
-        wlogw = subset_sums(np.asarray([w * math.log(w) for w in instance.weights]))
-        w_b = float(instance.constants.w_b)
-        b_counts = np.where(valid, scaled // instance.tau, 0)
-        h_float = math.log(instance.tau) - (
-            wlogw + b_counts * (w_b * math.log(w_b))
-        ) / instance.tau
-        candidates = np.nonzero(valid & (h_float <= float(instance.budget) + 1e-6))[0]
         with mp.workdps(DEFAULT_DPS):
-            for mask in sorted(int(m) for m in candidates):
+            for mask in _full_space_candidates(instance):
                 subset = mask_indices(mask)
                 b = 2 * big_b * (instance.tau - subset_weight(instance, subset)) // instance.tau
                 h = mixed_subset_entropy(instance, subset, int(b))

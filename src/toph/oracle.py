@@ -5,8 +5,11 @@ non-empty subset, so the greedy selector can be scored against the true
 optimum.  The batch harness aggregates the per-instance mass ratio
 greedy/optimal into a plot-ready report.
 
-``subset_sums`` and ``mask_indices`` are the package's only subset
+``subset_blocks`` and ``mask_indices`` are the package's only subset
 enumerator; ``toph.hardness`` imports them for its exhaustive deciders.
+Enumeration runs in blocks of ``2**BLOCK_BITS`` consecutive masks, so it
+holds O(2**BLOCK_BITS) entries per column rather than O(2**n), and every
+block entry is bit-identical to the full ``subset_sums`` table.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ from __future__ import annotations
 import csv
 import io
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -27,6 +30,10 @@ ENUMERATION_LIMIT = 20
 
 #: Ratios below 1 - RATIO_TIE_EPS count as suboptimal instances.
 RATIO_TIE_EPS = 1e-12
+
+#: ``subset_blocks`` enumerates 2**BLOCK_BITS masks per block (128 KiB per
+#: float64 or int64 column), small enough to stay in cache.
+BLOCK_BITS = 14
 
 
 @dataclass(frozen=True)
@@ -85,13 +92,39 @@ def subset_sums(values: np.ndarray) -> np.ndarray:
 
     Entry ``m`` is the sum over the set bits of ``m`` (bit i = value i),
     added in ascending bit order.  Built by doubling, so the whole table
-    costs O(2**n) arithmetic.
+    costs O(2**n) arithmetic and O(2**n) memory; ``subset_blocks`` uses it
+    only for the low ``BLOCK_BITS`` items.
     """
     n = values.shape[0]
     out = np.zeros(2**n, dtype=values.dtype)
     for i in range(n):
         out[2**i : 2 ** (i + 1)] = out[: 2**i] + values[i]
     return out
+
+
+def subset_blocks(
+    columns: Sequence[np.ndarray], block_bits: int = BLOCK_BITS
+) -> Iterator[tuple[int, tuple[np.ndarray, ...]]]:
+    """``subset_sums`` of each column, one block of consecutive masks at a time.
+
+    Yields ``(first_mask, sums)`` in ascending mask order, where
+    ``sums[c][j]`` equals ``subset_sums(columns[c])[first_mask + j]`` bit
+    for bit.  A block covers ``2**min(n, block_bits)`` masks that share
+    their high bits: it starts as a copy of the low-bit table and then adds
+    the block's set high bits in ascending order, the order the doubling
+    adds them.  Memory is O(2**block_bits) per column.  The yielded arrays
+    are overwritten by the next block, so callers must not keep them.
+    """
+    n = columns[0].shape[0]
+    k = min(n, block_bits)
+    low = [subset_sums(c[:k]) for c in columns]
+    bufs = [np.empty_like(t) for t in low]
+    for high in range(2 ** (n - k)):
+        for c, t, buf in zip(columns, low, bufs):
+            np.copyto(buf, t)
+            for i in mask_indices(high):
+                buf += c[k + i]
+        yield high << k, tuple(bufs)
 
 
 def mask_indices(mask: int) -> tuple[int, ...]:
@@ -110,7 +143,10 @@ def exact_ecmm(instance: EcmmInstance) -> EcmmSolution:
     """Maximize the subset mass subject to H(subset) <= alpha * H(p).
 
     Every non-empty subset is scored; ties on mass are broken by smaller
-    cardinality, then by the lexicographically smallest index set.
+    cardinality, then by the lexicographically smallest index set.  The
+    scan keeps an incumbent (the best feasible mass so far), computes the
+    entropy only of subsets with at least that mass, and keeps every
+    feasible subset tied with it.
     """
     n = instance.p.n
     if n > ENUMERATION_LIMIT:
@@ -120,23 +156,26 @@ def exact_ecmm(instance: EcmmInstance) -> EcmmSolution:
     probs = instance.p.probs
     budget = instance.alpha * _entropy_of(probs)
     plp = np.where(probs > 0.0, probs * np.log(np.where(probs > 0.0, probs, 1.0)), 0.0)
-    mass = subset_sums(probs)
-    hsum = subset_sums(plp)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ent = np.log(mass) - hsum / mass
-    ent[0] = np.inf  # empty set is not a valid sampler output
-    ent[mass <= 0.0] = np.inf
-    feasible = ent <= budget
-    if not feasible.any():
+    best_mass = 0.0
+    tied: list[tuple[int, float]] = []  # (mask, entropy) at best_mass
+    for first, (mass, hsum) in subset_blocks((probs, plp)):
+        # the empty set (mass 0) is not a valid sampler output
+        pos = np.flatnonzero((mass >= best_mass) & (mass > 0.0))
+        gamma = mass[pos]
+        ent = np.log(gamma) - hsum[pos] / gamma
+        feasible = ent <= budget
+        if not feasible.any():
+            continue
+        top = gamma[feasible].max()
+        if top > best_mass:
+            best_mass, tied = top, []
+        at = feasible & (gamma == best_mass)
+        tied += zip((first + pos[at]).tolist(), ent[at].tolist())
+    if not tied:
         # cannot happen for a valid distribution: the top singleton has H=0
         raise AssertionError("no feasible subset; distribution invalid")
-    best_mass = mass[feasible].max()
-    candidates = [int(m) for m in np.nonzero(feasible & (mass == best_mass))[0]]
-    best = min(candidates, key=lambda m: (bin(m).count("1"), mask_indices(m)))
-    indices = mask_indices(best)
-    return EcmmSolution(
-        indices=indices, gamma=float(mass[best]), entropy=float(ent[best])
-    )
+    best, best_entropy = min(tied, key=lambda t: (bin(t[0]).count("1"), mask_indices(t[0])))
+    return EcmmSolution(indices=mask_indices(best), gamma=float(best_mass), entropy=best_entropy)
 
 
 def optimality_gap(

@@ -1,9 +1,13 @@
 """Unit tests for the subset-sum reduction pipeline and its verifiers."""
 
+import functools
 import json
+import random
 from fractions import Fraction
+from unittest import mock
 
 import mpmath as mp
+import numpy as np
 import pytest
 
 from toph.errors import (
@@ -37,6 +41,10 @@ from toph.hardness import (
     verify_cardinality_lock,
     verify_entropy_gap,
 )
+from toph import hardness, oracle
+from toph.oracle import subset_sums
+
+from ecmm_reference import reference_decide_full
 
 YES = CcssInstance((3, 5, 7), 15, 3)    # 3 + 5 + 7 == 15
 NO = CcssInstance((3, 5, 7), 16, 3)     # no 3-subset reaches 16
@@ -354,6 +362,72 @@ class TestDecide:
         huge_weights = dataclasses.replace(ecme_yes, weights=(2**61, 2**61, 3))
         with pytest.raises(TooManyHeavyItems, match="weights too large"):
             decide_ecme_small(huge_weights, mode="full")
+
+
+def _m_equals_k(k, seed, deficit):
+    rng = random.Random(seed)
+    weights = tuple(rng.randint(770, 830) if k == 20 else rng.randint(1, 100) for _ in range(k))
+    return CcssInstance(weights, sum(weights) + deficit, k)
+
+
+# YES (tau == sum(w)) and deficit-NO (tau above it) instances with m == K,
+# prepared as `toph reduce` does: K = 20 padded, K = 4, 5, 10 scaled to 20
+FULL_MODE_CASES = [
+    _m_equals_k(20, 1, 0),
+    _m_equals_k(20, 2, 0),
+    _m_equals_k(20, 3, 57),
+    _m_equals_k(20, 4, 399),
+    _m_equals_k(4, 5, 0),
+    _m_equals_k(4, 6, 9),
+    _m_equals_k(5, 7, 0),
+    _m_equals_k(10, 8, 0),
+    _m_equals_k(10, 9, 31),
+]
+
+
+class TestFullModeAgainstFullTables:
+    """Block-wise full-mode decide against the full-table reference."""
+
+    @pytest.mark.parametrize("ccss", FULL_MODE_CASES, ids=lambda c: f"K{c.k}-{c.tau - c.total}")
+    def test_matches_reference_and_ccss(self, ccss):
+        prepared = prepare(ccss)
+        assert prepared.m == prepared.k == 20
+        ecme = reduce_to_ecme(prepared)
+        decision = decide_ecme_small(ecme, mode="full")
+        assert decision == reference_decide_full(ecme)
+        assert decision.is_yes == brute_force_ccss(prepare(ccss))[0]
+        assert decision.is_yes == (ccss.tau == ccss.total)
+
+    @pytest.mark.parametrize("offset,is_yes", [("1e-12", True), ("-1e-12", False)])
+    def test_budget_at_witness_entropy(self, offset, is_yes):
+        # the float screen passes the witness either way (margin 1e-6); the
+        # 50-digit confirmation alone decides on which side the budget lies
+        import dataclasses
+
+        ecme = reduce_to_ecme(prepare(FULL_MODE_CASES[0]))
+        h = mixed_subset_entropy(ecme, tuple(range(ecme.m)), 0)
+        with mp.workdps(50):
+            shifted = dataclasses.replace(ecme, budget=h + mp.mpf(offset))
+        decision = decide_ecme_small(shifted, mode="full")
+        assert decision.is_yes is is_yes
+        assert decision == reference_decide_full(shifted)
+
+
+class TestCardinalityLockInBlocks:
+    @pytest.mark.parametrize("block_bits", [2, 5, oracle.BLOCK_BITS])
+    def test_matches_full_tables(self, block_bits):
+        rng = np.random.default_rng(31)
+        blocks = functools.partial(oracle.subset_blocks, block_bits=block_bits)
+        with mock.patch.object(hardness, "subset_blocks", blocks):
+            for trial in range(30):
+                m = int(rng.integers(3, 13))
+                weights = [int(w) for w in rng.integers(1, 12 if trial % 2 else 400, m)]
+                sums = subset_sums(np.asarray(weights, dtype=np.int64))
+                sizes = subset_sums(np.ones(m, dtype=np.int64))
+                tau = int(sums[int(rng.integers(1, 2**m))])
+                for k in sorted(set(sizes[sums == tau].tolist())):
+                    expected = bool(np.all(sizes[sums == tau] == k))
+                    assert verify_cardinality_lock(weights, tau, k) is expected
 
 
 class TestRandomBatchAgreement:

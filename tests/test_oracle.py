@@ -1,24 +1,35 @@
 """Unit tests for the exhaustive subset oracle and the gap harness."""
 
 import csv
+import functools
 import io
 import itertools
 import math
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+from toph import oracle
 from toph.distributions import entropy, make_distribution, renormalize, uniform_distribution
 from toph.errors import VocabularyTooLarge
+from toph.hardness import CcssInstance, decide_ecme_small, reduce_to_ecme, verify_cardinality_lock
 from toph.oracle import (
+    BLOCK_BITS,
     EcmmInstance,
     exact_ecmm,
     gap_report_csv,
     mask_indices,
     optimality_gap,
+    subset_blocks,
     subset_sums,
     summary_line,
 )
+from toph.synthgen import FAMILIES, GeneratorSpec, generate
+
+from ecmm_reference import reference_exact_ecmm
 
 
 def brute_force_ecmm(p, alpha):
@@ -62,6 +73,117 @@ class TestSubsetSums:
             table = subset_sums(values)
             assert table.dtype == dtype
             assert table.tobytes() == np.asarray(expected, dtype=dtype).tobytes()
+
+
+class TestSubsetBlocks:
+    @pytest.mark.parametrize("block_bits", [3, 7, BLOCK_BITS])
+    def test_concatenated_blocks_equal_subset_sums(self, block_bits):
+        rng = np.random.default_rng(21)
+        for n in range(17):
+            columns = (rng.random(n), rng.integers(-10**12, 10**12, n, dtype=np.int64))
+            firsts, parts = [], ([], [])
+            for first, sums in subset_blocks(columns, block_bits=block_bits):
+                firsts.append(first)
+                for part, block in zip(parts, sums):
+                    part.append(block.copy())  # the enumerator reuses its buffers
+            assert firsts == list(range(0, 2**n, 2 ** min(n, block_bits)))
+            for column, part in zip(columns, parts):
+                got = np.concatenate(part)
+                assert got.dtype == column.dtype
+                assert got.tobytes() == subset_sums(column).tobytes()
+
+
+@st.composite
+def ecmm_instances(draw, max_n=16):
+    """A generator-family vector, optionally with exact zeros and equal-mass ties."""
+    family = draw(st.sampled_from(FAMILIES))
+    n = draw(st.integers(1, max_n))
+    spec = GeneratorSpec(
+        family,
+        n,
+        seed=draw(st.integers(0, 2**32 - 1)),
+        a=draw(st.sampled_from([0.2, 1.0, 5.0])),
+        shuffle=family == "zipf",
+    )
+    probs = generate(spec, 1)[0].probs.copy()
+    index = st.integers(0, n - 1)
+    for i in draw(st.lists(index, max_size=n - 1)):
+        probs[i] = 0.0
+    for i, j in draw(st.lists(st.tuples(index, index), max_size=4)):
+        probs[j] = probs[i]
+    if not probs.any():
+        probs[0] = 1.0
+    alpha = draw(st.floats(0.05, 0.95))
+    return EcmmInstance(make_distribution(probs / probs.sum()), alpha)
+
+
+class TestExactEcmmAgainstFullTables:
+    """``exact_ecmm`` returns the full-table reference's solution exactly."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(ecmm_instances())
+    def test_matches_reference(self, instance):
+        assert exact_ecmm(instance) == reference_exact_ecmm(instance)
+
+    @settings(max_examples=100, deadline=None)
+    @given(ecmm_instances(max_n=10), st.sampled_from([1, 3]))
+    # the winner (3, 4, 5) (mask 56) ties on mass with (0, 1, 4, 5) (mask 51),
+    # found one block earlier, and wins on cardinality
+    @example(EcmmInstance(make_distribution(np.array([1, 1, 1, 2, 5, 4, 1]) / 15), 0.7), 3)
+    def test_matches_reference_in_small_blocks(self, instance, block_bits):
+        # small blocks carry the incumbent and its ties across many blocks
+        blocks = functools.partial(oracle.subset_blocks, block_bits=block_bits)
+        with mock.patch.object(oracle, "subset_blocks", blocks):
+            assert exact_ecmm(instance) == reference_exact_ecmm(instance)
+
+    @pytest.mark.parametrize(
+        "family,n,alpha",
+        [
+            ("dirichlet", 14, 0.4),   # exactly one block
+            ("dirichlet", 15, 0.4),   # two blocks
+            ("gaussian_logits", 14, 0.8),
+            ("one_hot_mix", 15, 0.1),
+            ("uniform", 15, 0.4),     # every subset of a size ties on mass
+            ("dirichlet", 20, 0.4),
+            ("zipf", 20, 0.8),
+            ("gaussian_logits", 20, 0.1),
+            ("one_hot_mix", 20, 0.4),
+            ("uniform", 20, 0.1),
+        ],
+    )
+    def test_fixed_cases(self, family, n, alpha):
+        spec = GeneratorSpec(family, n, seed=7, shuffle=family == "zipf")
+        for p in generate(spec, 2):
+            instance = EcmmInstance(p, alpha)
+            assert exact_ecmm(instance) == reference_exact_ecmm(instance)
+
+
+def _peak_bytes(fn, *args):
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestBlockMemory:
+    """At n = m = 20 no enumeration holds a full 2**20 table (8 MiB per column)."""
+
+    LIMIT = 4 * 2**20
+
+    def test_exact_ecmm(self):
+        p = generate(GeneratorSpec("dirichlet", 20, seed=3), 1)[0]
+        assert _peak_bytes(exact_ecmm, EcmmInstance(p, 0.4)) < self.LIMIT
+
+    def test_decide_full_mode(self):
+        weights = tuple(780 + 2 * i for i in range(20))
+        instance = reduce_to_ecme(CcssInstance(weights, sum(weights), 20))
+        assert _peak_bytes(decide_ecme_small, instance, "full") < self.LIMIT
+
+    def test_cardinality_lock(self):
+        weights = tuple(780 + 2 * i for i in range(20))
+        assert _peak_bytes(verify_cardinality_lock, weights, sum(weights), 20) < self.LIMIT
 
 
 class TestExactEcmm:
