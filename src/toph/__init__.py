@@ -15,8 +15,9 @@ The package has five pillars:
   gap harness;
 - ``hardness``: a constructive reduction from cardinality-constrained
   subset sum to the entropy-constrained mass decision problem, in exact
-  rational arithmetic, with structural verifiers and small-instance
-  deciders;
+  rational arithmetic, with one named-check verifier, a direct decider
+  for the m == K instances the reduction emits, and a full subset search
+  for small instances;
 - ``synthgen``: seeded synthetic distribution generators and JSONL
   dataset I/O.
 

@@ -25,7 +25,6 @@ import time
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
-import mpmath as mp
 import numpy as np
 
 from . import __version__
@@ -343,25 +342,7 @@ def cmd_reduce(args) -> CommandResult:
 
 def cmd_verify(args) -> CommandResult:
     instance = _load_instance(args.input, hardness.ecme_from_json)
-    checks: list[tuple[str, bool, str]] = []
-    window = hardness.verify_budget_window(instance)
-    checks.append((
-        "budget_window", window.holds,
-        f"lower_margin={mp.nstr(window.lower_margin, 8)} "
-        f"upper_margin={mp.nstr(window.upper_margin, 8)}",
-    ))
-    narrow = hardness.CcssInstance(instance.weights, instance.tau, instance.k).narrow_range_holds()
-    checks.append(("narrow_range", narrow, "exact rational comparison"))
-    mass_ok = (
-        sum(instance.heavy_probs) + instance.booster_count * instance.booster_prob == 1
-    )
-    checks.append(("total_mass_one", mass_ok, "exact rational identity"))
-    theta_cap = mp.mpf(1) / (2 * instance.k * instance.k)
-    theta_ok = bool(0 < instance.constants.theta_k < theta_cap)
-    checks.append(("theta_bounds", theta_ok,
-                   f"theta={mp.nstr(instance.constants.theta_k, 8)}"))
-    wb_ok = instance.constants.w_b * 2 * instance.booster_count == instance.tau
-    checks.append(("booster_block_weight", wb_ok, "2 B w_b == tau"))
+    checks = hardness.verify_instance(instance)
     all_ok = all(ok for _, ok, _ in checks)
     for name, ok, detail in checks:
         print(f"{'PASS' if ok else 'FAIL'} {name}: {detail}")
@@ -446,12 +427,12 @@ def build_parser() -> _Parser:
     p.add_argument("--output", required=True)
     p.set_defaults(func=cmd_reduce)
 
-    p = sub.add_parser("verify", help="structural checks on an ECME JSON")
+    p = sub.add_parser("verify", help="structural checks on an ECME JSON, m == K included")
     p.add_argument("--input", required=True)
     p.add_argument("--output", default=None)
     p.set_defaults(func=cmd_verify)
 
-    p = sub.add_parser("decide", help="decide an ECME JSON by exhaustive search")
+    p = sub.add_parser("decide", help="decide an ECME JSON (m == K check, or full search)")
     p.add_argument("--input", required=True)
     p.add_argument("--output", default=None)
     p.add_argument("--mode", choices=["structural", "full"], default="structural")

@@ -16,12 +16,15 @@ entropy/log terms are evaluated in high-precision floating point (mpmath,
 
 Well-posedness note.  The analytic budget construction assumes the heavy
 ratios w_i/tau form a near-uniform probability vector, which pins the heavy
-item count to m = K (the narrow range makes any other count impossible once
-sum(w) ~ tau).  ``reduce_to_ecme`` enforces this through the theta bounds
-check; instances with m > K are rejected there.  Deficit instances
-(sum(w) < tau, i.e. NO instances of the m = K family) pass through with the
-pseudo-entropy of the w_i/tau ratios, which stays inside the theta window
-as long as the deficit is below ~20% of tau.
+item count to m = K.  With K >= 20 and the narrow range every ratio
+r = w/tau lies in (1/(K+1), 1/(K-1)), below 1/e, where -r ln r increases:
+m >= K+1 gives sum -r ln r > ln(K+1) (theta < 0) and m <= K-1 gives
+sum -r ln r < ln(K-1) (theta > 1/K), so the theta bounds check in
+``reduce_to_ecme`` rejects both.  Every ECME it emits has m == K, and its
+one heavy K-subset is all of it: structural ``decide`` checks just that.
+Deficit instances (sum(w) < tau, i.e. NO instances of the m = K family)
+pass through with the pseudo-entropy of the w_i/tau ratios, which stays
+inside the theta window as long as the deficit is below ~20% of tau.
 """
 
 from __future__ import annotations
@@ -54,7 +57,7 @@ from .synthgen import SCHEMA_VERSION
 #: Working precision (significant decimal digits) for entropy terms.
 DEFAULT_DPS = 50
 
-#: ``decide_ecme_small`` refuses instances with more heavy items than this.
+#: ``verify_cardinality_lock`` refuses weight families larger than this.
 MAX_HEAVY_ITEMS = 24
 
 #: Full-space cross-validation walks all 2**m heavy subsets (in blocks, so
@@ -218,6 +221,12 @@ def _heavy_pseudo_entropy(weights: Sequence[int], tau: int) -> mp.mpf:
     return total
 
 
+def _theta_in_range(theta: mp.mpf, k: int) -> bool:
+    """0 < theta < 1/(2K^2): the deficit window the budget construction needs."""
+    with mp.workdps(DEFAULT_DPS):
+        return bool(0 < theta < mp.mpf(1) / (2 * k * k))
+
+
 def lambda_exponent(k: int, theta: mp.mpf) -> tuple[int, mp.mpf]:
     """Booster-count exponent for budget coefficient K and deficit theta.
 
@@ -268,10 +277,10 @@ def reduce_to_ecme(instance: CcssInstance) -> EcmeInstance:
         ln_k = mp.log(k)
         pseudo_h = _heavy_pseudo_entropy(instance.weights, tau)
         theta = ln_k - pseudo_h
-        theta_cap = mp.mpf(1) / (2 * k * k)
-        if not 0 < theta < theta_cap:
+        if not _theta_in_range(theta, k):
             raise ThetaOutOfBounds(
-                f"theta={mp.nstr(theta, 8)} outside (0, 1/(2K^2)={mp.nstr(theta_cap, 8)}); "
+                f"theta={mp.nstr(theta, 8)} outside "
+                f"(0, 1/(2K^2)={mp.nstr(mp.mpf(1) / (2 * k * k), 8)}); "
                 "the construction needs near-uniform heavy ratios (m == K)"
             )
         gamma = Fraction(1, 16 * k * k)
@@ -337,33 +346,33 @@ def verify_budget_window(instance: EcmeInstance) -> WindowCheck:
         )
 
 
+def verify_instance(instance: EcmeInstance) -> list[tuple[str, bool, str]]:
+    """The named ``(name, ok, detail)`` checks ``toph verify`` prints.
+
+    ``heavy_count`` (m == K) is the precondition of structural ``decide``;
+    every ``reduce_to_ecme`` output meets it (see the module docstring).
+    """
+    window = verify_budget_window(instance)
+    c = instance.constants
+    total = sum(instance.heavy_probs) + instance.booster_count * instance.booster_prob
+    return [
+        ("budget_window", window.holds,
+         f"lower_margin={mp.nstr(window.lower_margin, 8)} "
+         f"upper_margin={mp.nstr(window.upper_margin, 8)}"),
+        ("narrow_range",
+         CcssInstance(instance.weights, instance.tau, instance.k).narrow_range_holds(),
+         "exact rational comparison"),
+        ("total_mass_one", total == 1, "exact rational identity"),
+        ("theta_bounds", _theta_in_range(c.theta_k, instance.k),
+         f"theta={mp.nstr(c.theta_k, 8)}"),
+        ("booster_block_weight", c.w_b * 2 * instance.booster_count == instance.tau,
+         "2 B w_b == tau"),
+        ("heavy_count", instance.m == instance.k, f"m={instance.m} K={instance.k}"),
+    ]
+
+
 def subset_weight(instance: EcmeInstance, heavy_indices: Iterable[int]) -> int:
     return sum(instance.weights[i] for i in heavy_indices)
-
-
-def heavy_subset_entropy(instance: EcmeInstance, heavy_indices: Sequence[int]) -> mp.mpf:
-    """Entropy of the renormalized heavy subset (no boosters)."""
-    return mixed_subset_entropy(instance, heavy_indices, 0)
-
-
-def verify_entropy_gap(instance: EcmeInstance, heavy_subset: Sequence[int]) -> bool:
-    """Does the K-subset's entropy clear the gap bound ln K - gamma_K?
-
-    The subset must have exactly K heavy items summing to tau.  Note the
-    bound only holds when the subset ratios are spread out; padded
-    instances sit so close to uniform that their entropy exceeds the bound
-    (their feasibility instead follows from budget > ln K).
-    """
-    idx = tuple(heavy_subset)
-    if len(set(idx)) != len(idx) or any(not 0 <= i < instance.m for i in idx):
-        raise WrongCardinality("subset indices must be distinct and in range")
-    if len(idx) != instance.k:
-        raise WrongCardinality(f"need exactly K={instance.k} items, got {len(idx)}")
-    if subset_weight(instance, idx) != instance.tau:
-        raise WrongMass("subset must sum exactly to tau")
-    with mp.workdps(DEFAULT_DPS):
-        bound = mp.log(instance.k) - _mpf(instance.constants.gamma_k)
-        return bool(heavy_subset_entropy(instance, idx) <= bound)
 
 
 def mixed_subset_entropy(
@@ -392,20 +401,6 @@ def mixed_subset_entropy(
             r_b = _mpf(instance.constants.w_b) / total_mp
             h += booster_count * r_b * (ln_total - mp.log(_mpf(instance.constants.w_b)))
         return +h
-
-
-def verify_booster_blowup(
-    instance: EcmeInstance,
-    heavy_indices: Sequence[int],
-    booster_count: int,
-) -> bool:
-    """Numeric check of the exclusion property: the mixed set overshoots the budget."""
-    if booster_count < 1:
-        raise InvalidParameters("need at least one booster for the blow-up check")
-    with mp.workdps(DEFAULT_DPS):
-        return bool(
-            mixed_subset_entropy(instance, heavy_indices, booster_count) > instance.budget
-        )
 
 
 def verify_cardinality_lock(weights: Sequence[int], tau: int, k: int) -> bool:
@@ -461,35 +456,29 @@ def _full_space_candidates(instance: EcmeInstance) -> Iterator[int]:
 
 
 def decide_ecme_small(instance: EcmeInstance, mode: str = "structural") -> EcmeDecision:
-    """Decide the constructed instance by exhaustive search.
+    """Decide the constructed instance.
 
     ``structural`` mode applies the structural facts (booster-containing
     mass-beta subsets overshoot the budget; booster-free ones must have
-    exactly K items of total weight tau) and therefore enumerates only the
-    C(m, K) heavy K-subsets, checking exact mass == beta and entropy <=
-    budget.  ``full`` mode cross-validates on tiny instances by walking
-    every heavy subset and solving for the booster count that reaches the
-    mass target exactly.
-
-    In structural mode the witness is the lexicographically first
-    qualifying K-subset.  In full mode it is the qualifying subset with the
-    smallest mask (bit i = heavy item i), i.e. the colexicographically
-    first: ``(1,)`` (mask 2) comes before ``(0, 5)`` (mask 33).
+    exactly K items of total weight tau) to an m == K instance, as every
+    ``reduce_to_ecme`` output is, and raises ``WrongCardinality`` otherwise.
+    Its one K-subset ``range(m)`` is checked directly (weight == tau, exact
+    mass == beta, entropy <= budget at 50 digits) and is the witness.
+    ``full`` mode cross-validates on tiny instances by walking every heavy
+    subset and solving for the booster count that reaches the mass target
+    exactly; its witness is the qualifying subset with the smallest mask
+    (bit i = heavy item i), i.e. the colexicographically first: ``(1,)``
+    (mask 2) comes before ``(0, 5)`` (mask 33).
     """
     if mode == "structural":
-        if instance.m > MAX_HEAVY_ITEMS:
-            raise TooManyHeavyItems(
-                f"m={instance.m} exceeds the decision limit {MAX_HEAVY_ITEMS}"
-            )
-        with mp.workdps(DEFAULT_DPS):
-            for subset in combinations(range(instance.m), instance.k):
-                if subset_weight(instance, subset) != instance.tau:
-                    continue
-                mass = sum(instance.heavy_probs[i] for i in subset)
-                if mass != instance.beta:
-                    continue
-                if heavy_subset_entropy(instance, subset) <= instance.budget:
-                    return EcmeDecision(is_yes=True, witness=subset)
+        if instance.m != instance.k:
+            raise WrongCardinality(f"structural mode needs m == K, got m={instance.m} "
+                                   f"heavy items and K={instance.k}; use --mode full")
+        subset = tuple(range(instance.m))
+        if (subset_weight(instance, subset) == instance.tau
+                and sum(instance.heavy_probs) == instance.beta
+                and mixed_subset_entropy(instance, subset, 0) <= instance.budget):
+            return EcmeDecision(is_yes=True, witness=subset)
         return EcmeDecision(is_yes=False, witness=None)
     if mode == "full":
         if instance.m > MAX_FULL_SPACE_ITEMS:

@@ -157,7 +157,7 @@ def exact_ecmm(instance: EcmmInstance) -> EcmmSolution:
     budget = instance.alpha * _entropy_of(probs)
     plp = np.where(probs > 0.0, probs * np.log(np.where(probs > 0.0, probs, 1.0)), 0.0)
     best_mass = 0.0
-    tied: list[tuple[int, float]] = []  # (mask, entropy) at best_mass
+    tied: list[tuple[np.ndarray, np.ndarray]] = []  # per block: masks, entropies at best_mass
     for first, (mass, hsum) in subset_blocks((probs, plp)):
         # the empty set (mass 0) is not a valid sampler output
         pos = np.flatnonzero((mass >= best_mass) & (mass > 0.0))
@@ -170,12 +170,28 @@ def exact_ecmm(instance: EcmmInstance) -> EcmmSolution:
         if top > best_mass:
             best_mass, tied = top, []
         at = feasible & (gamma == best_mass)
-        tied += zip((first + pos[at]).tolist(), ent[at].tolist())
+        tied.append((first + pos[at], ent[at]))
     if not tied:
         # cannot happen for a valid distribution: the top singleton has H=0
         raise AssertionError("no feasible subset; distribution invalid")
-    best, best_entropy = min(tied, key=lambda t: (bin(t[0]).count("1"), mask_indices(t[0])))
-    return EcmmSolution(indices=mask_indices(best), gamma=float(best_mass), entropy=best_entropy)
+    masks, ents = (np.concatenate(column) for column in zip(*tied))
+    best = 0 if masks.size == 1 else _first_in_index_order(masks, n)
+    return EcmmSolution(indices=mask_indices(int(masks[best])), gamma=float(best_mass),
+                        entropy=float(ents[best]))
+
+
+def _first_in_index_order(masks: np.ndarray, n: int) -> int:
+    """Position of the mask with the fewest set bits, then the smallest index
+    set (``(0, 5)`` beats ``(1, 2)``): of equal popcounts, the one with the
+    lowest differing bit set, i.e. the largest bit-reversed mask."""
+    count = np.zeros_like(masks)
+    reversed_ = np.zeros_like(masks)
+    for i in range(n):
+        bit = (masks >> i) & 1
+        count += bit
+        reversed_ |= bit << (n - 1 - i)
+    fewest = np.flatnonzero(count == count.min())
+    return int(fewest[np.argmax(reversed_[fewest])])
 
 
 def optimality_gap(

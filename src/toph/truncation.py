@@ -125,8 +125,8 @@ class TruncationResult:
 
 
 def _descending_order(probs: np.ndarray) -> np.ndarray:
-    # primary key: probability descending; secondary: index ascending
-    return np.lexsort((np.arange(probs.shape[0]), -probs))
+    # probability descending; the stable sort keeps ties in index order
+    return np.argsort(-probs, kind="stable")
 
 
 def _capped_view(

@@ -274,6 +274,7 @@ class TestHardnessCommands:
         out = capsys.readouterr().out
         assert "PASS budget_window" in out
         assert "lower_margin=" in out
+        assert "PASS heavy_count: m=21 K=21" in out
 
         rc = main(["decide", "--input", str(ecme), "--output", str(tmp_path / "d.json")])
         assert rc == 0
@@ -324,15 +325,33 @@ class TestHardnessCommands:
 
     def test_decide_domain_limit_exits_3(self, tmp_path, capsys):
         ccss = tmp_path / "wide.json"
-        # m == K == 13 scales to 26 > 24 heavy items
+        # m == K == 13 scales to 26 heavy items: structural mode decides it
+        # directly, full mode refuses it (26 > 22)
         weights = [str(w) for w in range(10, 23)]
         save_json({"schema_version": 1, "kind": "ccss", "weights": weights,
                    "tau": str(sum(range(10, 23))), "k": 13}, ccss)
         ecme = tmp_path / "ecme.json"
         assert main(["reduce", "--input", str(ccss), "--output", str(ecme)]) == 0
         capsys.readouterr()
-        rc = main(["decide", "--input", str(ecme)])
+        assert main(["decide", "--input", str(ecme)]) == 0
+        assert capsys.readouterr().out.splitlines()[0] == "YES"
+        rc = main(["decide", "--input", str(ecme), "--mode", "full"])
         assert rc == 3
+        assert "full-space limit 22" in capsys.readouterr().err
+
+    def test_hand_written_m_not_k_exits_3(self, tmp_path, capsys):
+        ecme = tmp_path / "ecme.json"
+        main(["reduce", "--input", str(self.yes_path(tmp_path)), "--output", str(ecme)])
+        obj = json.loads(ecme.read_text())
+        obj["weights"].append(obj["weights"][0])
+        obj["heavy_probs"].append(obj["heavy_probs"][0])
+        ecme.write_text(json.dumps(obj))
+        capsys.readouterr()
+        assert main(["decide", "--input", str(ecme)]) == 3
+        err = capsys.readouterr().err
+        assert "m=22" in err and "K=21" in err and "--mode full" in err
+        assert main(["verify", "--input", str(ecme)]) == 3
+        assert "FAIL heavy_count: m=22 K=21" in capsys.readouterr().out
 
 
 class TestDeterminism:

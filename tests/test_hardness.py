@@ -19,7 +19,6 @@ from toph.errors import (
     ThetaOutOfBounds,
     TooManyHeavyItems,
     WrongCardinality,
-    WrongMass,
 )
 from toph.hardness import (
     CcssInstance,
@@ -29,17 +28,15 @@ from toph.hardness import (
     decide_ecme_small,
     ecme_from_json,
     ecme_to_json,
-    heavy_subset_entropy,
     lambda_exponent,
     mixed_subset_entropy,
     pad_to_narrow_range,
     prepare,
     reduce_to_ecme,
     scale_to_k20,
-    verify_booster_blowup,
     verify_budget_window,
     verify_cardinality_lock,
-    verify_entropy_gap,
+    verify_instance,
 )
 from toph import hardness, oracle
 from toph.oracle import subset_sums
@@ -245,47 +242,53 @@ class TestBudgetWindow:
             verify_budget_window(edge)
 
 
+def _heavy_entropy(instance):
+    """Entropy of the one heavy K-subset of an m == K instance, no boosters."""
+    return mixed_subset_entropy(instance, tuple(range(instance.m)), 0)
+
+
+def _gap_bound(instance):
+    """ln K - gamma_K, the entropy-gap bound, at 50 digits."""
+    gamma = instance.constants.gamma_k
+    return mp.log(instance.k) - mp.mpf(gamma.numerator) / gamma.denominator
+
+
 class TestEntropyGap:
     def test_holds_on_spread_instance(self, ecme_spread):
-        assert verify_entropy_gap(ecme_spread, tuple(range(20)))
+        with mp.workdps(50):
+            assert _heavy_entropy(ecme_spread) <= _gap_bound(ecme_spread)
 
     def test_fails_on_near_uniform_padded_instance(self, ecme_yes):
         # padding drives the heavy ratios to uniformity, so the gap bound
         # ln K - gamma_K is exceeded; feasibility of this subset instead
         # follows from budget > ln K (checked above)
-        assert not verify_entropy_gap(ecme_yes, tuple(range(21)))
+        with mp.workdps(50):
+            assert _heavy_entropy(ecme_yes) > _gap_bound(ecme_yes)
+            assert _heavy_entropy(ecme_yes) <= ecme_yes.budget
 
-    def test_wrong_cardinality(self, ecme_spread):
-        with pytest.raises(WrongCardinality):
-            verify_entropy_gap(ecme_spread, tuple(range(19)))
 
-    def test_wrong_mass(self, ecme_no):
-        # the deficit instance's full heavy set has the right cardinality
-        # but misses tau by construction
-        assert sum(ecme_no.weights) == ecme_no.tau - 7
-        with pytest.raises(WrongMass):
-            verify_entropy_gap(ecme_no, tuple(range(21)))
+def _backfilled(instance, dropped_items):
+    """The heavy set minus its last items, plus the boosters that replace them."""
+    kept = tuple(range(instance.m - dropped_items))
+    dropped = sum(instance.weights[-dropped_items:])
+    b = -(-2 * instance.booster_count * dropped // instance.tau)  # ceil
+    return kept, b
 
 
 class TestBoosterBlowup:
+    """Mass-beta subsets that contain boosters overshoot the budget."""
+
     def test_replacing_one_heavy_item(self, ecme_yes):
-        # drop the last heavy item and backfill with boosters of equal weight
-        kept = tuple(range(ecme_yes.m - 1))
-        dropped = ecme_yes.weights[-1]
-        b = -(-2 * ecme_yes.booster_count * dropped // ecme_yes.tau)  # ceil
+        kept, b = _backfilled(ecme_yes, 1)
         assert b >= 2 * ecme_yes.booster_count // ecme_yes.k  # replacement scale
-        assert verify_booster_blowup(ecme_yes, kept, b)
+        assert mixed_subset_entropy(ecme_yes, kept, b) > ecme_yes.budget
 
     def test_replacing_two_heavy_items(self, ecme_spread):
-        kept = tuple(range(ecme_spread.m - 2))
-        dropped = sum(ecme_spread.weights[-2:])
-        b = -(-2 * ecme_spread.booster_count * dropped // ecme_spread.tau)
-        assert verify_booster_blowup(ecme_spread, kept, b)
+        kept, b = _backfilled(ecme_spread, 2)
+        assert mixed_subset_entropy(ecme_spread, kept, b) > ecme_spread.budget
 
     def test_entropy_well_above_budget(self, ecme_yes):
-        kept = tuple(range(ecme_yes.m - 1))
-        dropped = ecme_yes.weights[-1]
-        b = -(-2 * ecme_yes.booster_count * dropped // ecme_yes.tau)
+        kept, b = _backfilled(ecme_yes, 1)
         h = mixed_subset_entropy(ecme_yes, kept, b)
         # the overshoot is macroscopic, not a borderline effect
         assert h - ecme_yes.budget > mp.mpf("0.5")
@@ -341,15 +344,26 @@ class TestDecide:
         assert decide_ecme_small(ecme_yes).witness == tuple(range(21))
 
     def test_too_many_items(self, ecme_yes):
+        # no reduce output has m != K; a hand-built one is refused, and
+        # full mode still decides it
+        wide = _with_heavy_count(ecme_yes, 22)
+        with pytest.raises(WrongCardinality, match=r"m=22 .*K=21.*--mode full"):
+            decide_ecme_small(wide)
+        assert decide_ecme_small(wide, mode="full") == reference_decide_full(wide)
+
+    def test_too_few_items(self, ecme_yes):
+        with pytest.raises(WrongCardinality, match=r"m=20 .*K=21"):
+            decide_ecme_small(_with_heavy_count(ecme_yes, 20))
+
+    @pytest.mark.parametrize("offset,is_yes", [("1e-12", True), ("-1e-12", False)])
+    def test_budget_at_witness_entropy(self, ecme_yes, offset, is_yes):
+        # weight and mass match; the 50-digit entropy comparison decides
         import dataclasses
 
-        wide = dataclasses.replace(
-            ecme_yes,
-            weights=ecme_yes.weights + ecme_yes.weights[:5],
-            heavy_probs=ecme_yes.heavy_probs + ecme_yes.heavy_probs[:5],
-        )
-        with pytest.raises(TooManyHeavyItems):
-            decide_ecme_small(wide)
+        h = mixed_subset_entropy(ecme_yes, tuple(range(ecme_yes.m)), 0)
+        with mp.workdps(50):
+            shifted = dataclasses.replace(ecme_yes, budget=h + mp.mpf(offset))
+        assert decide_ecme_small(shifted).is_yes is is_yes
 
     def test_full_mode_int64_overflow_guards(self, ecme_yes):
         import dataclasses
@@ -362,6 +376,15 @@ class TestDecide:
         huge_weights = dataclasses.replace(ecme_yes, weights=(2**61, 2**61, 3))
         with pytest.raises(TooManyHeavyItems, match="weights too large"):
             decide_ecme_small(huge_weights, mode="full")
+
+
+def _with_heavy_count(instance, m):
+    """``instance`` with its heavy items cut or repeated to m of them."""
+    import dataclasses
+
+    weights = (instance.weights * 2)[:m]
+    probs = (instance.heavy_probs * 2)[:m]
+    return dataclasses.replace(instance, weights=weights, heavy_probs=probs)
 
 
 def _m_equals_k(k, seed, deficit):
@@ -411,6 +434,39 @@ class TestFullModeAgainstFullTables:
         decision = decide_ecme_small(shifted, mode="full")
         assert decision.is_yes is is_yes
         assert decision == reference_decide_full(shifted)
+
+
+class TestStructuralDecideBeyondTwentyFour:
+    """K = 13 and 19 scale to m == K == 26 and 38; both are decided directly."""
+
+    @pytest.mark.parametrize("k,seed,deficit", [
+        (13, 10, 0), (13, 11, 23), (19, 12, 0), (19, 13, 41),
+    ])
+    def test_agrees_with_ccss(self, k, seed, deficit):
+        ccss = _m_equals_k(k, seed, deficit)
+        prepared = prepare(ccss)
+        assert prepared.m == prepared.k == 2 * k
+        decision = decide_ecme_small(reduce_to_ecme(prepared))
+        expected, _ = brute_force_ccss(ccss)
+        assert decision.is_yes is expected is (deficit == 0)
+        assert decision.witness == (tuple(range(2 * k)) if expected else None)
+
+
+class TestVerifyInstance:
+    NAMES = ["budget_window", "narrow_range", "total_mass_one", "theta_bounds",
+             "booster_block_weight", "heavy_count"]
+
+    def test_reduce_outputs_pass_every_check(self, ecme_yes, ecme_no, ecme_spread):
+        for inst in (ecme_yes, ecme_no, ecme_spread):
+            checks = verify_instance(inst)
+            assert [name for name, _, _ in checks] == self.NAMES
+            assert all(ok for _, ok, _ in checks)
+        assert dict((n, d) for n, _, d in verify_instance(ecme_yes))["heavy_count"] == "m=21 K=21"
+
+    def test_heavy_count_fails_off_cardinality(self, ecme_yes):
+        checks = {name: ok for name, ok, _ in verify_instance(_with_heavy_count(ecme_yes, 22))}
+        assert checks["heavy_count"] is False
+        assert checks["budget_window"] and checks["theta_bounds"]
 
 
 class TestCardinalityLockInBlocks:
@@ -500,7 +556,7 @@ class TestInstanceValidation:
             CcssInstance((1, 2, 3), 5, 4)
 
     def test_subset_entropy_helper(self, ecme_spread):
-        h = heavy_subset_entropy(ecme_spread, tuple(range(20)))
+        h = mixed_subset_entropy(ecme_spread, tuple(range(20)), 0)
         with mp.workdps(50):
             expected = mp.log(20) - ecme_spread.constants.theta_k
             assert abs(h - expected) < mp.mpf("1e-30")

@@ -144,6 +144,7 @@ class TestExactEcmmAgainstFullTables:
             ("gaussian_logits", 14, 0.8),
             ("one_hot_mix", 15, 0.1),
             ("uniform", 15, 0.4),     # every subset of a size ties on mass
+            ("uniform", 16, 0.8),     # C(16, 8) tied optima
             ("dirichlet", 20, 0.4),
             ("zipf", 20, 0.8),
             ("gaussian_logits", 20, 0.1),
@@ -156,6 +157,28 @@ class TestExactEcmmAgainstFullTables:
         for p in generate(spec, 2):
             instance = EcmmInstance(p, alpha)
             assert exact_ecmm(instance) == reference_exact_ecmm(instance)
+
+
+class TestTieBreak:
+    """Mass ties: fewest items, then the lexicographically smallest index set."""
+
+    # zipf weights 1/rank with every rank used twice, so equal masses abound
+    ZIPF_PAIRS = np.repeat(1.0 / np.arange(1, 9), 2)
+    ZIPF_PAIRS /= ZIPF_PAIRS.sum()
+
+    @pytest.mark.parametrize("alpha", [0.4, 0.8])
+    def test_zipf_with_duplicated_masses(self, alpha):
+        instance = EcmmInstance(make_distribution(self.ZIPF_PAIRS), alpha)
+        assert exact_ecmm(instance) == reference_exact_ecmm(instance)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(2, 12).flatmap(
+        lambda n: st.tuples(st.just(n), st.sets(st.integers(1, 2**n - 1), min_size=2))))
+    def test_numpy_winner_matches_min(self, case):
+        n, tied = case
+        masks = np.asarray(sorted(tied), dtype=np.int64)
+        best = min(tied, key=lambda m: (bin(m).count("1"), mask_indices(m)))
+        assert masks[oracle._first_in_index_order(masks, n)] == best
 
 
 def _peak_bytes(fn, *args):

@@ -26,6 +26,7 @@ from toph.truncation import (
     Method,
     TruncationConfig,
     TruncationResult,
+    _descending_order,
     draw_tokens,
     eta_truncate,
     min_p_truncate,
@@ -377,6 +378,20 @@ class TestHostileInputs:
         except NonFiniteValue:
             return
         check_all_methods(p, cap, alpha)
+
+
+class TestDescendingOrder:
+    @given(
+        st.lists(st.sampled_from([0.0, -0.0, 5e-324, 0.125, 0.25, 1 / 3, 0.5]),
+                 min_size=1, max_size=300),
+        st.lists(st.floats(0.0, 1.0), max_size=20),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_stable_argsort_equals_two_key_lexsort(self, tied, free):
+        # tie-heavy values, exact zeros of both signs: ties stay in index order
+        probs = np.asarray(tied + free, dtype=np.float64)
+        expected = np.lexsort((np.arange(probs.shape[0]), -probs))
+        assert np.array_equal(_descending_order(probs), expected)
 
 
 class TestSampleToken:
