@@ -3,13 +3,13 @@
 The package has five pillars:
 
 - ``distributions``: validated probability vectors, Shannon entropy,
-  subset renormalization, the Jensen-Shannon divergence (both from the
-  definition and in the mass-only closed form), and an O(1)-per-item
-  incremental entropy accumulator;
+  subset renormalization, and the Jensen-Shannon divergence (both from the
+  definition and in the mass-only closed form);
 - ``truncation``: the top-H greedy selector, which grows the candidate
   set in descending probability until the renormalized subset's entropy
   would exceed alpha * H(p), plus top-k / top-p / min-p / eta baselines
-  and seeded token sampling;
+  and seeded token sampling, all in one selection pass over a chunk of
+  records with equal vocabulary size (a single call is a chunk of one);
 - ``oracle``: exact solutions of the underlying entropy-constrained mass
   maximization by exhaustive subset enumeration, and the greedy-vs-optimal
   gap harness;
@@ -27,7 +27,6 @@ The ``toph`` console script exposes all of it as reproducible commands.
 __version__ = "0.1.0"
 
 from .distributions import (
-    EntropyAccumulator,
     ProbabilityDistribution,
     SubsetDistribution,
     entropy,
@@ -54,7 +53,6 @@ from .truncation import (
 
 __all__ = [
     "__version__",
-    "EntropyAccumulator",
     "ProbabilityDistribution",
     "SubsetDistribution",
     "entropy",

@@ -43,12 +43,7 @@ from .oracle import (
 )
 from .rng import u01
 from .synthgen import SCHEMA_VERSION, GeneratorSpec, generate, read_dataset, write_dataset
-from .truncation import (
-    Method,
-    TruncationConfig,
-    draw_tokens,
-    truncate,
-)
+from .truncation import Method, SelectionBlock, TruncationConfig, select_chunks
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -194,22 +189,24 @@ def _config_dict(config: TruncationConfig) -> dict:
     return d
 
 
-def _truncate_record(rid: str, dist, config: TruncationConfig, with_trace: bool) -> dict:
-    result = truncate(dist, config, collect_trace=with_trace)
+def _truncate_record(rid: str, block: SelectionBlock, r: int, config: TruncationConfig,
+                     with_trace: bool) -> dict:
     record = {
         "schema_version": SCHEMA_VERSION,
         "id": rid,
         "method": config.method.value,
-        "selected": list(result.selected),
-        "gamma": result.subset.gamma,
-        "h_p": result.h_p,
-        "h_q": result.h_q,
-        "threshold": result.threshold,
+        "selected": block.selected(r),
+        "gamma": block.gamma[r],
+        "h_p": block.h_p[r],
+        "h_q": block.h_q[r],
+        "threshold": block.threshold[r],
     }
     if with_trace:
+        record["stop_reason"] = block.stop_reason[r]
+        record["dropped_mass"] = block.dropped_mass[r]
         record["trace"] = [
             {"index": s.index, "gamma": s.gamma, "entropy": s.entropy}
-            for s in (result.trace or ())
+            for s in (block.trace[r] if block.trace else ())
         ]
     return record
 
@@ -226,12 +223,22 @@ def _distributions(args) -> list:
     return _generate(args, args.trials)
 
 
+def _record_blocks(records: list, config: TruncationConfig, with_trace: bool = False):
+    """(index of the chunk's first record, selection block), chunk by chunk."""
+    start = 0
+    for block in select_chunks([rec.dist for rec in records], config, with_trace):
+        yield start, block
+        start += len(block)
+
+
 def cmd_truncate(args) -> CommandResult:
     config = _build_config(args)
     records = read_dataset(args.input)
     with open(args.output, "w", encoding="utf-8") as fh:
-        for rec in records:
-            fh.write(json.dumps(_truncate_record(rec.id, rec.dist, config, args.trace)) + "\n")
+        for start, block in _record_blocks(records, config, args.trace):
+            for r in range(len(block)):
+                record = _truncate_record(records[start + r].id, block, r, config, args.trace)
+                fh.write(json.dumps(record) + "\n")
     return CommandResult({**_config_dict(config), "trace": args.trace}, input=args.input)
 
 
@@ -243,16 +250,17 @@ def cmd_sample(args) -> CommandResult:
     per_record = args.num_samples
     # draw_index = record_index * num_samples + j, so records do not share variates
     u = u01(args.seed, 0, np.arange(len(records) * per_record, dtype=np.uint64))
+    u = u.reshape(len(records), per_record)
     with open(args.output, "w", encoding="utf-8") as fh:
-        for pos, rec in enumerate(records):
-            result = truncate(rec.dist, config)
-            tokens = draw_tokens(result, u[pos * per_record:(pos + 1) * per_record])
-            fh.write(json.dumps({
-                "schema_version": SCHEMA_VERSION,
-                "id": rec.id,
-                "method": config.method.value,
-                "tokens": tokens.tolist(),
-            }) + "\n")
+        for start, block in _record_blocks(records, config):
+            tokens = block.draw(u[start:start + len(block)])
+            for r, row in enumerate(tokens.tolist()):
+                fh.write(json.dumps({
+                    "schema_version": SCHEMA_VERSION,
+                    "id": records[start + r].id,
+                    "method": config.method.value,
+                    "tokens": row,
+                }) + "\n")
     return CommandResult({**_config_dict(config), "num_samples": args.num_samples},
                          seed=args.seed, input=args.input)
 
@@ -295,12 +303,10 @@ def cmd_sweep(args) -> CommandResult:
     lines = ["alpha,mean_selected,mean_gamma,mean_entropy_ratio,count"]
     for config in configs:
         sizes, gammas, ratios = [], [], []
-        for dist in dists:
-            result = truncate(dist, config)
-            sizes.append(len(result.selected))
-            gammas.append(result.subset.gamma)
-            if result.h_p > 0.0:
-                ratios.append(result.h_q / result.h_p)
+        for block in select_chunks(dists, config):
+            sizes += block.counts
+            gammas += block.gamma
+            ratios += [h_q / h_p for h_q, h_p in zip(block.h_q, block.h_p) if h_p > 0.0]
         ratio_mean = float(np.mean(ratios)) if ratios else 0.0
         lines.append(
             f"{config.alpha!r},{float(np.mean(sizes))!r},{float(np.mean(gammas))!r},"
@@ -385,7 +391,8 @@ def build_parser() -> _Parser:
     _add_method_flags(p)
     p.add_argument("--input", required=True)
     p.add_argument("--output", required=True)
-    p.add_argument("--trace", action="store_true", help="emit per-step records")
+    p.add_argument("--trace", action="store_true",
+                   help="add per-step records, the stop reason and the capped-off mass")
     p.set_defaults(func=cmd_truncate)
 
     p = sub.add_parser("sample", help="truncate then draw tokens")

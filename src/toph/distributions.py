@@ -18,10 +18,8 @@ from .errors import (
     EmptySubset,
     GammaOutOfRange,
     IndexOutOfRange,
-    MassOverflow,
     NegativeProbability,
     NonFiniteValue,
-    NonPositiveProbability,
     NonPositiveTemperature,
     NormalizationOutOfTolerance,
     ZeroMassSubset,
@@ -217,43 +215,3 @@ def jsd_closed_form(gamma: float) -> float:
         gamma * math.log(gamma) - (1.0 + gamma) * math.log(1.0 + gamma)
     )
 
-
-@dataclass
-class EntropyAccumulator:
-    """O(1)-per-item running entropy of a growing renormalized subset.
-
-    Maintains the running mass ``gamma`` and ``h = sum p_i ln p_i`` over the
-    pushed items; the subset entropy is then ln(gamma) - h/gamma.  ``pop``
-    undoes a push by subtraction, which is how the greedy selector rolls
-    back the one over-budget token.
-    """
-
-    gamma: float = 0.0
-    h: float = 0.0
-    count: int = 0
-
-    def push(self, p_j: float) -> None:
-        if not p_j > 0.0:
-            raise NonPositiveProbability(f"pushed probability must be > 0, got {p_j!r}")
-        if self.gamma + p_j > 1.0 + MASS_TOLERANCE:
-            raise MassOverflow(
-                f"total mass {self.gamma + p_j!r} would exceed 1 beyond tolerance"
-            )
-        self.gamma += p_j
-        self.h += p_j * math.log(p_j)
-        self.count += 1
-
-    def pop(self, p_j: float) -> None:
-        if not p_j > 0.0:
-            raise NonPositiveProbability(f"popped probability must be > 0, got {p_j!r}")
-        if self.count < 1:
-            raise EmptySubset("nothing to pop")
-        self.gamma -= p_j
-        self.h -= p_j * math.log(p_j)
-        self.count -= 1
-
-    def entropy(self) -> float:
-        """Entropy of the renormalized pushed prefix; 0 for an empty accumulator."""
-        if self.count == 0:
-            return 0.0
-        return math.log(self.gamma) - self.h / self.gamma

@@ -52,14 +52,6 @@ class GammaOutOfRange(TophError):
     pass
 
 
-class NonPositiveProbability(TophError):
-    pass
-
-
-class MassOverflow(TophError):
-    pass
-
-
 # --- truncation configs ---------------------------------------------------
 
 class AlphaOutOfRange(TophError):

@@ -155,7 +155,8 @@ def _parse_record(obj: dict, line_no: int) -> tuple[str, ProbabilityDistribution
             kind = "probs"
         else:
             temperature = obj.get("temperature", 1.0)
-            if not isinstance(temperature, (int, float)):
+            # a JSON boolean is an int to isinstance, but not a temperature
+            if isinstance(temperature, bool) or not isinstance(temperature, (int, float)):
                 raise MalformedRecord(line_no, "'temperature' must be a number")
             dist = make_distribution(
                 obj["logits"], mode="logits", temperature=float(temperature)

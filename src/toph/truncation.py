@@ -6,6 +6,16 @@ the ``candidate_cap`` most probable tokens and renormalized, and the method
 then picks a prefix or threshold set of that order.  Entropies reported in
 the result refer to the capped, renormalized working distribution.
 
+All five methods run through one selection pass over a chunk of records
+with equal vocabulary size ``n``: one stable sort orders every row, the
+capped rows are gathered into one ``(B, c)`` work matrix and renormalized
+together, and each method's count rule picks every row's prefix.  A chunk
+holds at most ``max(1, CHUNK_ELEMENTS // n)`` records, so large
+vocabularies go one record at a time.  ``select_chunks`` cuts a list of
+distributions into such chunks; ``truncate`` and the per-method functions
+are a chunk of one.  Every per-row figure equals the one the record gets
+on its own.
+
 ``TruncationConfig`` validates every parameter range when it is built,
 whatever the method, so the method functions take their parameters as
 given.
@@ -14,11 +24,14 @@ Conventions that pin down exact outputs:
 
 - the greedy rule stops at the first token whose inclusion pushes the
   subset entropy strictly above ``alpha * H(p)``; equality keeps the
-  token, and the over-budget token is rolled back by subtraction.
-  Equality is decided on the running entropy ``ln G - h/G`` in float64;
-  the direct ``-sum q ln q`` of the same prefix can round one ulp the
-  other way (uniform(65), candidate cap 64, alpha 1/3: the 4-token prefix,
-  entropy ln 4, is kept here and is one ulp over budget the direct way);
+  token, and the over-budget token is never added.  The scan keeps the
+  running mass ``G`` and ``h = sum p ln p`` (``math.log``, in order) and
+  decides equality on ``ln G - h/G`` in float64; the direct
+  ``-sum q ln q`` of the same prefix can round one ulp the other way
+  (uniform(65), candidate cap 64, alpha 1/3: the 4-token prefix, entropy
+  ln 4, is kept here and is one ulp over budget the direct way);
+- the reported mass ``gamma`` is ``np.sum`` over the selected prefix of the
+  working distribution, not the scan's running sum;
 - cumulative-mass truncation treats "exceeds" inclusively (first prefix
   with mass >= the target);
 - sampling is an inverse CDF over the subset in its stored order: a
@@ -35,12 +48,12 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+from typing import Iterator, Sequence
 
 import numpy as np
 
 from .distributions import (
     MASS_TOLERANCE,
-    EntropyAccumulator,
     ProbabilityDistribution,
     SubsetDistribution,
     _entropy_of,
@@ -53,6 +66,17 @@ from .errors import (
     ZeroK,
 )
 from .rng import u01
+
+#: Element budget of one selection chunk: a chunk of records with ``n``
+#: tokens each holds at most ``max(1, CHUNK_ELEMENTS // n)`` of them, so
+#: the chunk's arrays stay small and a large vocabulary is never stacked.
+CHUNK_ELEMENTS = 2**14
+
+#: Why the top-H scan ended: the next token would have pushed the entropy
+#: over the budget, the next token has probability 0, or no candidate was left.
+STOP_BUDGET = "budget"
+STOP_ZERO_TAIL = "zero_tail"
+STOP_CAP_EXHAUSTED = "cap_exhausted"
 
 
 class Method(str, enum.Enum):
@@ -124,53 +148,235 @@ class TruncationResult:
     trace: tuple[TraceStep, ...] | None = None
 
 
+@dataclass(frozen=True)
+class SelectionBlock:
+    """The selections of one chunk of records, row ``r`` for record ``r``.
+
+    Row ``r`` selects the first ``counts[r]`` tokens of ``order[r]``, whose
+    working (capped, renormalized) probabilities are the same entries of
+    ``work[r]``.  ``stop_reason`` says why the top-H scan ended (None for
+    the other methods); ``dropped_mass`` (the input mass of the tokens the
+    candidate cap cut) and ``trace`` are filled only when a trace was asked
+    for.
+    """
+
+    n: int
+    order: np.ndarray
+    work: np.ndarray
+    counts: list[int]
+    gamma: list[float]
+    h_p: list[float]
+    h_q: list[float]
+    threshold: list[float | None]
+    stop_reason: list[str | None]
+    dropped_mass: list[float] | None = None
+    trace: list[tuple[TraceStep, ...]] | None = None
+
+    def __len__(self) -> int:
+        return len(self.counts)
+
+    def selected(self, r: int) -> list[int]:
+        """Row ``r``'s selected token indices, in descending-probability order."""
+        return self.order[r, : self.counts[r]].tolist()
+
+    def result(self, r: int) -> TruncationResult:
+        """Row ``r`` as the result of a scalar call."""
+        count, gamma = self.counts[r], self.gamma[r]
+        subset = SubsetDistribution(
+            parent_n=self.n,
+            parent_indices=tuple(self.selected(r)),
+            q=self.work[r, :count] / gamma,
+            gamma=gamma,
+        )
+        return TruncationResult(
+            selected=subset.parent_indices,
+            subset=subset,
+            h_p=self.h_p[r],
+            h_q=self.h_q[r],
+            threshold=self.threshold[r],
+            trace=None if self.trace is None else self.trace[r],
+        )
+
+    def draw(self, u: np.ndarray) -> np.ndarray:
+        """Inverse-CDF tokens: entry ``[r, j]`` is row ``r``'s token for ``u[r, j]``.
+
+        Each row draws exactly as ``draw_tokens`` does on that row's result.
+        """
+        m = max(self.counts)
+        q = self.work[:, :m] / np.asarray(self.gamma)[:, None]
+        return _inverse_cdf(q, self.counts, self.order, u)
+
+
+def _inverse_cdf(q: np.ndarray, counts: list[int], indices: np.ndarray,
+                 u: np.ndarray) -> np.ndarray:
+    """Row ``r``'s token for each uniform in ``u[r]``, over its first ``counts[r]`` entries.
+
+    A uniform picks the first entry whose in-order cumulative sum of
+    ``q[r]`` is strictly above it (``searchsorted(cum, u, side="right")``),
+    and the last entry when none is.
+    """
+    rows, m = q.shape
+    counts = np.asarray(counts)
+    # Entries past a row's count only add sums at or above its last counted
+    # one, so they can move a uniform's position only where the cap at the
+    # last token takes it anyway.
+    cum = np.cumsum(q, axis=1)
+    # Rank the sums and uniforms of all rows together (equal values get
+    # equal ranks) and shift row r's ranks by r * len(values): one flat
+    # searchsorted then compares exactly as a per-row one would, row by row.
+    values, rank = np.unique(np.concatenate([cum.ravel(), u.ravel()]), return_inverse=True)
+    shift = np.arange(rows)[:, None] * values.shape[0]
+    keys = (rank[: rows * m].reshape(rows, m) + shift).ravel()
+    wanted = (rank[rows * m:].reshape(u.shape) + shift).ravel()
+    pos = np.searchsorted(keys, wanted, side="right").reshape(u.shape)
+    pos -= np.arange(rows)[:, None] * m
+    np.minimum(pos, counts[:, None] - 1, out=pos)
+    return np.take_along_axis(indices, pos, axis=1)
+
+
 def _descending_order(probs: np.ndarray) -> np.ndarray:
-    # probability descending; the stable sort keeps ties in index order
-    return np.argsort(-probs, kind="stable")
+    # probability descending along the last axis; the stable sort keeps
+    # ties in index order
+    return (-probs).argsort(kind="stable")
 
 
-def _capped_view(
-    p: ProbabilityDistribution, cap: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Descending-order original indices and capped renormalized probabilities."""
-    order = _descending_order(p.probs)[: min(cap, p.n)]
-    kept = p.probs[order]
-    total = float(np.sum(kept))
-    if abs(total - 1.0) <= MASS_TOLERANCE:
-        # cap did not bite (or only cut exact zeros): keep entries bit-exact
-        return order, kept
-    return order, kept / total
+def _floats(row: np.ndarray, step: int = 32) -> Iterator[float]:
+    """The row's entries as Python floats, converted ``step`` at a time."""
+    for start in range(0, row.shape[0], step):
+        yield from row[start:start + step].tolist()
 
 
-def _result_from_prefix(
-    order: np.ndarray,
-    work: np.ndarray,
-    count: int,
-    parent_n: int,
-    h_p: float,
-    h_q: float | None = None,
-    threshold: float | None = None,
-    trace: tuple[TraceStep, ...] | None = None,
-) -> TruncationResult:
-    sel = order[:count]
-    chunk = work[:count]
-    gamma = float(np.sum(chunk))
-    subset = SubsetDistribution(
-        parent_n=parent_n,
-        parent_indices=tuple(int(i) for i in sel),
-        q=chunk / gamma,
-        gamma=gamma,
-    )
+def _top_h_scan(row: np.ndarray, threshold: float, order: np.ndarray | None):
+    """The greedy scan over one working row: (count, h_q, stop reason, steps).
+
+    ``order`` is the row's token indices, given only when the steps are
+    traced.
+    """
+    gamma = h = h_q = 0.0
+    count = 0
+    steps = []
+    stop = STOP_CAP_EXHAUSTED
+    for p_j in _floats(row):
+        if p_j <= 0.0:
+            stop = STOP_ZERO_TAIL
+            break
+        g = gamma + p_j
+        s = h + p_j * math.log(p_j)
+        entropy = math.log(g) - s / g
+        if entropy > threshold and count > 0:
+            stop = STOP_BUDGET
+            break
+        gamma, h, h_q = g, s, entropy
+        count += 1
+        if order is not None:
+            steps.append(TraceStep(index=int(order[count - 1]), gamma=gamma, entropy=entropy))
+    return count, h_q, stop, tuple(steps)
+
+
+def _row_entropies(work: np.ndarray) -> list[float]:
+    """``_entropy_of`` of every row, with one ``log`` over the whole block.
+
+    A row with no zero entry is its own positive part, so its entropy is
+    the same ``ddot`` of the same values; other rows take ``_entropy_of``.
+    """
+    mask = work > 0.0
+    # entries at zeros stay unset: their rows take ``_entropy_of``
+    logs = np.log(work, out=np.empty_like(work), where=mask)
+    positive = mask.all(axis=1).tolist()
+    return [-float(np.dot(work[r], logs[r])) if positive[r] else _entropy_of(work[r])
+            for r in range(work.shape[0])]
+
+
+def _select(
+    dists: Sequence[ProbabilityDistribution],
+    config: TruncationConfig,
+    method: Method,
+    collect_trace: bool = False,
+) -> SelectionBlock:
+    """One selection pass over a chunk of distributions with equal ``n``."""
+    n = dists[0].n
+    probs = dists[0].probs[None, :] if len(dists) == 1 else np.stack([d.probs for d in dists])
+    full = _descending_order(probs)
+    c = min(config.candidate_cap, n)
+    # a copy, so the full ordering is released with this function
+    order = full if c == n else full[:, :c].copy()
+    rows = range(len(dists))
+    work = probs[np.arange(len(dists))[:, None], order]
+    total = work.sum(axis=1)
+    cut = [abs(t - 1.0) > MASS_TOLERANCE for t in total.tolist()]
+    if any(cut):
+        # rows whose cap bit; the others (the cap cut nothing, or only exact
+        # zeros) keep their entries bit-exact
+        work[cut] /= total[cut, None]
+    dropped = None
+    if collect_trace:
+        dropped = [0.0] * len(dists) if c == n else \
+            np.take_along_axis(probs, full[:, c:], axis=1).sum(axis=1).tolist()
+    del full
+
+    h_p = _row_entropies(work)
+    threshold: list[float | None] = [None] * len(dists)
+    stop: list[str | None] = [None] * len(dists)
+    h_q: list[float] | None = None
+    traces = None
+    if method == Method.TOP_H:
+        threshold = [config.alpha * h for h in h_p]
+        scans = [
+            _top_h_scan(work[r], threshold[r], order[r] if collect_trace else None)
+            for r in rows
+        ]
+        counts = [s[0] for s in scans]
+        h_q = [s[1] for s in scans]
+        stop = [s[2] for s in scans]
+        if collect_trace:
+            traces = [s[3] for s in scans]
+    elif method == Method.TOP_K:
+        counts = [min(config.k, c)] * len(dists)
+    elif method == Method.TOP_P:
+        # searchsorted(cum, target, "left") + 1 on each non-decreasing row
+        reached = (np.cumsum(work, axis=1) < config.p_nucleus).sum(axis=1)
+        counts = [min(r + 1, c) for r in reached.tolist()]
+    else:
+        if method == Method.MIN_P:
+            cutoff = config.p_base * work[:, :1]
+        else:
+            root = math.sqrt(config.eta)
+            cutoff = np.array([[min(config.eta, root * math.exp(-h))] for h in h_p])
+        # the top token always survives
+        counts = [max(1, kept) for kept in (work >= cutoff).sum(axis=1).tolist()]
+
+    gamma = [float(np.add.reduce(work[r, : counts[r]])) for r in rows]
     if h_q is None:
-        h_q = _entropy_of(subset.q)
-    return TruncationResult(
-        selected=subset.parent_indices,
-        subset=subset,
-        h_p=h_p,
-        h_q=h_q,
-        threshold=threshold,
-        trace=trace,
+        h_q = [_entropy_of(work[r, : counts[r]] / gamma[r]) for r in rows]
+    return SelectionBlock(
+        n=n, order=order, work=work, counts=counts, gamma=gamma, h_p=h_p, h_q=h_q,
+        threshold=threshold, stop_reason=stop, dropped_mass=dropped, trace=traces,
     )
+
+
+def _chunks(
+    dists: Sequence[ProbabilityDistribution],
+) -> Iterator[Sequence[ProbabilityDistribution]]:
+    """Runs of consecutive equal-``n`` distributions, each within the element budget."""
+    start = 0
+    while start < len(dists):
+        n = dists[start].n
+        limit = min(len(dists), start + max(1, CHUNK_ELEMENTS // n))
+        stop = start + 1
+        while stop < limit and dists[stop].n == n:
+            stop += 1
+        yield dists[start:stop]
+        start = stop
+
+
+def select_chunks(
+    dists: Sequence[ProbabilityDistribution],
+    config: TruncationConfig,
+    collect_trace: bool = False,
+) -> Iterator[SelectionBlock]:
+    """Selections of ``dists`` under ``config.method``, one block per chunk, in order."""
+    for chunk in _chunks(dists):
+        yield _select(chunk, config, config.method, collect_trace)
 
 
 def top_h_truncate(
@@ -181,10 +387,11 @@ def top_h_truncate(
     """Greedy prefix selection under the entropy budget alpha * H(p).
 
     Tokens are appended in descending-probability order; after each append
-    the subset entropy is recomputed and the first token that pushes it
-    strictly over the budget is removed, ending the scan.  At least one
-    token is always selected (a singleton has entropy 0).  The budget is
-    recomputed from the working distribution on every call.
+    the subset entropy is recomputed, and the first token that would push
+    it strictly over the budget ends the scan without being kept.  At least
+    one token is always selected (a singleton has entropy 0), and a
+    zero-probability token ends the scan.  The budget is recomputed from
+    the working distribution on every call.
 
     "Equality keeps the token" holds for the entropy as this scan computes
     it, ``ln G - h/G`` with running mass ``G`` and ``h = sum p ln p``.  A
@@ -193,78 +400,27 @@ def top_h_truncate(
     the running form (uniform(65) at candidate cap 64 and alpha 1/3 keeps
     4 tokens here; the direct form would keep 3).
     """
-    order, work = _capped_view(p, config.candidate_cap)
-    h_p = _entropy_of(work)
-    threshold = config.alpha * h_p
-
-    acc = EntropyAccumulator()
-    count = 0
-    h_q = 0.0
-    steps: list[TraceStep] = []
-    for pos in range(work.shape[0]):
-        p_j = float(work[pos])
-        if p_j <= 0.0:
-            break
-        acc.push(p_j)
-        h = acc.entropy()
-        if h > threshold and count > 0:
-            acc.pop(p_j)
-            break
-        count += 1
-        h_q = h
-        if collect_trace:
-            steps.append(TraceStep(index=int(order[pos]), gamma=acc.gamma, entropy=h))
-    return _result_from_prefix(
-        order,
-        work,
-        count,
-        p.n,
-        h_p,
-        h_q=h_q,
-        threshold=threshold,
-        trace=tuple(steps) if collect_trace else None,
-    )
+    return _select([p], config, Method.TOP_H, collect_trace).result(0)
 
 
 def top_k_truncate(p: ProbabilityDistribution, config: TruncationConfig) -> TruncationResult:
     """Keep the k most probable tokens (all of them when k >= n)."""
-    order, work = _capped_view(p, config.candidate_cap)
-    count = min(config.k, work.shape[0])
-    return _result_from_prefix(order, work, count, p.n, _entropy_of(work))
+    return _select([p], config, Method.TOP_K).result(0)
 
 
 def top_p_truncate(p: ProbabilityDistribution, config: TruncationConfig) -> TruncationResult:
     """Shortest descending-order prefix whose cumulative mass reaches p_nucleus."""
-    order, work = _capped_view(p, config.candidate_cap)
-    cum = np.cumsum(work)
-    count = int(np.searchsorted(cum, config.p_nucleus, side="left")) + 1
-    count = min(count, work.shape[0])
-    return _result_from_prefix(order, work, count, p.n, _entropy_of(work))
+    return _select([p], config, Method.TOP_P).result(0)
 
 
 def min_p_truncate(p: ProbabilityDistribution, config: TruncationConfig) -> TruncationResult:
     """Keep tokens with p >= p_base * max(p); the top token always survives."""
-    order, work = _capped_view(p, config.candidate_cap)
-    cutoff = config.p_base * float(work[0])
-    count = max(1, int(np.count_nonzero(work >= cutoff)))
-    return _result_from_prefix(order, work, count, p.n, _entropy_of(work))
+    return _select([p], config, Method.MIN_P).result(0)
 
 
 def eta_truncate(p: ProbabilityDistribution, config: TruncationConfig) -> TruncationResult:
     """Entropy-scaled cutoff: keep p >= min(eta, sqrt(eta) * exp(-H(p)))."""
-    order, work = _capped_view(p, config.candidate_cap)
-    h_p = _entropy_of(work)
-    epsilon = min(config.eta, math.sqrt(config.eta) * math.exp(-h_p))
-    count = max(1, int(np.count_nonzero(work >= epsilon)))
-    return _result_from_prefix(order, work, count, p.n, h_p)
-
-
-_DISPATCH = {
-    Method.TOP_K: top_k_truncate,
-    Method.TOP_P: top_p_truncate,
-    Method.MIN_P: min_p_truncate,
-    Method.ETA: eta_truncate,
-}
+    return _select([p], config, Method.ETA).result(0)
 
 
 def truncate(
@@ -272,10 +428,8 @@ def truncate(
     config: TruncationConfig,
     collect_trace: bool = False,
 ) -> TruncationResult:
-    """Dispatch to the configured truncation method."""
-    if config.method == Method.TOP_H:
-        return top_h_truncate(p, config, collect_trace=collect_trace)
-    return _DISPATCH[config.method](p, config)
+    """Run the configured truncation method on one distribution."""
+    return _select([p], config, config.method, collect_trace).result(0)
 
 
 def draw_tokens(result: TruncationResult, u: np.ndarray) -> np.ndarray:
@@ -287,10 +441,11 @@ def draw_tokens(result: TruncationResult, u: np.ndarray) -> np.ndarray:
     exactly on a boundary picks the next token, and one at or above the
     last sum (which can be 1 - ulp) picks the last token.
     """
-    cum = np.cumsum(result.subset.q)
-    pos = np.searchsorted(cum, u, side="right")
-    np.minimum(pos, cum.shape[0] - 1, out=pos)
-    return np.asarray(result.subset.parent_indices)[pos]
+    q = result.subset.q
+    u = np.asarray(u, dtype=np.float64)
+    tokens = _inverse_cdf(q[None, :], [q.shape[0]],
+                          np.asarray(result.subset.parent_indices)[None, :], u.reshape(1, -1))
+    return tokens.reshape(u.shape)
 
 
 def sample_token(result: TruncationResult, seed: int, draw_index: int = 0) -> int:

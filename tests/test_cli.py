@@ -3,8 +3,10 @@
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from toph import truncation
 from toph.cli import main
 from toph.hardness import CcssInstance, ccss_to_json, save_json
 
@@ -78,6 +80,48 @@ class TestTruncateCommand:
         assert len(rec["trace"]) == len(rec["selected"])
         assert {"index", "gamma", "entropy"} <= set(rec["trace"][0])
 
+    def test_trace_stop_reasons_and_dropped_mass(self, tmp_path):
+        data = tmp_path / "stops.jsonl"
+        records = [
+            {"id": "budget", "probs": [0.6, 0.3, 0.1]},
+            {"id": "zero_tail", "probs": [0.0, 1.0, 0.0]},
+            {"id": "cap_exhausted", "probs": [1.0]},
+            {"id": "cut", "probs": [0.5, 0.3, 0.125, 0.075]},
+        ]
+        data.write_text("".join(json.dumps(r) + "\n" for r in records))
+        out = tmp_path / "out.jsonl"
+        rc = main(["truncate", "--method", "top-h", "--alpha", "0.9", "--candidate-cap", "2",
+                   "--trace", "--input", str(data), "--output", str(out)])
+        assert rc == 0
+        got = read_jsonl(out)
+        assert [r["stop_reason"] for r in got] == [
+            "budget", "zero_tail", "cap_exhausted", "budget"]
+        # the cap keeps two tokens: it cuts 0.1, one exact zero, nothing, 0.125 + 0.075
+        assert [r["dropped_mass"] for r in got] == [0.1, 0.0, 0.0, 0.2]
+        # the capped work rows are [2/3, 1/3] and [0.625, 0.375]: one token fits 0.9 H
+        assert [r["selected"] for r in got] == [[0], [1], [0], [0]]
+        # a cap of 1 ends every scan on the last candidate
+        rc = main(["truncate", "--method", "top-h", "--candidate-cap", "1", "--trace",
+                   "--input", str(data), "--output", str(out)])
+        assert {r["stop_reason"] for r in read_jsonl(out)} == {"cap_exhausted"}
+
+    @pytest.mark.parametrize("method", ["top-k", "top-p", "min-p", "eta"])
+    def test_trace_fields_of_baselines(self, tmp_path, dataset, method):
+        out = tmp_path / "out.jsonl"
+        assert main(["truncate", "--method", method, "--candidate-cap", "2", "--trace",
+                     "--input", str(dataset), "--output", str(out)]) == 0
+        got = read_jsonl(out)
+        assert [r["stop_reason"] for r in got] == [None, None, None]
+        assert [r["dropped_mass"] for r in got] == [0.1, 0.15000000000000002, 0.0]
+        assert [r["trace"] for r in got] == [[], [], []]
+
+    def test_default_output_has_no_trace_fields(self, tmp_path, dataset):
+        out = tmp_path / "out.jsonl"
+        assert main(["truncate", "--input", str(dataset), "--output", str(out)]) == 0
+        for rec in read_jsonl(out):
+            assert list(rec) == ["schema_version", "id", "method", "selected", "gamma",
+                                 "h_p", "h_q", "threshold"]
+
     def test_bad_alpha_exits_1(self, tmp_path, dataset, capsys):
         rc = main(["truncate", "--method", "top-h", "--alpha", "1.5",
                    "--input", str(dataset), "--output", str(tmp_path / "x.jsonl")])
@@ -108,6 +152,18 @@ class TestTruncateCommand:
         out = tmp_path / "x.jsonl"
         rc = main(["truncate", "--method", method, "--input", str(bad),
                    "--output", str(out)])
+        assert rc == 2
+        assert "line 2" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("value", ["true", "false"])
+    def test_boolean_temperature_exits_2(self, tmp_path, capsys, value):
+        # a JSON boolean is an int to isinstance; it must not pass as 1.0 or 0.0
+        bad = tmp_path / "bool.jsonl"
+        bad.write_text('{"id": "a", "logits": [0.0, 1.0], "temperature": 1.0}\n'
+                       f'{{"id": "b", "logits": [0.0, 1.0], "temperature": {value}}}\n')
+        out = tmp_path / "x.jsonl"
+        rc = main(["truncate", "--input", str(bad), "--output", str(out)])
         assert rc == 2
         assert "line 2" in capsys.readouterr().err
         assert not out.exists()
@@ -170,6 +226,60 @@ class TestSampleGolden:
                      "--input", str(data), "--output", str(out)]) == 0
         expected = json.loads(GOLDEN_PATH.read_text())[method][str(seed)]
         assert out.read_text() == expected
+
+
+def write_gaussian_records(path, sizes, seed):
+    """Softmax-of-gaussian probs records of the given vocabulary sizes, some with exact zeros."""
+    rng = np.random.default_rng(seed)
+    with open(path, "w", encoding="utf-8") as fh:
+        for i, n in enumerate(sizes):
+            logits = rng.normal(0.0, 2.0, n)
+            probs = np.exp(logits - logits.max())
+            if i % 3 == 0:
+                probs[rng.integers(0, n, size=n // 4)] = 0.0
+                probs[np.argmax(probs)] = 1.0
+            probs /= probs.sum()
+            fh.write(json.dumps({"id": f"r{i}", "probs": probs.tolist()}) + "\n")
+
+
+BOUNDARY_COMMANDS = [
+    *[["truncate", "--method", m, *t] for m in ("top-h", "top-k", "top-p", "min-p", "eta")
+      for t in ([], ["--trace"])],
+    ["truncate", "--method", "top-h", "--candidate-cap", "30", "--trace"],
+    ["sample", "--method", "top-h", "--seed", "5", "--num-samples", "7"],
+    ["sample", "--method", "eta", "--seed", "6", "--num-samples", "3"],
+    ["sweep", "--alphas", "0.1,0.4,0.8"],
+    ["sweep", "--alphas", "0.3,0.9", "--candidate-cap", "40"],
+]
+
+
+class TestChunkBoundaries:
+    """Chunked runs give the bytes of record-by-record runs (chunks of one)."""
+
+    ROWS = truncation.CHUNK_ELEMENTS // 100  # records of 100 tokens per chunk
+
+    def assert_same_as_record_by_record(self, tmp_path, monkeypatch, data):
+        for argv in BOUNDARY_COMMANDS:
+            chunked, single = tmp_path / "chunked.out", tmp_path / "single.out"
+            assert main(argv + ["--input", str(data), "--output", str(chunked)]) == 0
+            with monkeypatch.context() as m:
+                m.setattr(truncation, "CHUNK_ELEMENTS", 1)
+                assert main(argv + ["--input", str(data), "--output", str(single)]) == 0
+            assert chunked.read_bytes() == single.read_bytes(), argv
+
+    @pytest.mark.parametrize("count", [1, ROWS - 1, ROWS, ROWS + 1])
+    def test_around_one_chunk(self, tmp_path, monkeypatch, count):
+        data = tmp_path / "v100.jsonl"
+        write_gaussian_records(data, [100] * count, seed=count)
+        self.assert_same_as_record_by_record(tmp_path, monkeypatch, data)
+
+    def test_mixed_vocabulary_sizes(self, tmp_path, monkeypatch):
+        # runs of equal n split where n changes and where the budget fills
+        # (5000 tokens: three records a chunk)
+        sizes = [100] * 5 + [5000] * 7 + [1, 1, 3] + [100] * 2 + [300] * 60 + [5000]
+        data = tmp_path / "mixed.jsonl"
+        write_gaussian_records(data, sizes, seed=11)
+        self.assert_same_as_record_by_record(tmp_path, monkeypatch, data)
 
 
 class TestGapCommand:

@@ -7,7 +7,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from toph.distributions import (
-    EntropyAccumulator,
     entropy,
     jsd_closed_form,
     jsd_direct,
@@ -20,15 +19,15 @@ from toph.errors import (
     EmptySubset,
     GammaOutOfRange,
     IndexOutOfRange,
-    MassOverflow,
     NegativeProbability,
     NonFiniteValue,
-    NonPositiveProbability,
     NonPositiveTemperature,
     NormalizationOutOfTolerance,
     ZeroMassSubset,
     DimensionMismatch,
 )
+
+from top_h_reference import EntropyAccumulator, MassOverflow, NonPositiveProbability
 
 
 def direct_entropy(values):
@@ -225,6 +224,8 @@ class TestJsdClosedForm:
 
 
 class TestEntropyAccumulator:
+    """The test-side accumulator that ``reference_truncate`` scans with."""
+
     def test_two_pushes_match_batch(self):
         acc = EntropyAccumulator()
         acc.push(0.5)

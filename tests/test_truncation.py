@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -23,6 +24,7 @@ from toph.errors import (
     ZeroK,
 )
 from toph.truncation import (
+    CHUNK_ELEMENTS,
     Method,
     TruncationConfig,
     TruncationResult,
@@ -31,6 +33,7 @@ from toph.truncation import (
     eta_truncate,
     min_p_truncate,
     sample_token,
+    select_chunks,
     top_h_truncate,
     top_k_truncate,
     top_p_truncate,
@@ -39,7 +42,7 @@ from toph.truncation import (
 
 from toph.rng import u01
 
-from top_h_reference import reference_top_h
+from top_h_reference import reference_top_h, reference_truncate
 
 
 def config(method=Method.TOP_H, **kw):
@@ -378,6 +381,117 @@ class TestHostileInputs:
         except NonFiniteValue:
             return
         check_all_methods(p, cap, alpha)
+
+
+@st.composite
+def mixed_chunks(draw):
+    """Runs of records of a few vocabulary sizes, each record adversarial.
+
+    Records carry exact zeros, -0.0, denormals and runs of tied values whose
+    length is drawn around the candidate cap; n = 1 records are common.
+    """
+    cap = draw(st.sampled_from([1, 2, 3, 4, 7, 64, 100]))
+    dists = []
+    for _ in range(draw(st.integers(1, 5))):
+        n = draw(st.sampled_from([1, 2, 3, 5, 8, 65, 130]))
+        for _ in range(draw(st.integers(1, 4))):
+            rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+            weights = rng.random(n) ** draw(st.sampled_from([1, 4]))
+            tied = draw(st.integers(0, min(n, cap + 2)))
+            start = draw(st.integers(0, n - tied))
+            # a tied run at the top (value 1.0) straddles the cap when longer than it
+            weights[start:start + tied] = draw(st.one_of(st.just(1.0), st.floats(0.01, 1.0)))
+            specials = draw(st.lists(st.sampled_from([0.0, -0.0, 5e-324, 1e-320]),
+                                     max_size=min(20, n - 1)))
+            weights[rng.permutation(n)[:len(specials)]] = specials
+            if not np.any(weights > 0.0):
+                weights[0] = 1.0
+            dists.append(make_distribution(weights / np.sum(weights)))
+    return dists, cap
+
+
+def assert_block_matches_reference(dists, cfg):
+    """Every row of the chunked pass equals the scalar reference, with ==."""
+    rows = [(block, r) for block in select_chunks(dists, cfg, collect_trace=True)
+            for r in range(len(block))]
+    assert len(rows) == len(dists)
+    for p, (block, r) in zip(dists, rows):
+        ref = reference_truncate(p.probs, cfg.method.value, alpha=cfg.alpha, k=cfg.k,
+                                 p_nucleus=cfg.p_nucleus, p_base=cfg.p_base, eta=cfg.eta,
+                                 candidate_cap=cfg.candidate_cap)
+        assert tuple(block.selected(r)) == ref.selected
+        assert block.gamma[r] == ref.gamma
+        assert block.h_p[r] == ref.h_p
+        assert block.h_q[r] == ref.h_q
+        assert block.threshold[r] == ref.threshold
+        assert block.stop_reason[r] == ref.stop_reason
+        assert block.dropped_mass[r] == ref.dropped_mass
+        # the scalar API is a chunk of one; only top-H keeps a trace
+        single = truncate(p, cfg, collect_trace=True)
+        assert single.selected == ref.selected
+        assert (single.subset.gamma, single.h_p, single.h_q, single.threshold) == (
+            ref.gamma, ref.h_p, ref.h_q, ref.threshold)
+        for trace in (block.trace[r] if block.trace else None, single.trace):
+            steps = None if trace is None else tuple((s.index, s.gamma, s.entropy) for s in trace)
+            assert steps == (ref.trace if cfg.method == Method.TOP_H else None)
+
+
+class TestChunkedPassAgainstReference:
+    @given(
+        mixed_chunks(),
+        st.floats(0.01, 0.99),
+        st.integers(1, 30),
+        st.floats(0.05, 1.0),
+        st.floats(0.01, 0.99),
+        st.floats(1e-5, 0.5),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_all_methods_equal_scalar_reference(self, case, alpha, k, p_nucleus, p_base, eta):
+        dists, cap = case
+        for method in Method:
+            cfg = config(method, alpha=alpha, k=k, p_nucleus=p_nucleus, p_base=p_base,
+                         eta=eta, candidate_cap=cap)
+            assert_block_matches_reference(dists, cfg)
+
+    def test_exact_tie_at_the_budget(self):
+        # uniform(65), cap 64, alpha 1/3: the 4-token prefix has entropy ln 4,
+        # on the budget in the running form, so it is kept
+        dists = [uniform_distribution(65)] * 3
+        cfg = config(alpha=1 / 3, candidate_cap=64)
+        assert_block_matches_reference(dists, cfg)
+        assert len(truncate(dists[0], cfg).selected) == 4
+
+    @pytest.mark.parametrize("n", [100, 5000])
+    def test_full_chunks_of_generated_records(self, n):
+        # more records than one chunk holds, so the pass runs several chunks
+        rng = np.random.default_rng(n)
+        count = CHUNK_ELEMENTS // n + 2
+        dists = [make_distribution(rng.normal(0.0, 2.0, n), mode="logits")
+                 for _ in range(count)]
+        for method in Method:
+            assert_block_matches_reference(dists, config(method))
+
+
+class TestChunkMemory:
+    @pytest.mark.parametrize("collect_trace", [False, True])
+    def test_large_vocabulary_goes_one_record_at_a_time(self, collect_trace):
+        # one record's arrays: a float64 copy of its probabilities and its
+        # int64 ordering.  Stacking the four records would need four times
+        # that; the pass must stay below two.
+        n = 32768
+        rng = np.random.default_rng(32768)
+        dists = [make_distribution(rng.normal(0.0, 2.0, n), mode="logits") for _ in range(4)]
+        record_arrays = 8 * n + 8 * n
+        for method in Method:
+            tracemalloc.start()
+            try:
+                for block in select_chunks(dists, config(method), collect_trace):
+                    assert len(block) == 1
+                    block.selected(0)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak < 2 * record_arrays, (method, peak)
 
 
 class TestDescendingOrder:
