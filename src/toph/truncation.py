@@ -202,48 +202,20 @@ class SelectionBlock:
 
         Each row draws exactly as ``draw_tokens`` does on that row's result.
         """
-        m = max(self.counts)
-        q = self.work[:, :m] / np.asarray(self.gamma)[:, None]
-        return _inverse_cdf(q, self.counts, self.order, u)
-
-
-def _inverse_cdf(q: np.ndarray, counts: list[int], indices: np.ndarray,
-                 u: np.ndarray) -> np.ndarray:
-    """Row ``r``'s token for each uniform in ``u[r]``, over its first ``counts[r]`` entries.
-
-    A uniform picks the first entry whose in-order cumulative sum of
-    ``q[r]`` is strictly above it (``searchsorted(cum, u, side="right")``),
-    and the last entry when none is.
-    """
-    rows, m = q.shape
-    counts = np.asarray(counts)
-    # Entries past a row's count only add sums at or above its last counted
-    # one, so they can move a uniform's position only where the cap at the
-    # last token takes it anyway.
-    cum = np.cumsum(q, axis=1)
-    # Rank the sums and uniforms of all rows together (equal values get
-    # equal ranks) and shift row r's ranks by r * len(values): one flat
-    # searchsorted then compares exactly as a per-row one would, row by row.
-    values, rank = np.unique(np.concatenate([cum.ravel(), u.ravel()]), return_inverse=True)
-    shift = np.arange(rows)[:, None] * values.shape[0]
-    keys = (rank[: rows * m].reshape(rows, m) + shift).ravel()
-    wanted = (rank[rows * m:].reshape(u.shape) + shift).ravel()
-    pos = np.searchsorted(keys, wanted, side="right").reshape(u.shape)
-    pos -= np.arange(rows)[:, None] * m
-    np.minimum(pos, counts[:, None] - 1, out=pos)
-    return np.take_along_axis(indices, pos, axis=1)
+        # a row's cumulative sums run in sequence along the row, so the
+        # first counts[r] of them are that row's subset sums
+        cum = np.cumsum(self.work[:, : max(self.counts)] / np.asarray(self.gamma)[:, None], axis=1)
+        pos = np.empty(u.shape, dtype=np.intp)
+        for r, count in enumerate(self.counts):
+            pos[r] = cum[r, :count].searchsorted(u[r], side="right")
+        np.minimum(pos, np.asarray(self.counts)[:, None] - 1, out=pos)
+        return np.take_along_axis(self.order, pos, axis=1)
 
 
 def _descending_order(probs: np.ndarray) -> np.ndarray:
     # probability descending along the last axis; the stable sort keeps
     # ties in index order
     return (-probs).argsort(kind="stable")
-
-
-def _floats(row: np.ndarray, step: int = 32) -> Iterator[float]:
-    """The row's entries as Python floats, converted ``step`` at a time."""
-    for start in range(0, row.shape[0], step):
-        yield from row[start:start + step].tolist()
 
 
 def _top_h_scan(row: np.ndarray, threshold: float, order: np.ndarray | None):
@@ -256,7 +228,7 @@ def _top_h_scan(row: np.ndarray, threshold: float, order: np.ndarray | None):
     count = 0
     steps = []
     stop = STOP_CAP_EXHAUSTED
-    for p_j in _floats(row):
+    for p_j in row.tolist():
         if p_j <= 0.0:
             stop = STOP_ZERO_TAIL
             break
@@ -271,20 +243,6 @@ def _top_h_scan(row: np.ndarray, threshold: float, order: np.ndarray | None):
         if order is not None:
             steps.append(TraceStep(index=int(order[count - 1]), gamma=gamma, entropy=entropy))
     return count, h_q, stop, tuple(steps)
-
-
-def _row_entropies(work: np.ndarray) -> list[float]:
-    """``_entropy_of`` of every row, with one ``log`` over the whole block.
-
-    A row with no zero entry is its own positive part, so its entropy is
-    the same ``ddot`` of the same values; other rows take ``_entropy_of``.
-    """
-    mask = work > 0.0
-    # entries at zeros stay unset: their rows take ``_entropy_of``
-    logs = np.log(work, out=np.empty_like(work), where=mask)
-    positive = mask.all(axis=1).tolist()
-    return [-float(np.dot(work[r], logs[r])) if positive[r] else _entropy_of(work[r])
-            for r in range(work.shape[0])]
 
 
 def _select(
@@ -314,7 +272,7 @@ def _select(
             np.take_along_axis(probs, full[:, c:], axis=1).sum(axis=1).tolist()
     del full
 
-    h_p = _row_entropies(work)
+    h_p = [_entropy_of(work[r]) for r in rows]
     threshold: list[float | None] = [None] * len(dists)
     stop: list[str | None] = [None] * len(dists)
     h_q: list[float] | None = None
@@ -441,11 +399,10 @@ def draw_tokens(result: TruncationResult, u: np.ndarray) -> np.ndarray:
     exactly on a boundary picks the next token, and one at or above the
     last sum (which can be 1 - ulp) picks the last token.
     """
-    q = result.subset.q
-    u = np.asarray(u, dtype=np.float64)
-    tokens = _inverse_cdf(q[None, :], [q.shape[0]],
-                          np.asarray(result.subset.parent_indices)[None, :], u.reshape(1, -1))
-    return tokens.reshape(u.shape)
+    cum = np.cumsum(result.subset.q)
+    pos = np.searchsorted(cum, u, side="right")
+    np.minimum(pos, cum.shape[0] - 1, out=pos)
+    return np.asarray(result.subset.parent_indices)[pos]
 
 
 def sample_token(result: TruncationResult, seed: int, draw_index: int = 0) -> int:

@@ -390,10 +390,12 @@ def mixed_chunks(draw):
     Records carry exact zeros, -0.0, denormals and runs of tied values whose
     length is drawn around the candidate cap; n = 1 records are common.
     """
-    cap = draw(st.sampled_from([1, 2, 3, 4, 7, 64, 100]))
+    # caps and sizes above 128 make work rows wider than numpy's unrolled
+    # summation block, so row sums and cumulative sums take the pairwise path
+    cap = draw(st.sampled_from([1, 2, 3, 4, 7, 64, 100, 200, 1000]))
     dists = []
     for _ in range(draw(st.integers(1, 5))):
-        n = draw(st.sampled_from([1, 2, 3, 5, 8, 65, 130]))
+        n = draw(st.sampled_from([1, 2, 3, 5, 8, 65, 130, 300, 2000]))
         for _ in range(draw(st.integers(1, 4))):
             rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
             weights = rng.random(n) ** draw(st.sampled_from([1, 4]))
@@ -412,10 +414,11 @@ def mixed_chunks(draw):
 
 def assert_block_matches_reference(dists, cfg):
     """Every row of the chunked pass equals the scalar reference, with ==."""
-    rows = [(block, r) for block in select_chunks(dists, cfg, collect_trace=True)
-            for r in range(len(block))]
+    blocks = list(select_chunks(dists, cfg, collect_trace=True))
+    rows = [(block, r) for block in blocks for r in range(len(block))]
     assert len(rows) == len(dists)
-    for p, (block, r) in zip(dists, rows):
+    draws = [block.draw(block_uniforms(block)) for block in blocks]
+    for p, (block, r), drawn in zip(dists, rows, (row for d in draws for row in d)):
         ref = reference_truncate(p.probs, cfg.method.value, alpha=cfg.alpha, k=cfg.k,
                                  p_nucleus=cfg.p_nucleus, p_base=cfg.p_base, eta=cfg.eta,
                                  candidate_cap=cfg.candidate_cap)
@@ -434,6 +437,20 @@ def assert_block_matches_reference(dists, cfg):
         for trace in (block.trace[r] if block.trace else None, single.trace):
             steps = None if trace is None else tuple((s.index, s.gamma, s.entropy) for s in trace)
             assert steps == (ref.trace if cfg.method == Method.TOP_H else None)
+        # the chunk's draws equal the scalar draws of the same uniforms
+        assert drawn.tolist() == draw_tokens(single, block_uniforms(block)[r]).tolist()
+
+
+def block_uniforms(block):
+    """Per-row uniforms for ``block.draw``: generated ones, 0, 1 - ulp and every
+    row's middle and last in-order cumulative sum (draws exactly on a boundary)."""
+    u = np.empty((len(block), 20))
+    u[:, :16] = u01(7, 0, np.arange(len(block) * 16)).reshape(len(block), 16)
+    u[:, 16:18] = [0.0, 1.0 - 2**-53]
+    for r in range(len(block)):
+        cum = np.cumsum(block.result(r).subset.q)
+        u[r, 18:] = [cum[cum.shape[0] // 2], cum[-1]]
+    return u
 
 
 class TestChunkedPassAgainstReference:
