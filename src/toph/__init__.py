@@ -8,8 +8,9 @@ The package has five pillars:
 - ``truncation``: the top-H greedy selector, which grows the candidate
   set in descending probability until the renormalized subset's entropy
   would exceed alpha * H(p), plus top-k / top-p / min-p / eta baselines
-  and seeded token sampling, all in one selection pass over a chunk of
-  records with equal vocabulary size (a single call is a chunk of one);
+  and seeded token sampling, picked by ``TruncationConfig.method``:
+  ``truncate`` runs one distribution and ``select_chunks`` many, in one
+  selection pass per chunk of records with equal vocabulary size;
 - ``oracle``: exact solutions of the underlying entropy-constrained mass
   maximization by exhaustive subset enumeration, and the greedy-vs-optimal
   gap harness;
@@ -42,12 +43,7 @@ from .truncation import (
     Method,
     TruncationConfig,
     TruncationResult,
-    eta_truncate,
-    min_p_truncate,
     sample_token,
-    top_h_truncate,
-    top_k_truncate,
-    top_p_truncate,
     truncate,
 )
 
@@ -74,10 +70,5 @@ __all__ = [
     "TruncationConfig",
     "TruncationResult",
     "truncate",
-    "top_h_truncate",
-    "top_k_truncate",
-    "top_p_truncate",
-    "min_p_truncate",
-    "eta_truncate",
     "sample_token",
 ]

@@ -211,13 +211,18 @@ def _truncate_record(rid: str, block: SelectionBlock, r: int, config: Truncation
     return record
 
 
+def _read_input(path: str) -> list:
+    """The records of an ``--input`` dataset; a file with none is a usage error."""
+    records = read_dataset(path)
+    if not records:
+        raise UsageError(f"dataset {path} is empty")
+    return records
+
+
 def _distributions(args) -> list:
     """The ``--input`` dataset, or ``--trials`` generated distributions."""
     if args.input:
-        dists = [rec.dist for rec in read_dataset(args.input)]
-        if not dists:
-            raise UsageError(f"dataset {args.input} is empty")
-        return dists
+        return [rec.dist for rec in _read_input(args.input)]
     if args.trials < 1:
         raise UsageError(f"--trials must be >= 1, got {args.trials}")
     return _generate(args, args.trials)
@@ -233,7 +238,7 @@ def _record_blocks(records: list, config: TruncationConfig, with_trace: bool = F
 
 def cmd_truncate(args) -> CommandResult:
     config = _build_config(args)
-    records = read_dataset(args.input)
+    records = _read_input(args.input)
     with open(args.output, "w", encoding="utf-8") as fh:
         for start, block in _record_blocks(records, config, args.trace):
             for r in range(len(block)):
@@ -246,7 +251,7 @@ def cmd_sample(args) -> CommandResult:
     config = _build_config(args)
     if args.num_samples < 1:
         raise UsageError(f"--num-samples must be >= 1, got {args.num_samples}")
-    records = read_dataset(args.input)
+    records = _read_input(args.input)
     per_record = args.num_samples
     # draw_index = record_index * num_samples + j, so records do not share variates
     u = u01(args.seed, 0, np.arange(len(records) * per_record, dtype=np.uint64))

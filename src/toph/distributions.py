@@ -94,8 +94,10 @@ def make_distribution(
     Raises ``NonFiniteValue`` when the probability sum or the softmax
     normalizer is not finite: a NaN or +inf entry, every logit ``-inf``,
     or a logit that overflows once divided by the temperature.
+
+    ``values`` is copied: the caller's array stays writeable and unshared.
     """
-    arr = np.asarray(values, dtype=np.float64)
+    arr = np.array(values, dtype=np.float64)
     if arr.ndim != 1 or arr.size == 0:
         raise EmptyInput("need a non-empty 1-d vector")
     if mode == "probs":

@@ -227,6 +227,13 @@ def _theta_in_range(theta: mp.mpf, k: int) -> bool:
         return bool(0 < theta < mp.mpf(1) / (2 * k * k))
 
 
+def _calibration(k: int, theta: mp.mpf) -> tuple[Fraction, mp.mpf, mp.mpf]:
+    """gamma_K, delta_K and epsilon_K for budget coefficient K and deficit theta."""
+    ln_k = mp.log(k)
+    gamma = Fraction(1, 16 * k * k)
+    return gamma, 5 * theta / (2 * ln_k), (_mpf(_C_EPS) + _mpf(gamma)) / ln_k
+
+
 def lambda_exponent(k: int, theta: mp.mpf) -> tuple[int, mp.mpf]:
     """Booster-count exponent for budget coefficient K and deficit theta.
 
@@ -234,10 +241,7 @@ def lambda_exponent(k: int, theta: mp.mpf) -> tuple[int, mp.mpf]:
     close to an integer for the ceiling to be trustworthy at the working
     precision.
     """
-    ln_k = mp.log(k)
-    gamma = Fraction(1, 16 * k * k)
-    delta = 5 * theta / (2 * ln_k)
-    eps = (_mpf(_C_EPS) + _mpf(gamma)) / ln_k
+    _, delta, eps = _calibration(k, theta)
     raw = (_mpf(_C_NUM) - eps + delta) / _mpf(_C_DEN)
     nearest = mp.nint(raw)
     if abs(raw - nearest) < mp.mpf(10) ** (-(mp.mp.dps - 10)) and raw != nearest:
@@ -283,9 +287,7 @@ def reduce_to_ecme(instance: CcssInstance) -> EcmeInstance:
                 f"(0, 1/(2K^2)={mp.nstr(mp.mpf(1) / (2 * k * k), 8)}); "
                 "the construction needs near-uniform heavy ratios (m == K)"
             )
-        gamma = Fraction(1, 16 * k * k)
-        delta = 5 * theta / (2 * ln_k)
-        eps = (_mpf(_C_EPS) + _mpf(gamma)) / ln_k
+        gamma, delta, eps = _calibration(k, theta)
         lam, lam_raw = lambda_exponent(k, theta)
         booster_count = k ** lam
         w_b = Fraction(tau, 2 * booster_count)

@@ -23,7 +23,7 @@ import numpy as np
 
 from .distributions import ProbabilityDistribution, _entropy_of
 from .errors import VocabularyTooLarge
-from .truncation import Method, TruncationConfig, top_h_truncate
+from .truncation import Method, TruncationConfig, truncate
 
 #: Exhaustive search is refused above this vocabulary size (2**20 subsets).
 ENUMERATION_LIMIT = 20
@@ -211,7 +211,7 @@ def optimality_gap(
             alpha=inst.alpha,
             candidate_cap=max(100, inst.p.n),
         )
-        greedy = top_h_truncate(inst.p, config)
+        greedy = truncate(inst.p, config)
         opt = exact_ecmm(inst)
         ratio = greedy.subset.gamma / opt.gamma
         rows.append(

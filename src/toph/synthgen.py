@@ -36,6 +36,9 @@ FAMILIES = ("zipf", "dirichlet", "gaussian_logits", "one_hot_mix", "uniform")
 
 SCHEMA_VERSION = 1
 
+#: The Python types ``json`` gives a JSON number; ``bool`` is not one of them.
+_NUMBER_TYPES = {int, float}
+
 
 @dataclass(frozen=True)
 class GeneratorSpec:
@@ -149,22 +152,19 @@ def _parse_record(obj: dict, line_no: int) -> tuple[str, ProbabilityDistribution
     has_logits = "logits" in obj
     if has_probs == has_logits:
         raise MalformedRecord(line_no, "record needs exactly one of 'probs'/'logits'")
+    kind = "probs" if has_probs else "logits"
+    values = obj[kind]
+    temperature = obj.get("temperature", 1.0) if has_logits else 1.0
+    # exact types: a JSON boolean is an int to isinstance, and numpy would
+    # turn a string or a boolean into a float
+    if not isinstance(values, list) or not set(map(type, values)) <= _NUMBER_TYPES:
+        raise MalformedRecord(line_no, f"'{kind}' must be a list of numbers")
+    if type(temperature) not in _NUMBER_TYPES:
+        raise MalformedRecord(line_no, "'temperature' must be a number")
     try:
-        if has_probs:
-            dist = make_distribution(obj["probs"], mode="probs")
-            kind = "probs"
-        else:
-            temperature = obj.get("temperature", 1.0)
-            # a JSON boolean is an int to isinstance, but not a temperature
-            if isinstance(temperature, bool) or not isinstance(temperature, (int, float)):
-                raise MalformedRecord(line_no, "'temperature' must be a number")
-            dist = make_distribution(
-                obj["logits"], mode="logits", temperature=float(temperature)
-            )
-            kind = "logits"
-    except MalformedRecord:
-        raise
-    except (ValueError, TypeError) as exc:
+        dist = make_distribution(values, mode=kind, temperature=float(temperature))
+    except (ValueError, OverflowError) as exc:
+        # OverflowError: a JSON integer beyond the float range
         raise MalformedRecord(line_no, str(exc)) from exc
     return rid, dist, kind
 

@@ -12,24 +12,19 @@ capped rows are gathered into one ``(B, c)`` work matrix and renormalized
 together, and each method's count rule picks every row's prefix.  A chunk
 holds at most ``max(1, CHUNK_ELEMENTS // n)`` records, so large
 vocabularies go one record at a time.  ``select_chunks`` cuts a list of
-distributions into such chunks; ``truncate`` and the per-method functions
-are a chunk of one.  Every per-row figure equals the one the record gets
-on its own.
+distributions into such chunks and ``truncate`` is a chunk of one; both
+run ``config.method``.  Every per-row figure equals the one the record
+gets on its own.
 
 ``TruncationConfig`` validates every parameter range when it is built,
-whatever the method, so the method functions take their parameters as
-given.
+whatever the method, so the selection pass takes its parameters as given.
 
 Conventions that pin down exact outputs:
 
 - the greedy rule stops at the first token whose inclusion pushes the
   subset entropy strictly above ``alpha * H(p)``; equality keeps the
-  token, and the over-budget token is never added.  The scan keeps the
-  running mass ``G`` and ``h = sum p ln p`` (``math.log``, in order) and
-  decides equality on ``ln G - h/G`` in float64; the direct
-  ``-sum q ln q`` of the same prefix can round one ulp the other way
-  (uniform(65), candidate cap 64, alpha 1/3: the 4-token prefix, entropy
-  ln 4, is kept here and is one ulp over budget the direct way);
+  token (``truncate`` says how an exact tie rounds), and the over-budget
+  token is never added;
 - the reported mass ``gamma`` is ``np.sum`` over the selected prefix of the
   working distribution, not the scan's running sum;
 - cumulative-mass truncation treats "exceeds" inclusively (first prefix
@@ -198,18 +193,24 @@ class SelectionBlock:
         )
 
     def draw(self, u: np.ndarray) -> np.ndarray:
-        """Inverse-CDF tokens: entry ``[r, j]`` is row ``r``'s token for ``u[r, j]``.
+        """Inverse-CDF tokens: entry ``[r, j]`` is row ``r``'s token for ``u[r, j]``."""
+        q = self.work[:, : max(self.counts)] / np.asarray(self.gamma)[:, None]
+        return _inverse_cdf(q, self.order, self.counts, u)
 
-        Each row draws exactly as ``draw_tokens`` does on that row's result.
-        """
-        # a row's cumulative sums run in sequence along the row, so the
-        # first counts[r] of them are that row's subset sums
-        cum = np.cumsum(self.work[:, : max(self.counts)] / np.asarray(self.gamma)[:, None], axis=1)
-        pos = np.empty(u.shape, dtype=np.intp)
-        for r, count in enumerate(self.counts):
-            pos[r] = cum[r, :count].searchsorted(u[r], side="right")
-        np.minimum(pos, np.asarray(self.counts)[:, None] - 1, out=pos)
-        return np.take_along_axis(self.order, pos, axis=1)
+
+def _inverse_cdf(q: np.ndarray, tokens: np.ndarray, counts: Sequence[int],
+                 u: np.ndarray) -> np.ndarray:
+    """Entry ``[r, j]`` is the token of row ``r`` that the uniform ``u[r, j]`` picks.
+
+    Row ``r`` draws from the first ``counts[r]`` entries of ``q[r]`` and
+    ``tokens[r]``, with cumulative sums that run in sequence along the row.
+    """
+    cum = np.cumsum(q, axis=1)
+    pos = np.empty(u.shape, dtype=np.intp)
+    for r, count in enumerate(counts):
+        pos[r] = cum[r, :count].searchsorted(u[r], side="right")
+    np.minimum(pos, np.asarray(counts)[:, None] - 1, out=pos)
+    return np.take_along_axis(tokens, pos, axis=1)
 
 
 def _descending_order(probs: np.ndarray) -> np.ndarray:
@@ -248,7 +249,6 @@ def _top_h_scan(row: np.ndarray, threshold: float, order: np.ndarray | None):
 def _select(
     dists: Sequence[ProbabilityDistribution],
     config: TruncationConfig,
-    method: Method,
     collect_trace: bool = False,
 ) -> SelectionBlock:
     """One selection pass over a chunk of distributions with equal ``n``."""
@@ -277,7 +277,7 @@ def _select(
     stop: list[str | None] = [None] * len(dists)
     h_q: list[float] | None = None
     traces = None
-    if method == Method.TOP_H:
+    if config.method == Method.TOP_H:
         threshold = [config.alpha * h for h in h_p]
         scans = [
             _top_h_scan(work[r], threshold[r], order[r] if collect_trace else None)
@@ -288,14 +288,14 @@ def _select(
         stop = [s[2] for s in scans]
         if collect_trace:
             traces = [s[3] for s in scans]
-    elif method == Method.TOP_K:
+    elif config.method == Method.TOP_K:
         counts = [min(config.k, c)] * len(dists)
-    elif method == Method.TOP_P:
+    elif config.method == Method.TOP_P:
         # searchsorted(cum, target, "left") + 1 on each non-decreasing row
         reached = (np.cumsum(work, axis=1) < config.p_nucleus).sum(axis=1)
         counts = [min(r + 1, c) for r in reached.tolist()]
     else:
-        if method == Method.MIN_P:
+        if config.method == Method.MIN_P:
             cutoff = config.p_base * work[:, :1]
         else:
             root = math.sqrt(config.eta)
@@ -312,10 +312,16 @@ def _select(
     )
 
 
-def _chunks(
+def select_chunks(
     dists: Sequence[ProbabilityDistribution],
-) -> Iterator[Sequence[ProbabilityDistribution]]:
-    """Runs of consecutive equal-``n`` distributions, each within the element budget."""
+    config: TruncationConfig,
+    collect_trace: bool = False,
+) -> Iterator[SelectionBlock]:
+    """Selections of ``dists`` under ``config.method``, one block per chunk, in order.
+
+    A chunk is a run of consecutive equal-``n`` distributions within the
+    element budget.
+    """
     start = 0
     while start < len(dists):
         n = dists[start].n
@@ -323,62 +329,8 @@ def _chunks(
         stop = start + 1
         while stop < limit and dists[stop].n == n:
             stop += 1
-        yield dists[start:stop]
+        yield _select(dists[start:stop], config, collect_trace)
         start = stop
-
-
-def select_chunks(
-    dists: Sequence[ProbabilityDistribution],
-    config: TruncationConfig,
-    collect_trace: bool = False,
-) -> Iterator[SelectionBlock]:
-    """Selections of ``dists`` under ``config.method``, one block per chunk, in order."""
-    for chunk in _chunks(dists):
-        yield _select(chunk, config, config.method, collect_trace)
-
-
-def top_h_truncate(
-    p: ProbabilityDistribution,
-    config: TruncationConfig,
-    collect_trace: bool = False,
-) -> TruncationResult:
-    """Greedy prefix selection under the entropy budget alpha * H(p).
-
-    Tokens are appended in descending-probability order; after each append
-    the subset entropy is recomputed, and the first token that would push
-    it strictly over the budget ends the scan without being kept.  At least
-    one token is always selected (a singleton has entropy 0), and a
-    zero-probability token ends the scan.  The budget is recomputed from
-    the working distribution on every call.
-
-    "Equality keeps the token" holds for the entropy as this scan computes
-    it, ``ln G - h/G`` with running mass ``G`` and ``h = sum p ln p``.  A
-    prefix whose exact entropy equals the budget can come out one ulp
-    either side of it, and ``-sum q ln q`` may round the other way from
-    the running form (uniform(65) at candidate cap 64 and alpha 1/3 keeps
-    4 tokens here; the direct form would keep 3).
-    """
-    return _select([p], config, Method.TOP_H, collect_trace).result(0)
-
-
-def top_k_truncate(p: ProbabilityDistribution, config: TruncationConfig) -> TruncationResult:
-    """Keep the k most probable tokens (all of them when k >= n)."""
-    return _select([p], config, Method.TOP_K).result(0)
-
-
-def top_p_truncate(p: ProbabilityDistribution, config: TruncationConfig) -> TruncationResult:
-    """Shortest descending-order prefix whose cumulative mass reaches p_nucleus."""
-    return _select([p], config, Method.TOP_P).result(0)
-
-
-def min_p_truncate(p: ProbabilityDistribution, config: TruncationConfig) -> TruncationResult:
-    """Keep tokens with p >= p_base * max(p); the top token always survives."""
-    return _select([p], config, Method.MIN_P).result(0)
-
-
-def eta_truncate(p: ProbabilityDistribution, config: TruncationConfig) -> TruncationResult:
-    """Entropy-scaled cutoff: keep p >= min(eta, sqrt(eta) * exp(-H(p)))."""
-    return _select([p], config, Method.ETA).result(0)
 
 
 def truncate(
@@ -386,23 +338,28 @@ def truncate(
     config: TruncationConfig,
     collect_trace: bool = False,
 ) -> TruncationResult:
-    """Run the configured truncation method on one distribution."""
-    return _select([p], config, config.method, collect_trace).result(0)
+    """Run ``config.method`` on one distribution; ``collect_trace`` traces top-H steps.
+
+    Top-H keeps at least one token (a singleton has entropy 0), and a
+    zero-probability token ends its scan.  "Equality keeps the token"
+    holds for the entropy as the top-H scan computes it, ``ln G - h/G``
+    with running mass ``G`` and ``h = sum p ln p``.  A prefix whose exact
+    entropy equals the budget can come out one ulp either side of it, and
+    ``-sum q ln q`` may round the other way from the running form
+    (uniform(65) at candidate cap 64 and alpha 1/3 keeps 4 tokens here;
+    the direct form would keep 3).
+    """
+    return _select([p], config, collect_trace).result(0)
 
 
 def draw_tokens(result: TruncationResult, u: np.ndarray) -> np.ndarray:
     """Inverse-CDF tokens of the truncated distribution, one per uniform in ``u``.
 
-    The cumulative sums run over the subset in its stored
-    (descending-probability) order, adding in sequence; a uniform picks the
-    first token whose cumulative sum is strictly above it, so a uniform
-    exactly on a boundary picks the next token, and one at or above the
-    last sum (which can be 1 - ulp) picks the last token.
+    ``SelectionBlock.draw`` on a block of one.
     """
-    cum = np.cumsum(result.subset.q)
-    pos = np.searchsorted(cum, u, side="right")
-    np.minimum(pos, cum.shape[0] - 1, out=pos)
-    return np.asarray(result.subset.parent_indices)[pos]
+    q = result.subset.q
+    tokens = np.asarray(result.subset.parent_indices)
+    return _inverse_cdf(q[None, :], tokens[None, :], [q.shape[0]], np.asarray(u)[None, :])[0]
 
 
 def sample_token(result: TruncationResult, seed: int, draw_index: int = 0) -> int:

@@ -36,7 +36,7 @@ from toph.hardness import (
 )
 from toph.oracle import EcmmInstance, optimality_gap
 from toph.synthgen import GeneratorSpec, generate
-from toph.truncation import Method, TruncationConfig, top_h_truncate
+from toph.truncation import Method, TruncationConfig, truncate
 
 from top_h_reference import reference_top_h
 
@@ -120,7 +120,7 @@ def test_criterion_3_entropy_constraint(corpus):
     checked = 0
     for dist in corpus:
         for alpha in ALPHAS:
-            r = top_h_truncate(dist, TruncationConfig(method=Method.TOP_H, alpha=alpha))
+            r = truncate(dist, TruncationConfig(method=Method.TOP_H, alpha=alpha))
             assert len(r.selected) >= 1
             assert r.h_q <= alpha * r.h_p + 1e-9
             if dist.n >= 2 and r.h_p > 0.0:
@@ -135,7 +135,7 @@ def test_criterion_3_entropy_constraint(corpus):
 def test_criterion_4_strict_entropy_increase(corpus):
     for dist in corpus:
         for alpha in ALPHAS:
-            r = top_h_truncate(
+            r = truncate(
                 dist, TruncationConfig(method=Method.TOP_H, alpha=alpha),
                 collect_trace=True,
             )
@@ -151,7 +151,7 @@ def test_criterion_5_incremental_equals_batch(corpus):
     for dist in corpus:
         for alpha in ALPHAS:
             cfg = TruncationConfig(method=Method.TOP_H, alpha=alpha)
-            inc = top_h_truncate(dist, cfg)
+            inc = truncate(dist, cfg)
             if inc.selected != reference_top_h(dist.probs, alpha, cfg.candidate_cap):
                 mismatches += 1
     assert mismatches == 0
@@ -196,16 +196,9 @@ def test_criterion_6_zipf_batch_mean():
 
 
 def test_criterion_7_baseline_goldens():
-    from toph.truncation import (
-        eta_truncate,
-        min_p_truncate,
-        top_k_truncate,
-        top_p_truncate,
-    )
-
     # scaled-max rule
     p = make_distribution([0.6, 0.25, 0.1, 0.05])
-    r = min_p_truncate(p, TruncationConfig(method=Method.MIN_P, p_base=0.1))
+    r = truncate(p, TruncationConfig(method=Method.MIN_P, p_base=0.1))
     assert r.selected == (0, 1, 2)
     kept = np.asarray([0.6, 0.25, 0.1])
     expected_q = kept / float(np.sum(kept))
@@ -213,14 +206,14 @@ def test_criterion_7_baseline_goldens():
     assert np.allclose(r.subset.q, [0.631579, 0.263158, 0.105263], atol=1e-6)
 
     # cumulative-mass rule
-    r = top_p_truncate(
+    r = truncate(
         make_distribution([0.5, 0.3, 0.15, 0.05]),
         TruncationConfig(method=Method.TOP_P, p_nucleus=0.9),
     )
     assert r.selected == (0, 1, 2)
 
     # fixed-count rule
-    r = top_k_truncate(
+    r = truncate(
         make_distribution([0.5, 0.3, 0.2]), TruncationConfig(method=Method.TOP_K, k=2)
     )
     assert r.selected == (0, 1)
@@ -229,11 +222,11 @@ def test_criterion_7_baseline_goldens():
     assert np.allclose(r.subset.q, [0.625, 0.375], atol=1e-12)
 
     # entropy-scaled rule
-    r = eta_truncate(
+    r = truncate(
         make_distribution([0.25] * 4), TruncationConfig(method=Method.ETA, eta=0.0002)
     )
     assert r.selected == (0, 1, 2, 3)
-    r = eta_truncate(
+    r = truncate(
         make_distribution([0.9999, 0.0001]),
         TruncationConfig(method=Method.ETA, eta=0.0002),
     )
@@ -241,7 +234,7 @@ def test_criterion_7_baseline_goldens():
 
     # determinism: identical inputs give identical outputs
     for _ in range(3):
-        again = min_p_truncate(p, TruncationConfig(method=Method.MIN_P, p_base=0.1))
+        again = truncate(p, TruncationConfig(method=Method.MIN_P, p_base=0.1))
         assert again.selected == (0, 1, 2)
         assert np.array_equal(again.subset.q, expected_q)
     _ok(7, "all four baselines match the hand-derived goldens bit-for-bit")

@@ -168,6 +168,24 @@ class TestTruncateCommand:
         assert "line 2" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("record", [
+        '{"id": "b", "probs": ["0.5", "0.5"]}',
+        '{"id": "b", "probs": [true, false]}',
+        '{"id": "b", "probs": [0.5, "0.5"]}',
+        '{"id": "b", "logits": [true, "2"]}',
+        '{"id": "b", "logits": [false, true]}',
+        '{"id": "b", "logits": [0.0, "1.0"]}',
+    ])
+    def test_non_number_entry_exits_2(self, tmp_path, capsys, record):
+        kind = "probs" if '"probs"' in record else "logits"
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text(f'{{"id": "a", "{kind}": [0.5, 0.5]}}\n{record}\n')
+        out = tmp_path / "x.jsonl"
+        rc = main(["truncate", "--input", str(bad), "--output", str(out)])
+        assert rc == 2
+        assert "line 2" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_missing_input_exits_2(self, tmp_path):
         rc = main(["truncate", "--input", str(tmp_path / "nope.jsonl"),
                    "--output", str(tmp_path / "x.jsonl")])
@@ -574,6 +592,19 @@ class TestGeneratorManifests:
                 argv += [flag, str(value)]
         assert main(argv) == 0
         assert replay.read_bytes() == out.read_bytes()
+
+
+class TestEmptyInput:
+    @pytest.mark.parametrize("command", ["truncate", "sample", "gap", "sweep"])
+    @pytest.mark.parametrize("content", ["", "\n  \n"])
+    def test_exits_1_without_output(self, tmp_path, capsys, command, content):
+        data = tmp_path / "empty.jsonl"
+        data.write_text(content)
+        out = tmp_path / "out"
+        rc = main([command, "--input", str(data), "--output", str(out)])
+        assert rc == 1
+        assert f"dataset {data} is empty" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == [data]
 
 
 class TestGapFromDataset:

@@ -70,6 +70,13 @@ class TestMakeDistribution:
         p = make_distribution([0.4, 0.3, 0.2, 0.1])
         assert [float(x) for x in p.probs] == [0.4, 0.3, 0.2, 0.1]
 
+    def test_caller_array_not_frozen_or_shared(self):
+        a = np.array([0.5, 0.25, 0.25])
+        p = make_distribution(a)
+        assert a.flags.writeable
+        a[0] = 0.0
+        assert [float(x) for x in p.probs] == [0.5, 0.25, 0.25]
+
     def test_errors(self):
         with pytest.raises(EmptyInput):
             make_distribution([])

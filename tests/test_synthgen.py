@@ -153,6 +153,34 @@ class TestDatasetIO:
         expected = make_distribution([0.0, 1.0, 2.0], mode="logits", temperature=2.0)
         assert np.array_equal(rec.dist.probs, expected.probs)
 
+    @pytest.mark.parametrize("record", [
+        '{"id": "b", "probs": ["0.5", "0.5"]}',
+        '{"id": "b", "probs": [true, false]}',
+        '{"id": "b", "probs": [0.5, "0.5"]}',
+        '{"id": "b", "probs": [0.5, null, 0.5]}',
+        '{"id": "b", "probs": [[0.5], [0.5]]}',
+        '{"id": "b", "probs": 1.0}',
+        '{"id": "b", "logits": [true, "2"]}',
+        '{"id": "b", "logits": ["0", "1"]}',
+        '{"id": "b", "logits": [false, 1.0], "temperature": 1.0}',
+        pytest.param('{"id": "b", "logits": [1' + "0" * 400 + ', 0]}',
+                     id="integer-beyond-float-range"),
+    ])
+    def test_non_number_entry_reports_line(self, tmp_path, record):
+        kind = "probs" if '"probs"' in record else "logits"
+        path = tmp_path / "bad.jsonl"
+        path.write_text(f'{{"id": "a", "{kind}": [1, 0]}}\n{record}\n')
+        with pytest.raises(MalformedRecord) as err:
+            read_dataset(path)
+        assert err.value.line_number == 2
+
+    def test_integer_entries_accepted(self, tmp_path):
+        path = tmp_path / "ints.jsonl"
+        path.write_text('{"id": "a", "logits": [0, 1.0, -2]}\n')
+        rec = read_dataset(path)[0]
+        expected = make_distribution([0.0, 1.0, -2.0], mode="logits")
+        assert np.array_equal(rec.dist.probs, expected.probs)
+
     def test_record_without_body_rejected(self, tmp_path):
         path = tmp_path / "empty.jsonl"
         path.write_text('{"id": "a"}\n')

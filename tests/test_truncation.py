@@ -30,13 +30,8 @@ from toph.truncation import (
     TruncationResult,
     _descending_order,
     draw_tokens,
-    eta_truncate,
-    min_p_truncate,
     sample_token,
     select_chunks,
-    top_h_truncate,
-    top_k_truncate,
-    top_p_truncate,
     truncate,
 )
 
@@ -57,7 +52,7 @@ def random_distribution(rng, n):
 class TestTopH:
     def test_peaked_keeps_single_token(self):
         p = make_distribution([0.6, 0.3, 0.1])
-        r = top_h_truncate(p, config(alpha=0.4), collect_trace=True)
+        r = truncate(p, config(alpha=0.4), collect_trace=True)
         assert r.selected == (0,)
         assert r.subset.gamma == 0.6
         assert r.threshold == pytest.approx(0.359178, abs=1e-6)
@@ -68,13 +63,13 @@ class TestTopH:
         assert r.h_q <= r.threshold
 
     def test_uniform_eight(self):
-        r = top_h_truncate(uniform_distribution(8), config(alpha=0.4))
+        r = truncate(uniform_distribution(8), config(alpha=0.4))
         assert r.selected == (0, 1)
         assert r.subset.gamma == pytest.approx(0.25, abs=1e-15)
         assert math.log(2) <= 0.4 * math.log(8) < math.log(3)
 
     def test_one_hot(self):
-        r = top_h_truncate(make_distribution([0.0, 1.0, 0.0]), config(alpha=0.4))
+        r = truncate(make_distribution([0.0, 1.0, 0.0]), config(alpha=0.4))
         assert r.selected == (1,)
         assert r.subset.gamma == 1.0
         assert r.h_q == pytest.approx(0.0, abs=1e-12)
@@ -83,13 +78,13 @@ class TestTopH:
         p = uniform_distribution(4)
         for bad in (0.0, 1.0, -0.2, 1.5):
             with pytest.raises(AlphaOutOfRange):
-                top_h_truncate(p, config(alpha=bad))
+                truncate(p, config(alpha=bad))
 
     def test_selected_is_prefix_of_descending_order(self):
         rng = np.random.default_rng(3)
         for _ in range(200):
             p = random_distribution(rng, int(rng.integers(2, 40)))
-            r = top_h_truncate(p, config(alpha=float(rng.uniform(0.05, 0.95))))
+            r = truncate(p, config(alpha=float(rng.uniform(0.05, 0.95))))
             order = np.lexsort((np.arange(p.n), -p.probs))
             assert r.selected == tuple(int(i) for i in order[: len(r.selected)])
 
@@ -99,7 +94,7 @@ class TestTopH:
             n = int(rng.integers(2, 30))
             p = random_distribution(rng, n)
             alpha = float(rng.uniform(0.05, 0.95))
-            r = top_h_truncate(p, config(alpha=alpha))
+            r = truncate(p, config(alpha=alpha))
             assert len(r.selected) >= 1
             assert r.h_q <= alpha * r.h_p + 1e-9
             if r.h_p > 0:
@@ -109,7 +104,7 @@ class TestTopH:
         rng = np.random.default_rng(5)
         for _ in range(100):
             p = random_distribution(rng, 20)
-            r = top_h_truncate(p, config(alpha=0.8), collect_trace=True)
+            r = truncate(p, config(alpha=0.8), collect_trace=True)
             steps = r.trace
             assert len(steps) == len(r.selected)
             for a, b in zip(steps, steps[1:]):
@@ -129,27 +124,27 @@ class TestTopH:
         # prefix {0, 1} has entropy ln 2, exactly the budget 0.5 ln 4: kept
         cases.append((uniform_distribution(4), 0.5, 100))
         for p, alpha, cap in cases:
-            r = top_h_truncate(p, config(alpha=alpha, candidate_cap=cap))
+            r = truncate(p, config(alpha=alpha, candidate_cap=cap))
             assert r.selected == reference_top_h(p.probs, alpha, cap)
 
     def test_determinism(self):
         p = make_distribution([0.25, 0.25, 0.25, 0.25])
-        a = top_h_truncate(p, config(alpha=0.4))
-        b = top_h_truncate(p, config(alpha=0.4))
+        a = truncate(p, config(alpha=0.4))
+        b = truncate(p, config(alpha=0.4))
         assert a.selected == b.selected
         assert a.subset.gamma == b.subset.gamma
 
     def test_threshold_recomputed_per_call(self):
         sharp = make_distribution([0.9, 0.05, 0.05])
         flat = uniform_distribution(3)
-        r_sharp = top_h_truncate(sharp, config(alpha=0.4))
-        r_flat = top_h_truncate(flat, config(alpha=0.4))
+        r_sharp = truncate(sharp, config(alpha=0.4))
+        r_flat = truncate(flat, config(alpha=0.4))
         assert r_sharp.threshold != r_flat.threshold
         assert r_sharp.threshold == pytest.approx(0.4 * entropy(sharp), abs=1e-12)
 
     def test_candidate_cap_restricts_and_renormalizes(self):
         p = uniform_distribution(10)
-        r = top_h_truncate(p, config(alpha=0.9, candidate_cap=4))
+        r = truncate(p, config(alpha=0.9, candidate_cap=4))
         # working distribution is uniform over 4: budget 0.9 ln4 admits 3 tokens
         assert r.h_p == pytest.approx(math.log(4), abs=1e-12)
         assert set(r.selected) <= {0, 1, 2, 3}
@@ -157,28 +152,28 @@ class TestTopH:
 
 class TestTopK:
     def test_hand_example(self):
-        r = top_k_truncate(make_distribution([0.5, 0.3, 0.2]), config(Method.TOP_K, k=2))
+        r = truncate(make_distribution([0.5, 0.3, 0.2]), config(Method.TOP_K, k=2))
         assert r.selected == (0, 1)
         assert np.allclose(r.subset.q, [0.625, 0.375], atol=1e-12)
 
     def test_k_at_least_n_is_identity(self):
         p = make_distribution([0.5, 0.3, 0.2])
-        r = top_k_truncate(p, config(Method.TOP_K, k=7))
+        r = truncate(p, config(Method.TOP_K, k=7))
         assert r.selected == (0, 1, 2)
         assert np.allclose(r.subset.q, p.probs, atol=1e-12)
 
     def test_tie_break_on_uniform(self):
-        r = top_k_truncate(uniform_distribution(4), config(Method.TOP_K, k=1))
+        r = truncate(uniform_distribution(4), config(Method.TOP_K, k=1))
         assert r.selected == (0,)
 
     def test_zero_k(self):
         with pytest.raises(ZeroK):
-            top_k_truncate(uniform_distribution(3), config(Method.TOP_K, k=0))
+            truncate(uniform_distribution(3), config(Method.TOP_K, k=0))
 
 
 class TestTopP:
     def test_hand_example(self):
-        r = top_p_truncate(
+        r = truncate(
             make_distribution([0.5, 0.3, 0.15, 0.05]),
             config(Method.TOP_P, p_nucleus=0.9),
         )
@@ -186,20 +181,20 @@ class TestTopP:
         assert r.selected == (0, 1, 2)
 
     def test_full_mass(self):
-        r = top_p_truncate(
+        r = truncate(
             make_distribution([0.5, 0.3, 0.2]), config(Method.TOP_P, p_nucleus=1.0)
         )
         assert r.selected == (0, 1, 2)
 
     def test_one_hot(self):
-        r = top_p_truncate(
+        r = truncate(
             make_distribution([0.0, 1.0]), config(Method.TOP_P, p_nucleus=0.9)
         )
         assert r.selected == (1,)
 
     def test_inclusive_boundary(self):
         # cumulative hits the target exactly at the first token
-        r = top_p_truncate(
+        r = truncate(
             make_distribution([0.5, 0.25, 0.25]), config(Method.TOP_P, p_nucleus=0.5)
         )
         assert r.selected == (0,)
@@ -207,12 +202,12 @@ class TestTopP:
     def test_range_errors(self):
         for bad in (0.0, 1.2, -0.5):
             with pytest.raises(NucleusOutOfRange):
-                top_p_truncate(uniform_distribution(3), config(Method.TOP_P, p_nucleus=bad))
+                truncate(uniform_distribution(3), config(Method.TOP_P, p_nucleus=bad))
 
 
 class TestMinP:
     def test_hand_example(self):
-        r = min_p_truncate(
+        r = truncate(
             make_distribution([0.6, 0.25, 0.1, 0.05]),
             config(Method.MIN_P, p_base=0.1),
         )
@@ -223,17 +218,17 @@ class TestMinP:
         assert np.allclose(r.subset.q, [0.631579, 0.263158, 0.105263], atol=1e-6)
 
     def test_uniform_keeps_all(self):
-        r = min_p_truncate(uniform_distribution(6), config(Method.MIN_P, p_base=0.5))
+        r = truncate(uniform_distribution(6), config(Method.MIN_P, p_base=0.5))
         assert r.selected == (0, 1, 2, 3, 4, 5)
 
     def test_one_hot(self):
-        r = min_p_truncate(make_distribution([0.0, 0.0, 1.0]), config(Method.MIN_P, p_base=0.1))
+        r = truncate(make_distribution([0.0, 0.0, 1.0]), config(Method.MIN_P, p_base=0.1))
         assert r.selected == (2,)
 
     def test_boundary_token_kept(self):
         # tokens exactly at the cutoff survive (>= comparison);
         # 0.5 * 0.5 = 0.25 is exact in binary
-        r = min_p_truncate(
+        r = truncate(
             make_distribution([0.5, 0.25, 0.25]), config(Method.MIN_P, p_base=0.5)
         )
         assert r.selected == (0, 1, 2)
@@ -241,7 +236,7 @@ class TestMinP:
     def test_range_errors(self):
         for bad in (0.0, 1.0):
             with pytest.raises(PBaseOutOfRange):
-                min_p_truncate(uniform_distribution(3), config(Method.MIN_P, p_base=bad))
+                truncate(uniform_distribution(3), config(Method.MIN_P, p_base=bad))
 
 
 class TestEta:
@@ -249,30 +244,30 @@ class TestEta:
         p = uniform_distribution(4)
         cutoff = min(0.0002, math.sqrt(0.0002) * math.exp(-entropy(p)))
         assert cutoff == pytest.approx(0.0002, abs=1e-12)
-        r = eta_truncate(p, config(Method.ETA, eta=0.0002))
+        r = truncate(p, config(Method.ETA, eta=0.0002))
         assert r.selected == (0, 1, 2, 3)
 
     def test_one_hot(self):
-        r = eta_truncate(make_distribution([1.0, 0.0]), config(Method.ETA, eta=0.0002))
+        r = truncate(make_distribution([1.0, 0.0]), config(Method.ETA, eta=0.0002))
         assert r.selected == (0,)
 
     def test_near_one_hot_drops_tail(self):
         p = make_distribution([0.9999, 0.0001])
         cutoff = min(0.0002, math.sqrt(0.0002) * math.exp(-entropy(p)))
         assert cutoff > 0.0001  # tail falls below the cutoff
-        r = eta_truncate(p, config(Method.ETA, eta=0.0002))
+        r = truncate(p, config(Method.ETA, eta=0.0002))
         assert r.selected == (0,)
 
     def test_top_token_survives_cutoff(self):
         # max prob below the cutoff: top token must still be selected
         p = uniform_distribution(10000)
-        r = eta_truncate(p, config(Method.ETA, eta=0.5, candidate_cap=10000))
+        r = truncate(p, config(Method.ETA, eta=0.5, candidate_cap=10000))
         assert len(r.selected) >= 1
 
     def test_range_errors(self):
         for bad in (0.0, 1.0):
             with pytest.raises(EtaOutOfRange):
-                eta_truncate(uniform_distribution(3), config(Method.ETA, eta=bad))
+                truncate(uniform_distribution(3), config(Method.ETA, eta=bad))
 
 
 class TestCommonProperties:
@@ -293,12 +288,6 @@ class TestCommonProperties:
             assert len(r.selected) >= 1
             assert float(r.subset.q.sum()) == pytest.approx(1.0, abs=1e-9)
             assert r.subset.gamma > 0
-
-    def test_dispatch_matches_direct_calls(self):
-        p = make_distribution([0.5, 0.3, 0.15, 0.05])
-        assert truncate(p, config(Method.TOP_K, k=2)).selected == top_k_truncate(
-            p, config(Method.TOP_K, k=2)
-        ).selected
 
 
 class TestConfigValidation:
@@ -528,27 +517,27 @@ class TestDescendingOrder:
 class TestSampleToken:
     def test_singleton_always_that_token(self):
         p = make_distribution([0.6, 0.3, 0.1])
-        r = top_h_truncate(p, config(alpha=0.4))
+        r = truncate(p, config(alpha=0.4))
         assert r.selected == (0,)
         assert all(sample_token(r, seed, i) == 0 for seed in (0, 1, 99) for i in range(20))
 
     def test_two_token_frequencies(self):
         p = make_distribution([0.5, 0.5])
-        r = top_k_truncate(p, config(Method.TOP_K, k=2))
+        r = truncate(p, config(Method.TOP_K, k=2))
         counts = Counter(sample_token(r, 42, i) for i in range(10_000))
         for token in (0, 1):
             assert 0.48 <= counts[token] / 10_000 <= 0.52
 
     def test_reproducible(self):
         p = make_distribution([0.4, 0.3, 0.2, 0.1])
-        r = top_k_truncate(p, config(Method.TOP_K, k=4))
+        r = truncate(p, config(Method.TOP_K, k=4))
         first = [sample_token(r, 7, i) for i in range(100)]
         second = [sample_token(r, 7, i) for i in range(100)]
         assert first == second
 
     def test_samples_respect_support(self):
         p = make_distribution([0.6, 0.3, 0.1])
-        r = top_k_truncate(p, config(Method.TOP_K, k=2))
+        r = truncate(p, config(Method.TOP_K, k=2))
         tokens = {sample_token(r, 3, i) for i in range(500)}
         assert tokens <= {0, 1}
 
@@ -573,7 +562,7 @@ def loop_draw(result, u):
 class TestDrawTokens:
     def test_boundary_picks_next_token(self):
         # probs [0.25, 0.5, 0.25] order as tokens 1, 0, 2 with sums 0.5, 0.75, 1
-        r = top_k_truncate(make_distribution([0.25, 0.5, 0.25]), config(Method.TOP_K, k=3))
+        r = truncate(make_distribution([0.25, 0.5, 0.25]), config(Method.TOP_K, k=3))
         assert r.selected == (1, 0, 2)
         u = np.array([0.0, 0.5 - 2**-53, 0.5, 0.75 - 2**-53, 0.75])
         assert draw_tokens(r, u).tolist() == [1, 1, 0, 0, 2]
@@ -595,7 +584,7 @@ class TestDrawTokens:
         assert draw_tokens(r, np.empty(0)).shape == (0,)
 
     def test_sample_token_is_batch_of_one(self):
-        r = top_k_truncate(make_distribution([0.4, 0.3, 0.2, 0.1]), config(Method.TOP_K, k=4))
+        r = truncate(make_distribution([0.4, 0.3, 0.2, 0.1]), config(Method.TOP_K, k=4))
         for seed in (0, 7, 2**40 + 3):
             batch = draw_tokens(r, u01(seed, 0, np.arange(300)))
             assert [sample_token(r, seed, i) for i in range(300)] == batch.tolist()
@@ -625,4 +614,4 @@ class TestScaleInvariance:
             doubled = make_distribution(2.0 * logits, mode="logits", temperature=2.0)
             assert np.array_equal(base.probs, doubled.probs)
             cfg = config(alpha=0.4)
-            assert top_h_truncate(base, cfg).selected == top_h_truncate(doubled, cfg).selected
+            assert truncate(base, cfg).selected == truncate(doubled, cfg).selected
