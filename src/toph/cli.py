@@ -3,8 +3,8 @@
 Exit codes (stable contract for scripting):
     0  success
     1  usage or flag validation error (any out-of-range flag, whatever
-       the method)
-    2  malformed input data (offending line/file reported on stderr)
+       the method), or an ``--output`` path that cannot be written
+    2  malformed or unreadable input data (offending line/file on stderr)
     3  domain precondition failure (e.g. instance too large to decide)
 
 Every command given ``--output`` also writes a sidecar manifest
@@ -13,7 +13,8 @@ configuration, the seed, and the input/output paths: enough to reproduce
 the output byte-for-byte.  Runs that generate their distributions record
 every generator flag; runs that read ``--input`` record none of them.
 Outputs themselves contain no timestamps, so rerunning a command with the
-same manifest reproduces them exactly.
+same manifest reproduces them exactly.  Each file appears whole or not at
+all: a run that fails leaves what was at the path before.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ import json
 import sys
 import time
 from dataclasses import asdict, dataclass
-from pathlib import Path
+from typing import Iterable
 
 import numpy as np
 
@@ -42,7 +43,7 @@ from .oracle import (
     summary_line,
 )
 from .rng import u01
-from .synthgen import SCHEMA_VERSION, GeneratorSpec, generate, read_dataset, write_dataset
+from .synthgen import SCHEMA_VERSION, GeneratorSpec, generate, read_dataset
 from .truncation import Method, SelectionBlock, TruncationConfig, select_chunks
 
 EXIT_OK = 0
@@ -68,45 +69,19 @@ class _Parser(argparse.ArgumentParser):
 
 
 @dataclass(frozen=True)
-class RunManifest:
-    """Everything needed to replay a command byte-for-byte.
-
-    Written as ``<output>.manifest.json`` next to each output file.  The
-    duration is informational; all other fields determine the output.
-    """
-
-    command: str
-    config: dict
-    seed: int | None
-    input: str | None
-    output: str
-    tool_version: str
-    duration_s: float
-    schema_version: int = SCHEMA_VERSION
-
-
-@dataclass(frozen=True)
 class CommandResult:
-    """What a command hands back to ``main``: its manifest fields and exit code."""
+    """What a command hands back to ``main``: manifest fields, exit code and output pieces."""
 
     config: dict
     seed: int | None = None
     input: str | None = None
     code: int = EXIT_OK
+    output: Iterable[str] = ()
 
 
-def _write_manifest(command: str, result: CommandResult, output: str,
-                    started: float) -> None:
-    manifest = RunManifest(
-        command=command,
-        config=result.config,
-        seed=result.seed,
-        input=result.input,
-        output=output,
-        tool_version=__version__,
-        duration_s=round(time.monotonic() - started, 6),
-    )
-    hardness.save_json(asdict(manifest), output + ".manifest.json")
+def _json_text(obj: dict) -> list[str]:
+    """``obj`` as the indented JSON text of a hardness output or a manifest."""
+    return [json.dumps(obj, indent=2), "\n"]
 
 
 def _config(**fields) -> TruncationConfig:
@@ -239,12 +214,13 @@ def _record_blocks(records: list, config: TruncationConfig, with_trace: bool = F
 def cmd_truncate(args) -> CommandResult:
     config = _build_config(args)
     records = _read_input(args.input)
-    with open(args.output, "w", encoding="utf-8") as fh:
-        for start, block in _record_blocks(records, config, args.trace):
-            for r in range(len(block)):
-                record = _truncate_record(records[start + r].id, block, r, config, args.trace)
-                fh.write(json.dumps(record) + "\n")
-    return CommandResult({**_config_dict(config), "trace": args.trace}, input=args.input)
+    lines = (
+        json.dumps(_truncate_record(records[start + r].id, block, r, config, args.trace)) + "\n"
+        for start, block in _record_blocks(records, config, args.trace)
+        for r in range(len(block))
+    )
+    return CommandResult({**_config_dict(config), "trace": args.trace}, input=args.input,
+                         output=lines)
 
 
 def cmd_sample(args) -> CommandResult:
@@ -256,18 +232,12 @@ def cmd_sample(args) -> CommandResult:
     # draw_index = record_index * num_samples + j, so records do not share variates
     u = u01(args.seed, 0, np.arange(len(records) * per_record, dtype=np.uint64))
     u = u.reshape(len(records), per_record)
-    with open(args.output, "w", encoding="utf-8") as fh:
-        for start, block in _record_blocks(records, config):
-            tokens = block.draw(u[start:start + len(block)])
-            for r, row in enumerate(tokens.tolist()):
-                fh.write(json.dumps({
-                    "schema_version": SCHEMA_VERSION,
-                    "id": records[start + r].id,
-                    "method": config.method.value,
-                    "tokens": row,
-                }) + "\n")
+    lines = (json.dumps({"schema_version": SCHEMA_VERSION, "id": records[start + r].id,
+                         "method": config.method.value, "tokens": row}) + "\n"
+             for start, block in _record_blocks(records, config)
+             for r, row in enumerate(block.draw(u[start:start + len(block)]).tolist()))
     return CommandResult({**_config_dict(config), "num_samples": args.num_samples},
-                         seed=args.seed, input=args.input)
+                         seed=args.seed, input=args.input, output=lines)
 
 
 def cmd_gap(args) -> CommandResult:
@@ -286,14 +256,14 @@ def cmd_gap(args) -> CommandResult:
         )
     instances = [EcmmInstance(p=d, alpha=args.alpha) for d in dists]
     report = optimality_gap(instances)
-    Path(args.output).write_text(gap_report_csv(report), encoding="utf-8")
     print(summary_line(report))
     return CommandResult(
         {**_generator_fields(args, "trials"), "alpha": args.alpha,
          "summary": {"mean": report.mean, "variance": report.variance,
                      "min": report.minimum,
                      "count_suboptimal": report.count_suboptimal}},
-        seed=None if args.input else args.seed, input=args.input)
+        seed=None if args.input else args.seed, input=args.input,
+        output=[gap_report_csv(report)])
 
 
 def cmd_sweep(args) -> CommandResult:
@@ -305,7 +275,7 @@ def cmd_sweep(args) -> CommandResult:
         raise UsageError("--alphas is empty")
     configs = [_config(alpha=a, candidate_cap=args.candidate_cap) for a in alphas]
     dists = _distributions(args)
-    lines = ["alpha,mean_selected,mean_gamma,mean_entropy_ratio,count"]
+    lines = ["alpha,mean_selected,mean_gamma,mean_entropy_ratio,count\n"]
     for config in configs:
         sizes, gammas, ratios = [], [], []
         for block in select_chunks(dists, config):
@@ -315,27 +285,27 @@ def cmd_sweep(args) -> CommandResult:
         ratio_mean = float(np.mean(ratios)) if ratios else 0.0
         lines.append(
             f"{config.alpha!r},{float(np.mean(sizes))!r},{float(np.mean(gammas))!r},"
-            f"{ratio_mean!r},{len(dists)}"
+            f"{ratio_mean!r},{len(dists)}\n"
         )
-    Path(args.output).write_text("\n".join(lines) + "\n", encoding="utf-8")
     return CommandResult(
         {**_generator_fields(args, "trials"), "alphas": alphas,
          "candidate_cap": args.candidate_cap},
-        seed=None if args.input else args.seed, input=args.input)
+        seed=None if args.input else args.seed, input=args.input, output=lines)
 
 
 def cmd_generate(args) -> CommandResult:
     if args.count < 1:
         raise UsageError(f"--count must be >= 1, got {args.count}")
-    write_dataset(args.output, _generate(args, args.count))
-    return CommandResult(_generator_fields(args, "count"), seed=args.seed)
+    return CommandResult(_generator_fields(args, "count"), seed=args.seed,
+                         output=synthgen.dataset_lines(_generate(args, args.count)))
 
 
 def _load_instance(path: str, from_json):
     """Read a hardness JSON file and parse it with ``from_json``."""
     try:
-        return from_json(hardness.load_json(path))
-    except (OSError, json.JSONDecodeError) as exc:
+        with open(path, encoding="utf-8") as fh:
+            return from_json(json.load(fh))
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise MalformedRecord(None, f"cannot parse {path}: {exc}") from exc
     except MalformedRecord as exc:
         raise MalformedRecord(None, f"{path}: {exc.reason}") from exc
@@ -345,10 +315,9 @@ def cmd_reduce(args) -> CommandResult:
     instance = _load_instance(args.input, hardness.ccss_from_json)
     prepped = hardness.prepare(instance)
     ecme = hardness.reduce_to_ecme(prepped)
-    hardness.save_json(hardness.ecme_to_json(ecme), args.output)
     c = ecme.constants
     print(f"k={ecme.k} m={ecme.m} lambda={c.lambda_k} boosters={c.booster_count}")
-    return CommandResult({}, input=args.input)
+    return CommandResult({}, input=args.input, output=_json_text(hardness.ecme_to_json(ecme)))
 
 
 def cmd_verify(args) -> CommandResult:
@@ -357,14 +326,13 @@ def cmd_verify(args) -> CommandResult:
     all_ok = all(ok for _, ok, _ in checks)
     for name, ok, detail in checks:
         print(f"{'PASS' if ok else 'FAIL'} {name}: {detail}")
-    if args.output:
-        payload = {
-            "schema_version": SCHEMA_VERSION,
-            "checks": [{"name": n, "ok": ok, "detail": d} for n, ok, d in checks],
-            "all_ok": all_ok,
-        }
-        hardness.save_json(payload, args.output)
-    return CommandResult({}, input=args.input, code=EXIT_OK if all_ok else EXIT_DOMAIN)
+    payload = {
+        "schema_version": SCHEMA_VERSION,
+        "checks": [{"name": n, "ok": ok, "detail": d} for n, ok, d in checks],
+        "all_ok": all_ok,
+    }
+    return CommandResult({}, input=args.input, code=EXIT_OK if all_ok else EXIT_DOMAIN,
+                         output=_json_text(payload))
 
 
 def cmd_decide(args) -> CommandResult:
@@ -375,15 +343,13 @@ def cmd_decide(args) -> CommandResult:
         print(f"witness_heavy={list(decision.witness)}")
         if args.mode == "full":
             print(f"witness_boosters={decision.witness_boosters}")
-    if args.output:
-        payload = {
-            "schema_version": SCHEMA_VERSION,
-            "decision": "YES" if decision.is_yes else "NO",
-            "witness_heavy": list(decision.witness) if decision.witness else None,
-            "witness_boosters": decision.witness_boosters if decision.is_yes else None,
-        }
-        hardness.save_json(payload, args.output)
-    return CommandResult({"mode": args.mode}, input=args.input)
+    payload = {
+        "schema_version": SCHEMA_VERSION,
+        "decision": "YES" if decision.is_yes else "NO",
+        "witness_heavy": list(decision.witness) if decision.witness else None,
+        "witness_boosters": decision.witness_boosters if decision.is_yes else None,
+    }
+    return CommandResult({"mode": args.mode}, input=args.input, output=_json_text(payload))
 
 
 def build_parser() -> _Parser:
@@ -453,14 +419,23 @@ def build_parser() -> _Parser:
     return parser
 
 
+def _write(path: str, pieces: Iterable[str]) -> None:
+    """``synthgen.write_text``; a file that cannot be written is a usage error."""
+    try:
+        synthgen.write_text(path, pieces)
+    except OSError as exc:
+        raise UsageError(f"cannot write {path}: {exc.strerror or exc}") from exc
+
+
 def main(argv: list[str] | None = None) -> int:
     """Run one command and return its exit code.
 
-    Each ``cmd_*`` does its command's work and returns a ``CommandResult``;
-    ``main`` times the run, writes the manifest whenever ``--output`` is
-    given, and maps errors onto the exit codes.  Parameter ranges are
-    checked by ``TruncationConfig`` itself; ``_config`` turns a bad flag
-    value into a usage error.
+    Each ``cmd_*`` does its command's work and returns a ``CommandResult``.
+    Given ``--output``, ``main`` writes the output and then the manifest,
+    whose ``duration_s`` ends once the output is written, and maps errors
+    onto the exit codes: an unwritable output is a usage error, any other
+    ``OSError`` an input error.  ``TruncationConfig`` checks the parameter
+    ranges; ``_config`` turns a bad flag value into a usage error.
     """
     parser = build_parser()
     try:
@@ -471,15 +446,18 @@ def main(argv: list[str] | None = None) -> int:
     try:
         result = args.func(args)
         if args.output:
-            _write_manifest(args.cmd, result, args.output, started)
+            _write(args.output, result.output)
+            manifest = {"command": args.cmd, "config": result.config, "seed": result.seed,
+                        "input": result.input, "output": args.output,
+                        "tool_version": __version__,
+                        "duration_s": round(time.monotonic() - started, 6),
+                        "schema_version": SCHEMA_VERSION}
+            _write(args.output + ".manifest.json", _json_text(manifest))
         return result.code
     except UsageError as exc:
         print(f"toph: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (MalformedRecord, MixedSchema) as exc:
-        print(f"toph: input error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except FileNotFoundError as exc:
+    except (MalformedRecord, MixedSchema, OSError) as exc:
         print(f"toph: input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except TophError as exc:

@@ -52,9 +52,6 @@ class ProbabilityDistribution:
     def n(self) -> int:
         return int(self.probs.shape[0])
 
-    def __len__(self) -> int:
-        return self.n
-
 
 @dataclass(frozen=True)
 class SubsetDistribution:
@@ -72,10 +69,6 @@ class SubsetDistribution:
 
     def __post_init__(self):
         object.__setattr__(self, "q", _frozen(self.q))
-
-    @property
-    def size(self) -> int:
-        return len(self.parent_indices)
 
 
 def make_distribution(

@@ -29,9 +29,7 @@ inside the theta window as long as the deficit is below ~20% of tau.
 
 from __future__ import annotations
 
-import json
 import math
-import os
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
@@ -71,10 +69,8 @@ _C_NUM = Fraction(7333, 10000)    # 0.7333
 _C_DEN = Fraction(133, 1000)      # 0.133
 
 
-def _mpf(x: int | Fraction) -> mp.mpf:
-    if isinstance(x, Fraction):
-        return mp.mpf(x.numerator) / x.denominator
-    return mp.mpf(x)
+def _mpf(x: Fraction) -> mp.mpf:
+    return mp.mpf(x.numerator) / x.denominator
 
 
 @dataclass(frozen=True)
@@ -353,10 +349,24 @@ def verify_instance(instance: EcmeInstance) -> list[tuple[str, bool, str]]:
 
     ``heavy_count`` (m == K) is the precondition of structural ``decide``;
     every ``reduce_to_ecme`` output meets it (see the module docstring).
+    ``exact_fields``: the stored rationals are the ones the weights determine.
     """
     window = verify_budget_window(instance)
     c = instance.constants
     total = sum(instance.heavy_probs) + instance.booster_count * instance.booster_prob
+    # p * W == w, not p == w / W: a hand-written W of 0 divides nothing.  For
+    # K >= 2, B == K**lambda implies lambda <= bit_length(B): no huge power.
+    fields = {
+        "normalizer": c.normalizer == sum(instance.weights) + Fraction(instance.tau, 2),
+        "heavy_probs": len(instance.heavy_probs) == instance.m and all(
+            p * c.normalizer == w for p, w in zip(instance.heavy_probs, instance.weights)),
+        "booster_prob": instance.booster_prob * c.normalizer == c.w_b,
+        "beta": instance.beta * c.normalizer == instance.tau,
+        "booster_count": (instance.booster_count == c.booster_count
+                          and 0 <= c.lambda_k <= c.booster_count.bit_length()
+                          and c.booster_count == instance.k ** c.lambda_k),
+    }
+    wrong = [name for name, ok in fields.items() if not ok]
     return [
         ("budget_window", window.holds,
          f"lower_margin={mp.nstr(window.lower_margin, 8)} "
@@ -370,6 +380,9 @@ def verify_instance(instance: EcmeInstance) -> list[tuple[str, bool, str]]:
         ("booster_block_weight", c.w_b * 2 * instance.booster_count == instance.tau,
          "2 B w_b == tau"),
         ("heavy_count", instance.m == instance.k, f"m={instance.m} K={instance.k}"),
+        ("exact_fields", not wrong,
+         f"wrong: {', '.join(wrong)}" if wrong
+         else "W = sum(w) + tau/2, p_i = w_i/W, p_b = w_b/W, beta = tau/W, B = K**lambda"),
     ]
 
 
@@ -602,14 +615,3 @@ def ecme_from_json(obj: dict) -> EcmeInstance:
             )
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise MalformedRecord(None, f"not a valid ECME object: {exc}") from exc
-
-
-def save_json(obj: dict, path: str | os.PathLike) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(obj, fh, indent=2)
-        fh.write("\n")
-
-
-def load_json(path: str | os.PathLike) -> dict:
-    with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)

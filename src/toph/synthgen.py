@@ -24,7 +24,7 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -126,20 +126,41 @@ class DatasetRecord:
     dist: ProbabilityDistribution
 
 
+def write_text(path: str | os.PathLike, pieces: Iterable[str]) -> None:
+    """Write ``pieces`` to ``path`` whole or not at all, never joining them.
+
+    They go to a new file next to ``path`` (mode as ``open(path, "w")`` would
+    give), which replaces ``path`` once all are written, or is removed on any
+    exception, including one raised while producing a piece.  A symlink at
+    ``path`` stays, and the file it points to is replaced.
+    """
+    path = os.path.realpath(path)
+    tmp = f"{path}.{os.urandom(8).hex()}.tmp"
+    fh = open(tmp, "x", encoding="utf-8")
+    try:
+        with fh:
+            fh.writelines(pieces)
+        os.replace(tmp, path)
+    except BaseException:
+        os.remove(tmp)
+        raise
+
+
+def dataset_lines(dists: Iterable[ProbabilityDistribution],
+                  ids: Sequence[str] | None = None) -> Iterator[str]:
+    """The JSONL lines of a dataset of ``dists``, one at a time."""
+    for i, dist in enumerate(dists):
+        rid = ids[i] if ids is not None else f"d{i:06d}"
+        yield json.dumps({"schema_version": SCHEMA_VERSION, "id": rid,
+                          "probs": [float(x) for x in dist.probs]}) + "\n"
+
+
 def write_dataset(
     path: str | os.PathLike,
     dists: Sequence[ProbabilityDistribution],
     ids: Sequence[str] | None = None,
 ) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for i, dist in enumerate(dists):
-            rid = ids[i] if ids is not None else f"d{i:06d}"
-            record = {
-                "schema_version": SCHEMA_VERSION,
-                "id": rid,
-                "probs": [float(x) for x in dist.probs],
-            }
-            fh.write(json.dumps(record) + "\n")
+    write_text(path, dataset_lines(dists, ids))
 
 
 def _parse_record(obj: dict, line_no: int) -> tuple[str, ProbabilityDistribution, str]:
@@ -174,19 +195,23 @@ def read_dataset(path: str | os.PathLike) -> list[DatasetRecord]:
     records: list[DatasetRecord] = []
     seen_kind: str | None = None
     with open(path, "r", encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise MalformedRecord(line_no, f"invalid JSON: {exc.msg}") from exc
-            rid, dist, kind = _parse_record(obj, line_no)
-            if seen_kind is None:
-                seen_kind = kind
-            elif kind != seen_kind:
-                raise MixedSchema(
-                    f"line {line_no}: '{kind}' record in a '{seen_kind}' file"
-                )
-            records.append(DatasetRecord(id=rid, dist=dist))
+        try:
+            for line_no, line in enumerate(fh, start=1):
+                if not line.strip():
+                    continue
+                try:
+                    obj = json.loads(line)
+                except json.JSONDecodeError as exc:
+                    raise MalformedRecord(line_no, f"invalid JSON: {exc.msg}") from exc
+                rid, dist, kind = _parse_record(obj, line_no)
+                if seen_kind is None:
+                    seen_kind = kind
+                elif kind != seen_kind:
+                    raise MixedSchema(
+                        f"line {line_no}: '{kind}' record in a '{seen_kind}' file"
+                    )
+                records.append(DatasetRecord(id=rid, dist=dist))
+        except UnicodeDecodeError as exc:
+            # the file is decoded a block at a time, so the bad line is unknown
+            raise MalformedRecord(None, f"{path} is not UTF-8 text: {exc.reason}") from exc
     return records

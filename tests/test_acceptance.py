@@ -8,6 +8,7 @@ greedy/optimal mass ratio is 0.91324 (established by the exhaustive
 oracle), short of the 0.99 bar.  Details in the repository notes.
 """
 
+import json
 import math
 import time
 from fractions import Fraction
@@ -31,7 +32,6 @@ from toph.hardness import (
     lambda_exponent,
     prepare,
     reduce_to_ecme,
-    save_json,
     verify_budget_window,
 )
 from toph.oracle import EcmmInstance, optimality_gap
@@ -298,7 +298,7 @@ def test_criterion_10_cli_determinism(tmp_path):
     assert cli_main(["generate", "--family", "dirichlet", "--a", "1.0", "--n", "12",
                      "--count", "30", "--seed", "17", "--output", str(data)]) == 0
     ccss = tmp_path / "ccss.json"
-    save_json(ccss_to_json(CcssInstance((3, 5, 7), 15, 3)), ccss)
+    ccss.write_text(json.dumps(ccss_to_json(CcssInstance((3, 5, 7), 15, 3))))
     ecme = tmp_path / "ecme.json"
     assert cli_main(["reduce", "--input", str(ccss), "--output", str(ecme)]) == 0
 

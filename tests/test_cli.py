@@ -6,9 +6,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from toph import truncation
+from toph import cli, truncation
 from toph.cli import main
-from toph.hardness import CcssInstance, ccss_to_json, save_json
+from toph.errors import TophError
+from toph.hardness import CcssInstance, ccss_to_json
 
 
 @pytest.fixture()
@@ -168,14 +169,19 @@ class TestTruncateCommand:
         assert "line 2" in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize("record", [
-        '{"id": "b", "probs": ["0.5", "0.5"]}',
-        '{"id": "b", "probs": [true, false]}',
-        '{"id": "b", "probs": [0.5, "0.5"]}',
-        '{"id": "b", "logits": [true, "2"]}',
-        '{"id": "b", "logits": [false, true]}',
-        '{"id": "b", "logits": [0.0, "1.0"]}',
-    ])
+    # second records of a two-record file, each with the reason it is refused
+    BAD_RECORDS = {
+        '{"id": "b", "probs": ["0.5", "0.5"]}': "'probs' must be a list of numbers",
+        '{"id": "b", "probs": [true, false]}': "'probs' must be a list of numbers",
+        '{"id": "b", "probs": [0.5, "0.5"]}': "'probs' must be a list of numbers",
+        '{"id": "b", "logits": [true, "2"]}': "'logits' must be a list of numbers",
+        '{"id": "b", "logits": [false, true]}': "'logits' must be a list of numbers",
+        '{"id": "b", "logits": [0.0, "1.0"]}': "'logits' must be a list of numbers",
+        '[1, 2]': "record is not a JSON object",
+        '{"probs": [0.5, 0.5]}': "missing or non-string 'id'",
+    }
+
+    @pytest.mark.parametrize("record", list(BAD_RECORDS))
     def test_non_number_entry_exits_2(self, tmp_path, capsys, record):
         kind = "probs" if '"probs"' in record else "logits"
         bad = tmp_path / "bad.jsonl"
@@ -183,7 +189,7 @@ class TestTruncateCommand:
         out = tmp_path / "x.jsonl"
         rc = main(["truncate", "--input", str(bad), "--output", str(out)])
         assert rc == 2
-        assert "line 2" in capsys.readouterr().err
+        assert f"line 2: {self.BAD_RECORDS[record]}" in capsys.readouterr().err
         assert not out.exists()
 
     def test_missing_input_exits_2(self, tmp_path):
@@ -384,7 +390,7 @@ class TestSweepCommand:
 class TestHardnessCommands:
     def yes_path(self, tmp_path):
         path = tmp_path / "ccss.json"
-        save_json(ccss_to_json(CcssInstance((3, 5, 7), 15, 3)), path)
+        path.write_text(json.dumps(ccss_to_json(CcssInstance((3, 5, 7), 15, 3))))
         return path
 
     def test_reduce_verify_decide_yes(self, tmp_path, capsys):
@@ -411,7 +417,7 @@ class TestHardnessCommands:
 
     def test_decide_no(self, tmp_path, capsys):
         ccss = tmp_path / "no.json"
-        save_json(ccss_to_json(CcssInstance((3, 5, 7), 16, 3)), ccss)
+        ccss.write_text(json.dumps(ccss_to_json(CcssInstance((3, 5, 7), 16, 3))))
         ecme = tmp_path / "ecme.json"
         assert main(["reduce", "--input", str(ccss), "--output", str(ecme)]) == 0
         capsys.readouterr()
@@ -456,8 +462,8 @@ class TestHardnessCommands:
         # m == K == 13 scales to 26 heavy items: structural mode decides it
         # directly, full mode refuses it (26 > 22)
         weights = [str(w) for w in range(10, 23)]
-        save_json({"schema_version": 1, "kind": "ccss", "weights": weights,
-                   "tau": str(sum(range(10, 23))), "k": 13}, ccss)
+        ccss.write_text(json.dumps({"schema_version": 1, "kind": "ccss", "weights": weights,
+                                    "tau": str(sum(range(10, 23))), "k": 13}))
         ecme = tmp_path / "ecme.json"
         assert main(["reduce", "--input", str(ccss), "--output", str(ecme)]) == 0
         capsys.readouterr()
@@ -466,6 +472,30 @@ class TestHardnessCommands:
         rc = main(["decide", "--input", str(ecme), "--mode", "full"])
         assert rc == 3
         assert "full-space limit 22" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("path, value, wrong", [
+        (("beta",), {"num": "1", "den": "2"}, "beta"),
+        (("booster_prob",), {"num": "1", "den": "3"}, "booster_prob"),
+        (("heavy_probs", 0), {"num": "1", "den": "21"}, "heavy_probs"),
+        (("constants", "normalizer"), {"num": "1", "den": "1"},
+         "normalizer, heavy_probs, booster_prob, beta"),
+        (("booster_count",), "7", "booster_count"),
+        (("constants", "lambda_k"), 7, "booster_count"),
+    ], ids=["beta", "booster_prob", "heavy_prob", "normalizer", "booster_count", "lambda"])
+    def test_contradictory_field_fails_exact_fields(self, tmp_path, capsys, path, value, wrong):
+        # each edited file still passes every check the edit leaves alone
+        ecme = tmp_path / "ecme.json"
+        main(["reduce", "--input", str(self.yes_path(tmp_path)), "--output", str(ecme)])
+        obj = json.loads(ecme.read_text())
+        *parents, last = path
+        target = obj
+        for key in parents:
+            target = target[key]
+        target[last] = value
+        ecme.write_text(json.dumps(obj))
+        capsys.readouterr()
+        assert main(["verify", "--input", str(ecme)]) == 3
+        assert f"FAIL exact_fields: wrong: {wrong}\n" in capsys.readouterr().out
 
     def test_hand_written_m_not_k_exits_3(self, tmp_path, capsys):
         ecme = tmp_path / "ecme.json"
@@ -485,7 +515,7 @@ class TestHardnessCommands:
 class TestDeterminism:
     def test_all_writing_commands_rerun_byte_identical(self, tmp_path, dataset):
         ccss = tmp_path / "ccss.json"
-        save_json(ccss_to_json(CcssInstance((3, 5, 7), 15, 3)), ccss)
+        ccss.write_text(json.dumps(ccss_to_json(CcssInstance((3, 5, 7), 15, 3))))
         cases = [
             (["generate", "--family", "gaussian_logits", "--n", "14", "--sigma", "2.0",
               "--count", "25", "--seed", "9"], "g.jsonl"),
@@ -509,7 +539,7 @@ class TestManifests:
     @pytest.fixture()
     def inputs(self, tmp_path, dataset):
         ccss = tmp_path / "ccss.json"
-        save_json(ccss_to_json(CcssInstance((3, 5, 7), 15, 3)), ccss)
+        ccss.write_text(json.dumps(ccss_to_json(CcssInstance((3, 5, 7), 15, 3))))
         ecme = tmp_path / "ecme.json"
         assert main(["reduce", "--input", str(ccss), "--output", str(ecme)]) == 0
         return {"dataset": str(dataset), "ccss": str(ccss), "ecme": str(ecme)}
@@ -533,6 +563,14 @@ class TestManifests:
         manifest = json.loads((tmp_path / "out.manifest.json").read_text())
         assert manifest["command"] == command
         assert manifest["output"] == str(out)
+
+    def test_symlinked_output_is_written_through(self, tmp_path, dataset):
+        target, link = tmp_path / "target.jsonl", tmp_path / "link.jsonl"
+        target.write_text("old\n")
+        link.symlink_to(target)
+        assert main(["truncate", "--input", str(dataset), "--output", str(link)]) == 0
+        assert link.is_symlink()
+        assert read_jsonl(target)[0]["id"] == "peaked"
 
     def test_decide_manifest_records_mode(self, tmp_path, inputs):
         out = tmp_path / "d.json"
@@ -605,6 +643,62 @@ class TestEmptyInput:
         assert rc == 1
         assert f"dataset {data} is empty" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == [data]
+
+
+class TestRefusedRuns:
+    """A refused run exits with its documented code and leaves no file behind."""
+
+    @pytest.mark.parametrize("argv, code, message", [
+        pytest.param(["truncate", "--input", "{data}", "--output", "{tmp}/missing/out"], 1,
+                     "cannot write {tmp}/missing/out: No such file or directory",
+                     id="output-in-missing-directory"),
+        pytest.param(["sweep", "--input", "{data}", "--output", "{tmp}/dir"], 1,
+                     "cannot write {tmp}/dir: Is a directory", id="output-is-a-directory"),
+        *[pytest.param([command, "--input", "{tmp}/dir", "--output", "{tmp}/out"], 2,
+                       "Is a directory: '{tmp}/dir'", id=f"{command}-input-is-a-directory")
+          for command in ("truncate", "sample", "gap", "sweep")],
+        pytest.param(["truncate", "--input", "{tmp}/latin1.jsonl", "--output", "{tmp}/out"], 2,
+                     "{tmp}/latin1.jsonl is not UTF-8 text", id="non-utf8-jsonl"),
+        pytest.param(["reduce", "--input", "{tmp}/latin1.json", "--output", "{tmp}/out"], 2,
+                     "cannot parse {tmp}/latin1.json", id="non-utf8-ccss"),
+        pytest.param(["decide", "--input", "{tmp}/latin1.json", "--output", "{tmp}/out"], 2,
+                     "cannot parse {tmp}/latin1.json", id="non-utf8-ecme"),
+        pytest.param(["sample", "--num-samples", "0", "--input", "{data}",
+                      "--output", "{tmp}/out"], 1, "--num-samples must be >= 1",
+                     id="zero-num-samples"),
+        pytest.param(["generate", "--count", "0", "--output", "{tmp}/out"], 1,
+                     "--count must be >= 1", id="zero-count"),
+        pytest.param(["sweep", "--alphas", "0.2,x", "--input", "{data}", "--output", "{tmp}/out"],
+                     1, "--alphas must be a comma-separated float list", id="non-float-alpha"),
+        pytest.param(["sweep", "--alphas", ",", "--input", "{data}", "--output", "{tmp}/out"],
+                     1, "--alphas is empty", id="no-alpha"),
+    ])
+    def test_exit_code_and_no_file(self, tmp_path, dataset, capsys, argv, code, message):
+        (tmp_path / "dir").mkdir()
+        (tmp_path / "latin1.jsonl").write_bytes(b'{"id": "caf\xe9", "probs": [1.0]}\n')
+        (tmp_path / "latin1.json").write_bytes(b'{"kind": "ecme", "weights": ["\xe9"]}\n')
+        files = sorted(tmp_path.rglob("*"))
+        fields = {"tmp": str(tmp_path), "data": str(dataset)}
+        assert main([a.format(**fields) for a in argv]) == code
+        assert message.format(**fields) in capsys.readouterr().err
+        assert sorted(tmp_path.rglob("*")) == files
+
+    def test_failure_mid_output_keeps_previous_files(self, tmp_path, dataset, monkeypatch):
+        argv = ["truncate", "--input", str(dataset), "--output", str(tmp_path / "out.jsonl")]
+        assert main(argv) == 0
+        before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+        assert "out.jsonl.manifest.json" in before
+        calls = iter(range(1, 100))
+        real = cli._truncate_record
+
+        def third_record_fails(*args):
+            if next(calls) == 3:
+                raise TophError("third record")
+            return real(*args)
+
+        monkeypatch.setattr(cli, "_truncate_record", third_record_fails)
+        assert main(argv) == 3
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
 
 
 class TestGapFromDataset:

@@ -454,7 +454,7 @@ class TestStructuralDecideBeyondTwentyFour:
 
 class TestVerifyInstance:
     NAMES = ["budget_window", "narrow_range", "total_mass_one", "theta_bounds",
-             "booster_block_weight", "heavy_count"]
+             "booster_block_weight", "heavy_count", "exact_fields"]
 
     def test_reduce_outputs_pass_every_check(self, ecme_yes, ecme_no, ecme_spread):
         for inst in (ecme_yes, ecme_no, ecme_spread):
@@ -467,6 +467,21 @@ class TestVerifyInstance:
         checks = {name: ok for name, ok, _ in verify_instance(_with_heavy_count(ecme_yes, 22))}
         assert checks["heavy_count"] is False
         assert checks["budget_window"] and checks["theta_bounds"]
+
+    def test_huge_lambda_is_refused_without_the_power(self, ecme_yes):
+        # K**lambda at lambda = 10**12 would need terabytes; the check must
+        # refuse it from B's bit length before raising K to that power
+        import dataclasses
+
+        class NoPower(int):
+            def __pow__(self, exponent):
+                raise AssertionError(f"computed K**{exponent}")
+
+        huge = dataclasses.replace(
+            ecme_yes, k=NoPower(ecme_yes.k),
+            constants=dataclasses.replace(ecme_yes.constants, lambda_k=10**12))
+        checks = {name: (ok, detail) for name, ok, detail in verify_instance(huge)}
+        assert checks["exact_fields"] == (False, "wrong: booster_count")
 
 
 class TestCardinalityLockInBlocks:
