@@ -20,6 +20,7 @@ all: a run that fails leaves what was at the path before.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -419,6 +420,12 @@ def build_parser() -> _Parser:
     return parser
 
 
+@functools.cache
+def _parser() -> _Parser:
+    """``build_parser()`` once per process; ``parse_args`` does not change it."""
+    return build_parser()
+
+
 def _write(path: str, pieces: Iterable[str]) -> None:
     """``synthgen.write_text``; a file that cannot be written is a usage error."""
     try:
@@ -437,9 +444,8 @@ def main(argv: list[str] | None = None) -> int:
     ``OSError`` an input error.  ``TruncationConfig`` checks the parameter
     ranges; ``_config`` turns a bad flag value into a usage error.
     """
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     started = time.monotonic()

@@ -49,7 +49,7 @@ from .errors import (
     WrongCardinality,
     WrongMass,
 )
-from .oracle import mask_indices, subset_blocks
+from .oracle import BLOCK_BITS, add_high_bits, mask_indices, subset_sums
 from .synthgen import SCHEMA_VERSION
 
 #: Working precision (significant decimal digits) for entropy terms.
@@ -58,8 +58,9 @@ DEFAULT_DPS = 50
 #: ``verify_cardinality_lock`` refuses weight families larger than this.
 MAX_HEAVY_ITEMS = 24
 
-#: Full-space cross-validation walks all 2**m heavy subsets (in blocks, so
-#: memory does not grow with m); capped lower because the time does.
+#: Full-space cross-validation looks up the exact-weight heavy subsets for
+#: each of the 2**(m - BLOCK_BITS) high masks (memory does not grow with m);
+#: capped lower because the time does.
 MAX_FULL_SPACE_ITEMS = 22
 
 # Calibration constants of the booster-count exponent, taken verbatim as
@@ -422,7 +423,8 @@ def verify_cardinality_lock(weights: Sequence[int], tau: int, k: int) -> bool:
     """Exhaustively confirm that booster-free subsets of weight tau have size K.
 
     Works on any narrow-range weight family (not only reduction outputs);
-    2**m subsets are enumerated exactly in int64, block by block.
+    the subsets of weight exactly tau are found by ``_exact_sum_blocks`` in
+    int64, so memory stays O(2**BLOCK_BITS).
     """
     if len(weights) > MAX_HEAVY_ITEMS:
         raise TooManyHeavyItems(
@@ -430,11 +432,49 @@ def verify_cardinality_lock(weights: Sequence[int], tau: int, k: int) -> bool:
         )
     if sum(weights) >= 2**62:
         raise TooManyHeavyItems("weights too large for the vectorized enumerator")
+    if not sum(min(w, 0) for w in weights) <= tau <= sum(max(w, 0) for w in weights):
+        return True  # no subset reaches tau
     columns = (np.asarray(weights, dtype=np.int64), np.ones(len(weights), dtype=np.int64))
-    for _, (sums, sizes) in subset_blocks(columns):
-        if np.any(sizes[sums == tau] != k):
-            return False
-    return True
+    return all(bool(np.all(sizes == k))
+               for _, _, (_, sizes) in _exact_sum_blocks(columns, tau, 1, 1))
+
+
+def _exact_sum_blocks(
+    columns: Sequence[np.ndarray], target: int, step: int, count: int,
+    block_bits: int = BLOCK_BITS,
+) -> Iterator[tuple[int, np.ndarray, tuple[np.ndarray, ...]]]:
+    """The masks whose column-0 sum is ``target - j * step`` for a j in ``range(count)``.
+
+    Meet in the middle: the sums of the low ``block_bits`` items are sorted
+    once by (sum mod step, sum // step).  A high mask of sum s needs low sums
+    congruent to target - s mod step whose quotient lies in a window of
+    ``count`` values, one key range found with two ``searchsorted`` calls.
+    Yields ``(first, lows, sums)`` per high mask with a match, in ascending
+    mask order: the masks are ``first + lows`` (``lows`` ascending) and
+    ``sums[c][i]`` equals ``subset_sums(columns[c])[first + lows[i]]`` bit
+    for bit (``add_high_bits``).  Column 0 is int64 and every target must
+    fit it; memory is O(2**block_bits) per column.
+    """
+    n = columns[0].shape[0]
+    k = min(n, block_bits)
+    low = [subset_sums(c[:k]) for c in columns]
+    quot, rem = np.divmod(low[0], step)
+    base = int(quot.min())
+    span = int(quot.max()) - base + 1
+    # keys < step * span <= (max - min low sum) + step, in int64 under the
+    # callers' 2**62 guards
+    keys = rem * span + (quot - base)
+    order = np.argsort(keys)  # unstable: each match range is sorted below
+    keys = keys[order]
+    hi_quot, hi_rem = np.divmod(target - subset_sums(columns[0][k:]), step)
+    top = hi_quot - base
+    bottom = top - (count - 1)
+    starts = np.searchsorted(keys, hi_rem * span + np.clip(bottom, 0, span - 1), "left")
+    ends = np.searchsorted(keys, hi_rem * span + np.clip(top, 0, span - 1), "right")
+    for high in np.flatnonzero((top >= 0) & (bottom < span) & (ends > starts)).tolist():
+        lows = np.sort(order[starts[high]:ends[high]])
+        yield high << k, lows, tuple(add_high_bits(t[lows], c[k:], high)
+                                     for c, t in zip(columns, low))
 
 
 # --- decision ----------------------------------------------------------------
@@ -442,32 +482,34 @@ def verify_cardinality_lock(weights: Sequence[int], tau: int, k: int) -> bool:
 def _full_space_candidates(instance: EcmeInstance) -> Iterator[int]:
     """Masks of the heavy subsets that pass the float screen, ascending.
 
-    Mass target as weight: subset weight + b * w_b == tau, i.e. the booster
-    count must be b = 2B * deficit / tau, a non-negative integer at most B.
-    Every mass-exact candidate renormalizes over total weight exactly tau,
-    so its entropy is
+    Mass target as weight: subset weight S + b * w_b == tau with
+    w_b = tau / (2B), i.e. the deficit d = tau - S needs a booster count
+    b = 2B d / tau that is an integer in [0, B].  With g = gcd(2B, tau),
+    2B d is a multiple of tau exactly when d is a multiple of tau // g
+    (2B/g and tau/g are coprime), and b <= B means d <= tau / 2 (B >= 1).
+    So the qualifying masks are those of weight tau - j * (tau // g) for
+    0 <= j <= tau // (2 (tau // g)), which ``_exact_sum_blocks`` finds;
+    the empty mask (d = tau) never qualifies.  Every mass-exact candidate
+    renormalizes over total weight exactly tau, so its entropy is
         ln(tau) - (sum_{i in S} w ln w + b * w_b ln(w_b)) / tau.
-    That is screened vectorized in float64 on the valid entries of each
-    block; only candidates within float noise of the budget go on to the
-    high-precision confirmation.  The caller checks both int64 guards.
+    That is screened vectorized in float64, the ``w ln w`` sums added in
+    ascending bit order; only candidates within float noise of the budget
+    go on to the high-precision confirmation.  The caller checks both int64
+    guards.
     """
     tau, big_b = instance.tau, instance.booster_count
     w_b = float(instance.constants.w_b)
     limit = float(instance.budget) + 1e-6
+    step = tau // math.gcd(2 * big_b, tau)
     columns = (
         np.asarray(instance.weights, dtype=np.int64),
         np.asarray([w * math.log(w) for w in instance.weights]),
     )
-    for first, (sums, wlogw) in subset_blocks(columns):
-        deficit = tau - sums
-        pos = np.flatnonzero(deficit >= 0)
-        if first == 0:
-            pos = pos[pos != 0]  # a sampler set cannot be empty
-        scaled = 2 * big_b * deficit[pos]
-        valid = (scaled % tau == 0) & (scaled // tau <= big_b)
-        pos, b_counts = pos[valid], scaled[valid] // tau
-        h_float = math.log(tau) - (wlogw[pos] + b_counts * (w_b * math.log(w_b))) / tau
-        yield from (first + pos[h_float <= limit]).tolist()
+    for first, lows, (sums, wlogw) in _exact_sum_blocks(columns, tau, step,
+                                                         tau // (2 * step) + 1):
+        b_counts = 2 * big_b * (tau - sums) // tau
+        h_float = math.log(tau) - (wlogw + b_counts * (w_b * math.log(w_b))) / tau
+        yield from (first + lows[h_float <= limit]).tolist()
 
 
 def decide_ecme_small(instance: EcmeInstance, mode: str = "structural") -> EcmeDecision:
@@ -479,11 +521,12 @@ def decide_ecme_small(instance: EcmeInstance, mode: str = "structural") -> EcmeD
     ``reduce_to_ecme`` output is, and raises ``WrongCardinality`` otherwise.
     Its one K-subset ``range(m)`` is checked directly (weight == tau, exact
     mass == beta, entropy <= budget at 50 digits) and is the witness.
-    ``full`` mode cross-validates on tiny instances by walking every heavy
-    subset and solving for the booster count that reaches the mass target
-    exactly; its witness is the qualifying subset with the smallest mask
-    (bit i = heavy item i), i.e. the colexicographically first: ``(1,)``
-    (mask 2) comes before ``(0, 5)`` (mask 33).
+    ``full`` mode cross-validates on tiny instances over every heavy subset
+    whose weight leaves a deficit that a whole number of boosters fills
+    exactly (``_full_space_candidates``); its witness is the qualifying
+    subset with the smallest mask (bit i = heavy item i), i.e. the
+    colexicographically first: ``(1,)`` (mask 2) comes before ``(0, 5)``
+    (mask 33).
     """
     if mode == "structural":
         if instance.m != instance.k:
@@ -602,7 +645,7 @@ def ecme_from_json(obj: dict) -> EcmeInstance:
                 w_b=_frac_from_json(cj["w_b"]),
                 normalizer=_frac_from_json(cj["normalizer"]),
             )
-            return EcmeInstance(
+            instance = EcmeInstance(
                 weights=tuple(int(w) for w in obj["weights"]),
                 tau=int(obj["tau"]),
                 k=int(obj["k"]),
@@ -613,5 +656,16 @@ def ecme_from_json(obj: dict) -> EcmeInstance:
                 budget=mp.mpf(obj["budget"]),
                 constants=constants,
             )
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+    except (AttributeError, KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
         raise MalformedRecord(None, f"not a valid ECME object: {exc}") from exc
+    # the deciders take logs of tau, w and w_b and divide by gcd(2B, tau)
+    out_of_range = [name for name, ok in (
+        ("tau", instance.tau >= 1),
+        ("weights", all(w >= 1 for w in instance.weights)),
+        ("booster_count", instance.booster_count >= 1),
+        ("constants.w_b", instance.constants.w_b > 0),
+    ) if not ok]
+    if out_of_range:
+        raise MalformedRecord(None, "not a valid ECME object: "
+                              f"{', '.join(out_of_range)} must be positive")
+    return instance

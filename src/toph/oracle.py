@@ -5,11 +5,15 @@ non-empty subset, so the greedy selector can be scored against the true
 optimum.  The batch harness aggregates the per-instance mass ratio
 greedy/optimal into a plot-ready report.
 
-``subset_blocks`` and ``mask_indices`` are the package's only subset
-enumerator; ``toph.hardness`` imports them for its exhaustive deciders.
-Enumeration runs in blocks of ``2**BLOCK_BITS`` consecutive masks, so it
-holds O(2**BLOCK_BITS) entries per column rather than O(2**n), and every
-block entry is bit-identical to the full ``subset_sums`` table.
+``subset_blocks`` enumerates every mask's mass for ``exact_ecmm`` in
+blocks of ``2**BLOCK_BITS`` consecutive masks, so it holds
+O(2**BLOCK_BITS) entries per column rather than O(2**n), and every block
+entry is bit-identical to the full ``subset_sums`` table.
+``add_high_bits`` turns low-table entries into full-table entries one
+mask at a time, so ``exact_ecmm`` builds entropy sums only for the
+subsets its screen keeps, and ``toph.hardness`` builds its
+meet-in-the-middle lookup of the few masks of an exact weight from
+``subset_sums`` and ``add_high_bits``.
 """
 
 from __future__ import annotations
@@ -34,6 +38,9 @@ RATIO_TIE_EPS = 1e-12
 #: ``subset_blocks`` enumerates 2**BLOCK_BITS masks per block (128 KiB per
 #: float64 or int64 column), small enough to stay in cache.
 BLOCK_BITS = 14
+
+#: Slack of the ``exact_ecmm`` screen over the budget, in nats.
+_SCREEN_MARGIN = 1e-9
 
 
 @dataclass(frozen=True)
@@ -92,8 +99,8 @@ def subset_sums(values: np.ndarray) -> np.ndarray:
 
     Entry ``m`` is the sum over the set bits of ``m`` (bit i = value i),
     added in ascending bit order.  Built by doubling, so the whole table
-    costs O(2**n) arithmetic and O(2**n) memory; ``subset_blocks`` uses it
-    only for the low ``BLOCK_BITS`` items.
+    costs O(2**n) arithmetic and O(2**n) memory; ``subset_blocks`` and the
+    ``toph.hardness`` lookup use it for at most ``BLOCK_BITS`` items.
     """
     n = values.shape[0]
     out = np.zeros(2**n, dtype=values.dtype)
@@ -122,9 +129,20 @@ def subset_blocks(
     for high in range(2 ** (n - k)):
         for c, t, buf in zip(columns, low, bufs):
             np.copyto(buf, t)
-            for i in mask_indices(high):
-                buf += c[k + i]
+            add_high_bits(buf, c[k:], high)
         yield high << k, tuple(bufs)
+
+
+def add_high_bits(buf: np.ndarray, high_values: np.ndarray, high: int) -> np.ndarray:
+    """Add ``high_values[i]`` for each set bit i of ``high`` to ``buf``, in place.
+
+    The bits are added in ascending order, the order the doubling adds
+    them, so entries of the low ``subset_sums`` table become the full-table
+    entries of the masks ``high << k | low`` bit for bit.
+    """
+    for i in mask_indices(high):
+        buf += high_values[i]
+    return buf
 
 
 def mask_indices(mask: int) -> tuple[int, ...]:
@@ -145,8 +163,8 @@ def exact_ecmm(instance: EcmmInstance) -> EcmmSolution:
     Every non-empty subset is scored; ties on mass are broken by smaller
     cardinality, then by the lexicographically smallest index set.  The
     scan keeps an incumbent (the best feasible mass so far), computes the
-    entropy only of subsets with at least that mass, and keeps every
-    feasible subset tied with it.
+    entropy only of subsets with at least that mass that pass the log-free
+    ``_screen_keys`` test, and keeps every feasible subset tied with it.
     """
     n = instance.p.n
     if n > ENUMERATION_LIMIT:
@@ -156,13 +174,17 @@ def exact_ecmm(instance: EcmmInstance) -> EcmmSolution:
     probs = instance.p.probs
     budget = instance.alpha * _entropy_of(probs)
     plp = np.where(probs > 0.0, probs * np.log(np.where(probs > 0.0, probs, 1.0)), 0.0)
+    k = min(n, BLOCK_BITS)
+    low_key, high_key = _screen_keys(probs, plp, budget, k)
+    hsum_low = subset_sums(plp[:k])
     best_mass = 0.0
     tied: list[tuple[np.ndarray, np.ndarray]] = []  # per block: masks, entropies at best_mass
-    for first, (mass, hsum) in subset_blocks((probs, plp)):
+    for first, (mass,) in subset_blocks((probs,), k):
+        high = first >> k
         # the empty set (mass 0) is not a valid sampler output
-        pos = np.flatnonzero((mass >= best_mass) & (mass > 0.0))
+        pos = np.flatnonzero((mass >= best_mass) & (mass > 0.0) & (low_key <= high_key[high]))
         gamma = mass[pos]
-        ent = np.log(gamma) - hsum[pos] / gamma
+        ent = np.log(gamma) - add_high_bits(hsum_low[pos], plp[k:], high) / gamma
         feasible = ent <= budget
         if not feasible.any():
             continue
@@ -178,6 +200,34 @@ def exact_ecmm(instance: EcmmInstance) -> EcmmSolution:
     best = 0 if masks.size == 1 else _first_in_index_order(masks, n)
     return EcmmSolution(indices=mask_indices(int(masks[best])), gamma=float(best_mass),
                         entropy=float(ents[best]))
+
+
+def _screen_keys(probs: np.ndarray, plp: np.ndarray, budget: float,
+                 k: int) -> tuple[np.ndarray, np.ndarray]:
+    """The log-free screen of ``exact_ecmm``, split at item ``k``.
+
+    Returns ``(low_key, high_key)``: the subset ``high << k | low`` can be
+    feasible only if ``low_key[low] <= high_key[high]``; no subset that
+    fails this has entropy ``ln(mass) - hsum / mass <= budget`` in float64.
+
+    Why: ln g >= 1 - 1/g, so a subset of mass g and h = sum p ln p has
+    entropy ln g - h/g >= (g - 1 - h)/g, and H <= budget implies
+    g c - h <= 1 with c = 1 - budget - margin, for any margin >= 0.  With g
+    and h split into their low and high parts this reads
+    g_low c - h_low <= 1 - g_high c + h_high.  The margin covers rounding,
+    both in the float entropy and in the split (float sums of n terms in
+    another grouping).  For g >= 1/2 every error is a few n units in the
+    last place u on quantities of size 1 + budget, below
+    (n + 10) u (1 + budget) (1 + 2 g) < 1e-12 for budget <= ln 20, against
+    margin * g >= 5e-10; no subset of n <= 20 tokens has entropy above
+    ln 20, so a larger budget puts g c - h - 1 below -g (budget - ln 20),
+    which outgrows the error.  For g < 1/2, ln g + 1/g - 1 > 1 - ln 2, so
+    a feasible subset has g c - h - 1 < -0.15 and passes for any margin.
+    """
+    c = 1.0 - (budget + _SCREEN_MARGIN)
+    low_key = subset_sums(probs[:k]) * c - subset_sums(plp[:k])
+    high_key = 1.0 - subset_sums(probs[k:]) * c + subset_sums(plp[k:])
+    return low_key, high_key
 
 
 def _first_in_index_order(masks: np.ndarray, n: int) -> int:

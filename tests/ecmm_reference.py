@@ -2,9 +2,11 @@
 
 These are the enumerations ``toph.oracle.exact_ecmm`` and
 ``toph.hardness.decide_ecme_small(mode="full")`` ran before they moved to
-block-wise enumeration: one complete ``2**n`` table per column from
-``subset_sums``, every entropy computed, then the same tie-break and the
-same 50-digit confirmation.  They trade memory for plainness.
+block-wise enumeration, a log-free screen and a meet-in-the-middle
+lookup: one complete ``2**n`` table per column from ``subset_sums``, every
+entropy and every mask's deficit computed, then the same tie-break and
+the same 50-digit confirmation.  They trade memory and time for
+plainness.
 """
 
 import math
@@ -37,8 +39,8 @@ def reference_exact_ecmm(instance):
     )
 
 
-def reference_decide_full(instance):
-    """Full-space decision on full tables; the witness has the smallest mask."""
+def reference_full_candidates(instance):
+    """Every mask that passes the full-mode float screen, from full tables."""
     big_b = instance.booster_count
     sums = subset_sums(np.asarray(instance.weights, dtype=np.int64))
     deficit = instance.tau - sums
@@ -51,9 +53,14 @@ def reference_decide_full(instance):
     h_float = math.log(instance.tau) - (
         wlogw + b_counts * (w_b * math.log(w_b))
     ) / instance.tau
-    candidates = np.nonzero(valid & (h_float <= float(instance.budget) + 1e-6))[0]
+    return np.nonzero(valid & (h_float <= float(instance.budget) + 1e-6))[0].tolist()
+
+
+def reference_decide_full(instance):
+    """Full-space decision on full tables; the witness has the smallest mask."""
+    big_b = instance.booster_count
     with mp.workdps(DEFAULT_DPS):
-        for mask in sorted(int(m) for m in candidates):
+        for mask in reference_full_candidates(instance):
             subset = mask_indices(mask)
             b = 2 * big_b * (instance.tau - subset_weight(instance, subset)) // instance.tau
             h = mixed_subset_entropy(instance, subset, int(b))

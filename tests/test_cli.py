@@ -393,6 +393,19 @@ class TestHardnessCommands:
         path.write_text(json.dumps(ccss_to_json(CcssInstance((3, 5, 7), 15, 3))))
         return path
 
+    def edited_ecme(self, tmp_path, path, value):
+        """A ``reduce`` output with the field at ``path`` (keys and indices) set to ``value``."""
+        ecme = tmp_path / "ecme.json"
+        main(["reduce", "--input", str(self.yes_path(tmp_path)), "--output", str(ecme)])
+        obj = json.loads(ecme.read_text())
+        *parents, last = path
+        target = obj
+        for key in parents:
+            target = target[key]
+        target[last] = value
+        ecme.write_text(json.dumps(obj))
+        return ecme
+
     def test_reduce_verify_decide_yes(self, tmp_path, capsys):
         ccss = self.yes_path(tmp_path)
         ecme = tmp_path / "ecme.json"
@@ -484,18 +497,31 @@ class TestHardnessCommands:
     ], ids=["beta", "booster_prob", "heavy_prob", "normalizer", "booster_count", "lambda"])
     def test_contradictory_field_fails_exact_fields(self, tmp_path, capsys, path, value, wrong):
         # each edited file still passes every check the edit leaves alone
-        ecme = tmp_path / "ecme.json"
-        main(["reduce", "--input", str(self.yes_path(tmp_path)), "--output", str(ecme)])
-        obj = json.loads(ecme.read_text())
-        *parents, last = path
-        target = obj
-        for key in parents:
-            target = target[key]
-        target[last] = value
-        ecme.write_text(json.dumps(obj))
+        ecme = self.edited_ecme(tmp_path, path, value)
         capsys.readouterr()
         assert main(["verify", "--input", str(ecme)]) == 3
         assert f"FAIL exact_fields: wrong: {wrong}\n" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("path, value", [
+        (("beta",), {"num": "1", "den": "0"}),
+        (("heavy_probs", 0), {"num": "1", "den": "0"}),
+        (("constants", "w_b"), {"num": "1", "den": "0"}),
+        (("tau",), "0"),
+        (("tau",), "-15"),
+        (("weights", 0), "0"),
+        (("booster_count",), "0"),
+        (("constants", "w_b"), {"num": "0", "den": "1"}),
+    ], ids=["beta-den-0", "heavy-prob-den-0", "w_b-den-0", "tau-0", "tau-negative",
+            "weight-0", "booster-count-0", "w_b-0"])
+    @pytest.mark.parametrize("argv", [["decide"], ["decide", "--mode", "full"], ["verify"]],
+                             ids=["decide", "decide-full", "verify"])
+    def test_out_of_range_field_exits_2(self, tmp_path, capsys, path, value, argv):
+        ecme = self.edited_ecme(tmp_path, path, value)
+        capsys.readouterr()
+        assert main([*argv, "--input", str(ecme)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"toph: input error: {ecme}: not a valid ECME object" in captured.err
 
     def test_hand_written_m_not_k_exits_3(self, tmp_path, capsys):
         ecme = tmp_path / "ecme.json"
@@ -510,6 +536,20 @@ class TestHardnessCommands:
         assert "m=22" in err and "K=21" in err and "--mode full" in err
         assert main(["verify", "--input", str(ecme)]) == 3
         assert "FAIL heavy_count: m=22 K=21" in capsys.readouterr().out
+
+
+class TestParser:
+    def test_main_builds_the_parser_once(self, monkeypatch, capsys):
+        built, build = [], cli.build_parser
+        monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or build())
+        cli._parser.cache_clear()
+        try:
+            assert main(["--version"]) == 0
+            assert main(["gap", "--n", "25", "--output", "unused.csv"]) == 1
+        finally:
+            cli._parser.cache_clear()
+        assert built == [1]
+        assert build() is not build()
 
 
 class TestDeterminism:

@@ -41,7 +41,7 @@ from toph.hardness import (
 from toph import hardness, oracle
 from toph.oracle import subset_sums
 
-from ecmm_reference import reference_decide_full
+from ecmm_reference import reference_decide_full, reference_full_candidates
 
 YES = CcssInstance((3, 5, 7), 15, 3)    # 3 + 5 + 7 == 15
 NO = CcssInstance((3, 5, 7), 16, 3)     # no 3-subset reaches 16
@@ -416,6 +416,7 @@ class TestFullModeAgainstFullTables:
         prepared = prepare(ccss)
         assert prepared.m == prepared.k == 20
         ecme = reduce_to_ecme(prepared)
+        assert list(hardness._full_space_candidates(ecme)) == reference_full_candidates(ecme)
         decision = decide_ecme_small(ecme, mode="full")
         assert decision == reference_decide_full(ecme)
         assert decision.is_yes == brute_force_ccss(prepare(ccss))[0]
@@ -434,6 +435,65 @@ class TestFullModeAgainstFullTables:
         decision = decide_ecme_small(shifted, mode="full")
         assert decision.is_yes is is_yes
         assert decision == reference_decide_full(shifted)
+
+
+def _hand_ecme(base, weights, tau, big_b, budget):
+    """``base`` with the fields full mode reads replaced: the weights, tau,
+    the booster count B (and w_b = tau / (2B)) and the budget."""
+    import dataclasses
+
+    with mp.workdps(50):
+        constants = dataclasses.replace(base.constants, booster_count=big_b,
+                                        w_b=Fraction(tau, 2 * big_b))
+        return dataclasses.replace(base, weights=tuple(weights), tau=tau, k=len(weights),
+                                   booster_count=big_b, budget=mp.mpf(budget),
+                                   constants=constants)
+
+
+def _weights(m):
+    return [int(w) for w in np.random.default_rng(m).integers(150, 231, m)]
+
+
+class TestFullModeLookup:
+    """The meet-in-the-middle candidate lookup against a plain all-mask screen."""
+
+    @pytest.mark.parametrize("m,tau,big_b,budget,count", [
+        # gcd(2B, tau) = 1024: a deficit qualifies if it is a multiple of 3
+        # up to tau/2 (9625 masks); the budget decides how many pass
+        (16, 3072, 2**20, "3.5", 0),
+        (16, 3072, 2**20, "5", 49),
+        (16, 3072, 2**20, "7.7", 4848),
+        (16, 3072, 2**20, "9", 9625),
+        # few boosters: deficits 0, 384, ..., 1536 (110 masks); 2.55 admits
+        # the 31 at 1152 (three boosters) and the 76 at 1536 (four)
+        (16, 3072, 4, "2.45", 76),
+        (16, 3072, 4, "2.55", 107),
+        # seven and eight high bits beyond the 14 low ones
+        (21, 4000, 2**20, "6", 461),
+        (22, 4224, 2**20, "6", 611),
+    ])
+    def test_matches_all_mask_screen(self, ecme_spread, m, tau, big_b, budget, count):
+        ecme = _hand_ecme(ecme_spread, _weights(m), tau, big_b, budget)
+        candidates = list(hardness._full_space_candidates(ecme))
+        assert candidates == reference_full_candidates(ecme)
+        assert len(candidates) == count
+        assert decide_ecme_small(ecme, mode="full") == reference_decide_full(ecme)
+
+    def test_booster_witness(self, ecme_spread):
+        # a budget this loose admits subsets that fill their deficit with boosters
+        ecme = _hand_ecme(ecme_spread, _weights(16), 3072, 2**20, "5")
+        decision = decide_ecme_small(ecme, mode="full")
+        assert decision.is_yes and decision.witness_boosters > 0
+        assert decision == reference_decide_full(ecme)
+
+    @pytest.mark.parametrize("k,seed,deficit", [(21, 14, 0), (21, 15, 77), (22, 16, 0)])
+    def test_reduce_outputs_beyond_twenty(self, k, seed, deficit):
+        ecme = reduce_to_ecme(prepare(_m_equals_k(k, seed, deficit)))
+        assert ecme.m == k
+        assert list(hardness._full_space_candidates(ecme)) == reference_full_candidates(ecme)
+        decision = decide_ecme_small(ecme, mode="full")
+        assert decision == reference_decide_full(ecme)
+        assert decision.is_yes is (deficit == 0)
 
 
 class TestStructuralDecideBeyondTwentyFour:
@@ -488,8 +548,8 @@ class TestCardinalityLockInBlocks:
     @pytest.mark.parametrize("block_bits", [2, 5, oracle.BLOCK_BITS])
     def test_matches_full_tables(self, block_bits):
         rng = np.random.default_rng(31)
-        blocks = functools.partial(oracle.subset_blocks, block_bits=block_bits)
-        with mock.patch.object(hardness, "subset_blocks", blocks):
+        blocks = functools.partial(hardness._exact_sum_blocks, block_bits=block_bits)
+        with mock.patch.object(hardness, "_exact_sum_blocks", blocks):
             for trial in range(30):
                 m = int(rng.integers(3, 13))
                 weights = [int(w) for w in rng.integers(1, 12 if trial % 2 else 400, m)]
@@ -499,6 +559,21 @@ class TestCardinalityLockInBlocks:
                 for k in sorted(set(sizes[sums == tau].tolist())):
                     expected = bool(np.all(sizes[sums == tau] == k))
                     assert verify_cardinality_lock(weights, tau, k) is expected
+
+    @pytest.mark.parametrize("weights,tau,k,expected", [
+        # 4 x 15, 3 x 10 + 2 x 15 and 6 x 10 all weigh 60
+        ([10] * 9 + [15] * 9, 60, 5, False),
+        # narrow range for K = 17 around tau = 1700: every hit has 17 items
+        ([95, 106, 100, 97, 104, 99, 101, 103, 96, 102, 98, 105, 100, 99, 101, 97, 103, 100],
+         1700, 17, True),
+    ])
+    def test_eighteen_items_against_full_table(self, weights, tau, k, expected):
+        sums = subset_sums(np.asarray(weights, dtype=np.int64))
+        sizes = subset_sums(np.ones(len(weights), dtype=np.int64))
+        hits = sizes[sums == tau]
+        assert hits.size > 0
+        assert bool(np.all(hits == k)) is expected
+        assert verify_cardinality_lock(weights, tau, k) is expected
 
 
 class TestRandomBatchAgreement:

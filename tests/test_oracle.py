@@ -1,7 +1,6 @@
 """Unit tests for the exhaustive subset oracle and the gap harness."""
 
 import csv
-import functools
 import io
 import itertools
 import math
@@ -13,7 +12,13 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from toph import oracle
-from toph.distributions import entropy, make_distribution, renormalize, uniform_distribution
+from toph.distributions import (
+    _entropy_of,
+    entropy,
+    make_distribution,
+    renormalize,
+    uniform_distribution,
+)
 from toph.errors import VocabularyTooLarge
 from toph.hardness import CcssInstance, decide_ecme_small, reduce_to_ecme, verify_cardinality_lock
 from toph.oracle import (
@@ -95,7 +100,8 @@ class TestSubsetBlocks:
 
 @st.composite
 def ecmm_instances(draw, max_n=16):
-    """A generator-family vector, optionally with exact zeros and equal-mass ties."""
+    """A generator-family vector, optionally with exact zeros, equal-mass ties,
+    denormal entries and one token holding almost all the mass."""
     family = draw(st.sampled_from(FAMILIES))
     n = draw(st.integers(1, max_n))
     spec = GeneratorSpec(
@@ -111,9 +117,14 @@ def ecmm_instances(draw, max_n=16):
         probs[i] = 0.0
     for i, j in draw(st.lists(st.tuples(index, index), max_size=4)):
         probs[j] = probs[i]
+    if draw(st.booleans()):
+        probs[draw(index)] = probs.sum() * draw(st.sampled_from([1e3, 1e9, 1e15]))
+    for i in draw(st.lists(index, max_size=3)):
+        probs[i] = draw(st.sampled_from([5e-324, 1e-320, 2.2e-308]))
     if not probs.any():
         probs[0] = 1.0
-    alpha = draw(st.floats(0.05, 0.95))
+    # alpha 1 makes the whole support feasible at mass 1, where the screen is tightest
+    alpha = draw(st.floats(0.05, 0.95) | st.just(1.0))
     return EcmmInstance(make_distribution(probs / probs.sum()), alpha)
 
 
@@ -132,8 +143,7 @@ class TestExactEcmmAgainstFullTables:
     @example(EcmmInstance(make_distribution(np.array([1, 1, 1, 2, 5, 4, 1]) / 15), 0.7), 3)
     def test_matches_reference_in_small_blocks(self, instance, block_bits):
         # small blocks carry the incumbent and its ties across many blocks
-        blocks = functools.partial(oracle.subset_blocks, block_bits=block_bits)
-        with mock.patch.object(oracle, "subset_blocks", blocks):
+        with mock.patch.object(oracle, "BLOCK_BITS", block_bits):
             assert exact_ecmm(instance) == reference_exact_ecmm(instance)
 
     @pytest.mark.parametrize(
@@ -157,6 +167,36 @@ class TestExactEcmmAgainstFullTables:
         for p in generate(spec, 2):
             instance = EcmmInstance(p, alpha)
             assert exact_ecmm(instance) == reference_exact_ecmm(instance)
+
+
+class TestScreen:
+    """The log-free screen never drops a subset the float entropy keeps."""
+
+    @staticmethod
+    def assert_keeps_every_feasible_subset(instance, k):
+        probs = instance.p.probs
+        budget = instance.alpha * _entropy_of(probs)
+        plp = np.where(probs > 0.0, probs * np.log(np.where(probs > 0.0, probs, 1.0)), 0.0)
+        mass, hsum = subset_sums(probs), subset_sums(plp)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            feasible = (mass > 0.0) & (np.log(mass) - hsum / mass <= budget)
+        low_key, high_key = oracle._screen_keys(probs, plp, budget, k)
+        masks = np.arange(mass.size)
+        passes = low_key[masks & (2**k - 1)] <= high_key[masks >> k]
+        assert np.all(passes[feasible])
+
+    @settings(max_examples=200, deadline=None)
+    @given(ecmm_instances(), st.data())
+    def test_on_full_tables(self, instance, data):
+        k = data.draw(st.integers(0, instance.p.n), label="k")
+        self.assert_keeps_every_feasible_subset(instance, k)
+
+    @pytest.mark.parametrize("family,alpha", [("dirichlet", 0.4), ("zipf", 0.8),
+                                              ("one_hot_mix", 0.1), ("uniform", 0.4),
+                                              ("dirichlet", 1.0), ("gaussian_logits", 1.0)])
+    def test_on_full_tables_at_n20(self, family, alpha):
+        p = generate(GeneratorSpec(family, 20, seed=9), 1)[0]
+        self.assert_keeps_every_feasible_subset(EcmmInstance(p, alpha), BLOCK_BITS)
 
 
 class TestTieBreak:
