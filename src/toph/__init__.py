@@ -9,8 +9,9 @@ The package has five pillars:
   set in descending probability until the renormalized subset's entropy
   would exceed alpha * H(p), plus top-k / top-p / min-p / eta baselines
   and seeded token sampling, picked by ``TruncationConfig.method``:
-  ``truncate`` runs one distribution and ``select_chunks`` many, in one
-  selection pass per chunk of records with equal vocabulary size;
+  ``select_block`` runs one selection pass over a ``(B, n)`` matrix of
+  records with equal vocabulary size, ``truncate`` over one distribution
+  and ``select_chunks`` over a list of them;
 - ``oracle``: exact solutions of the underlying entropy-constrained mass
   maximization by exhaustive subset enumeration, and the greedy-vs-optimal
   gap harness;
@@ -20,7 +21,7 @@ The package has five pillars:
   for the m == K instances the reduction emits, and a full subset search
   for small instances;
 - ``synthgen``: seeded synthetic distribution generators and JSONL
-  dataset I/O.
+  dataset I/O, read as validated ``(B, n)`` blocks.
 
 The ``toph`` console script exposes all of it as reproducible commands.
 """

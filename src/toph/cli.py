@@ -43,9 +43,10 @@ from .oracle import (
     optimality_gap,
     summary_line,
 )
+from .distributions import ProbabilityDistribution
 from .rng import u01
-from .synthgen import SCHEMA_VERSION, GeneratorSpec, generate, read_dataset
-from .truncation import Method, SelectionBlock, TruncationConfig, select_chunks
+from .synthgen import SCHEMA_VERSION, DatasetBlock, GeneratorSpec, generate, read_dataset
+from .truncation import Method, SelectionBlock, TruncationConfig, chunk_rows, select_block
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -178,6 +179,7 @@ def _truncate_record(rid: str, block: SelectionBlock, r: int, config: Truncation
         "threshold": block.threshold[r],
     }
     if with_trace:
+        record["h_p_full"] = block.h_p_full[r]
         record["stop_reason"] = block.stop_reason[r]
         record["dropped_mass"] = block.dropped_mass[r]
         record["trace"] = [
@@ -187,37 +189,34 @@ def _truncate_record(rid: str, block: SelectionBlock, r: int, config: Truncation
     return record
 
 
-def _read_input(path: str) -> list:
-    """The records of an ``--input`` dataset; a file with none is a usage error."""
-    records = read_dataset(path)
-    if not records:
+def _read_input(path: str) -> list[DatasetBlock]:
+    """The blocks of an ``--input`` dataset; a file with none is a usage error."""
+    blocks = read_dataset(path)
+    if not blocks:
         raise UsageError(f"dataset {path} is empty")
-    return records
+    return blocks
 
 
-def _distributions(args) -> list:
-    """The ``--input`` dataset, or ``--trials`` generated distributions."""
-    if args.input:
-        return [rec.dist for rec in _read_input(args.input)]
+def _generated(args) -> list[ProbabilityDistribution]:
+    """``--trials`` distributions from the family flags."""
     if args.trials < 1:
         raise UsageError(f"--trials must be >= 1, got {args.trials}")
     return _generate(args, args.trials)
 
 
-def _record_blocks(records: list, config: TruncationConfig, with_trace: bool = False):
-    """(index of the chunk's first record, selection block), chunk by chunk."""
+def _selections(blocks: list[DatasetBlock], config: TruncationConfig, with_trace: bool = False):
+    """(index of the block's first record, dataset block, its selections), block by block."""
     start = 0
-    for block in select_chunks([rec.dist for rec in records], config, with_trace):
-        yield start, block
+    for block in blocks:
+        yield start, block, select_block(block.probs, config, with_trace)
         start += len(block)
 
 
 def cmd_truncate(args) -> CommandResult:
     config = _build_config(args)
-    records = _read_input(args.input)
     lines = (
-        json.dumps(_truncate_record(records[start + r].id, block, r, config, args.trace)) + "\n"
-        for start, block in _record_blocks(records, config, args.trace)
+        json.dumps(_truncate_record(block.ids[r], selection, r, config, args.trace)) + "\n"
+        for _, block, selection in _selections(_read_input(args.input), config, args.trace)
         for r in range(len(block))
     )
     return CommandResult({**_config_dict(config), "trace": args.trace}, input=args.input,
@@ -228,15 +227,17 @@ def cmd_sample(args) -> CommandResult:
     config = _build_config(args)
     if args.num_samples < 1:
         raise UsageError(f"--num-samples must be >= 1, got {args.num_samples}")
-    records = _read_input(args.input)
+    blocks = _read_input(args.input)
+    records = sum(map(len, blocks))
     per_record = args.num_samples
     # draw_index = record_index * num_samples + j, so records do not share variates
-    u = u01(args.seed, 0, np.arange(len(records) * per_record, dtype=np.uint64))
-    u = u.reshape(len(records), per_record)
-    lines = (json.dumps({"schema_version": SCHEMA_VERSION, "id": records[start + r].id,
+    u = u01(args.seed, 0, np.arange(records * per_record, dtype=np.uint64))
+    u = u.reshape(records, per_record)
+    lines = (json.dumps({"schema_version": SCHEMA_VERSION, "id": rid,
                          "method": config.method.value, "tokens": row}) + "\n"
-             for start, block in _record_blocks(records, config)
-             for r, row in enumerate(block.draw(u[start:start + len(block)]).tolist()))
+             for start, block, selection in _selections(blocks, config)
+             for rid, row in zip(block.ids,
+                                 selection.draw(u[start:start + len(block)]).tolist()))
     return CommandResult({**_config_dict(config), "num_samples": args.num_samples},
                          seed=args.seed, input=args.input, output=lines)
 
@@ -248,7 +249,12 @@ def cmd_gap(args) -> CommandResult:
             f"--n {args.n} exceeds the exhaustive-enumeration limit of "
             f"{ENUMERATION_LIMIT}; the oracle walks all 2**n subsets"
         )
-    dists = _distributions(args)
+    if args.input:
+        # no-copy views of the validated rows
+        dists = [ProbabilityDistribution(row) for block in _read_input(args.input)
+                 for row in block.probs]
+    else:
+        dists = _generated(args)
     too_big = max(d.n for d in dists)
     if too_big > ENUMERATION_LIMIT:
         raise UsageError(
@@ -275,18 +281,26 @@ def cmd_sweep(args) -> CommandResult:
     if not alphas:
         raise UsageError("--alphas is empty")
     configs = [_config(alpha=a, candidate_cap=args.candidate_cap) for a in alphas]
-    dists = _distributions(args)
+    if args.input:
+        matrices = [block.probs for block in _read_input(args.input)]
+    else:
+        dists = _generated(args)
+        rows = chunk_rows(args.n)
+        matrices = [np.stack([d.probs for d in dists[i:i + rows]])
+                    for i in range(0, len(dists), rows)]
+    count = sum(len(probs) for probs in matrices)
     lines = ["alpha,mean_selected,mean_gamma,mean_entropy_ratio,count\n"]
     for config in configs:
         sizes, gammas, ratios = [], [], []
-        for block in select_chunks(dists, config):
+        for probs in matrices:
+            block = select_block(probs, config)
             sizes += block.counts
             gammas += block.gamma
             ratios += [h_q / h_p for h_q, h_p in zip(block.h_q, block.h_p) if h_p > 0.0]
         ratio_mean = float(np.mean(ratios)) if ratios else 0.0
         lines.append(
             f"{config.alpha!r},{float(np.mean(sizes))!r},{float(np.mean(gammas))!r},"
-            f"{ratio_mean!r},{len(dists)}\n"
+            f"{ratio_mean!r},{count}\n"
         )
     return CommandResult(
         {**_generator_fields(args, "trials"), "alphas": alphas,

@@ -71,6 +71,83 @@ class SubsetDistribution:
         object.__setattr__(self, "q", _frozen(self.q))
 
 
+def validate_block(
+    values: np.ndarray,
+    mode: str = "probs",
+    temperatures: Sequence[float] | None = None,
+) -> np.ndarray:
+    """Validate a ``(B, n)`` block of rows at once; return them as read-only probabilities.
+
+    ``mode="probs"``: each row must be non-negative with a finite sum
+    within ``INPUT_MASS_TOLERANCE`` of 1.  A row off by more than
+    ``MASS_TOLERANCE`` is divided by its sum; the others keep their bits.
+    ``mode="logits"``: row ``r`` becomes softmax(values[r] /
+    temperatures[r]) (temperature 1 when none are given), max-shifted for
+    stability; a temperature must be > 0 and finite, and a ``-inf`` logit
+    gives probability 0.  The checks are reductions over the whole block.
+
+    ``values`` is a float64 array the caller hands over; it may be
+    overwritten.  The first bad row raises its typed error (``EmptyInput``,
+    ``NegativeProbability``, ``NonFiniteValue``,
+    ``NormalizationOutOfTolerance`` or ``NonPositiveTemperature``) with the
+    row's index in the error's ``row`` attribute.  ``NonFiniteValue``
+    covers a NaN or +inf entry, all logits ``-inf``, a logit that overflows
+    once divided by its temperature, and a temperature of +inf.
+    """
+    if values.shape[1] == 0:
+        raise _row_error(EmptyInput("need a non-empty 1-d vector"), 0)
+    if mode == "probs":
+        total = values.sum(axis=1)
+        drift = np.abs(total - 1.0)
+        negative = (values < 0.0).any(axis=1)
+        bad = negative | ~(drift <= INPUT_MASS_TOLERANCE)
+        if bad.any():
+            r = int(bad.argmax())
+            t = float(total[r])
+            if negative[r]:
+                error = NegativeProbability("probabilities must be non-negative")
+            elif not math.isfinite(t):
+                error = NonFiniteValue(f"probabilities must be finite, got sum {t!r}")
+            else:
+                error = NormalizationOutOfTolerance(
+                    f"mass {t!r} deviates from 1 by more than {INPUT_MASS_TOLERANCE}")
+            raise _row_error(error, r)
+        cut = drift > MASS_TOLERANCE
+        if cut.any():
+            values[cut] /= total[cut, None]
+        return _frozen(values)
+    if mode == "logits":
+        temps = np.ones(values.shape[0]) if temperatures is None else \
+            np.asarray(temperatures, dtype=np.float64)
+        # a bad temperature, overflow and inf - inf surface below as bad rows
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            scaled = values / temps[:, None]
+            scaled -= scaled.max(axis=1, keepdims=True)
+            np.exp(scaled, out=scaled)
+        normalizer = scaled.sum(axis=1)
+        bad = ~(temps > 0.0) | ~np.isfinite(temps) | ~np.isfinite(normalizer)
+        if bad.any():
+            r = int(bad.argmax())
+            t, z = float(temps[r]), float(normalizer[r])
+            if not t > 0.0:
+                error = NonPositiveTemperature(f"temperature must be > 0, got {t!r}")
+            elif not math.isfinite(t):
+                error = NonFiniteValue(f"temperature must be finite, got {t!r}")
+            else:
+                error = NonFiniteValue(
+                    f"softmax normalizer is {z!r}; logits / temperature "
+                    "must be finite and not all -inf")
+            raise _row_error(error, r)
+        scaled /= normalizer[:, None]
+        return _frozen(scaled)
+    raise ValueError(f"unknown mode {mode!r}; expected 'probs' or 'logits'")
+
+
+def _row_error(error: ValueError, row: int) -> ValueError:
+    error.row = row
+    return error
+
+
 def make_distribution(
     values: Sequence[float],
     mode: str = "probs",
@@ -78,51 +155,14 @@ def make_distribution(
 ) -> ProbabilityDistribution:
     """Build a distribution from raw probabilities or from logits.
 
-    ``mode="probs"``: entries must be non-negative and sum to 1 within
-    ``INPUT_MASS_TOLERANCE``; the vector is renormalized exactly.
-    ``mode="logits"``: returns softmax(values / temperature), computed with
-    the usual max-shift for stability; ``temperature`` must be positive and
-    is ignored in probs mode.  A ``-inf`` logit gives probability 0.
-
-    Raises ``NonFiniteValue`` when the probability sum or the softmax
-    normalizer is not finite: a NaN or +inf entry, every logit ``-inf``,
-    or a logit that overflows once divided by the temperature.
-
-    ``values`` is copied: the caller's array stays writeable and unshared.
+    ``validate_block`` on a block of one row: the same checks, errors and
+    bits.  ``temperature`` is ignored in probs mode.  ``values`` is copied:
+    the caller's array stays writeable and unshared.
     """
     arr = np.array(values, dtype=np.float64)
-    if arr.ndim != 1 or arr.size == 0:
+    if arr.ndim != 1:
         raise EmptyInput("need a non-empty 1-d vector")
-    if mode == "probs":
-        if np.any(arr < 0.0):
-            raise NegativeProbability("probabilities must be non-negative")
-        total = float(arr.sum())
-        if not math.isfinite(total):
-            raise NonFiniteValue(f"probabilities must be finite, got sum {total!r}")
-        if abs(total - 1.0) > INPUT_MASS_TOLERANCE:
-            raise NormalizationOutOfTolerance(
-                f"mass {total!r} deviates from 1 by more than {INPUT_MASS_TOLERANCE}"
-            )
-        if abs(total - 1.0) <= MASS_TOLERANCE:
-            # already compliant: keep entries bit-exact
-            return ProbabilityDistribution(arr)
-        return ProbabilityDistribution(arr / total)
-    if mode == "logits":
-        if not temperature > 0.0:
-            raise NonPositiveTemperature(f"temperature must be > 0, got {temperature!r}")
-        # overflow and inf - inf surface below as a non-finite normalizer
-        with np.errstate(over="ignore", invalid="ignore"):
-            scaled = arr / temperature
-            scaled = scaled - scaled.max()
-            ex = np.exp(scaled)
-        normalizer = float(ex.sum())
-        if not math.isfinite(normalizer):
-            raise NonFiniteValue(
-                f"softmax normalizer is {normalizer!r}; logits / temperature "
-                "must be finite and not all -inf"
-            )
-        return ProbabilityDistribution(ex / normalizer)
-    raise ValueError(f"unknown mode {mode!r}; expected 'probs' or 'logits'")
+    return ProbabilityDistribution(validate_block(arr[None, :], mode, [temperature])[0])
 
 
 def uniform_distribution(n: int) -> ProbabilityDistribution:

@@ -28,9 +28,10 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .distributions import ProbabilityDistribution, make_distribution
-from .errors import InvalidParameters, MalformedRecord, MixedSchema
+from .distributions import ProbabilityDistribution, make_distribution, validate_block
+from .errors import InvalidParameters, MalformedRecord, MixedSchema, TophError
 from .rng import Stream
+from .truncation import chunk_rows
 
 FAMILIES = ("zipf", "dirichlet", "gaussian_logits", "one_hot_mix", "uniform")
 
@@ -38,6 +39,8 @@ SCHEMA_VERSION = 1
 
 #: The Python types ``json`` gives a JSON number; ``bool`` is not one of them.
 _NUMBER_TYPES = {int, float}
+#: All-float lists, the common case, pass ``_FLOAT.issuperset`` without a set built.
+_FLOAT = {float}
 
 
 @dataclass(frozen=True)
@@ -121,9 +124,18 @@ def generate(spec: GeneratorSpec, count: int) -> list[ProbabilityDistribution]:
 
 
 @dataclass(frozen=True)
-class DatasetRecord:
-    id: str
-    dist: ProbabilityDistribution
+class DatasetBlock:
+    """Consecutive dataset records of one vocabulary size: ``ids[r]`` names row ``r``.
+
+    ``probs`` is a read-only ``(B, n)`` float64 matrix of validated
+    probability rows (logits records arrive as their softmax).
+    """
+
+    ids: list[str]
+    probs: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.ids)
 
 
 def write_text(path: str | os.PathLike, pieces: Iterable[str]) -> None:
@@ -163,7 +175,12 @@ def write_dataset(
     write_text(path, dataset_lines(dists, ids))
 
 
-def _parse_record(obj: dict, line_no: int) -> tuple[str, ProbabilityDistribution, str]:
+def _parse_record(line: str, line_no: int) -> tuple[str, str, list, float]:
+    """(id, kind, values, temperature) of one line, each entry's type checked."""
+    try:
+        obj = json.loads(line)
+    except json.JSONDecodeError as exc:
+        raise MalformedRecord(line_no, f"invalid JSON: {exc.msg}") from exc
     if not isinstance(obj, dict):
         raise MalformedRecord(line_no, "record is not a JSON object")
     rid = obj.get("id")
@@ -177,41 +194,74 @@ def _parse_record(obj: dict, line_no: int) -> tuple[str, ProbabilityDistribution
     values = obj[kind]
     temperature = obj.get("temperature", 1.0) if has_logits else 1.0
     # exact types: a JSON boolean is an int to isinstance, and numpy would
-    # turn a string or a boolean into a float
-    if not isinstance(values, list) or not set(map(type, values)) <= _NUMBER_TYPES:
+    # turn a string, a boolean or a null into a float
+    floats = isinstance(values, list) and _FLOAT.issuperset(map(type, values))
+    if not floats and not (isinstance(values, list) and set(map(type, values)) <= _NUMBER_TYPES):
         raise MalformedRecord(line_no, f"'{kind}' must be a list of numbers")
     if type(temperature) not in _NUMBER_TYPES:
         raise MalformedRecord(line_no, "'temperature' must be a number")
     try:
-        dist = make_distribution(values, mode=kind, temperature=float(temperature))
-    except (ValueError, OverflowError) as exc:
-        # OverflowError: a JSON integer beyond the float range
+        temperature = float(temperature)
+        if not floats:
+            values = np.array(values, dtype=np.float64)
+    except OverflowError as exc:
+        # a JSON integer beyond the float range, refused on its own line
         raise MalformedRecord(line_no, str(exc)) from exc
-    return rid, dist, kind
+    return rid, kind, values, temperature
 
 
-def read_dataset(path: str | os.PathLike) -> list[DatasetRecord]:
-    """Parse a JSONL dataset; malformed lines are reported by number."""
-    records: list[DatasetRecord] = []
-    seen_kind: str | None = None
+def _validated(kind: str, lines, rows, temperatures) -> np.ndarray:
+    """``validate_block`` on ``rows``; a bad row is a ``MalformedRecord`` on its line."""
+    try:
+        return validate_block(np.array(rows, dtype=np.float64), kind, temperatures)
+    except TophError as exc:
+        raise MalformedRecord(lines[exc.row], str(exc)) from exc
+
+
+def read_dataset(path: str | os.PathLike) -> list[DatasetBlock]:
+    """Parse a JSONL dataset into validated blocks; malformed lines are reported by number.
+
+    Each block is a run of consecutive records with equal vocabulary size,
+    at most ``chunk_rows(n)`` of them, validated as soon as it is full: a
+    large vocabulary goes one record at a time, and its parsed list is
+    freed at once.  An error names the earliest bad line, whichever block
+    it is in: any error first validates the records read before it.
+    """
+    blocks: list[DatasetBlock] = []
+    run: list[tuple] = []  # (line number, id, values, temperature) not yet in a block
+    kind = None
+
+    def flush():
+        if run:
+            lines, ids, rows, temperatures = zip(*run)
+            run.clear()
+            blocks.append(DatasetBlock(list(ids), _validated(kind, lines, rows, temperatures)))
+
     with open(path, "r", encoding="utf-8") as fh:
         try:
             for line_no, line in enumerate(fh, start=1):
                 if not line.strip():
                     continue
                 try:
-                    obj = json.loads(line)
-                except json.JSONDecodeError as exc:
-                    raise MalformedRecord(line_no, f"invalid JSON: {exc.msg}") from exc
-                rid, dist, kind = _parse_record(obj, line_no)
-                if seen_kind is None:
-                    seen_kind = kind
-                elif kind != seen_kind:
-                    raise MixedSchema(
-                        f"line {line_no}: '{kind}' record in a '{seen_kind}' file"
-                    )
-                records.append(DatasetRecord(id=rid, dist=dist))
+                    rid, record_kind, values, temperature = _parse_record(line, line_no)
+                    if kind is None:
+                        kind = record_kind
+                    elif record_kind != kind:
+                        # the record's own values are refused before the switch
+                        _validated(record_kind, [line_no], [values], [temperature])
+                        raise MixedSchema(
+                            f"line {line_no}: '{record_kind}' record in a '{kind}' file")
+                except (MalformedRecord, MixedSchema):
+                    flush()
+                    raise
+                if run and len(values) != len(run[0][2]):
+                    flush()
+                run.append((line_no, rid, values, temperature))
+                if len(run) >= chunk_rows(len(values)):
+                    flush()
+            flush()
         except UnicodeDecodeError as exc:
+            flush()
             # the file is decoded a block at a time, so the bad line is unknown
             raise MalformedRecord(None, f"{path} is not UTF-8 text: {exc.reason}") from exc
-    return records
+    return blocks

@@ -6,15 +6,16 @@ the ``candidate_cap`` most probable tokens and renormalized, and the method
 then picks a prefix or threshold set of that order.  Entropies reported in
 the result refer to the capped, renormalized working distribution.
 
-All five methods run through one selection pass over a chunk of records
-with equal vocabulary size ``n``: one stable sort orders every row, the
-capped rows are gathered into one ``(B, c)`` work matrix and renormalized
-together, and each method's count rule picks every row's prefix.  A chunk
-holds at most ``max(1, CHUNK_ELEMENTS // n)`` records, so large
-vocabularies go one record at a time.  ``select_chunks`` cuts a list of
-distributions into such chunks and ``truncate`` is a chunk of one; both
-run ``config.method``.  Every per-row figure equals the one the record
-gets on its own.
+All five methods run through one selection pass, ``select_block``, over a
+``(B, n)`` matrix of probability rows: one stable sort orders every row,
+the capped rows are gathered into one ``(B, c)`` work matrix and
+renormalized together, and each method's count rule picks every row's
+prefix.  A chunk holds at most ``chunk_rows(n)`` records, so large
+vocabularies go one record at a time; the dataset reader cuts its blocks
+by the same rule.  ``select_chunks`` stacks a list of distributions into
+such chunks and ``truncate`` is a chunk of one; all three run
+``config.method``.  Every per-row figure equals the one the record gets on
+its own.
 
 ``TruncationConfig`` validates every parameter range when it is built,
 whatever the method, so the selection pass takes its parameters as given.
@@ -42,6 +43,7 @@ from __future__ import annotations
 
 import enum
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
@@ -63,8 +65,8 @@ from .errors import (
 from .rng import u01
 
 #: Element budget of one selection chunk: a chunk of records with ``n``
-#: tokens each holds at most ``max(1, CHUNK_ELEMENTS // n)`` of them, so
-#: the chunk's arrays stay small and a large vocabulary is never stacked.
+#: tokens each holds at most ``chunk_rows(n)`` of them, so the chunk's
+#: arrays stay small and a large vocabulary is never stacked.
 CHUNK_ELEMENTS = 2**14
 
 #: Why the top-H scan ended: the next token would have pushed the entropy
@@ -72,6 +74,14 @@ CHUNK_ELEMENTS = 2**14
 STOP_BUDGET = "budget"
 STOP_ZERO_TAIL = "zero_tail"
 STOP_CAP_EXHAUSTED = "cap_exhausted"
+
+
+def chunk_rows(n: int) -> int:
+    """The most records of ``n`` tokens one chunk holds: 163 at n = 100, one at 32k.
+
+    An empty record (``n = 0``, refused by validation) counts as one token.
+    """
+    return max(1, CHUNK_ELEMENTS // max(n, 1))
 
 
 class Method(str, enum.Enum):
@@ -89,7 +99,9 @@ class TruncationConfig:
     Every field is validated at construction, whatever the method, and an
     out-of-range value raises its typed error: alpha in (0, 1), k >= 1,
     p_nucleus in (0, 1], p_base in (0, 1), eta in (0, 1) and
-    candidate_cap >= 1.  Defaults follow the common experimental settings:
+    candidate_cap >= 1.  ``k`` and ``candidate_cap`` must be integers and
+    the other four real numbers; a boolean is neither, and raises the
+    field's error too.  Defaults follow the common experimental settings:
     alpha 0.4, k 20, nucleus mass 0.9, base threshold 0.1, eta 2e-4,
     candidate cap 100.
     """
@@ -103,6 +115,10 @@ class TruncationConfig:
     candidate_cap: int = 100
 
     def __post_init__(self):
+        for name, kind, noun, error in _FIELD_TYPES:
+            value = getattr(self, name)
+            if not isinstance(value, kind) or isinstance(value, (bool, np.bool_)):
+                raise error(f"{name} must be {noun}, got {value!r}")
         if not 0.0 < self.alpha < 1.0:
             raise AlphaOutOfRange(f"alpha must be in (0, 1), got {self.alpha!r}")
         if self.k < 1:
@@ -115,6 +131,17 @@ class TruncationConfig:
             raise EtaOutOfRange(f"eta must be in (0, 1), got {self.eta!r}")
         if self.candidate_cap < 1:
             raise ZeroK(f"candidate_cap must be >= 1, got {self.candidate_cap}")
+
+
+#: (field, number type, its name, the field's error) for every numeric field.
+_FIELD_TYPES = (
+    ("alpha", numbers.Real, "a real number", AlphaOutOfRange),
+    ("k", numbers.Integral, "an integer", ZeroK),
+    ("p_nucleus", numbers.Real, "a real number", NucleusOutOfRange),
+    ("p_base", numbers.Real, "a real number", PBaseOutOfRange),
+    ("eta", numbers.Real, "a real number", EtaOutOfRange),
+    ("candidate_cap", numbers.Integral, "an integer", ZeroK),
+)
 
 
 @dataclass(frozen=True)
@@ -151,8 +178,9 @@ class SelectionBlock:
     working (capped, renormalized) probabilities are the same entries of
     ``work[r]``.  ``stop_reason`` says why the top-H scan ended (None for
     the other methods); ``dropped_mass`` (the input mass of the tokens the
-    candidate cap cut) and ``trace`` are filled only when a trace was asked
-    for.
+    candidate cap cut), ``h_p_full`` (the entropy of the uncapped input row,
+    which is ``h_p`` when the cap covers the vocabulary) and ``trace`` are
+    filled only when a trace was asked for.
     """
 
     n: int
@@ -165,6 +193,7 @@ class SelectionBlock:
     threshold: list[float | None]
     stop_reason: list[str | None]
     dropped_mass: list[float] | None = None
+    h_p_full: list[float] | None = None
     trace: list[tuple[TraceStep, ...]] | None = None
 
     def __len__(self) -> int:
@@ -246,20 +275,23 @@ def _top_h_scan(row: np.ndarray, threshold: float, order: np.ndarray | None):
     return count, h_q, stop, tuple(steps)
 
 
-def _select(
-    dists: Sequence[ProbabilityDistribution],
+def select_block(
+    probs: np.ndarray,
     config: TruncationConfig,
     collect_trace: bool = False,
 ) -> SelectionBlock:
-    """One selection pass over a chunk of distributions with equal ``n``."""
-    n = dists[0].n
-    probs = dists[0].probs[None, :] if len(dists) == 1 else np.stack([d.probs for d in dists])
+    """One selection pass over a ``(B, n)`` matrix whose rows are probability vectors.
+
+    The rows are taken as validated (``distributions.validate_block``); row
+    ``r`` of the result is record ``r``'s selection under ``config.method``.
+    """
+    size, n = probs.shape
     full = _descending_order(probs)
     c = min(config.candidate_cap, n)
     # a copy, so the full ordering is released with this function
     order = full if c == n else full[:, :c].copy()
-    rows = range(len(dists))
-    work = probs[np.arange(len(dists))[:, None], order]
+    rows = range(size)
+    work = probs[np.arange(size)[:, None], order]
     total = work.sum(axis=1)
     cut = [abs(t - 1.0) > MASS_TOLERANCE for t in total.tolist()]
     if any(cut):
@@ -268,13 +300,16 @@ def _select(
         work[cut] /= total[cut, None]
     dropped = None
     if collect_trace:
-        dropped = [0.0] * len(dists) if c == n else \
+        dropped = [0.0] * size if c == n else \
             np.take_along_axis(probs, full[:, c:], axis=1).sum(axis=1).tolist()
     del full
 
     h_p = [_entropy_of(work[r]) for r in rows]
-    threshold: list[float | None] = [None] * len(dists)
-    stop: list[str | None] = [None] * len(dists)
+    h_p_full = None
+    if collect_trace:
+        h_p_full = h_p if c == n else [_entropy_of(row) for row in probs]
+    threshold: list[float | None] = [None] * size
+    stop: list[str | None] = [None] * size
     h_q: list[float] | None = None
     traces = None
     if config.method == Method.TOP_H:
@@ -289,7 +324,7 @@ def _select(
         if collect_trace:
             traces = [s[3] for s in scans]
     elif config.method == Method.TOP_K:
-        counts = [min(config.k, c)] * len(dists)
+        counts = [min(config.k, c)] * size
     elif config.method == Method.TOP_P:
         # searchsorted(cum, target, "left") + 1 on each non-decreasing row
         reached = (np.cumsum(work, axis=1) < config.p_nucleus).sum(axis=1)
@@ -308,7 +343,8 @@ def _select(
         h_q = [_entropy_of(work[r, : counts[r]] / gamma[r]) for r in rows]
     return SelectionBlock(
         n=n, order=order, work=work, counts=counts, gamma=gamma, h_p=h_p, h_q=h_q,
-        threshold=threshold, stop_reason=stop, dropped_mass=dropped, trace=traces,
+        threshold=threshold, stop_reason=stop, dropped_mass=dropped, h_p_full=h_p_full,
+        trace=traces,
     )
 
 
@@ -319,17 +355,19 @@ def select_chunks(
 ) -> Iterator[SelectionBlock]:
     """Selections of ``dists`` under ``config.method``, one block per chunk, in order.
 
-    A chunk is a run of consecutive equal-``n`` distributions within the
-    element budget.
+    A chunk is a run of at most ``chunk_rows(n)`` consecutive distributions
+    of equal ``n``, stacked into one matrix for ``select_block``.
     """
     start = 0
     while start < len(dists):
         n = dists[start].n
-        limit = min(len(dists), start + max(1, CHUNK_ELEMENTS // n))
+        limit = min(len(dists), start + chunk_rows(n))
         stop = start + 1
         while stop < limit and dists[stop].n == n:
             stop += 1
-        yield _select(dists[start:stop], config, collect_trace)
+        probs = dists[start].probs[None, :] if stop == start + 1 else \
+            np.stack([d.probs for d in dists[start:stop]])
+        yield select_block(probs, config, collect_trace)
         start = stop
 
 
@@ -349,7 +387,7 @@ def truncate(
     (uniform(65) at candidate cap 64 and alpha 1/3 keeps 4 tokens here;
     the direct form would keep 3).
     """
-    return _select([p], config, collect_trace).result(0)
+    return select_block(p.probs[None, :], config, collect_trace).result(0)
 
 
 def draw_tokens(result: TruncationResult, u: np.ndarray) -> np.ndarray:

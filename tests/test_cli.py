@@ -1,6 +1,7 @@
 """CLI contract tests: outputs, exit codes, manifests, determinism."""
 
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -8,8 +9,9 @@ import pytest
 
 from toph import cli, truncation
 from toph.cli import main
-from toph.errors import TophError
+from toph.errors import MalformedRecord, NonFiniteValue, NonPositiveTemperature, TophError
 from toph.hardness import CcssInstance, ccss_to_json
+from toph.synthgen import read_dataset
 
 
 @pytest.fixture()
@@ -106,6 +108,26 @@ class TestTruncateCommand:
                    "--input", str(data), "--output", str(out)])
         assert {r["stop_reason"] for r in read_jsonl(out)} == {"cap_exhausted"}
 
+    def test_trace_h_p_full_is_the_uncapped_entropy(self, tmp_path):
+        data, out = tmp_path / "wide.jsonl", tmp_path / "out.jsonl"
+        write_gaussian_records(data, [50, 32768], seed=3)
+        rc = main(["truncate", "--trace", "--input", str(data), "--output", str(out)])
+        assert rc == 0
+        small, wide = read_jsonl(out)
+        # the cap of 100 covers n = 50: the working row is the input row
+        assert small["h_p_full"] == small["h_p"]
+        probs = read_jsonl(data)[1]["probs"]
+        full = -sum(p * math.log(p) for p in probs if p > 0.0)
+        assert wide["h_p_full"] != wide["h_p"]
+        assert wide["h_p_full"] == pytest.approx(full, rel=1e-12)
+        assert wide["h_p_full"] > wide["h_p"]
+        # untraced records carry no h_p_full and keep their bytes
+        untraced = tmp_path / "untraced.jsonl"
+        assert main(["truncate", "--input", str(data), "--output", str(untraced)]) == 0
+        for plain, traced in zip(read_jsonl(untraced), read_jsonl(out)):
+            assert "h_p_full" not in plain
+            assert plain == {key: traced[key] for key in plain}
+
     @pytest.mark.parametrize("method", ["top-k", "top-p", "min-p", "eta"])
     def test_trace_fields_of_baselines(self, tmp_path, dataset, method):
         out = tmp_path / "out.jsonl"
@@ -156,6 +178,25 @@ class TestTruncateCommand:
         assert rc == 2
         assert "line 2" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("value, error, message", [
+        ("Infinity", NonFiniteValue, "temperature must be finite, got inf"),
+        ("NaN", NonPositiveTemperature, "temperature must be > 0, got nan"),
+        ("-Infinity", NonPositiveTemperature, "temperature must be > 0, got -inf"),
+    ])
+    def test_non_finite_temperature_exits_2(self, tmp_path, capsys, value, error, message):
+        # JSON Infinity parses to a float; it must not give a uniform softmax
+        bad = tmp_path / "inf.jsonl"
+        bad.write_text('{"id": "a", "logits": [0.0, 1.0], "temperature": 1.0}\n'
+                       f'{{"id": "b", "logits": [0.0, 1.0], "temperature": {value}}}\n')
+        out = tmp_path / "x.jsonl"
+        rc = main(["truncate", "--input", str(bad), "--output", str(out)])
+        assert rc == 2
+        assert f"line 2: {message}" in capsys.readouterr().err
+        assert not out.exists()
+        with pytest.raises(MalformedRecord) as err:
+            read_dataset(bad)
+        assert type(err.value.__cause__) is error
 
     @pytest.mark.parametrize("value", ["true", "false"])
     def test_boolean_temperature_exits_2(self, tmp_path, capsys, value):
@@ -722,6 +763,23 @@ class TestRefusedRuns:
         assert main([a.format(**fields) for a in argv]) == code
         assert message.format(**fields) in capsys.readouterr().err
         assert sorted(tmp_path.rglob("*")) == files
+
+    @pytest.mark.parametrize("argv", [
+        ["truncate"], ["sample", "--num-samples", "4"], ["sweep", "--alphas", "0.2,0.6"]])
+    def test_bad_row_past_the_first_block(self, tmp_path, capsys, argv):
+        # 163 records of V=100 fill a block; line 170 sits in the second
+        assert truncation.chunk_rows(100) == 163
+        data, out = tmp_path / "v100.jsonl", tmp_path / "out"
+        write_gaussian_records(data, [100] * 200, seed=170)
+        lines = data.read_text().splitlines(keepends=True)
+        lines[169] = json.dumps({"id": "r169", "probs": [0.015625] * 100}) + "\n"
+        data.write_text("".join(lines))
+        out.write_bytes(b"previous output\n")
+        files = sorted(tmp_path.iterdir())
+        assert main([*argv, "--input", str(data), "--output", str(out)]) == 2
+        assert "line 170: mass 1.5625 deviates" in capsys.readouterr().err
+        assert sorted(tmp_path.iterdir()) == files
+        assert out.read_bytes() == b"previous output\n"
 
     def test_failure_mid_output_keeps_previous_files(self, tmp_path, dataset, monkeypatch):
         argv = ["truncate", "--input", str(dataset), "--output", str(tmp_path / "out.jsonl")]

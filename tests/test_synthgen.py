@@ -1,9 +1,16 @@
 """Unit tests for synthetic generators and dataset I/O."""
 
+import json
+import math
+import tracemalloc
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
+
+from toph import truncation
 
 from toph.distributions import entropy, make_distribution
 from toph.errors import InvalidParameters, MalformedRecord, MixedSchema
@@ -13,6 +20,9 @@ from toph.synthgen import (
     read_dataset,
     write_dataset,
 )
+from toph.truncation import CHUNK_ELEMENTS, chunk_rows
+
+from dataset_reference import reference_read_dataset
 
 
 class TestFamilies:
@@ -104,22 +114,38 @@ class TestFamilies:
             generate(GeneratorSpec(family="uniform", n=0), 1)
 
 
+def records(path):
+    """(id, probability row) of every record of a dataset, in file order."""
+    return [(rid, row) for block in read_dataset(path) for rid, row in zip(block.ids, block.probs)]
+
+
 class TestDatasetIO:
     def test_round_trip_identity(self, tmp_path):
         dists = generate(GeneratorSpec(family="dirichlet", n=9, a=1.0, seed=8), 100)
         path = tmp_path / "data.jsonl"
         write_dataset(path, dists)
-        back = read_dataset(path)
+        back = records(path)
         assert len(back) == 100
-        for original, rec in zip(dists, back):
-            assert np.all(np.abs(original.probs - rec.dist.probs) <= 1e-12)
+        for original, (_, row) in zip(dists, back):
+            assert original.probs.tobytes() == row.tobytes()
 
     def test_ids_preserved(self, tmp_path):
         dists = generate(GeneratorSpec(family="uniform", n=3), 2)
         path = tmp_path / "data.jsonl"
         write_dataset(path, dists, ids=["alpha", "beta"])
-        back = read_dataset(path)
-        assert [r.id for r in back] == ["alpha", "beta"]
+        assert [rid for rid, _ in records(path)] == ["alpha", "beta"]
+
+    def test_blocks_are_read_only_runs_within_the_chunk_rule(self, tmp_path):
+        sizes = [100] * (chunk_rows(100) + 2) + [3, 3, 5] + [CHUNK_ELEMENTS] * 2
+        dists = [make_distribution(np.full(n, 1.0 / n)) for n in sizes]
+        path = tmp_path / "data.jsonl"
+        write_dataset(path, dists)
+        blocks = read_dataset(path)
+        assert [block.probs.shape for block in blocks] == [
+            (chunk_rows(100), 100), (2, 100), (2, 3), (1, 5),
+            (1, CHUNK_ELEMENTS), (1, CHUNK_ELEMENTS)]
+        assert [len(block) for block in blocks] == [len(block.ids) for block in blocks]
+        assert not any(block.probs.flags.writeable for block in blocks)
 
     def test_negative_prob_reports_line(self, tmp_path):
         path = tmp_path / "bad.jsonl"
@@ -149,9 +175,9 @@ class TestDatasetIO:
     def test_logits_record_delegates(self, tmp_path):
         path = tmp_path / "logits.jsonl"
         path.write_text('{"id": "a", "logits": [0.0, 1.0, 2.0], "temperature": 2.0}\n')
-        rec = read_dataset(path)[0]
+        _, row = records(path)[0]
         expected = make_distribution([0.0, 1.0, 2.0], mode="logits", temperature=2.0)
-        assert np.array_equal(rec.dist.probs, expected.probs)
+        assert np.array_equal(row, expected.probs)
 
     @pytest.mark.parametrize("record", [
         '{"id": "b", "probs": ["0.5", "0.5"]}',
@@ -177,12 +203,240 @@ class TestDatasetIO:
     def test_integer_entries_accepted(self, tmp_path):
         path = tmp_path / "ints.jsonl"
         path.write_text('{"id": "a", "logits": [0, 1.0, -2]}\n')
-        rec = read_dataset(path)[0]
+        _, row = records(path)[0]
         expected = make_distribution([0.0, 1.0, -2.0], mode="logits")
-        assert np.array_equal(rec.dist.probs, expected.probs)
+        assert np.array_equal(row, expected.probs)
 
     def test_record_without_body_rejected(self, tmp_path):
         path = tmp_path / "empty.jsonl"
         path.write_text('{"id": "a"}\n')
         with pytest.raises(MalformedRecord):
             read_dataset(path)
+
+
+# --- the block reader against the per-line reference ----------------------
+
+# vocabulary sizes on both sides of 128 (and of 2**13, 2**14): chunks hold
+# 129, 128, 127, 54, 8 and then one record at the real element budget
+READER_SIZES = (1, 2, 127, 128, 129, 300, 2000, 8193, 16385)
+# run lengths relative to the chunk size of their n
+RUN_LENGTHS = ("one", "two", "below", "at", "above")
+
+
+def reference_outcome(read, path):
+    """What reading ``path`` raised, as (class, message, line), or None."""
+    try:
+        read(path)
+    except (MalformedRecord, MixedSchema) as exc:
+        return type(exc), str(exc), getattr(exc, "line_number", None)
+    return None
+
+
+def probs_row(rng, n):
+    """A softmax row, sometimes with exact zeros, denormals or a drift below the input tolerance."""
+    p = np.exp(rng.normal(0.0, 3.0, n))
+    style = rng.integers(0, 5)
+    if style == 1:
+        p[rng.random(n) < 0.3] = 0.0
+        p[rng.integers(n)] = 1.0
+    elif style == 2:
+        p[rng.integers(0, n, size=1 + n // 10)] = rng.choice([5e-324, 1e-310, 2.2e-308])
+    p = p / p.sum()
+    if style == 3:  # renormalized on reading
+        p = p * (1.0 + rng.choice([-1.0, 1.0]) * rng.uniform(2e-9, 9e-7))
+    elif style == 4:  # within MASS_TOLERANCE: kept bit-exact
+        p = p * (1.0 + rng.uniform(-5e-10, 5e-10))
+    return p.tolist()
+
+
+def logits_record(rng, rid, n):
+    x = rng.normal(0.0, 3.0, n)
+    if rng.integers(0, 2):
+        x[rng.random(n) < 0.2] = -np.inf
+        x[rng.integers(n)] = rng.normal()
+    record = {"id": rid, "logits": x.tolist()}
+    temperature = [None, 1, 2, 0.5, 0.01, 3.7][rng.integers(0, 6)]
+    if temperature is not None:
+        record["temperature"] = temperature
+    return record
+
+
+@st.composite
+def datasets(draw):
+    """(records, element budget): runs of equal n that end below, at and past a chunk."""
+    kind = draw(st.sampled_from(["probs", "logits"]))
+    budget = draw(st.sampled_from([CHUNK_ELEMENTS, 1000, 300]))
+    runs = draw(st.lists(st.tuples(st.sampled_from(READER_SIZES), st.sampled_from(RUN_LENGTHS)),
+                         min_size=1, max_size=4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    records, elements = [], 0
+    for n, length in runs:
+        rows = max(1, budget // n)
+        count = {"one": 1, "two": 2, "below": rows - 1, "at": rows, "above": rows + 1}[length]
+        count = max(1, min(count, 300, (60_000 - elements) // n))
+        for _ in range(count):
+            rid = f"r{len(records)}"
+            records.append({"id": rid, "probs": probs_row(rng, n)} if kind == "probs"
+                           else logits_record(rng, rid, n))
+        elements += count * n
+        if elements >= 60_000:
+            break
+    return records, budget
+
+
+def write_lines(path, lines, blank_every=0):
+    """``lines`` (str or bytes) as a file; ``blank_every`` > 0 puts a blank line after every so many."""
+    out = []
+    for i, line in enumerate(lines):
+        out.append(line if isinstance(line, bytes) else line.encode("utf-8"))
+        if blank_every and i % blank_every == blank_every - 1:
+            out.append(b"  ")
+    path.write_bytes(b"".join(line + b"\n" for line in out))
+
+
+def corrupt(record, fault):
+    """The line of ``record`` with one fault, and whether it still parses as JSON."""
+    record = dict(record)
+    kind = "probs" if "probs" in record else "logits"
+    values = list(record[kind])
+    if fault == "invalid_json":
+        return json.dumps(record)[:-3]
+    if fault == "latin1":
+        return b'{"id": "caf\xe9", "' + kind.encode() + b'": [1.0]}'
+    if fault == "kind_switch":
+        record.pop("temperature", None)
+        record["logits" if kind == "probs" else "probs"] = record.pop(kind)
+        return json.dumps(record)
+    if fault in ("string", "boolean", "null"):
+        values[len(values) // 2] = {"string": "0.5", "boolean": True, "null": None}[fault]
+    elif fault == "nan":
+        values[0] = math.nan
+    elif fault == "infinity":
+        values[-1] = math.inf
+    elif fault == "negative":
+        if kind == "probs":
+            values[0] = -0.25
+        else:
+            record["temperature"] = -1.0
+    elif fault == "bad_mass":
+        if kind == "probs":
+            values = [1.5 * v for v in values]
+        else:
+            values = [-math.inf] * len(values)
+    record[kind] = values
+    return json.dumps(record)
+
+
+FAULTS = ("invalid_json", "latin1", "kind_switch", "string", "boolean", "null", "nan",
+          "infinity", "negative", "bad_mass")
+
+
+class TestReaderAgainstReference:
+    """``read_dataset`` reads what the per-line reader reads, and refuses what it refuses."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(data=datasets(), blank_every=st.sampled_from([0, 1, 7]))
+    def test_same_ids_and_row_bytes(self, tmp_path_factory, data, blank_every):
+        records, budget = data
+        path = tmp_path_factory.mktemp("valid") / "data.jsonl"
+        write_lines(path, [json.dumps(r) for r in records], blank_every)
+        expected = reference_read_dataset(path)
+        with mock.patch.object(truncation, "CHUNK_ELEMENTS", budget):
+            blocks = read_dataset(path)
+        for block in blocks:
+            assert not block.probs.flags.writeable
+            assert block.probs.shape == (len(block), block.probs.shape[1])
+            assert len(block) <= max(1, budget // block.probs.shape[1])
+        got = [(rid, row) for block in blocks for rid, row in zip(block.ids, block.probs)]
+        assert [rid for rid, _ in got] == [rec.id for rec in expected]
+        for (_, row), rec in zip(got, expected):
+            assert row.tobytes() == rec.dist.probs.tobytes()
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=datasets(), faults=st.tuples(st.sampled_from(FAULTS), st.sampled_from(FAULTS)),
+           picks=st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0), st.floats(0.0, 1.0)))
+    def test_same_error_for_the_first_bad_line(self, tmp_path_factory, data, faults, picks):
+        records, budget = data
+        path = tmp_path_factory.mktemp("corrupt") / "data.jsonl"
+        lines = [json.dumps(r) for r in records]
+        write_lines(path, lines)
+        with mock.patch.object(truncation, "CHUNK_ELEMENTS", budget):
+            sizes = [len(block) for block in read_dataset(path)]
+        # one fault in an earlier block than the other, when there are two blocks
+        starts = np.cumsum([0] + sizes)
+        first = int(picks[0] * (len(sizes) - 1) + 0.5) if len(sizes) > 1 else 0
+        second = first + 1 + int(picks[1] * (len(sizes) - first - 2) + 0.5) \
+            if first + 1 < len(sizes) else first
+        rows = [starts[block] + min(int(pick * sizes[block]), sizes[block] - 1)
+                for block, pick in ((first, picks[2]), (second, 1 - picks[2]))]
+        for row, fault in dict(zip(rows, faults)).items():
+            lines[row] = corrupt(records[row], fault)
+        write_lines(path, lines)
+        expected = reference_outcome(reference_read_dataset, path)
+        # a schema switch in a file of one record is no fault
+        assume(expected is not None)
+        with mock.patch.object(truncation, "CHUNK_ELEMENTS", budget):
+            assert reference_outcome(read_dataset, path) == expected
+
+    @pytest.mark.parametrize("lines", [
+        # the switching record's own bad values are reported, not the switch
+        ['{"id": "a", "logits": [0.5, -1.0]}', '{"id": "b", "probs": [0.5, -1.0]}'],
+        ['{"id": "a", "probs": [0.5, 0.5]}', '{"id": "b", "probs": [0.5, 0.5]}',
+         '{"id": "c", "logits": [-Infinity, -Infinity]}'],
+        ['{"id": "a", "probs": [0.5, 0.5]}', '{"id": "b", "logits": [0.5, 0.5]}'],
+        # an earlier bad row in the pending block is reported first
+        ['{"id": "a", "probs": [0.5, 0.7]}', '{"id": "b", "logits": [0.5, 0.5]}'],
+    ])
+    def test_schema_switch(self, tmp_path, lines):
+        path = tmp_path / "switch.jsonl"
+        write_lines(path, lines)
+        expected = reference_outcome(reference_read_dataset, path)
+        assert expected is not None
+        assert reference_outcome(read_dataset, path) == expected
+
+    def test_integer_overflow_after_an_earlier_bad_row(self, tmp_path):
+        # a bad mass on line 1 is checked with its block, later than line 2's
+        # overflow is found; line 1 must still be the one reported
+        path = tmp_path / "bad.jsonl"
+        path.write_text('{"id": "a", "probs": [0.5, 0.6]}\n'
+                        '{"id": "b", "probs": [1' + "0" * 400 + ', 0]}\n')
+        assert reference_outcome(read_dataset, path) == \
+            reference_outcome(reference_read_dataset, path)
+        assert reference_outcome(read_dataset, path)[2] == 1
+
+    def test_bad_row_before_undecodable_text(self, tmp_path):
+        # the text is decoded a block at a time: line 1 is read, and waits in
+        # its block, before the decoder meets the latin-1 byte
+        path = tmp_path / "bad.jsonl"
+        write_lines(path, ['{"id": "a", "probs": [0.5, 0.6]}']
+                    + [json.dumps({"id": f"r{i}", "probs": [0.5, 0.5]}) for i in range(2000)]
+                    + [b'{"id": "caf\xe9", "probs": [1.0]}'])
+        expected = reference_outcome(reference_read_dataset, path)
+        assert expected[2] == 1
+        assert reference_outcome(read_dataset, path) == expected
+
+
+class TestReaderMemory:
+    def test_large_records_are_released_one_at_a_time(self, tmp_path):
+        # a record of 32k tokens is a block of one: its parsed Python list is
+        # freed once its row is validated, so the peak holds the blocks read
+        # so far plus about one record in flight, not every record's list
+        n, count = 32768, 4
+        rng = np.random.default_rng(4)
+        path = tmp_path / "wide.jsonl"
+        lines = []
+        for i in range(count):
+            p = np.exp(rng.normal(0.0, 2.0, n))
+            lines.append(json.dumps({"id": f"r{i}", "probs": (p / p.sum()).tolist()}))
+        write_lines(path, lines)
+        tracemalloc.start()
+        try:
+            json.loads(lines[0])
+            _, one_list = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            blocks = read_dataset(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert [block.probs.shape for block in blocks] == [(1, n)] * count
+        assert peak < count * 8 * n + 3 * one_list

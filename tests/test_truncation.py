@@ -302,6 +302,31 @@ class TestConfigValidation:
         with pytest.raises(EtaOutOfRange):
             dataclasses.replace(TruncationConfig(), eta=2.0)
 
+    @pytest.mark.parametrize("field, value, error", [
+        ("candidate_cap", 2.5, ZeroK),
+        ("candidate_cap", 100.0, ZeroK),
+        ("candidate_cap", True, ZeroK),
+        ("k", True, ZeroK),
+        ("k", np.float64(3.0), ZeroK),
+        ("k", "3", ZeroK),
+        ("alpha", True, AlphaOutOfRange),
+        ("alpha", None, AlphaOutOfRange),
+        ("p_nucleus", True, NucleusOutOfRange),
+        ("p_base", np.bool_(True), PBaseOutOfRange),
+        ("eta", False, EtaOutOfRange),
+    ])
+    def test_wrong_type_fails_where_it_enters(self, field, value, error):
+        # a float cap used to crash truncate later with a bare TypeError,
+        # and a boolean passed as 1
+        with pytest.raises(error, match=f"{field} must be"):
+            TruncationConfig(**{field: value})
+
+    def test_numpy_numbers_accepted(self):
+        cfg = TruncationConfig(method=Method.TOP_K, alpha=np.float64(0.3), k=np.int64(2),
+                               p_nucleus=np.float32(0.5), candidate_cap=np.int32(7),
+                               p_base=1e-3, eta=np.float64(1e-3))
+        assert truncate(make_distribution([0.5, 0.3, 0.2]), cfg).selected == (0, 1)
+
 
 @st.composite
 def hostile_probs(draw):
