@@ -49,7 +49,7 @@ from .errors import (
     WrongCardinality,
     WrongMass,
 )
-from .oracle import BLOCK_BITS, add_high_bits, mask_indices, subset_sums
+from .oracle import BLOCK_BITS, key_range_subsets, mask_indices, subset_sums
 from .synthgen import SCHEMA_VERSION
 
 #: Working precision (significant decimal digits) for entropy terms.
@@ -443,38 +443,27 @@ def _exact_sum_blocks(
     columns: Sequence[np.ndarray], target: int, step: int, count: int,
     block_bits: int = BLOCK_BITS,
 ) -> Iterator[tuple[int, np.ndarray, tuple[np.ndarray, ...]]]:
-    """The masks whose column-0 sum is ``target - j * step`` for a j in ``range(count)``.
+    """``key_range_subsets`` of the masks whose column-0 sum is ``target - j * step``
+    for a j in ``range(count)``.
 
-    Meet in the middle: the sums of the low ``block_bits`` items are sorted
-    once by (sum mod step, sum // step).  A high mask of sum s needs low sums
-    congruent to target - s mod step whose quotient lies in a window of
-    ``count`` values, one key range found with two ``searchsorted`` calls.
-    Yields ``(first, lows, sums)`` per high mask with a match, in ascending
-    mask order: the masks are ``first + lows`` (``lows`` ascending) and
-    ``sums[c][i]`` equals ``subset_sums(columns[c])[first + lows[i]]`` bit
-    for bit (``add_high_bits``).  Column 0 is int64 and every target must
-    fit it; memory is O(2**block_bits) per column.
+    Meet in the middle: the low ``block_bits`` items are keyed by their
+    column-0 sum as (sum mod step, sum // step).  A high mask of sum s needs
+    low sums congruent to target - s mod step whose quotient lies in a
+    window of ``count`` values: one key range, empty when the window misses
+    every low quotient.  Column 0 is int64 and every target must fit it.
     """
-    n = columns[0].shape[0]
-    k = min(n, block_bits)
+    k = min(columns[0].shape[0], block_bits)
     low = [subset_sums(c[:k]) for c in columns]
     quot, rem = np.divmod(low[0], step)
     base = int(quot.min())
     span = int(quot.max()) - base + 1
     # keys < step * span <= (max - min low sum) + step, in int64 under the
     # callers' 2**62 guards
-    keys = rem * span + (quot - base)
-    order = np.argsort(keys)  # unstable: each match range is sorted below
-    keys = keys[order]
     hi_quot, hi_rem = np.divmod(target - subset_sums(columns[0][k:]), step)
     top = hi_quot - base
-    bottom = top - (count - 1)
-    starts = np.searchsorted(keys, hi_rem * span + np.clip(bottom, 0, span - 1), "left")
-    ends = np.searchsorted(keys, hi_rem * span + np.clip(top, 0, span - 1), "right")
-    for high in np.flatnonzero((top >= 0) & (bottom < span) & (ends > starts)).tolist():
-        lows = np.sort(order[starts[high]:ends[high]])
-        yield high << k, lows, tuple(add_high_bits(t[lows], c[k:], high)
-                                     for c, t in zip(columns, low))
+    return key_range_subsets(low, [c[k:] for c in columns], rem * span + (quot - base),
+                             hi_rem * span + np.clip(top - (count - 1), 0, span),
+                             hi_rem * span + np.clip(top, -1, span - 1))
 
 
 # --- decision ----------------------------------------------------------------

@@ -1,32 +1,27 @@
 """Exact solutions of the entropy-constrained mass-maximization problem.
 
-For small vocabularies the optimum is found by enumerating every
-non-empty subset, so the greedy selector can be scored against the true
-optimum.  The batch harness aggregates the per-instance mass ratio
-greedy/optimal into a plot-ready report.
-
-``subset_blocks`` enumerates every mask's mass for ``exact_ecmm`` in
-blocks of ``2**BLOCK_BITS`` consecutive masks, so it holds
-O(2**BLOCK_BITS) entries per column rather than O(2**n), and every block
-entry is bit-identical to the full ``subset_sums`` table.
-``add_high_bits`` turns low-table entries into full-table entries one
-mask at a time, so ``exact_ecmm`` builds entropy sums only for the
-subsets its screen keeps, and ``toph.hardness`` builds its
-meet-in-the-middle lookup of the few masks of an exact weight from
-``subset_sums`` and ``add_high_bits``.
+For small vocabularies the optimum is found by an exhaustive search over
+every non-empty subset, so the greedy selector can be scored against the
+true optimum; the batch harness aggregates the per-instance mass ratio
+greedy/optimal into a plot-ready report.  The searches never build a
+``2**n`` table: ``key_range_subsets`` sorts a key of the low ``BLOCK_BITS``
+bits of the masks once and looks up, per high mask, the lows in a key
+range (``exact_ecmm`` keys them by a log-free entropy screen,
+``toph.hardness`` by weight), with sums bit-identical to ``subset_sums``.
 """
 
 from __future__ import annotations
 
 import csv
 import io
+import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
 from .distributions import ProbabilityDistribution, _entropy_of
-from .errors import VocabularyTooLarge
+from .errors import AlphaOutOfRange, EmptyInput, VocabularyTooLarge
 from .truncation import Method, TruncationConfig, truncate
 
 #: Exhaustive search is refused above this vocabulary size (2**20 subsets).
@@ -35,20 +30,25 @@ ENUMERATION_LIMIT = 20
 #: Ratios below 1 - RATIO_TIE_EPS count as suboptimal instances.
 RATIO_TIE_EPS = 1e-12
 
-#: ``subset_blocks`` enumerates 2**BLOCK_BITS masks per block (128 KiB per
-#: float64 or int64 column), small enough to stay in cache.
+#: The exhaustive searches split masks after this many low bits: low tables
+#: of 2**BLOCK_BITS entries (128 KiB per 8-byte column) stay in cache.
 BLOCK_BITS = 14
 
-#: Slack of the ``exact_ecmm`` screen over the budget, in nats.
+#: Slack of the ``exact_ecmm`` screens: over the budget, in nats, and
+#: below the mass of the heaviest feasible prefix.
 _SCREEN_MARGIN = 1e-9
 
 
 @dataclass(frozen=True)
 class EcmmInstance:
-    """One problem instance: a distribution and the budget coefficient."""
+    """One problem instance: a distribution and a finite budget coefficient >= 0."""
 
     p: ProbabilityDistribution
     alpha: float
+
+    def __post_init__(self) -> None:
+        if not (math.isfinite(self.alpha) and self.alpha >= 0.0):
+            raise AlphaOutOfRange(f"alpha must be finite and >= 0, got {self.alpha!r}")
 
 
 @dataclass(frozen=True)
@@ -99,38 +99,14 @@ def subset_sums(values: np.ndarray) -> np.ndarray:
 
     Entry ``m`` is the sum over the set bits of ``m`` (bit i = value i),
     added in ascending bit order.  Built by doubling, so the whole table
-    costs O(2**n) arithmetic and O(2**n) memory; ``subset_blocks`` and the
-    ``toph.hardness`` lookup use it for at most ``BLOCK_BITS`` items.
+    costs O(2**n) arithmetic and O(2**n) memory; the exhaustive searches
+    use it for at most ``BLOCK_BITS`` items at a time.
     """
     n = values.shape[0]
     out = np.zeros(2**n, dtype=values.dtype)
     for i in range(n):
         out[2**i : 2 ** (i + 1)] = out[: 2**i] + values[i]
     return out
-
-
-def subset_blocks(
-    columns: Sequence[np.ndarray], block_bits: int = BLOCK_BITS
-) -> Iterator[tuple[int, tuple[np.ndarray, ...]]]:
-    """``subset_sums`` of each column, one block of consecutive masks at a time.
-
-    Yields ``(first_mask, sums)`` in ascending mask order, where
-    ``sums[c][j]`` equals ``subset_sums(columns[c])[first_mask + j]`` bit
-    for bit.  A block covers ``2**min(n, block_bits)`` masks that share
-    their high bits: it starts as a copy of the low-bit table and then adds
-    the block's set high bits in ascending order, the order the doubling
-    adds them.  Memory is O(2**block_bits) per column.  The yielded arrays
-    are overwritten by the next block, so callers must not keep them.
-    """
-    n = columns[0].shape[0]
-    k = min(n, block_bits)
-    low = [subset_sums(c[:k]) for c in columns]
-    bufs = [np.empty_like(t) for t in low]
-    for high in range(2 ** (n - k)):
-        for c, t, buf in zip(columns, low, bufs):
-            np.copyto(buf, t)
-            add_high_bits(buf, c[k:], high)
-        yield high << k, tuple(bufs)
 
 
 def add_high_bits(buf: np.ndarray, high_values: np.ndarray, high: int) -> np.ndarray:
@@ -147,44 +123,71 @@ def add_high_bits(buf: np.ndarray, high_values: np.ndarray, high: int) -> np.nda
 
 def mask_indices(mask: int) -> tuple[int, ...]:
     """The set bits of ``mask`` in ascending order."""
-    out = []
-    i = 0
-    while mask:
-        if mask & 1:
-            out.append(i)
-        mask >>= 1
-        i += 1
-    return tuple(out)
+    return tuple(i for i in range(mask.bit_length()) if mask >> i & 1)
+
+
+def key_range_subsets(low: Sequence[np.ndarray], high_values: Sequence[np.ndarray],
+                      low_keys: np.ndarray, lower: np.ndarray, upper: np.ndarray,
+                      floor: np.ndarray | None = None) -> Iterator[tuple[int, np.ndarray, tuple]]:
+    """The masks ``high << k | low`` with ``lower[high] <= low_keys[low] <= upper[high]``
+    and, if ``floor`` is given, ``low[0][low] >= floor[high]``.
+
+    ``low[c]`` is the ``subset_sums`` table of the first k items of column
+    c (``2**k`` entries, as ``low_keys`` has), ``high_values[c]`` the rest.
+    The low keys are sorted once; per high mask the lows in range are one
+    run of that order (two ``searchsorted`` calls), floored before any
+    gather.  Yields ``(first, lows, sums)`` per high mask with a match, in
+    ascending mask order: the masks are ``first + lows`` (``lows``
+    ascending) and ``sums[c][i]`` is the full-table entry of column c at
+    ``first + lows[i]`` bit for bit.  Memory is O(2**k) per column.
+    """
+    k = low_keys.size.bit_length() - 1
+    order = np.argsort(low_keys)  # unstable: each run is sorted below
+    keys = low_keys[order]
+    starts = keys.searchsorted(lower, "left")
+    ends = keys.searchsorted(upper, "right")
+    heads = None if floor is None else low[0][order]
+    for high in np.flatnonzero(ends > starts).tolist():
+        run = slice(starts[high], ends[high])
+        lows = np.sort(order[run] if heads is None else order[run][heads[run] >= floor[high]])
+        if lows.size:
+            yield high << k, lows, tuple(add_high_bits(t[lows], v, high)
+                                         for t, v in zip(low, high_values))
 
 
 def exact_ecmm(instance: EcmmInstance) -> EcmmSolution:
     """Maximize the subset mass subject to H(subset) <= alpha * H(p).
 
-    Every non-empty subset is scored; ties on mass are broken by smaller
-    cardinality, then by the lexicographically smallest index set.  The
-    scan keeps an incumbent (the best feasible mass so far), computes the
-    entropy only of subsets with at least that mass that pass the log-free
-    ``_screen_keys`` test, and keeps every feasible subset tied with it.
+    Every non-empty subset is a candidate; ties on mass are broken by
+    smaller cardinality, then by the lexicographically smallest index set.
+    ``key_range_subsets`` finds the subsets that pass the log-free
+    ``_screen_keys`` test, taken at the mass of the heaviest feasible prefix
+    of the descending order (the optimum is at least that heavy, and the
+    screen is tightest near it), and weigh no less than that prefix.  Of
+    those, the scan computes the entropy only of subsets at least as heavy
+    as the best feasible one so far, and keeps every feasible one tied
+    with it.
     """
     n = instance.p.n
     if n > ENUMERATION_LIMIT:
-        raise VocabularyTooLarge(
-            f"n={n} exceeds the enumeration limit of {ENUMERATION_LIMIT}"
-        )
+        raise VocabularyTooLarge(f"n={n} exceeds the enumeration limit of {ENUMERATION_LIMIT}")
     probs = instance.p.probs
     budget = instance.alpha * _entropy_of(probs)
     plp = np.where(probs > 0.0, probs * np.log(np.where(probs > 0.0, probs, 1.0)), 0.0)
     k = min(n, BLOCK_BITS)
-    low_key, high_key = _screen_keys(probs, plp, budget, k)
-    hsum_low = subset_sums(plp[:k])
+    low = (subset_sums(probs[:k]), subset_sums(plp[:k]))
+    high = (subset_sums(probs[k:]), subset_sums(plp[k:]))
+    prefix = _feasible_prefix_mass(probs, plp, budget)
+    low_key, high_key = _screen_keys(low, high, budget, max(prefix, float(probs.max())))
     best_mass = 0.0
-    tied: list[tuple[np.ndarray, np.ndarray]] = []  # per block: masks, entropies at best_mass
-    for first, (mass,) in subset_blocks((probs,), k):
-        high = first >> k
+    tied: list[tuple[np.ndarray, np.ndarray]] = []  # per high mask: masks, entropies at best_mass
+    for first, lows, (mass,) in key_range_subsets(
+            low[:1], (probs[k:],), low_key, np.full_like(high_key, -np.inf), high_key,
+            (prefix - _SCREEN_MARGIN) - high[0]):
         # the empty set (mass 0) is not a valid sampler output
-        pos = np.flatnonzero((mass >= best_mass) & (mass > 0.0) & (low_key <= high_key[high]))
+        pos = np.flatnonzero((mass >= best_mass) & (mass > 0.0))
         gamma = mass[pos]
-        ent = np.log(gamma) - add_high_bits(hsum_low[pos], plp[k:], high) / gamma
+        ent = np.log(gamma) - add_high_bits(low[1][lows[pos]], plp[k:], first >> k) / gamma
         feasible = ent <= budget
         if not feasible.any():
             continue
@@ -192,7 +195,7 @@ def exact_ecmm(instance: EcmmInstance) -> EcmmSolution:
         if top > best_mass:
             best_mass, tied = top, []
         at = feasible & (gamma == best_mass)
-        tied.append((first + pos[at], ent[at]))
+        tied.append((first + lows[pos[at]], ent[at]))
     if not tied:
         # cannot happen for a valid distribution: the top singleton has H=0
         raise AssertionError("no feasible subset; distribution invalid")
@@ -202,32 +205,48 @@ def exact_ecmm(instance: EcmmInstance) -> EcmmSolution:
                         entropy=float(ents[best]))
 
 
-def _screen_keys(probs: np.ndarray, plp: np.ndarray, budget: float,
-                 k: int) -> tuple[np.ndarray, np.ndarray]:
-    """The log-free screen of ``exact_ecmm``, split at item ``k``.
+def _feasible_prefix_mass(probs: np.ndarray, plp: np.ndarray, budget: float) -> float:
+    """Mass of the heaviest prefix of the descending order whose entropy is
+    within ``budget - _SCREEN_MARGIN``, or 0 if none is.
 
-    Returns ``(low_key, high_key)``: the subset ``high << k | low`` can be
-    feasible only if ``low_key[low] <= high_key[high]``; no subset that
-    fails this has entropy ``ln(mass) - hsum / mass <= budget`` in float64.
-
-    Why: ln g >= 1 - 1/g, so a subset of mass g and h = sum p ln p has
-    entropy ln g - h/g >= (g - 1 - h)/g, and H <= budget implies
-    g c - h <= 1 with c = 1 - budget - margin, for any margin >= 0.  With g
-    and h split into their low and high parts this reads
-    g_low c - h_low <= 1 - g_high c + h_high.  The margin covers rounding,
-    both in the float entropy and in the split (float sums of n terms in
-    another grouping).  For g >= 1/2 every error is a few n units in the
-    last place u on quantities of size 1 + budget, below
-    (n + 10) u (1 + budget) (1 + 2 g) < 1e-12 for budget <= ln 20, against
-    margin * g >= 5e-10; no subset of n <= 20 tokens has entropy above
-    ln 20, so a larger budget puts g c - h - 1 below -g (budget - ln 20),
-    which outgrows the error.  For g < 1/2, ln g + 1/g - 1 > 1 - ln 2, so
-    a feasible subset has g c - h - 1 < -0.15 and passes for any margin.
+    The scan adds the same terms in another order: masses differ by under
+    2 n u and entropies by under (4 n + 4) u (1 + budget + 2 ln 20), as the
+    prefix holds the top token and weighs at least 1/n.  That is far below
+    the margin for budget <= ln 20 + 1, and a larger budget leaves no subset
+    of n <= 20 tokens infeasible: the scan finds the prefix feasible.
     """
-    c = 1.0 - (budget + _SCREEN_MARGIN)
-    low_key = subset_sums(probs[:k]) * c - subset_sums(plp[:k])
-    high_key = 1.0 - subset_sums(probs[k:]) * c + subset_sums(plp[k:])
-    return low_key, high_key
+    order = np.argsort(-probs, kind="stable")
+    mass = np.cumsum(probs[order])
+    within = np.flatnonzero(np.log(mass) - np.cumsum(plp[order]) / mass
+                            <= budget - _SCREEN_MARGIN)
+    return float(mass[within[-1]]) if within.size else 0.0
+
+
+def _screen_keys(low: tuple[np.ndarray, np.ndarray], high: tuple[np.ndarray, np.ndarray],
+                 budget: float, g0: float) -> tuple[np.ndarray, np.ndarray]:
+    """The log-free screen of ``exact_ecmm``: the tangent of ln at ``g0``.
+
+    ``low`` and ``high`` are the ``(mass, hsum)`` ``subset_sums`` tables of
+    p and p ln p over the first k items and over the rest.  For any g0 in
+    [max p, 1], the subset ``high << k | low`` has float entropy
+    ``ln(mass) - hsum / mass <= budget`` only if ``low_key[low] <= high_key[high]``.
+
+    Why: ln g >= 1 + ln g0 - g0/g (ln lies below its tangent at g0), so a
+    subset of mass g and h = sum p ln p with entropy ln g - h/g <= budget
+    has g c - h <= g0, c = 1 + ln g0 - budget - margin, margin >= 0; split
+    into low and high parts, g_low c - h_low <= g0 - g_high c + h_high.
+    The margin covers rounding in the entropy, in c and in the split (sums
+    of n terms in another grouping); u is the unit roundoff, and
+    |ln g0| <= ln 20 as g0 >= max p >= 1/n.  For g >= g0/2 the terms are at
+    most g (10 + 2 budget), so the error is below (2n + 10) u g (10 + 2 budget)
+    < 1e-13 g < margin * g for budget <= ln 20; no subset of n <= 20 tokens
+    has entropy above ln 20, so a larger budget puts g c - h - g0 below
+    -g (budget - ln 20), which outgrows the error.  For g < g0/2 the tangent
+    slack g (ln g - 1 - ln g0) + g0 exceeds 0.15 g0, while the terms are at
+    most g0 (20 + budget) (g |ln g| <= 1/e < 8 g0): it passes for any margin.
+    """
+    c = 1.0 + math.log(g0) - (budget + _SCREEN_MARGIN)
+    return low[0] * c - low[1], g0 - high[0] * c + high[1]
 
 
 def _first_in_index_order(masks: np.ndarray, n: int) -> int:
@@ -251,29 +270,20 @@ def optimality_gap(
     """Score the greedy selector against the exhaustive optimum per instance.
 
     Both sides use the same budget alpha * H(p), and the greedy side runs
-    uncapped (the candidate cap covers the whole vocabulary).
+    uncapped (the candidate cap covers the whole vocabulary).  No instances
+    raise ``EmptyInput``: a report without rows has no mean or minimum.
     """
     rows = []
     for pos, inst in enumerate(instances):
-        rid = ids[pos] if ids is not None else f"i{pos:06d}"
-        config = TruncationConfig(
-            method=Method.TOP_H,
-            alpha=inst.alpha,
-            candidate_cap=max(100, inst.p.n),
-        )
-        greedy = truncate(inst.p, config)
-        opt = exact_ecmm(inst)
-        ratio = greedy.subset.gamma / opt.gamma
-        rows.append(
-            GapRow(
-                instance_id=rid,
-                n=inst.p.n,
-                alpha=inst.alpha,
-                gamma_greedy=greedy.subset.gamma,
-                gamma_optimal=opt.gamma,
-                ratio=ratio,
-            )
-        )
+        config = TruncationConfig(method=Method.TOP_H, alpha=inst.alpha,
+                                  candidate_cap=max(100, inst.p.n))
+        greedy = truncate(inst.p, config).subset.gamma
+        optimal = exact_ecmm(inst).gamma
+        rows.append(GapRow(instance_id=ids[pos] if ids is not None else f"i{pos:06d}",
+                           n=inst.p.n, alpha=inst.alpha, gamma_greedy=greedy,
+                           gamma_optimal=optimal, ratio=greedy / optimal))
+    if not rows:
+        raise EmptyInput("optimality_gap needs at least one instance")
     return GapReport(rows=tuple(rows))
 
 

@@ -2,11 +2,11 @@
 
 These are the enumerations ``toph.oracle.exact_ecmm`` and
 ``toph.hardness.decide_ecme_small(mode="full")`` ran before they moved to
-block-wise enumeration, a log-free screen and a meet-in-the-middle
-lookup: one complete ``2**n`` table per column from ``subset_sums``, every
-entropy and every mask's deficit computed, then the same tie-break and
-the same 50-digit confirmation.  They trade memory and time for
-plainness.
+log-free screens and the sorted meet-in-the-middle lookup of
+``toph.oracle.key_range_subsets``: one complete ``2**n`` table per column
+from ``subset_sums``, every entropy and every mask's deficit computed,
+then the same tie-break and the same 50-digit confirmation.  They trade
+memory and time for plainness.
 """
 
 import math

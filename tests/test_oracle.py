@@ -19,16 +19,16 @@ from toph.distributions import (
     renormalize,
     uniform_distribution,
 )
-from toph.errors import VocabularyTooLarge
+from toph.errors import AlphaOutOfRange, EmptyInput, VocabularyTooLarge
 from toph.hardness import CcssInstance, decide_ecme_small, reduce_to_ecme, verify_cardinality_lock
 from toph.oracle import (
     BLOCK_BITS,
     EcmmInstance,
     exact_ecmm,
     gap_report_csv,
+    key_range_subsets,
     mask_indices,
     optimality_gap,
-    subset_blocks,
     subset_sums,
     summary_line,
 )
@@ -80,22 +80,33 @@ class TestSubsetSums:
             assert table.tobytes() == np.asarray(expected, dtype=dtype).tobytes()
 
 
-class TestSubsetBlocks:
-    @pytest.mark.parametrize("block_bits", [3, 7, BLOCK_BITS])
-    def test_concatenated_blocks_equal_subset_sums(self, block_bits):
+class TestKeyRangeSubsets:
+    @pytest.mark.parametrize("k", [0, 3, 7, BLOCK_BITS])
+    @pytest.mark.parametrize("floored", [False, True])
+    def test_matches_full_tables(self, k, floored):
         rng = np.random.default_rng(21)
-        for n in range(17):
+        for n in range(k, k + 4):
             columns = (rng.random(n), rng.integers(-10**12, 10**12, n, dtype=np.int64))
-            firsts, parts = [], ([], [])
-            for first, sums in subset_blocks(columns, block_bits=block_bits):
-                firsts.append(first)
-                for part, block in zip(parts, sums):
-                    part.append(block.copy())  # the enumerator reuses its buffers
-            assert firsts == list(range(0, 2**n, 2 ** min(n, block_bits)))
-            for column, part in zip(columns, parts):
-                got = np.concatenate(part)
-                assert got.dtype == column.dtype
-                assert got.tobytes() == subset_sums(column).tobytes()
+            low_keys = rng.integers(0, 40, 2**k).astype(float)
+            lower = rng.integers(-5, 40, 2 ** (n - k)).astype(float)
+            upper = lower + rng.integers(-3, 15, lower.size)
+            floor = rng.random(lower.size) * k / 2 if floored else None
+            tables = [subset_sums(c) for c in columns]
+            masks = np.arange(2**n)
+            low, high = masks & (2**k - 1), masks >> k
+            hit = (lower[high] <= low_keys[low]) & (low_keys[low] <= upper[high])
+            if floored:
+                hit &= subset_sums(columns[0][:k])[low] >= floor[high]
+            found = []
+            for first, lows, sums in key_range_subsets(
+                    [subset_sums(c[:k]) for c in columns], [c[k:] for c in columns],
+                    low_keys, lower, upper, floor):
+                assert lows.size and np.all(np.diff(lows) > 0)
+                found.append(first + lows)
+                for table, got in zip(tables, sums):
+                    assert got.tobytes() == table[first + lows].tobytes()
+            got_masks = np.concatenate(found) if found else masks[:0]
+            assert got_masks.tolist() == masks[hit].tolist()
 
 
 @st.composite
@@ -170,33 +181,72 @@ class TestExactEcmmAgainstFullTables:
 
 
 class TestScreen:
-    """The log-free screen never drops a subset the float entropy keeps."""
+    """The log-free tests never drop a subset the full-table scan needs.
+
+    The entropy screen is checked at the instance's tangent point, at max p
+    and 1 (the ends of the range its margin argument covers) and at
+    max p / 7, below that range; the mass floor against the optimum of
+    the full-table reference."""
 
     @staticmethod
-    def assert_keeps_every_feasible_subset(instance, k):
+    def tables(instance):
         probs = instance.p.probs
         budget = instance.alpha * _entropy_of(probs)
         plp = np.where(probs > 0.0, probs * np.log(np.where(probs > 0.0, probs, 1.0)), 0.0)
+        return probs, plp, budget
+
+    @classmethod
+    def tangent_points(cls, instance):
+        probs, plp, budget = cls.tables(instance)
+        top = float(probs.max())
+        return max(oracle._feasible_prefix_mass(probs, plp, budget), top), top, 1.0, top / 7
+
+    @classmethod
+    def assert_keeps_every_feasible_subset(cls, instance, k, g0):
+        probs, plp, budget = cls.tables(instance)
         mass, hsum = subset_sums(probs), subset_sums(plp)
         with np.errstate(divide="ignore", invalid="ignore"):
             feasible = (mass > 0.0) & (np.log(mass) - hsum / mass <= budget)
-        low_key, high_key = oracle._screen_keys(probs, plp, budget, k)
+        low_key, high_key = oracle._screen_keys(
+            (subset_sums(probs[:k]), subset_sums(plp[:k])),
+            (subset_sums(probs[k:]), subset_sums(plp[k:])), budget, g0)
         masks = np.arange(mass.size)
         passes = low_key[masks & (2**k - 1)] <= high_key[masks >> k]
         assert np.all(passes[feasible])
+
+    @classmethod
+    def assert_floor_keeps_the_optimum(cls, instance, k):
+        probs, plp, budget = cls.tables(instance)
+        floor = ((oracle._feasible_prefix_mass(probs, plp, budget) - oracle._SCREEN_MARGIN)
+                 - subset_sums(probs[k:]))
+        masks = np.arange(2**instance.p.n)
+        heavy = masks[subset_sums(probs) >= reference_exact_ecmm(instance).gamma]
+        assert np.all(subset_sums(probs[:k])[heavy & (2**k - 1)] >= floor[heavy >> k])
 
     @settings(max_examples=200, deadline=None)
     @given(ecmm_instances(), st.data())
     def test_on_full_tables(self, instance, data):
         k = data.draw(st.integers(0, instance.p.n), label="k")
-        self.assert_keeps_every_feasible_subset(instance, k)
+        g0 = data.draw(st.sampled_from(self.tangent_points(instance)), label="g0")
+        self.assert_keeps_every_feasible_subset(instance, k, g0)
+        self.assert_floor_keeps_the_optimum(instance, k)
 
     @pytest.mark.parametrize("family,alpha", [("dirichlet", 0.4), ("zipf", 0.8),
                                               ("one_hot_mix", 0.1), ("uniform", 0.4),
                                               ("dirichlet", 1.0), ("gaussian_logits", 1.0)])
     def test_on_full_tables_at_n20(self, family, alpha):
-        p = generate(GeneratorSpec(family, 20, seed=9), 1)[0]
-        self.assert_keeps_every_feasible_subset(EcmmInstance(p, alpha), BLOCK_BITS)
+        instance = EcmmInstance(generate(GeneratorSpec(family, 20, seed=9), 1)[0], alpha)
+        for g0 in self.tangent_points(instance):
+            self.assert_keeps_every_feasible_subset(instance, BLOCK_BITS, g0)
+        self.assert_floor_keeps_the_optimum(instance, BLOCK_BITS)
+
+    def test_feasible_prefix_mass(self):
+        # prefixes of [0.4, 0.3, 0.2, 0.1] have entropies 0, 0.683, 1.06, 1.28;
+        # none is within a zero budget less the margin
+        p = np.array([0.1, 0.4, 0.2, 0.3])
+        for budget, mass in [(0.0, 0.0), (0.7, 0.7), (1.1, 0.9), (2.0, 1.0)]:
+            got = oracle._feasible_prefix_mass(p, p * np.log(p), budget)
+            assert got == pytest.approx(mass, abs=1e-15)
 
 
 class TestTieBreak:
@@ -237,6 +287,13 @@ class TestBlockMemory:
 
     def test_exact_ecmm(self):
         p = generate(GeneratorSpec("dirichlet", 20, seed=3), 1)[0]
+        assert _peak_bytes(exact_ecmm, EcmmInstance(p, 0.4)) < self.LIMIT
+
+    def test_exact_ecmm_when_most_pairs_pass_the_screen(self):
+        # 59 % of the 2**20 subsets pass the entropy screen, 4.8 % the mass
+        # floor too, and 50 388 tie at the optimum (0.9 plus 7 of 19 equal
+        # tokens): survivors are gathered one high mask at a time
+        p = generate(GeneratorSpec("one_hot_mix", 20, seed=3), 1)[0]
         assert _peak_bytes(exact_ecmm, EcmmInstance(p, 0.4)) < self.LIMIT
 
     def test_decide_full_mode(self):
@@ -322,6 +379,16 @@ class TestExactEcmm:
         with pytest.raises(VocabularyTooLarge):
             exact_ecmm(EcmmInstance(uniform_distribution(21), 0.4))
 
+    @pytest.mark.parametrize("alpha", [-0.1, -1e-300, float("nan"), float("inf"), -float("inf")])
+    def test_alpha_out_of_range(self, alpha):
+        with pytest.raises(AlphaOutOfRange):
+            EcmmInstance(make_distribution([0.5, 0.3, 0.2]), alpha)
+
+    @pytest.mark.parametrize("alpha,indices", [(0.0, (0,)), (1.0, (0, 1, 2)), (7.5, (0, 1, 2))])
+    def test_alpha_zero_and_above_one_are_valid(self, alpha, indices):
+        instance = EcmmInstance(make_distribution([0.5, 0.3, 0.2]), alpha)
+        assert exact_ecmm(instance).indices == indices
+
 
 class TestOptimalityGap:
     def test_uniform_batch_all_ones(self):
@@ -360,6 +427,10 @@ class TestOptimalityGap:
         assert rows[0]["instance_id"] == "case0"
         assert int(rows[0]["n"]) == 4
         assert float(rows[0]["ratio"]) == 0.8
+
+    def test_no_instances_raise_empty_input(self):
+        with pytest.raises(EmptyInput):
+            optimality_gap([])
 
     def test_summary_line_fields(self):
         inst = EcmmInstance(uniform_distribution(4), 0.4)
