@@ -22,7 +22,7 @@ import numpy as np
 
 from .distributions import ProbabilityDistribution, _entropy_of
 from .errors import AlphaOutOfRange, EmptyInput, VocabularyTooLarge
-from .truncation import Method, TruncationConfig, truncate
+from .truncation import Method, TruncationConfig, _descending_order, truncate
 
 #: Exhaustive search is refused above this vocabulary size (2**20 subsets).
 ENUMERATION_LIMIT = 20
@@ -158,15 +158,19 @@ def key_range_subsets(low: Sequence[np.ndarray], high_values: Sequence[np.ndarra
 def exact_ecmm(instance: EcmmInstance) -> EcmmSolution:
     """Maximize the subset mass subject to H(subset) <= alpha * H(p).
 
-    Every non-empty subset is a candidate; ties on mass are broken by
-    smaller cardinality, then by the lexicographically smallest index set.
+    Every non-empty subset is a candidate.  A single token has entropy
+    exactly 0, whatever its float form rounds to (the top-H scan likewise
+    always keeps its first token), so one is feasible even at alpha 0.  Ties
+    on mass are broken by smaller cardinality, then by the lexicographically
+    smallest index set.
     ``key_range_subsets`` finds the subsets that pass the log-free
     ``_screen_keys`` test, taken at the mass of the heaviest feasible prefix
     of the descending order (the optimum is at least that heavy, and the
     screen is tightest near it), and weigh no less than that prefix.  Of
     those, the scan computes the entropy only of subsets at least as heavy
-    as the best feasible one so far, and keeps every feasible one tied
-    with it.
+    as the best feasible one so far.  It keeps one incumbent: each high
+    mask's feasible subsets tied at its top mass are cut to the first in
+    index order as they arrive, which then meets the incumbent.
     """
     n = instance.p.n
     if n > ENUMERATION_LIMIT:
@@ -179,30 +183,35 @@ def exact_ecmm(instance: EcmmInstance) -> EcmmSolution:
     high = (subset_sums(probs[k:]), subset_sums(plp[k:]))
     prefix = _feasible_prefix_mass(probs, plp, budget)
     low_key, high_key = _screen_keys(low, high, budget, max(prefix, float(probs.max())))
-    best_mass = 0.0
-    tied: list[tuple[np.ndarray, np.ndarray]] = []  # per high mask: masks, entropies at best_mass
+    # the incumbent, the first in index order of the subsets tied at
+    # best_mass, starts as the top token, feasible at any budget
+    best_mask = 1 << int(np.argmax(probs))
+    best_mass, best_ent = float(probs.max()), 0.0
+    low_rank = None
     for first, lows, (mass,) in key_range_subsets(
             low[:1], (probs[k:],), low_key, np.full_like(high_key, -np.inf), high_key,
             (prefix - _SCREEN_MARGIN) - high[0]):
-        # the empty set (mass 0) is not a valid sampler output
-        pos = np.flatnonzero((mass >= best_mass) & (mass > 0.0))
+        pos = np.flatnonzero(mass >= best_mass)
         gamma = mass[pos]
         ent = np.log(gamma) - add_high_bits(low[1][lows[pos]], plp[k:], first >> k) / gamma
         feasible = ent <= budget
         if not feasible.any():
             continue
         top = gamma[feasible].max()
-        if top > best_mass:
-            best_mass, tied = top, []
-        at = feasible & (gamma == best_mass)
-        tied.append((first + lows[pos[at]], ent[at]))
-    if not tied:
-        # cannot happen for a valid distribution: the top singleton has H=0
-        raise AssertionError("no feasible subset; distribution invalid")
-    masks, ents = (np.concatenate(column) for column in zip(*tied))
-    best = 0 if masks.size == 1 else _first_in_index_order(masks, n)
-    return EcmmSolution(indices=mask_indices(int(masks[best])), gamma=float(best_mass),
-                        entropy=float(ents[best]))
+        if top < best_mass:
+            continue
+        at = np.flatnonzero(feasible & (gamma == top))
+        best = 0
+        if at.size > 1:
+            # the masks share their high bits, so their low bits decide
+            if low_rank is None:
+                low_rank = _index_order_keys(np.arange(2**k), k)
+            best = int(np.argmin(low_rank[lows[pos[at]]]))
+        mask = first + int(lows[pos[at[best]]])
+        if top > best_mass or _index_order(mask) < _index_order(best_mask):
+            best_mass, best_mask, best_ent = top, mask, float(ent[at[best]])
+    return EcmmSolution(indices=mask_indices(best_mask), gamma=float(best_mass),
+                        entropy=best_ent)
 
 
 def _feasible_prefix_mass(probs: np.ndarray, plp: np.ndarray, budget: float) -> float:
@@ -215,7 +224,7 @@ def _feasible_prefix_mass(probs: np.ndarray, plp: np.ndarray, budget: float) -> 
     the margin for budget <= ln 20 + 1, and a larger budget leaves no subset
     of n <= 20 tokens infeasible: the scan finds the prefix feasible.
     """
-    order = np.argsort(-probs, kind="stable")
+    order = _descending_order(probs[None, :])[0]
     mass = np.cumsum(probs[order])
     within = np.flatnonzero(np.log(mass) - np.cumsum(plp[order]) / mass
                             <= budget - _SCREEN_MARGIN)
@@ -249,18 +258,23 @@ def _screen_keys(low: tuple[np.ndarray, np.ndarray], high: tuple[np.ndarray, np.
     return low[0] * c - low[1], g0 - high[0] * c + high[1]
 
 
-def _first_in_index_order(masks: np.ndarray, n: int) -> int:
-    """Position of the mask with the fewest set bits, then the smallest index
-    set (``(0, 5)`` beats ``(1, 2)``): of equal popcounts, the one with the
-    lowest differing bit set, i.e. the largest bit-reversed mask."""
+def _index_order(mask: int) -> tuple[int, tuple[int, ...]]:
+    """The tie-break of ``exact_ecmm``, smallest first: the fewest set bits,
+    then the smallest index set (``(0, 5)`` beats ``(1, 2)``)."""
+    return mask.bit_count(), mask_indices(mask)
+
+
+def _index_order_keys(masks: np.ndarray, n: int) -> np.ndarray:
+    """``_index_order`` of masks below ``2**n`` as int64 keys, smallest first:
+    of equal popcounts, the set with the lowest differing bit comes first,
+    i.e. the largest bit-reversed mask."""
     count = np.zeros_like(masks)
     reversed_ = np.zeros_like(masks)
     for i in range(n):
         bit = (masks >> i) & 1
         count += bit
         reversed_ |= bit << (n - 1 - i)
-    fewest = np.flatnonzero(count == count.min())
-    return int(fewest[np.argmax(reversed_[fewest])])
+    return (count << n) - reversed_
 
 
 def optimality_gap(

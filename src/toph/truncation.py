@@ -7,15 +7,15 @@ then picks a prefix or threshold set of that order.  Entropies reported in
 the result refer to the capped, renormalized working distribution.
 
 All five methods run through one selection pass, ``select_block``, over a
-``(B, n)`` matrix of probability rows: one stable sort orders every row,
-the capped rows are gathered into one ``(B, c)`` work matrix and
-renormalized together, and each method's count rule picks every row's
-prefix.  A chunk holds at most ``chunk_rows(n)`` records, so large
-vocabularies go one record at a time; the dataset reader cuts its blocks
-by the same rule.  ``select_chunks`` stacks a list of distributions into
-such chunks and ``truncate`` is a chunk of one; all three run
-``config.method``.  Every per-row figure equals the one the record gets on
-its own.
+``(B, n)`` matrix of probability rows: one sort orders every row (ties in
+index order: the permutation a stable sort gives), the capped rows are
+gathered into one ``(B, c)`` work matrix and renormalized together, and
+each method's count rule picks every row's prefix.  A chunk holds at most
+``chunk_rows(n)`` records, so large vocabularies go one record at a time;
+the dataset reader cuts its blocks by the same rule.  ``select_chunks``
+stacks a list of distributions into such chunks and ``truncate`` is a
+chunk of one; all three run ``config.method``.  Every per-row figure
+equals the one the record gets on its own.
 
 ``TruncationConfig`` validates every parameter range when it is built,
 whatever the method, so the selection pass takes its parameters as given.
@@ -243,9 +243,43 @@ def _inverse_cdf(q: np.ndarray, tokens: np.ndarray, counts: Sequence[int],
 
 
 def _descending_order(probs: np.ndarray) -> np.ndarray:
-    # probability descending along the last axis; the stable sort keeps
-    # ties in index order
-    return (-probs).argsort(kind="stable")
+    """Each row's token indices by descending probability, ties in ascending
+    index order, for a ``(B, n)`` matrix.
+
+    The contract: the result is exactly ``(-probs).argsort(kind="stable")``,
+    so everything built from it is bit for bit what the stable sort gives.
+    Equal values form one run (``0.0`` equals ``-0.0``).  numpy's default
+    sort is several times faster than the stable one on large rows but
+    leaves each run in some order, so the tokens of runs of two or more are
+    sorted again by the unique key ``run start << b | index`` (``2**b >= n``;
+    the keys fit int64 while ``B * n * 2**b < 2**63``): runs keep their
+    place and come out in index order, whatever sort orders the keys.  A
+    row of one repeated value costs more than the stable sort, which finds
+    it presorted.
+    """
+    size, n = probs.shape
+    order = (-probs).argsort()
+    flat = order.reshape(-1)  # a view: writes land in order
+    # starts[i]: a run starts at flat position i (every row starts one);
+    # the last entry closes the final run
+    starts = np.ones(flat.size + 1, dtype=bool)
+    values = probs[np.arange(size)[:, None], order].reshape(-1)
+    np.not_equal(values[1:], values[:-1], out=starts[1:-1])
+    del values
+    starts[n::max(n, 1)] = True
+    if starts.all():
+        return order
+    # the positions in runs of two or more, and where in them each run starts
+    tied = np.flatnonzero(~(starts[:-1] & starts[1:]))
+    heads = np.flatnonzero(starts[tied])
+    del starts
+    bits = (n - 1).bit_length()
+    keys = np.repeat(tied[heads], np.diff(heads, append=tied.size)) << bits
+    keys |= flat[tied]
+    keys.sort()
+    keys &= (1 << bits) - 1
+    flat[tied] = keys
+    return order
 
 
 def _top_h_scan(row: np.ndarray, threshold: float, order: np.ndarray | None):

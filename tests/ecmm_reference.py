@@ -6,7 +6,8 @@ log-free screens and the sorted meet-in-the-middle lookup of
 ``toph.oracle.key_range_subsets``: one complete ``2**n`` table per column
 from ``subset_sums``, every entropy and every mask's deficit computed,
 then the same tie-break and the same 50-digit confirmation.  They trade
-memory and time for plainness.
+memory and time for plainness.  A single token scores entropy exactly 0,
+as in the library, whatever ``ln p - (p ln p) / p`` rounds to.
 """
 
 import math
@@ -28,6 +29,7 @@ def reference_exact_ecmm(instance):
     hsum = subset_sums(plp)
     with np.errstate(divide="ignore", invalid="ignore"):
         ent = np.log(mass) - hsum / mass
+    ent[2 ** np.arange(probs.shape[0])] = 0.0  # a single token has entropy 0
     ent[0] = np.inf  # empty set is not a valid sampler output
     ent[mass <= 0.0] = np.inf
     feasible = ent <= budget

@@ -261,6 +261,14 @@ class TestTieBreak:
         instance = EcmmInstance(make_distribution(self.ZIPF_PAIRS), alpha)
         assert exact_ecmm(instance) == reference_exact_ecmm(instance)
 
+    def test_winner_is_not_the_smallest_tied_mask(self):
+        # (3, 4, 5) (mask 56) ties on mass with (0, 1, 4, 5) (mask 51) in the
+        # same high mask, and wins on cardinality
+        p = make_distribution(np.array([1, 1, 1, 2, 5, 4, 1]) / 15)
+        instance = EcmmInstance(p, 0.7)
+        assert exact_ecmm(instance) == reference_exact_ecmm(instance)
+        assert exact_ecmm(instance).indices == (3, 4, 5)
+
     @settings(max_examples=200, deadline=None)
     @given(st.integers(2, 12).flatmap(
         lambda n: st.tuples(st.just(n), st.sets(st.integers(1, 2**n - 1), min_size=2))))
@@ -268,7 +276,8 @@ class TestTieBreak:
         n, tied = case
         masks = np.asarray(sorted(tied), dtype=np.int64)
         best = min(tied, key=lambda m: (bin(m).count("1"), mask_indices(m)))
-        assert masks[oracle._first_in_index_order(masks, n)] == best
+        assert masks[np.argmin(oracle._index_order_keys(masks, n))] == best
+        assert min(tied, key=oracle._index_order) == best
 
 
 def _peak_bytes(fn, *args):
@@ -295,6 +304,12 @@ class TestBlockMemory:
         # tokens): survivors are gathered one high mask at a time
         p = generate(GeneratorSpec("one_hot_mix", 20, seed=3), 1)[0]
         assert _peak_bytes(exact_ecmm, EcmmInstance(p, 0.4)) < self.LIMIT
+
+    def test_exact_ecmm_with_many_tied_optima(self):
+        # 184 756 subsets of 10 tokens tie at the optimum; the tie-break keeps
+        # one incumbent instead of gathering them all
+        p = generate(GeneratorSpec("uniform", 20, seed=3), 1)[0]
+        assert _peak_bytes(exact_ecmm, EcmmInstance(p, 0.8)) < self.LIMIT
 
     def test_decide_full_mode(self):
         weights = tuple(780 + 2 * i for i in range(20))
@@ -388,6 +403,21 @@ class TestExactEcmm:
     def test_alpha_zero_and_above_one_are_valid(self, alpha, indices):
         instance = EcmmInstance(make_distribution([0.5, 0.3, 0.2]), alpha)
         assert exact_ecmm(instance).indices == indices
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.floats(0.0, 1.0))
+    # every singleton's float entropy ln p - (p ln p) / p rounds above 0 here
+    @example(0.3818147799662388)
+    @example(0.80236416)
+    def test_alpha_zero_keeps_the_heaviest_token(self, x):
+        # a single token has entropy 0, which a zero budget admits; two
+        # tokens of positive mass have entropy above 0
+        p = make_distribution([x, 1.0 - x])
+        instance = EcmmInstance(p, 0.0)
+        sol = exact_ecmm(instance)
+        assert sol == reference_exact_ecmm(instance)
+        assert sol.indices == (int(np.argmax(p.probs)),)
+        assert (sol.gamma, sol.entropy) == (float(p.probs.max()), 0.0)
 
 
 class TestOptimalityGap:

@@ -536,7 +536,55 @@ class TestDescendingOrder:
         # tie-heavy values, exact zeros of both signs: ties stay in index order
         probs = np.asarray(tied + free, dtype=np.float64)
         expected = np.lexsort((np.arange(probs.shape[0]), -probs))
-        assert np.array_equal(_descending_order(probs), expected)
+        assert np.array_equal(_descending_order(probs[None, :])[0], expected)
+
+    @staticmethod
+    def assert_rows_in_stable_order(probs):
+        got = _descending_order(probs)
+        assert got.shape == probs.shape
+        index = np.arange(probs.shape[1])
+        for row, order in zip(probs, got):
+            assert np.array_equal(order, np.lexsort((index, -row)))
+
+    # n <= 16 takes numpy's small-array sort, larger n its vectorized one
+    @pytest.mark.parametrize("n", [1, 2, 15, 16, 17, 100, 1000, 32768, 131072])
+    def test_blocks_of_tie_free_and_tie_heavy_rows(self, n):
+        rng = np.random.default_rng(n)
+        free = rng.random(n)
+        zero_tail = rng.random(n)
+        zero_tail[rng.permutation(n)[: 3 * n // 4]] = 0.0
+        zero_tail[rng.permutation(n)[: n // 8]] *= -0.0  # both signs of zero
+        tiny = rng.random(n)
+        tiny[rng.permutation(n)[: n // 2]] = rng.choice([0.0, -0.0, 5e-324, 1e-320, 2.2e-308],
+                                                        n // 2)
+        few = rng.choice([0.125, 0.25, 1 / 3, 0.5], n)
+        mixed = np.where(rng.random(n) < 0.5, free, few)
+        # two equal rows side by side: a run must not continue into the next row
+        rows = [free, np.full(n, 1.0 / n), np.full(n, 1.0 / n), zero_tail, tiny, few, mixed,
+                rng.random(n)]
+        self.assert_rows_in_stable_order(np.stack(rows))
+        for row in rows[:4]:
+            self.assert_rows_in_stable_order(row[None, :])
+
+    def test_ties_at_the_cap_boundary_of_a_large_row(self):
+        # ranks 90-109 of a 128k row share one value, so the tied run
+        # straddles the default cap of 100; the tail holds zeros of both signs
+        n = 131072
+        rng = np.random.default_rng(17)
+        raw = np.sort(rng.random(n))[::-1] ** 8
+        raw[90:110] = raw[100]
+        raw[-n // 4:] = 0.0
+        raw[-n // 8:] = -0.0
+        probs = rng.permutation(raw)
+        probs = probs / np.sum(probs)
+        self.assert_rows_in_stable_order(probs[None, :])
+        p = make_distribution(probs)
+        for method in Method:
+            cfg = config(method)
+            got = truncate(p, cfg, collect_trace=True)
+            ref = reference_truncate(p.probs, method.value)
+            assert got.selected == ref.selected
+            assert (got.subset.gamma, got.h_p, got.h_q) == (ref.gamma, ref.h_p, ref.h_q)
 
 
 class TestSampleToken:
