@@ -10,8 +10,8 @@ The package has five pillars:
   would exceed alpha * H(p), plus top-k / top-p / min-p / eta baselines
   and seeded token sampling, picked by ``TruncationConfig.method``:
   ``select_block`` runs one selection pass over a ``(B, n)`` matrix of
-  records with equal vocabulary size, ``truncate`` over one distribution
-  and ``select_chunks`` over a list of them;
+  records with equal vocabulary size, and ``truncate`` over one
+  distribution;
 - ``oracle``: exact solutions of the underlying entropy-constrained mass
   maximization by exhaustive subset enumeration, and the greedy-vs-optimal
   gap harness;
@@ -21,7 +21,8 @@ The package has five pillars:
   for the m == K instances the reduction emits, and a full subset search
   for small instances;
 - ``synthgen``: seeded synthetic distribution generators and JSONL
-  dataset I/O, read as validated ``(B, n)`` blocks.
+  dataset I/O; a dataset read from a file and a generated one are cut
+  into validated ``(B, n)`` blocks by one rule.
 
 The ``toph`` console script exposes all of it as reproducible commands.
 """

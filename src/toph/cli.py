@@ -24,7 +24,7 @@ import functools
 import json
 import sys
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from typing import Iterable
 
 import numpy as np
@@ -46,7 +46,7 @@ from .oracle import (
 from .distributions import ProbabilityDistribution
 from .rng import u01
 from .synthgen import SCHEMA_VERSION, DatasetBlock, GeneratorSpec, generate, read_dataset
-from .truncation import Method, SelectionBlock, TruncationConfig, chunk_rows, select_block
+from .truncation import Method, SelectionBlock, TruncationConfig, select_block
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -55,6 +55,13 @@ EXIT_DOMAIN = 3
 
 #: Source of every truncation flag default.
 _DEFAULTS = TruncationConfig()
+
+#: Source of every generator flag default.
+_GENERATOR_DEFAULTS = GeneratorSpec(family="zipf", n=15)
+
+#: The generator flags: every ``GeneratorSpec`` field but the seed, which
+#: the manifest records on its own.
+_GENERATOR_FLAGS = tuple(f.name for f in fields(GeneratorSpec) if f.name != "seed")
 
 _METHOD_FLAGS = {m.value.replace("_", "-"): m for m in Method}
 
@@ -117,31 +124,22 @@ def _add_method_flags(sub) -> None:
 
 
 def _add_family_flags(sub) -> None:
-    sub.add_argument("--family", choices=synthgen.FAMILIES, default="zipf")
-    sub.add_argument("--n", type=int, default=15)
-    sub.add_argument("--s", type=float, default=1.0, help="zipf exponent")
-    sub.add_argument("--a", type=float, default=1.0, help="dirichlet concentration")
-    sub.add_argument("--sigma", type=float, default=1.0, help="gaussian logit scale")
-    sub.add_argument("--temperature", type=float, default=1.0)
-    sub.add_argument("--peak", type=float, default=0.9, help="one_hot_mix peak mass")
+    d = _GENERATOR_DEFAULTS
+    sub.add_argument("--family", choices=synthgen.FAMILIES, default=d.family)
+    sub.add_argument("--n", type=int, default=d.n)
+    sub.add_argument("--s", type=float, default=d.s, help="zipf exponent")
+    sub.add_argument("--a", type=float, default=d.a, help="dirichlet concentration")
+    sub.add_argument("--sigma", type=float, default=d.sigma, help="gaussian logit scale")
+    sub.add_argument("--temperature", type=float, default=d.temperature)
+    sub.add_argument("--peak", type=float, default=d.peak, help="one_hot_mix peak mass")
     sub.add_argument("--shuffle", action="store_true", help="zipf index shuffle")
 
 
-def _generate(args, count: int) -> list:
-    """``count`` distributions from the family flags; a bad spec is a usage error."""
-    spec = GeneratorSpec(
-        family=args.family,
-        n=args.n,
-        seed=args.seed,
-        s=args.s,
-        a=args.a,
-        sigma=args.sigma,
-        temperature=args.temperature,
-        peak=args.peak,
-        shuffle=args.shuffle,
-    )
+def _generate(args, count: int) -> list[ProbabilityDistribution]:
+    """``count`` distributions from the family flags; a bad spec or row is a usage error."""
+    flags = {name: getattr(args, name) for name in _GENERATOR_FLAGS}
     try:
-        return generate(spec, count)
+        return generate(GeneratorSpec(seed=args.seed, **flags), count)
     except TophError as exc:
         raise UsageError(str(exc)) from exc
 
@@ -154,10 +152,8 @@ def _generator_fields(args, count_key: str) -> dict:
     """
     if getattr(args, "input", None):
         return {}
-    return {"family": args.family, "n": args.n, count_key: getattr(args, count_key),
-            "s": args.s, "a": args.a, "sigma": args.sigma,
-            "temperature": args.temperature, "peak": args.peak,
-            "shuffle": args.shuffle}
+    return {**{name: getattr(args, name) for name in _GENERATOR_FLAGS},
+            count_key: getattr(args, count_key)}
 
 
 def _config_dict(config: TruncationConfig) -> dict:
@@ -197,11 +193,13 @@ def _read_input(path: str) -> list[DatasetBlock]:
     return blocks
 
 
-def _generated(args) -> list[ProbabilityDistribution]:
-    """``--trials`` distributions from the family flags."""
+def _blocks(args) -> list[DatasetBlock]:
+    """The records of ``gap`` and ``sweep``: ``--input``, else ``--trials`` generated ones."""
+    if args.input:
+        return _read_input(args.input)
     if args.trials < 1:
         raise UsageError(f"--trials must be >= 1, got {args.trials}")
-    return _generate(args, args.trials)
+    return synthgen.as_blocks(_generate(args, args.trials))
 
 
 def _selections(blocks: list[DatasetBlock], config: TruncationConfig, with_trace: bool = False):
@@ -247,21 +245,18 @@ def cmd_gap(args) -> CommandResult:
     if not args.input and args.n > ENUMERATION_LIMIT:
         raise UsageError(
             f"--n {args.n} exceeds the exhaustive-enumeration limit of "
-            f"{ENUMERATION_LIMIT}; the oracle walks all 2**n subsets"
+            f"{ENUMERATION_LIMIT}; the exact oracle's search grows as 2**n"
         )
-    if args.input:
-        # no-copy views of the validated rows
-        dists = [ProbabilityDistribution(row) for block in _read_input(args.input)
-                 for row in block.probs]
-    else:
-        dists = _generated(args)
-    too_big = max(d.n for d in dists)
+    blocks = _blocks(args)
+    too_big = max(block.probs.shape[1] for block in blocks)
     if too_big > ENUMERATION_LIMIT:
         raise UsageError(
             f"dataset contains n={too_big}, above the exhaustive-enumeration "
-            f"limit of {ENUMERATION_LIMIT}; the oracle walks all 2**n subsets"
+            f"limit of {ENUMERATION_LIMIT}; the exact oracle's search grows as 2**n"
         )
-    instances = [EcmmInstance(p=d, alpha=args.alpha) for d in dists]
+    # no-copy views of the validated rows
+    instances = [EcmmInstance(p=ProbabilityDistribution(row), alpha=args.alpha)
+                 for block in blocks for row in block.probs]
     report = optimality_gap(instances)
     print(summary_line(report))
     return CommandResult(
@@ -281,13 +276,7 @@ def cmd_sweep(args) -> CommandResult:
     if not alphas:
         raise UsageError("--alphas is empty")
     configs = [_config(alpha=a, candidate_cap=args.candidate_cap) for a in alphas]
-    if args.input:
-        matrices = [block.probs for block in _read_input(args.input)]
-    else:
-        dists = _generated(args)
-        rows = chunk_rows(args.n)
-        matrices = [np.stack([d.probs for d in dists[i:i + rows]])
-                    for i in range(0, len(dists), rows)]
+    matrices = [block.probs for block in _blocks(args)]
     count = sum(len(probs) for probs in matrices)
     lines = ["alpha,mean_selected,mean_gamma,mean_entropy_ratio,count\n"]
     for config in configs:

@@ -22,6 +22,7 @@ Families:
 from __future__ import annotations
 
 import json
+import math
 import os
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
@@ -31,7 +32,6 @@ import numpy as np
 from .distributions import ProbabilityDistribution, make_distribution, validate_block
 from .errors import InvalidParameters, MalformedRecord, MixedSchema, TophError
 from .rng import Stream
-from .truncation import chunk_rows
 
 FAMILIES = ("zipf", "dirichlet", "gaussian_logits", "one_hot_mix", "uniform")
 
@@ -62,6 +62,9 @@ class GeneratorSpec:
             raise InvalidParameters(f"unknown family {self.family!r}")
         if self.n < 1:
             raise InvalidParameters("n must be >= 1")
+        for name in ("s", "a", "sigma", "temperature", "peak"):
+            if not math.isfinite(getattr(self, name)):
+                raise InvalidParameters(f"{name} must be finite, got {getattr(self, name)!r}")
         if self.family == "zipf" and not self.s > 0.0:
             raise InvalidParameters("zipf exponent s must be > 0")
         if self.family == "dirichlet" and not self.a > 0.0:
@@ -87,26 +90,31 @@ def _one_instance(spec: GeneratorSpec, stream: Stream) -> ProbabilityDistributio
         probs = _zipf_probs(n, spec.s)
         if spec.shuffle:
             probs = probs[np.asarray(stream.permutation(n))]
-        return ProbabilityDistribution(probs)
+        return make_distribution(probs)
     if spec.family == "uniform":
-        return ProbabilityDistribution(np.full(n, 1.0 / n))
+        return make_distribution(np.full(n, 1.0 / n))
     if spec.family == "dirichlet":
         draws = np.asarray([stream.gamma(spec.a) for _ in range(n)])
-        return ProbabilityDistribution(draws / draws.sum())
+        # at a tiny ``a`` every draw can underflow to 0; the 0/0 row is refused as NaN
+        with np.errstate(invalid="ignore"):
+            return make_distribution(draws / draws.sum())
     if spec.family == "gaussian_logits":
         logits = [spec.sigma * stream.normal() for _ in range(n)]
         return make_distribution(logits, mode="logits", temperature=spec.temperature)
     if spec.family == "one_hot_mix":
         if n == 1:
-            return ProbabilityDistribution(np.ones(1))
+            return make_distribution(np.ones(1))
         probs = np.full(n, (1.0 - spec.peak) / (n - 1))
         probs[stream.integer_below(n)] = spec.peak
-        return ProbabilityDistribution(probs / probs.sum())
+        return make_distribution(probs / probs.sum())
     raise InvalidParameters(f"unknown family {spec.family!r}")
 
 
 def generate(spec: GeneratorSpec, count: int) -> list[ProbabilityDistribution]:
-    """Produce ``count`` distributions; instance i uses rng stream i."""
+    """Produce ``count`` distributions; instance i uses rng stream i.
+
+    Every row gets a dataset row's check: a NaN row raises ``NonFiniteValue``.
+    """
     spec.validate()
     if count < 0:
         raise InvalidParameters("count must be >= 0")
@@ -123,12 +131,30 @@ def generate(spec: GeneratorSpec, count: int) -> list[ProbabilityDistribution]:
 # an exact identity.
 
 
+#: The id of record ``i`` of a dataset written without ids: ``d000000``, ...
+_record_id = "d{:06d}".format
+
+#: Element budget of one block: a block of records with ``n`` tokens each
+#: holds at most ``chunk_rows(n)`` of them, so its arrays stay small and a
+#: large vocabulary is never stacked.
+CHUNK_ELEMENTS = 2**14
+
+
+def chunk_rows(n: int) -> int:
+    """The most records of ``n`` tokens one block holds: 163 at n = 100, one at 32k.
+
+    An empty record (``n = 0``, refused by validation) counts as one token.
+    """
+    return max(1, CHUNK_ELEMENTS // max(n, 1))
+
+
 @dataclass(frozen=True)
 class DatasetBlock:
     """Consecutive dataset records of one vocabulary size: ``ids[r]`` names row ``r``.
 
     ``probs`` is a read-only ``(B, n)`` float64 matrix of validated
-    probability rows (logits records arrive as their softmax).
+    probability rows (logits records arrive as their softmax), at most
+    ``chunk_rows(n)`` of them.
     """
 
     ids: list[str]
@@ -136,6 +162,25 @@ class DatasetBlock:
 
     def __len__(self) -> int:
         return len(self.ids)
+
+
+def as_blocks(dists: Sequence[ProbabilityDistribution]) -> list[DatasetBlock]:
+    """``dists`` cut into blocks as ``read_dataset`` cuts a file of them.
+
+    Ids are the ones ``dataset_lines`` writes.  A block of one record is a
+    view of its row; a longer one is a new read-only matrix.
+    """
+    blocks, start = [], 0
+    while start < len(dists):
+        n, stop = dists[start].n, start + 1
+        while stop < min(len(dists), start + chunk_rows(n)) and dists[stop].n == n:
+            stop += 1
+        rows = [d.probs for d in dists[start:stop]]
+        probs = rows[0][None, :] if len(rows) == 1 else np.stack(rows)
+        probs.setflags(write=False)
+        blocks.append(DatasetBlock([_record_id(i) for i in range(start, stop)], probs))
+        start = stop
+    return blocks
 
 
 def write_text(path: str | os.PathLike, pieces: Iterable[str]) -> None:
@@ -162,7 +207,7 @@ def dataset_lines(dists: Iterable[ProbabilityDistribution],
                   ids: Sequence[str] | None = None) -> Iterator[str]:
     """The JSONL lines of a dataset of ``dists``, one at a time."""
     for i, dist in enumerate(dists):
-        rid = ids[i] if ids is not None else f"d{i:06d}"
+        rid = ids[i] if ids is not None else _record_id(i)
         yield json.dumps({"schema_version": SCHEMA_VERSION, "id": rid,
                           "probs": [float(x) for x in dist.probs]}) + "\n"
 

@@ -10,12 +10,10 @@ All five methods run through one selection pass, ``select_block``, over a
 ``(B, n)`` matrix of probability rows: one sort orders every row (ties in
 index order: the permutation a stable sort gives), the capped rows are
 gathered into one ``(B, c)`` work matrix and renormalized together, and
-each method's count rule picks every row's prefix.  A chunk holds at most
-``chunk_rows(n)`` records, so large vocabularies go one record at a time;
-the dataset reader cuts its blocks by the same rule.  ``select_chunks``
-stacks a list of distributions into such chunks and ``truncate`` is a
-chunk of one; all three run ``config.method``.  Every per-row figure
-equals the one the record gets on its own.
+each method's count rule picks every row's prefix.  ``truncate`` is a
+block of one row; both run ``config.method``.  Every per-row figure equals
+the one the record gets on its own, so how the caller cuts its records into
+blocks (``toph.synthgen`` does it for the CLI) changes no output.
 
 ``TruncationConfig`` validates every parameter range when it is built,
 whatever the method, so the selection pass takes its parameters as given.
@@ -45,7 +43,7 @@ import enum
 import math
 import numbers
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -64,24 +62,11 @@ from .errors import (
 )
 from .rng import u01
 
-#: Element budget of one selection chunk: a chunk of records with ``n``
-#: tokens each holds at most ``chunk_rows(n)`` of them, so the chunk's
-#: arrays stay small and a large vocabulary is never stacked.
-CHUNK_ELEMENTS = 2**14
-
 #: Why the top-H scan ended: the next token would have pushed the entropy
 #: over the budget, the next token has probability 0, or no candidate was left.
 STOP_BUDGET = "budget"
 STOP_ZERO_TAIL = "zero_tail"
 STOP_CAP_EXHAUSTED = "cap_exhausted"
-
-
-def chunk_rows(n: int) -> int:
-    """The most records of ``n`` tokens one chunk holds: 163 at n = 100, one at 32k.
-
-    An empty record (``n = 0``, refused by validation) counts as one token.
-    """
-    return max(1, CHUNK_ELEMENTS // max(n, 1))
 
 
 class Method(str, enum.Enum):
@@ -172,7 +157,7 @@ class TruncationResult:
 
 @dataclass(frozen=True)
 class SelectionBlock:
-    """The selections of one chunk of records, row ``r`` for record ``r``.
+    """The selections of one block of records, row ``r`` for record ``r``.
 
     Row ``r`` selects the first ``counts[r]`` tokens of ``order[r]``, whose
     working (capped, renormalized) probabilities are the same entries of
@@ -380,29 +365,6 @@ def select_block(
         threshold=threshold, stop_reason=stop, dropped_mass=dropped, h_p_full=h_p_full,
         trace=traces,
     )
-
-
-def select_chunks(
-    dists: Sequence[ProbabilityDistribution],
-    config: TruncationConfig,
-    collect_trace: bool = False,
-) -> Iterator[SelectionBlock]:
-    """Selections of ``dists`` under ``config.method``, one block per chunk, in order.
-
-    A chunk is a run of at most ``chunk_rows(n)`` consecutive distributions
-    of equal ``n``, stacked into one matrix for ``select_block``.
-    """
-    start = 0
-    while start < len(dists):
-        n = dists[start].n
-        limit = min(len(dists), start + chunk_rows(n))
-        stop = start + 1
-        while stop < limit and dists[stop].n == n:
-            stop += 1
-        probs = dists[start].probs[None, :] if stop == start + 1 else \
-            np.stack([d.probs for d in dists[start:stop]])
-        yield select_block(probs, config, collect_trace)
-        start = stop
 
 
 def truncate(

@@ -1,5 +1,6 @@
 """CLI contract tests: outputs, exit codes, manifests, determinism."""
 
+import hashlib
 import json
 import math
 from pathlib import Path
@@ -7,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from toph import cli, truncation
+from toph import cli, synthgen
 from toph.cli import main
 from toph.errors import MalformedRecord, NonFiniteValue, NonPositiveTemperature, TophError
 from toph.hardness import CcssInstance, ccss_to_json
@@ -293,6 +294,89 @@ class TestSampleGolden:
         assert out.read_text() == expected
 
 
+# ``toph generate`` flags of the pinned outputs: every family, zipf with a
+# shuffle, and a Dirichlet concentration below 1 (the boosted gamma draw).
+GENERATE_VARIANTS = {
+    "zipf": ["--family", "zipf"],
+    "zipf-shuffled": ["--family", "zipf", "--s", "1.3", "--shuffle"],
+    "dirichlet": ["--family", "dirichlet"],
+    "dirichlet-sparse": ["--family", "dirichlet", "--a", "0.1"],
+    "gaussian_logits": ["--family", "gaussian_logits", "--sigma", "2.0", "--temperature", "0.7"],
+    "one_hot_mix": ["--family", "one_hot_mix"],
+    "uniform": ["--family", "uniform"],
+}
+# sha256 of the output of ``toph generate <variant> --n n --seed seed``, three
+# records a run (two at n = 32768)
+GENERATE_DIGESTS = {
+    ("zipf", 1, 0): "f7bcd3c8db7e41ff876854b08db321f494e5aa613234014830cd9ffd42d5d964",
+    ("zipf", 1, 11): "f7bcd3c8db7e41ff876854b08db321f494e5aa613234014830cd9ffd42d5d964",
+    ("zipf", 2, 0): "09872c03e8d6ff1f5eaf5c6a46e07e9b8213b536d66e016caf9b4d05b208b667",
+    ("zipf", 2, 11): "09872c03e8d6ff1f5eaf5c6a46e07e9b8213b536d66e016caf9b4d05b208b667",
+    ("zipf", 100, 0): "85006498400eac29fa1d8af3018fe6027732b5c308c1ee99079e61425a341d3b",
+    ("zipf", 100, 11): "85006498400eac29fa1d8af3018fe6027732b5c308c1ee99079e61425a341d3b",
+    ("zipf", 32768, 0): "f586398e1cb047a0e5dc1d30de5d45ed58d99eebcb37c23c22a4983426f586fb",
+    ("zipf", 32768, 11): "f586398e1cb047a0e5dc1d30de5d45ed58d99eebcb37c23c22a4983426f586fb",
+    ("zipf-shuffled", 1, 0): "f7bcd3c8db7e41ff876854b08db321f494e5aa613234014830cd9ffd42d5d964",
+    ("zipf-shuffled", 1, 11): "f7bcd3c8db7e41ff876854b08db321f494e5aa613234014830cd9ffd42d5d964",
+    ("zipf-shuffled", 2, 0): "0da018541d1118b062a42270330e3c2cceb220b9ce8749fabab451d86f1aea1c",
+    ("zipf-shuffled", 2, 11): "0da018541d1118b062a42270330e3c2cceb220b9ce8749fabab451d86f1aea1c",
+    ("zipf-shuffled", 100, 0): "97e9389c73febaeb7b7ae804b56e88dba0afd7438a6e364e98583f17d4ba30c6",
+    ("zipf-shuffled", 100, 11): "b599adb61d43404a2b09be20bcf8522e3140055cd37262c5b61a5b7748f8d3ea",
+    ("zipf-shuffled", 32768, 0): "150df79a1df871b01decd21048f791a012024e3aa78ce02e72401cb6d8394def",
+    ("zipf-shuffled", 32768, 11): "6bd84996b2373977882a3bd9232b60571b6d2a0208878cef2d7041049cf6be0e",
+    ("dirichlet", 1, 0): "f7bcd3c8db7e41ff876854b08db321f494e5aa613234014830cd9ffd42d5d964",
+    ("dirichlet", 1, 11): "f7bcd3c8db7e41ff876854b08db321f494e5aa613234014830cd9ffd42d5d964",
+    ("dirichlet", 2, 0): "b8442ce8a152d851564d8e724815d06ccc6ff70c2b010274d88e0d088eb0ac74",
+    ("dirichlet", 2, 11): "eb0a1646952d277a00ccd47a045f923d9a581eaa61d85ef1b892ad9894fc86f0",
+    ("dirichlet", 100, 0): "370b92e25105c09c70c2aab67ffcefb14dcdcaa3b879b454a29b616c3b06a498",
+    ("dirichlet", 100, 11): "2ec950f08217a3711b4bfb852587ceed2f735530e80c364b5231e751f1368807",
+    ("dirichlet", 32768, 0): "7c4b553965762d54e5ae4448c1fc10ac2f541162fc67b1c617ca1174152f2fb9",
+    ("dirichlet", 32768, 11): "25985b32950168f30cb81a4cf6ad44bcdf8a2df9b0e135480b195e600985eb7c",
+    ("dirichlet-sparse", 1, 0): "f7bcd3c8db7e41ff876854b08db321f494e5aa613234014830cd9ffd42d5d964",
+    ("dirichlet-sparse", 1, 11): "f7bcd3c8db7e41ff876854b08db321f494e5aa613234014830cd9ffd42d5d964",
+    ("dirichlet-sparse", 2, 0): "78c7c5a1bc282d8a6d3e388badc6f6ac2b74d3888a69a4c2ebdbfe149c242a12",
+    ("dirichlet-sparse", 2, 11): "64c3e194327e9f535798b88b16ca848eda5b6815dbfaa8348778ac94dbf65d8a",
+    ("dirichlet-sparse", 100, 0): "3341218fc5d654ffa754a2b159837c9775d6e3d302039c1af5486f891af76d8b",
+    ("dirichlet-sparse", 100, 11): "1dd70123606511fd1cb22a191cd143dd5b9626702b4802cf6f04fd6018bfddd6",
+    ("dirichlet-sparse", 32768, 0): "ba85ccb05ca9751ee15aa9e71ff5bdcc47d93ebd4520360d33afade4c51e7288",
+    ("dirichlet-sparse", 32768, 11): "d9de9bae2e6cf62e10b74aaacc2b3f441a0a054032a0a1f86ce28308810759a6",
+    ("gaussian_logits", 1, 0): "f7bcd3c8db7e41ff876854b08db321f494e5aa613234014830cd9ffd42d5d964",
+    ("gaussian_logits", 1, 11): "f7bcd3c8db7e41ff876854b08db321f494e5aa613234014830cd9ffd42d5d964",
+    ("gaussian_logits", 2, 0): "8591ab1fbfef7d8f0a9a3658845658d966466f9557c5243ea46477610ef9fa2b",
+    ("gaussian_logits", 2, 11): "487e2425900fea0d3f1d08db6b87f938a8bcfa29046b4f813e56c62d4908d060",
+    ("gaussian_logits", 100, 0): "a22b0af83d1d1e65ea4b53f60481a0716585445c1b61a154d10fd38672927c20",
+    ("gaussian_logits", 100, 11): "d96ef846f315b8b0195b9d21006cf1256fa34a0d7db3a2c9dc5f86c9016513bf",
+    ("gaussian_logits", 32768, 0): "a7f8dea2f83239dda3bd20cb5f863ed97d103d356c1ee71bd8ee58f34577752c",
+    ("gaussian_logits", 32768, 11): "15d2983e803bf7c13ad3a8d5c632a72a5024e9bf50f26efbfeba3833894bfd18",
+    ("one_hot_mix", 1, 0): "f7bcd3c8db7e41ff876854b08db321f494e5aa613234014830cd9ffd42d5d964",
+    ("one_hot_mix", 1, 11): "f7bcd3c8db7e41ff876854b08db321f494e5aa613234014830cd9ffd42d5d964",
+    ("one_hot_mix", 2, 0): "7f11b8d4c02dc7e9d9a5f6ae759075be7eaf79db9e3b16bb8cfec034747c0fff",
+    ("one_hot_mix", 2, 11): "7f11b8d4c02dc7e9d9a5f6ae759075be7eaf79db9e3b16bb8cfec034747c0fff",
+    ("one_hot_mix", 100, 0): "dec1784be7bd3fd8ed197456697967b27122876b6eacf19acb6418451ed939f4",
+    ("one_hot_mix", 100, 11): "63a1cbfe69c42c462b5e8f5177ea677da70ca9e5c2d32f2c5cb908adad6c6a6a",
+    ("one_hot_mix", 32768, 0): "c87a1e4d63228800b21e1c3f72f3cbd5740119d35998c174d9ea8cd30e2df1d5",
+    ("one_hot_mix", 32768, 11): "9bf8bc64bf073a0271157cd0eaee71e82fce8511b902ddfef000feffdbf6a734",
+    ("uniform", 1, 0): "f7bcd3c8db7e41ff876854b08db321f494e5aa613234014830cd9ffd42d5d964",
+    ("uniform", 1, 11): "f7bcd3c8db7e41ff876854b08db321f494e5aa613234014830cd9ffd42d5d964",
+    ("uniform", 2, 0): "611449a9b41fda86b2805bf92b05771eaa19c6eb2eddc06057e6e9377b5ae5b7",
+    ("uniform", 2, 11): "611449a9b41fda86b2805bf92b05771eaa19c6eb2eddc06057e6e9377b5ae5b7",
+    ("uniform", 100, 0): "fbf57bd6d558393c16f287f7c27eea1700ad5226f01b5998237182d42266442c",
+    ("uniform", 100, 11): "fbf57bd6d558393c16f287f7c27eea1700ad5226f01b5998237182d42266442c",
+    ("uniform", 32768, 0): "aea9aa7f0e7f26737dbe55851f28bfaa20f04dbcca6bda0ba18d1ca9d7e9dc02",
+    ("uniform", 32768, 11): "aea9aa7f0e7f26737dbe55851f28bfaa20f04dbcca6bda0ba18d1ca9d7e9dc02",
+}
+
+
+class TestGenerateGolden:
+    @pytest.mark.parametrize("variant, n, seed", sorted(GENERATE_DIGESTS))
+    def test_output_matches_pinned_digest(self, tmp_path, variant, n, seed):
+        out = tmp_path / "g.jsonl"
+        count = 2 if n == 32768 else 3
+        assert main(["generate", *GENERATE_VARIANTS[variant], "--n", str(n),
+                     "--count", str(count), "--seed", str(seed), "--output", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == GENERATE_DIGESTS[variant, n, seed]
+
+
 def write_gaussian_records(path, sizes, seed):
     """Softmax-of-gaussian probs records of the given vocabulary sizes, some with exact zeros."""
     rng = np.random.default_rng(seed)
@@ -321,14 +405,14 @@ BOUNDARY_COMMANDS = [
 class TestChunkBoundaries:
     """Chunked runs give the bytes of record-by-record runs (chunks of one)."""
 
-    ROWS = truncation.CHUNK_ELEMENTS // 100  # records of 100 tokens per chunk
+    ROWS = synthgen.CHUNK_ELEMENTS // 100  # records of 100 tokens per chunk
 
     def assert_same_as_record_by_record(self, tmp_path, monkeypatch, data):
         for argv in BOUNDARY_COMMANDS:
             chunked, single = tmp_path / "chunked.out", tmp_path / "single.out"
             assert main(argv + ["--input", str(data), "--output", str(chunked)]) == 0
             with monkeypatch.context() as m:
-                m.setattr(truncation, "CHUNK_ELEMENTS", 1)
+                m.setattr(synthgen, "CHUNK_ELEMENTS", 1)
                 assert main(argv + ["--input", str(data), "--output", str(single)]) == 0
             assert chunked.read_bytes() == single.read_bytes(), argv
 
@@ -753,6 +837,13 @@ class TestRefusedRuns:
                      1, "--alphas must be a comma-separated float list", id="non-float-alpha"),
         pytest.param(["sweep", "--alphas", ",", "--input", "{data}", "--output", "{tmp}/out"],
                      1, "--alphas is empty", id="no-alpha"),
+        *[pytest.param([command, "--family", "dirichlet", "--a", "1e-5", "--n", "20",
+                        "--output", "{tmp}/out"], 1, "probabilities must be finite, got sum nan",
+                       id=f"{command}-nan-dirichlet-row")
+          for command in ("generate", "gap", "sweep")],
+        *[pytest.param(["generate", f"--{field}", "inf", "--output", "{tmp}/out"], 1,
+                       f"{field} must be finite, got inf", id=f"generate-infinite-{field}")
+          for field in ("s", "a", "sigma", "temperature", "peak")],
     ])
     def test_exit_code_and_no_file(self, tmp_path, dataset, capsys, argv, code, message):
         (tmp_path / "dir").mkdir()
@@ -768,7 +859,7 @@ class TestRefusedRuns:
         ["truncate"], ["sample", "--num-samples", "4"], ["sweep", "--alphas", "0.2,0.6"]])
     def test_bad_row_past_the_first_block(self, tmp_path, capsys, argv):
         # 163 records of V=100 fill a block; line 170 sits in the second
-        assert truncation.chunk_rows(100) == 163
+        assert synthgen.chunk_rows(100) == 163
         data, out = tmp_path / "v100.jsonl", tmp_path / "out"
         write_gaussian_records(data, [100] * 200, seed=170)
         lines = data.read_text().splitlines(keepends=True)

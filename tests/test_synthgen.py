@@ -10,17 +10,20 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from toph import truncation
+from toph import synthgen
 
 from toph.distributions import entropy, make_distribution
 from toph.errors import InvalidParameters, MalformedRecord, MixedSchema
 from toph.synthgen import (
+    CHUNK_ELEMENTS,
+    FAMILIES,
     GeneratorSpec,
+    as_blocks,
+    chunk_rows,
     generate,
     read_dataset,
     write_dataset,
 )
-from toph.truncation import CHUNK_ELEMENTS, chunk_rows
 
 from dataset_reference import reference_read_dataset
 
@@ -113,6 +116,15 @@ class TestFamilies:
         with pytest.raises(InvalidParameters):
             generate(GeneratorSpec(family="uniform", n=0), 1)
 
+    @pytest.mark.parametrize("field", ["s", "a", "sigma", "temperature", "peak"])
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    def test_non_finite_parameter_is_refused_by_every_family(self, field, value):
+        # a gamma draw of shape inf never accepts, so this is checked before any draw
+        for family in FAMILIES:
+            spec = GeneratorSpec(family=family, n=4, **{field: value})
+            with pytest.raises(InvalidParameters, match=f"{field} must be finite"):
+                spec.validate()
+
 
 def records(path):
     """(id, probability row) of every record of a dataset, in file order."""
@@ -137,15 +149,25 @@ class TestDatasetIO:
 
     def test_blocks_are_read_only_runs_within_the_chunk_rule(self, tmp_path):
         sizes = [100] * (chunk_rows(100) + 2) + [3, 3, 5] + [CHUNK_ELEMENTS] * 2
-        dists = [make_distribution(np.full(n, 1.0 / n)) for n in sizes]
+        rng = np.random.default_rng(5)
+        dists = [make_distribution(rng.normal(0.0, 2.0, n), mode="logits") for n in sizes]
         path = tmp_path / "data.jsonl"
         write_dataset(path, dists)
-        blocks = read_dataset(path)
-        assert [block.probs.shape for block in blocks] == [
-            (chunk_rows(100), 100), (2, 100), (2, 3), (1, 5),
-            (1, CHUNK_ELEMENTS), (1, CHUNK_ELEMENTS)]
-        assert [len(block) for block in blocks] == [len(block.ids) for block in blocks]
-        assert not any(block.probs.flags.writeable for block in blocks)
+        read, cut = read_dataset(path), as_blocks(dists)
+        for blocks in (read, cut):
+            assert [block.probs.shape for block in blocks] == [
+                (chunk_rows(100), 100), (2, 100), (2, 3), (1, 5),
+                (1, CHUNK_ELEMENTS), (1, CHUNK_ELEMENTS)]
+            assert [len(block) for block in blocks] == [len(block.ids) for block in blocks]
+            assert not any(block.probs.flags.writeable for block in blocks)
+        # the cutter's blocks are the reader's blocks of the written file
+        for got, expected in zip(cut, read):
+            assert got.ids == expected.ids
+            assert got.probs.tobytes() == expected.probs.tobytes()
+        # a block of one record is a view of its row
+        singles = [block for block in cut if len(block) == 1]
+        assert all(np.shares_memory(block.probs, dists[int(block.ids[0][1:])].probs)
+                   for block in singles)
 
     def test_negative_prob_reports_line(self, tmp_path):
         path = tmp_path / "bad.jsonl"
@@ -341,7 +363,7 @@ class TestReaderAgainstReference:
         path = tmp_path_factory.mktemp("valid") / "data.jsonl"
         write_lines(path, [json.dumps(r) for r in records], blank_every)
         expected = reference_read_dataset(path)
-        with mock.patch.object(truncation, "CHUNK_ELEMENTS", budget):
+        with mock.patch.object(synthgen, "CHUNK_ELEMENTS", budget):
             blocks = read_dataset(path)
         for block in blocks:
             assert not block.probs.flags.writeable
@@ -360,7 +382,7 @@ class TestReaderAgainstReference:
         path = tmp_path_factory.mktemp("corrupt") / "data.jsonl"
         lines = [json.dumps(r) for r in records]
         write_lines(path, lines)
-        with mock.patch.object(truncation, "CHUNK_ELEMENTS", budget):
+        with mock.patch.object(synthgen, "CHUNK_ELEMENTS", budget):
             sizes = [len(block) for block in read_dataset(path)]
         # one fault in an earlier block than the other, when there are two blocks
         starts = np.cumsum([0] + sizes)
@@ -375,7 +397,7 @@ class TestReaderAgainstReference:
         expected = reference_outcome(reference_read_dataset, path)
         # a schema switch in a file of one record is no fault
         assume(expected is not None)
-        with mock.patch.object(truncation, "CHUNK_ELEMENTS", budget):
+        with mock.patch.object(synthgen, "CHUNK_ELEMENTS", budget):
             assert reference_outcome(read_dataset, path) == expected
 
     @pytest.mark.parametrize("lines", [

@@ -23,15 +23,15 @@ from toph.errors import (
     PBaseOutOfRange,
     ZeroK,
 )
+from toph.synthgen import CHUNK_ELEMENTS, as_blocks
 from toph.truncation import (
-    CHUNK_ELEMENTS,
     Method,
     TruncationConfig,
     TruncationResult,
     _descending_order,
     draw_tokens,
     sample_token,
-    select_chunks,
+    select_block,
     truncate,
 )
 
@@ -427,8 +427,8 @@ def mixed_chunks(draw):
 
 
 def assert_block_matches_reference(dists, cfg):
-    """Every row of the chunked pass equals the scalar reference, with ==."""
-    blocks = list(select_chunks(dists, cfg, collect_trace=True))
+    """Every row of the chunked pass (``sweep``'s path) equals the scalar reference, with ==."""
+    blocks = [select_block(block.probs, cfg, collect_trace=True) for block in as_blocks(dists)]
     rows = [(block, r) for block in blocks for r in range(len(block))]
     assert len(rows) == len(dists)
     draws = [block.draw(block_uniforms(block)) for block in blocks]
@@ -516,9 +516,9 @@ class TestChunkMemory:
         for method in Method:
             tracemalloc.start()
             try:
-                for block in select_chunks(dists, config(method), collect_trace):
+                for block in as_blocks(dists):
                     assert len(block) == 1
-                    block.selected(0)
+                    select_block(block.probs, config(method), collect_trace).selected(0)
                 _, peak = tracemalloc.get_traced_memory()
             finally:
                 tracemalloc.stop()
