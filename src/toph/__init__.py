@@ -21,8 +21,8 @@ The package has five pillars:
   for the m == K instances the reduction emits, and a full subset search
   for small instances;
 - ``synthgen``: seeded synthetic distribution generators and JSONL
-  dataset I/O; a dataset read from a file and a generated one are cut
-  into validated ``(B, n)`` blocks by one rule.
+  dataset I/O; a generated run is drawn as the validated ``(B, n)``
+  blocks that reading its file gives.
 
 The ``toph`` console script exposes all of it as reproducible commands.
 """

@@ -25,7 +25,7 @@ import json
 import sys
 import time
 from dataclasses import asdict, dataclass, fields
-from typing import Iterable
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -45,7 +45,7 @@ from .oracle import (
 )
 from .distributions import ProbabilityDistribution
 from .rng import u01
-from .synthgen import SCHEMA_VERSION, DatasetBlock, GeneratorSpec, generate, read_dataset
+from .synthgen import SCHEMA_VERSION, DatasetBlock, GeneratorSpec, generate_blocks, read_dataset
 from .truncation import Method, SelectionBlock, TruncationConfig, select_block
 
 EXIT_OK = 0
@@ -135,11 +135,11 @@ def _add_family_flags(sub) -> None:
     sub.add_argument("--shuffle", action="store_true", help="zipf index shuffle")
 
 
-def _generate(args, count: int) -> list[ProbabilityDistribution]:
-    """``count`` distributions from the family flags; a bad spec or row is a usage error."""
+def _generate(args, count: int) -> Iterator[DatasetBlock]:
+    """``count`` generated records' blocks, drawn as read; a bad spec or row is a usage error."""
     flags = {name: getattr(args, name) for name in _GENERATOR_FLAGS}
     try:
-        return generate(GeneratorSpec(seed=args.seed, **flags), count)
+        yield from generate_blocks(GeneratorSpec(seed=args.seed, **flags), count)
     except TophError as exc:
         raise UsageError(str(exc)) from exc
 
@@ -199,7 +199,7 @@ def _blocks(args) -> list[DatasetBlock]:
         return _read_input(args.input)
     if args.trials < 1:
         raise UsageError(f"--trials must be >= 1, got {args.trials}")
-    return synthgen.as_blocks(_generate(args, args.trials))
+    return list(_generate(args, args.trials))
 
 
 def _selections(blocks: list[DatasetBlock], config: TruncationConfig, with_trace: bool = False):
@@ -225,17 +225,14 @@ def cmd_sample(args) -> CommandResult:
     config = _build_config(args)
     if args.num_samples < 1:
         raise UsageError(f"--num-samples must be >= 1, got {args.num_samples}")
-    blocks = _read_input(args.input)
-    records = sum(map(len, blocks))
     per_record = args.num_samples
     # draw_index = record_index * num_samples + j, so records do not share variates
-    u = u01(args.seed, 0, np.arange(records * per_record, dtype=np.uint64))
-    u = u.reshape(records, per_record)
     lines = (json.dumps({"schema_version": SCHEMA_VERSION, "id": rid,
                          "method": config.method.value, "tokens": row}) + "\n"
-             for start, block, selection in _selections(blocks, config)
-             for rid, row in zip(block.ids,
-                                 selection.draw(u[start:start + len(block)]).tolist()))
+             for start, block, selection in _selections(_read_input(args.input), config)
+             for rid, row in zip(block.ids, selection.draw(u01(args.seed, 0, np.arange(
+                 start * per_record, (start + len(block)) * per_record, dtype=np.uint64,
+             ).reshape(len(block), per_record))).tolist()))
     return CommandResult({**_config_dict(config), "num_samples": args.num_samples},
                          seed=args.seed, input=args.input, output=lines)
 

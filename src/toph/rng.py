@@ -20,33 +20,52 @@ and GAMMA = 0x9E3779B97F4A7C15.  Uniform doubles take the top 53 bits:
 (0, 1].  Normal and gamma variates are derived by Box-Muller and the
 Marsaglia-Tsang method, both of which consume the stream sequentially.
 
-``u01`` evaluates the same formula for a whole array of counters at once:
-``state`` is computed once in Python integers, and the rest runs
-element-wise in numpy ``uint64``, whose wrap-around is the ``mod 2**64``
-above, so ``u01(seed, stream, counters)[i]`` is bit-identical to the
-``i``-th scalar evaluation.  ``Stream`` reads counters 0, 1, 2, ... of its
-lane one at a time in Python integers.
+``_words`` evaluates the formula, element-wise in numpy ``uint64``, whose
+wrap-around is the ``mod 2**64`` above; it is the only place SplitMix64 is
+computed.  ``u01`` maps the words of an array of counters to doubles.
+``Stream`` reads counters 0, 1, 2, ... of its lane in refills of
+``_words`` and hands the words out one at a time as Python integers, so
+its variates' arithmetic (``math.log``, ``**``) is libm's, per element.
 """
 
 from __future__ import annotations
 
 import math
+from typing import Iterator
 
 import numpy as np
 
 _MASK64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
 
+#: A lane reads ``FIRST_REFILL`` words at first, then as many as it has read so far, at
+#: most ``REFILL_WORDS``: a short lane costs one small evaluation, a long one few large ones.
+FIRST_REFILL, REFILL_WORDS = 16, 4096
 
-def _mix(z: int) -> int:
-    z &= _MASK64
-    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+
+def _words(state, counters) -> np.ndarray:
+    """``value(state, counter)`` for ``uint64`` arrays ``state`` and ``counters``, broadcast."""
+    z = (counters + 1) * _GAMMA + state
+    z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9
+    z = (z ^ (z >> 27)) * 0x94D049BB133111EB
     return z ^ (z >> 31)
 
 
 def _state(seed: int, stream: int) -> int:
-    return _mix(seed) ^ _mix((stream * _GAMMA + 1) & _MASK64)
+    """``mix(seed) XOR mix(stream * GAMMA + 1)``, the seed taken mod 2**64."""
+    # mix(x) is value(x - GAMMA, 0)
+    starts = [(seed - _GAMMA) & _MASK64, ((stream - 1) * _GAMMA + 1) & _MASK64]
+    mixed = _words(np.array(starts, dtype=np.uint64), 0)
+    return int(mixed[0] ^ mixed[1])
+
+
+def _lane(seed: int, stream: int) -> Iterator[int]:
+    """The words of counters 0, 1, 2, ... of one lane, as Python integers."""
+    state, read = _state(seed, stream), 0
+    while True:
+        size = min(max(read, FIRST_REFILL), REFILL_WORDS)
+        yield from _words(state, np.arange(read, read + size, dtype=np.uint64)).tolist()
+        read += size
 
 
 def u01(seed: int, stream: int, counter) -> np.ndarray:
@@ -57,12 +76,8 @@ def u01(seed: int, stream: int, counter) -> np.ndarray:
     ``uint64`` values (numpy warns on ``uint64`` scalar overflow, never on
     array wrap-around).
     """
-    z = np.array(counter, dtype=np.uint64, ndmin=1)
-    z = (z + 1) * _GAMMA + _state(seed, stream)
-    z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9
-    z = (z ^ (z >> 27)) * 0x94D049BB133111EB
-    z = z ^ (z >> 31)
-    return (z >> 11) * 2.0 ** -53
+    words = _words(_state(seed, stream), np.array(counter, dtype=np.uint64, ndmin=1))
+    return (words >> 11) * 2.0 ** -53
 
 
 class Stream:
@@ -74,12 +89,7 @@ class Stream:
     """
 
     def __init__(self, seed: int, stream: int = 0):
-        self._base = _state(seed, stream)
-        self._counter = 0
-
-    def _next_raw(self) -> int:
-        self._counter += 1
-        return _mix((self._base + self._counter * _GAMMA) & _MASK64)
+        self._next_raw = _lane(seed, stream).__next__  # the next word, a Python integer
 
     def uniform(self) -> float:
         """Uniform in [0, 1)."""

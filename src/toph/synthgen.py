@@ -4,7 +4,9 @@ These generators stand in for next-token distributions wherever a batch of
 test inputs is needed.  Generation is a pure function of (spec, count):
 instance ``i`` of a batch consumes stream ``i`` of the counter-based
 generator in ``toph.rng``, so batches regenerate bit-identically on any
-platform.
+platform.  ``generate_blocks`` draws a batch as the blocks ``read_dataset``
+gives for the file of it (same chunk rule, row check and bits); ``generate``
+is the list of their rows.
 
 Families:
 
@@ -29,7 +31,7 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .distributions import ProbabilityDistribution, make_distribution, validate_block
+from .distributions import ProbabilityDistribution, validate_block
 from .errors import InvalidParameters, MalformedRecord, MixedSchema, TophError
 from .rng import Stream
 
@@ -78,47 +80,50 @@ class GeneratorSpec:
             raise InvalidParameters("peak mass must be in (0, 1]")
 
 
-def _zipf_probs(n: int, s: float) -> np.ndarray:
-    ranks = np.arange(1, n + 1, dtype=np.float64)
-    weights = ranks ** (-s)
-    return weights / weights.sum()
-
-
-def _one_instance(spec: GeneratorSpec, stream: Stream) -> ProbabilityDistribution:
+def _raw_row(spec: GeneratorSpec, stream: Stream) -> np.ndarray:
+    """One instance's unvalidated row: logits for ``gaussian_logits``, else probabilities."""
     n = spec.n
     if spec.family == "zipf":
-        probs = _zipf_probs(n, spec.s)
+        weights = np.arange(1, n + 1, dtype=np.float64) ** (-spec.s)
+        probs = weights / weights.sum()
         if spec.shuffle:
             probs = probs[np.asarray(stream.permutation(n))]
-        return make_distribution(probs)
+        return probs
     if spec.family == "uniform":
-        return make_distribution(np.full(n, 1.0 / n))
+        return np.full(n, 1.0 / n)
     if spec.family == "dirichlet":
         draws = np.asarray([stream.gamma(spec.a) for _ in range(n)])
         # at a tiny ``a`` every draw can underflow to 0; the 0/0 row is refused as NaN
         with np.errstate(invalid="ignore"):
-            return make_distribution(draws / draws.sum())
+            return draws / draws.sum()
     if spec.family == "gaussian_logits":
-        logits = [spec.sigma * stream.normal() for _ in range(n)]
-        return make_distribution(logits, mode="logits", temperature=spec.temperature)
-    if spec.family == "one_hot_mix":
-        if n == 1:
-            return make_distribution(np.ones(1))
-        probs = np.full(n, (1.0 - spec.peak) / (n - 1))
-        probs[stream.integer_below(n)] = spec.peak
-        return make_distribution(probs / probs.sum())
-    raise InvalidParameters(f"unknown family {spec.family!r}")
+        return np.asarray([spec.sigma * stream.normal() for _ in range(n)])
+    probs = np.full(n, (1.0 - spec.peak) / max(n - 1, 1))  # one_hot_mix
+    probs[stream.integer_below(n)] = spec.peak
+    return probs / probs.sum()
 
 
-def generate(spec: GeneratorSpec, count: int) -> list[ProbabilityDistribution]:
-    """Produce ``count`` distributions; instance i uses rng stream i.
+def generate_blocks(spec: GeneratorSpec, count: int) -> Iterator[DatasetBlock]:
+    """The blocks ``read_dataset`` gives for a file of ``count`` generated records.
 
-    Every row gets a dataset row's check: a NaN row raises ``NonFiniteValue``.
+    Record ``i`` draws from rng stream ``i``.  Each block is drawn when it is
+    reached and checked by the reader's rule: a NaN row raises ``NonFiniteValue``.
     """
     spec.validate()
     if count < 0:
         raise InvalidParameters("count must be >= 0")
-    return [_one_instance(spec, Stream(spec.seed, i)) for i in range(count)]
+    mode = "logits" if spec.family == "gaussian_logits" else "probs"
+    for start in range(0, count, chunk_rows(spec.n)):
+        records = range(start, min(count, start + chunk_rows(spec.n)))
+        rows = np.array([_raw_row(spec, Stream(spec.seed, i)) for i in records])
+        probs = validate_block(rows, mode, [spec.temperature] * len(records))
+        yield DatasetBlock([_record_id(i) for i in records], probs)
+
+
+def generate(spec: GeneratorSpec, count: int) -> list[ProbabilityDistribution]:
+    """Produce ``count`` distributions, views of the rows of ``generate_blocks``."""
+    return [ProbabilityDistribution(row) for block in generate_blocks(spec, count)
+            for row in block.probs]
 
 
 # --- JSON Lines datasets ---------------------------------------------------
@@ -164,25 +169,6 @@ class DatasetBlock:
         return len(self.ids)
 
 
-def as_blocks(dists: Sequence[ProbabilityDistribution]) -> list[DatasetBlock]:
-    """``dists`` cut into blocks as ``read_dataset`` cuts a file of them.
-
-    Ids are the ones ``dataset_lines`` writes.  A block of one record is a
-    view of its row; a longer one is a new read-only matrix.
-    """
-    blocks, start = [], 0
-    while start < len(dists):
-        n, stop = dists[start].n, start + 1
-        while stop < min(len(dists), start + chunk_rows(n)) and dists[stop].n == n:
-            stop += 1
-        rows = [d.probs for d in dists[start:stop]]
-        probs = rows[0][None, :] if len(rows) == 1 else np.stack(rows)
-        probs.setflags(write=False)
-        blocks.append(DatasetBlock([_record_id(i) for i in range(start, stop)], probs))
-        start = stop
-    return blocks
-
-
 def write_text(path: str | os.PathLike, pieces: Iterable[str]) -> None:
     """Write ``pieces`` to ``path`` whole or not at all, never joining them.
 
@@ -203,13 +189,11 @@ def write_text(path: str | os.PathLike, pieces: Iterable[str]) -> None:
         raise
 
 
-def dataset_lines(dists: Iterable[ProbabilityDistribution],
-                  ids: Sequence[str] | None = None) -> Iterator[str]:
-    """The JSONL lines of a dataset of ``dists``, one at a time."""
-    for i, dist in enumerate(dists):
-        rid = ids[i] if ids is not None else _record_id(i)
-        yield json.dumps({"schema_version": SCHEMA_VERSION, "id": rid,
-                          "probs": [float(x) for x in dist.probs]}) + "\n"
+def dataset_lines(blocks: Iterable[DatasetBlock]) -> Iterator[str]:
+    """The JSONL lines of a dataset of ``blocks``, one at a time."""
+    for block in blocks:
+        for rid, row in zip(block.ids, block.probs.tolist()):
+            yield json.dumps({"schema_version": SCHEMA_VERSION, "id": rid, "probs": row}) + "\n"
 
 
 def write_dataset(
@@ -217,7 +201,9 @@ def write_dataset(
     dists: Sequence[ProbabilityDistribution],
     ids: Sequence[str] | None = None,
 ) -> None:
-    write_text(path, dataset_lines(dists, ids))
+    ids = map(_record_id, range(len(dists))) if ids is None else ids
+    write_text(path, dataset_lines(DatasetBlock([rid], dist.probs[None, :])
+                                   for rid, dist in zip(ids, dists, strict=True)))
 
 
 def _parse_record(line: str, line_no: int) -> tuple[str, str, list, float]:

@@ -224,7 +224,14 @@ def _inverse_cdf(q: np.ndarray, tokens: np.ndarray, counts: Sequence[int],
     for r, count in enumerate(counts):
         pos[r] = cum[r, :count].searchsorted(u[r], side="right")
     np.minimum(pos, np.asarray(counts)[:, None] - 1, out=pos)
-    return np.take_along_axis(tokens, pos, axis=1)
+    return _gather(tokens, pos)
+
+
+def _gather(rows: np.ndarray, columns: np.ndarray) -> np.ndarray:
+    """``rows[r, columns[r, j]]`` at ``[r, j]``: one flat ``take``, row ``r``'s offset added."""
+    if len(rows) > 1:  # a large vocabulary comes a row at a time: no new index array
+        columns = columns + rows.shape[1] * np.arange(len(rows))[:, None]
+    return rows.ravel().take(columns)
 
 
 def _descending_order(probs: np.ndarray) -> np.ndarray:
@@ -242,15 +249,15 @@ def _descending_order(probs: np.ndarray) -> np.ndarray:
     row of one repeated value costs more than the stable sort, which finds
     it presorted.
     """
-    size, n = probs.shape
-    order = (-probs).argsort()
+    n = probs.shape[1]
+    negated = -probs
+    order = negated.argsort()
     flat = order.reshape(-1)  # a view: writes land in order
-    # starts[i]: a run starts at flat position i (every row starts one);
-    # the last entry closes the final run
+    # starts[i]: a run starts at position i (every row starts one); the last closes the final run
     starts = np.ones(flat.size + 1, dtype=bool)
-    values = probs[np.arange(size)[:, None], order].reshape(-1)
+    values = _gather(negated, order).reshape(-1)  # the sort left its input in cache, not `probs`
     np.not_equal(values[1:], values[:-1], out=starts[1:-1])
-    del values
+    del negated, values
     starts[n::max(n, 1)] = True
     if starts.all():
         return order
@@ -310,7 +317,7 @@ def select_block(
     # a copy, so the full ordering is released with this function
     order = full if c == n else full[:, :c].copy()
     rows = range(size)
-    work = probs[np.arange(size)[:, None], order]
+    work = _gather(probs, order)
     total = work.sum(axis=1)
     cut = [abs(t - 1.0) > MASS_TOLERANCE for t in total.tolist()]
     if any(cut):
@@ -320,7 +327,7 @@ def select_block(
     dropped = None
     if collect_trace:
         dropped = [0.0] * size if c == n else \
-            np.take_along_axis(probs, full[:, c:], axis=1).sum(axis=1).tolist()
+            _gather(probs, full[:, c:]).sum(axis=1).tolist()
     del full
 
     h_p = [_entropy_of(work[r]) for r in rows]

@@ -3,7 +3,7 @@
 It shares no code path with ``toph.rng``: every step is a Python-int
 operation reduced ``mod 2**64`` by masking, one counter at a time, exactly
 as the module docstring writes it.  The tests compare the library's numpy
-``uint64`` evaluation against it.
+``uint64`` evaluation, and the words a ``Stream`` reads, against it.
 """
 
 MASK64 = (1 << 64) - 1
@@ -18,8 +18,12 @@ def mix(z):
     return z ^ (z >> 31)
 
 
+def reference_word(seed, stream, counter):
+    """The 64-bit word at ``(seed, stream, counter)``; any integer seed is taken mod 2**64."""
+    state = mix(seed) ^ mix((stream * GAMMA + 1) & MASK64)
+    return mix((state + (counter + 1) * GAMMA) & MASK64)
+
+
 def reference_u01(seed, stream, counter):
     """Uniform double in [0, 1) at ``(seed, stream, counter)``."""
-    state = mix(seed) ^ mix((stream * GAMMA + 1) & MASK64)
-    value = mix((state + (counter + 1) * GAMMA) & MASK64)
-    return (value >> 11) * 2.0 ** -53
+    return (reference_word(seed, stream, counter) >> 11) * 2.0 ** -53

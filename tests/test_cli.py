@@ -3,6 +3,7 @@
 import hashlib
 import json
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -12,7 +13,7 @@ from toph import cli, synthgen
 from toph.cli import main
 from toph.errors import MalformedRecord, NonFiniteValue, NonPositiveTemperature, TophError
 from toph.hardness import CcssInstance, ccss_to_json
-from toph.synthgen import read_dataset
+from toph.synthgen import GeneratorSpec, chunk_rows, generate_blocks, read_dataset
 
 
 @pytest.fixture()
@@ -375,6 +376,41 @@ class TestGenerateGolden:
         assert main(["generate", *GENERATE_VARIANTS[variant], "--n", str(n),
                      "--count", str(count), "--seed", str(seed), "--output", str(out)]) == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == GENERATE_DIGESTS[variant, n, seed]
+
+
+class TestGeneratedBlocks:
+    @pytest.mark.parametrize("variant", sorted(GENERATE_VARIANTS))
+    def test_blocks_are_the_readers_blocks_of_the_written_file(self, tmp_path, variant):
+        # two blocks at n = 100, the second one short
+        count, out = chunk_rows(100) + 7, tmp_path / "g.jsonl"
+        argv = ["generate", *GENERATE_VARIANTS[variant], "--n", "100", "--seed", "5",
+                "--count", str(count), "--output", str(out)]
+        assert main(argv) == 0
+        generated = list(cli._generate(cli.build_parser().parse_args(argv), count))
+        read = read_dataset(out)
+        assert [block.ids for block in generated] == [block.ids for block in read]
+        assert [block.probs.shape for block in generated] == [(chunk_rows(100), 100), (7, 100)]
+        assert [block.probs.tobytes() for block in generated] == [
+            block.probs.tobytes() for block in read]
+        assert not any(block.probs.flags.writeable for block in generated)
+
+
+class TestGenerateMemory:
+    def test_peak_does_not_grow_with_the_record_count(self, tmp_path):
+        # at n = 32768 a block holds one record, drawn, written and freed
+        # before the next, so sixteen records peak where two do
+        def peak(count):
+            argv = ["generate", "--family", "uniform", "--n", "32768", "--count", str(count),
+                    "--output", str(tmp_path / "g.jsonl")]
+            tracemalloc.start()
+            try:
+                assert main(argv) == 0
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(1)  # one-off costs, such as building the parser, land outside the measurement
+        assert peak(16) < peak(2) + 2**20
 
 
 def write_gaussian_records(path, sizes, seed):
@@ -871,6 +907,18 @@ class TestRefusedRuns:
         assert "line 170: mass 1.5625 deviates" in capsys.readouterr().err
         assert sorted(tmp_path.iterdir()) == files
         assert out.read_bytes() == b"previous output\n"
+
+    def test_nan_generated_row_past_the_first_block(self, tmp_path, capsys):
+        # at n = 400 a block holds 40 records; seed 0's first all-zero
+        # Dirichlet draw is record 74, in the second block
+        spec = GeneratorSpec(family="dirichlet", n=400, a=1e-5, seed=0)
+        assert chunk_rows(400) == 40
+        next(generate_blocks(spec, 80))
+        out = tmp_path / "out"
+        assert main(["generate", "--family", "dirichlet", "--a", "1e-5", "--n", "400",
+                     "--count", "80", "--output", str(out)]) == 1
+        assert "probabilities must be finite, got sum nan" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
     def test_failure_mid_output_keeps_previous_files(self, tmp_path, dataset, monkeypatch):
         argv = ["truncate", "--input", str(dataset), "--output", str(tmp_path / "out.jsonl")]

@@ -4,11 +4,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from toph.rng import Stream, u01
+from toph.rng import FIRST_REFILL, REFILL_WORDS, Stream, u01
 
-from rng_reference import reference_u01
+from rng_reference import reference_u01, reference_word
 
-seeds = st.integers(-(2**63), 2**64 - 1)
+# any integer seed is taken mod 2**64, so the strategy reaches past both ends
+seeds = st.integers(-(2**70), 2**70)
 streams = st.integers(0, 2**32)
 counters = st.integers(0, 2**62)
 
@@ -51,6 +52,27 @@ def test_matches_reference_at_fixed_lengths(seed, stream, start, length):
 def test_counters_follow_stream(seed, stream, k):
     lane = Stream(seed, stream)
     assert u01(seed, stream, np.arange(k)).tolist() == [lane.uniform() for _ in range(k)]
+
+
+def refill_starts(stop):
+    """The counters, below ``stop``, at which a ``Stream`` reads a new refill."""
+    starts, read = [], 0
+    while read < stop:
+        starts.append(read)
+        read += min(max(read, FIRST_REFILL), REFILL_WORDS)
+    return starts
+
+
+@pytest.mark.parametrize("seed", [0, 7, 2**64 - 1, -(2**63), 2**64 + 5, -(2**64) - 1])
+def test_stream_words_across_refills(seed):
+    # up to two refills of the largest size, so every refill size is crossed
+    starts = refill_starts(4 * REFILL_WORDS)
+    assert starts[-1] - starts[-2] == starts[-2] - starts[-3] == REFILL_WORDS
+    lane = Stream(seed, 3)
+    words = [lane._next_raw() for _ in range(starts[-1] + 2)]
+    at_refills = sorted({c + d for c in starts[1:] for d in (-1, 0, 1)} | {0})
+    assert [words[c] for c in at_refills] == [reference_word(seed, 3, c) for c in at_refills]
+    assert (words[0] >> 11) * 2.0 ** -53 == u01(seed, 3, 0)[0]
 
 
 def test_scalar_counter_is_batch_of_one():

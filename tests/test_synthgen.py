@@ -18,9 +18,9 @@ from toph.synthgen import (
     CHUNK_ELEMENTS,
     FAMILIES,
     GeneratorSpec,
-    as_blocks,
     chunk_rows,
     generate,
+    generate_blocks,
     read_dataset,
     write_dataset,
 )
@@ -86,6 +86,15 @@ class TestFamilies:
         for d in dists:
             assert float(d.probs.max()) == pytest.approx(0.8, abs=1e-12)
             assert float(d.probs.sum()) == pytest.approx(1.0, abs=1e-12)
+
+    def test_generate_is_the_rows_of_generate_blocks(self):
+        spec = GeneratorSpec(family="dirichlet", n=100, a=0.5, seed=3)
+        count = chunk_rows(100) + 5
+        rows = [row for block in generate_blocks(spec, count) for row in block.probs]
+        dists = generate(spec, count)
+        assert [d.probs.tobytes() for d in dists] == [row.tobytes() for row in rows]
+        # read-only views of the blocks' rows, not copies
+        assert not any(d.probs.flags.writeable or d.probs.base is None for d in dists)
 
     def test_uniform_family(self):
         d = generate(GeneratorSpec(family="uniform", n=8), 1)[0]
@@ -153,21 +162,16 @@ class TestDatasetIO:
         dists = [make_distribution(rng.normal(0.0, 2.0, n), mode="logits") for n in sizes]
         path = tmp_path / "data.jsonl"
         write_dataset(path, dists)
-        read, cut = read_dataset(path), as_blocks(dists)
-        for blocks in (read, cut):
-            assert [block.probs.shape for block in blocks] == [
-                (chunk_rows(100), 100), (2, 100), (2, 3), (1, 5),
-                (1, CHUNK_ELEMENTS), (1, CHUNK_ELEMENTS)]
-            assert [len(block) for block in blocks] == [len(block.ids) for block in blocks]
-            assert not any(block.probs.flags.writeable for block in blocks)
-        # the cutter's blocks are the reader's blocks of the written file
-        for got, expected in zip(cut, read):
-            assert got.ids == expected.ids
-            assert got.probs.tobytes() == expected.probs.tobytes()
-        # a block of one record is a view of its row
-        singles = [block for block in cut if len(block) == 1]
-        assert all(np.shares_memory(block.probs, dists[int(block.ids[0][1:])].probs)
-                   for block in singles)
+        blocks = read_dataset(path)
+        assert [block.probs.shape for block in blocks] == [
+            (chunk_rows(100), 100), (2, 100), (2, 3), (1, 5),
+            (1, CHUNK_ELEMENTS), (1, CHUNK_ELEMENTS)]
+        assert [len(block) for block in blocks] == [len(block.ids) for block in blocks]
+        assert not any(block.probs.flags.writeable for block in blocks)
+        # the blocks hold the written rows, bit for bit, under their default ids
+        rows = [(rid, row) for block in blocks for rid, row in zip(block.ids, block.probs)]
+        assert [rid for rid, _ in rows] == [f"d{i:06d}" for i in range(len(dists))]
+        assert all(row.tobytes() == dist.probs.tobytes() for (_, row), dist in zip(rows, dists))
 
     def test_negative_prob_reports_line(self, tmp_path):
         path = tmp_path / "bad.jsonl"

@@ -2,6 +2,8 @@
 
 import dataclasses
 import math
+import os
+import tempfile
 import tracemalloc
 from collections import Counter
 
@@ -23,7 +25,7 @@ from toph.errors import (
     PBaseOutOfRange,
     ZeroK,
 )
-from toph.synthgen import CHUNK_ELEMENTS, as_blocks
+from toph.synthgen import CHUNK_ELEMENTS, chunk_rows, read_dataset, write_dataset
 from toph.truncation import (
     Method,
     TruncationConfig,
@@ -426,9 +428,18 @@ def mixed_chunks(draw):
     return dists, cap
 
 
+def dataset_blocks(dists):
+    """``dists`` cut into blocks as ``read_dataset`` cuts a file of them."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "data.jsonl")
+        write_dataset(path, dists)
+        return read_dataset(path)
+
+
 def assert_block_matches_reference(dists, cfg):
     """Every row of the chunked pass (``sweep``'s path) equals the scalar reference, with ==."""
-    blocks = [select_block(block.probs, cfg, collect_trace=True) for block in as_blocks(dists)]
+    blocks = [select_block(block.probs, cfg, collect_trace=True)
+              for block in dataset_blocks(dists)]
     rows = [(block, r) for block in blocks for r in range(len(block))]
     assert len(rows) == len(dists)
     draws = [block.draw(block_uniforms(block)) for block in blocks]
@@ -513,12 +524,12 @@ class TestChunkMemory:
         rng = np.random.default_rng(32768)
         dists = [make_distribution(rng.normal(0.0, 2.0, n), mode="logits") for _ in range(4)]
         record_arrays = 8 * n + 8 * n
+        assert chunk_rows(n) == 1
         for method in Method:
             tracemalloc.start()
             try:
-                for block in as_blocks(dists):
-                    assert len(block) == 1
-                    select_block(block.probs, config(method), collect_trace).selected(0)
+                for dist in dists:
+                    select_block(dist.probs[None, :], config(method), collect_trace).selected(0)
                 _, peak = tracemalloc.get_traced_memory()
             finally:
                 tracemalloc.stop()
