@@ -58,9 +58,10 @@ DEFAULT_DPS = 50
 #: ``verify_cardinality_lock`` refuses weight families larger than this.
 MAX_HEAVY_ITEMS = 24
 
-#: Full-space cross-validation looks up the exact-weight heavy subsets for
-#: each of the 2**(m - BLOCK_BITS) high masks (memory does not grow with m);
-#: capped lower because the time does.
+#: Full-space cross-validation finds the exact-weight heavy subsets by a
+#: meet in the middle (tables of the low m - m // 2 items, looked up for
+#: every high mask), so memory stays O(2**BLOCK_BITS); capped lower than
+#: MAX_HEAVY_ITEMS because the time grows with m.
 MAX_FULL_SPACE_ITEMS = 22
 
 # Calibration constants of the booster-count exponent, taken verbatim as
@@ -424,7 +425,8 @@ def verify_cardinality_lock(weights: Sequence[int], tau: int, k: int) -> bool:
 
     Works on any narrow-range weight family (not only reduction outputs);
     the subsets of weight exactly tau are found by ``_exact_sum_blocks`` in
-    int64, so memory stays O(2**BLOCK_BITS).
+    int64, in chunks of at most 2**BLOCK_BITS masks, so memory stays
+    O(2**BLOCK_BITS).
     """
     if len(weights) > MAX_HEAVY_ITEMS:
         raise TooManyHeavyItems(
@@ -436,23 +438,25 @@ def verify_cardinality_lock(weights: Sequence[int], tau: int, k: int) -> bool:
         return True  # no subset reaches tau
     columns = (np.asarray(weights, dtype=np.int64), np.ones(len(weights), dtype=np.int64))
     return all(bool(np.all(sizes == k))
-               for _, _, (_, sizes) in _exact_sum_blocks(columns, tau, 1, 1))
+               for _, (_, sizes) in _exact_sum_blocks(columns, tau, 1, 1))
 
 
 def _exact_sum_blocks(
     columns: Sequence[np.ndarray], target: int, step: int, count: int,
     block_bits: int = BLOCK_BITS,
-) -> Iterator[tuple[int, np.ndarray, tuple[np.ndarray, ...]]]:
+) -> Iterator[tuple[np.ndarray, tuple[np.ndarray, ...]]]:
     """``key_range_subsets`` of the masks whose column-0 sum is ``target - j * step``
     for a j in ``range(count)``.
 
-    Meet in the middle: the low ``block_bits`` items are keyed by their
-    column-0 sum as (sum mod step, sum // step).  A high mask of sum s needs
-    low sums congruent to target - s mod step whose quotient lies in a
-    window of ``count`` values: one key range, empty when the window misses
-    every low quotient.  Column 0 is int64 and every target must fit it.
+    Meet in the middle: the low m - m // 2 items (at most ``block_bits``)
+    are keyed by their column-0 sum as (sum mod step, sum // step).  A high
+    mask of sum s needs low sums congruent to target - s mod step whose
+    quotient lies in a window of ``count`` values: one key range, empty when
+    the window misses every low quotient.  Column 0 is int64 and every
+    target must fit it.
     """
-    k = min(columns[0].shape[0], block_bits)
+    m = columns[0].shape[0]
+    k = min(m - m // 2, block_bits)
     low = [subset_sums(c[:k]) for c in columns]
     quot, rem = np.divmod(low[0], step)
     base = int(quot.min())
@@ -494,11 +498,10 @@ def _full_space_candidates(instance: EcmeInstance) -> Iterator[int]:
         np.asarray(instance.weights, dtype=np.int64),
         np.asarray([w * math.log(w) for w in instance.weights]),
     )
-    for first, lows, (sums, wlogw) in _exact_sum_blocks(columns, tau, step,
-                                                         tau // (2 * step) + 1):
+    for masks, (sums, wlogw) in _exact_sum_blocks(columns, tau, step, tau // (2 * step) + 1):
         b_counts = 2 * big_b * (tau - sums) // tau
         h_float = math.log(tau) - (wlogw + b_counts * (w_b * math.log(w_b))) / tau
-        yield from (first + lows[h_float <= limit]).tolist()
+        yield from masks[h_float <= limit].tolist()
 
 
 def decide_ecme_small(instance: EcmeInstance, mode: str = "structural") -> EcmeDecision:

@@ -4,15 +4,18 @@ For small vocabularies the optimum is found by an exhaustive search over
 every non-empty subset, so the greedy selector can be scored against the
 true optimum; the batch harness aggregates the per-instance mass ratio
 greedy/optimal into a plot-ready report.  The searches never build a
-``2**n`` table: ``key_range_subsets`` sorts a key of the low ``BLOCK_BITS``
-bits of the masks once and looks up, per high mask, the lows in a key
-range (``exact_ecmm`` keys them by a log-free entropy screen,
-``toph.hardness`` by weight), with sums bit-identical to ``subset_sums``.
+``2**n`` table: they meet in the middle, splitting masks after their low
+``n - n // 2`` bits (at most ``BLOCK_BITS``).  ``key_range_subsets`` sorts a
+key of the low bits once, finds every high mask's lows in a key range with
+one pair of ``searchsorted`` calls (``exact_ecmm`` keys them by a log-free
+entropy screen, ``toph.hardness`` by weight), and expands them in
+vectorized chunks of masks, with sums bit-identical to ``subset_sums``.
 """
 
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import math
 from dataclasses import dataclass
@@ -22,7 +25,7 @@ import numpy as np
 
 from .distributions import ProbabilityDistribution, _entropy_of
 from .errors import AlphaOutOfRange, EmptyInput, VocabularyTooLarge
-from .truncation import Method, TruncationConfig, _descending_order, truncate
+from .truncation import Method, TruncationConfig, truncate
 
 #: Exhaustive search is refused above this vocabulary size (2**20 subsets).
 ENUMERATION_LIMIT = 20
@@ -30,8 +33,9 @@ ENUMERATION_LIMIT = 20
 #: Ratios below 1 - RATIO_TIE_EPS count as suboptimal instances.
 RATIO_TIE_EPS = 1e-12
 
-#: The exhaustive searches split masks after this many low bits: low tables
-#: of 2**BLOCK_BITS entries (128 KiB per 8-byte column) stay in cache.
+#: The exhaustive searches split masks after at most this many low bits, and
+#: ``key_range_subsets`` expands at most 2**BLOCK_BITS masks at a time: low
+#: tables and chunks of 128 KiB per 8-byte column stay in cache.
 BLOCK_BITS = 14
 
 #: Slack of the ``exact_ecmm`` screens: over the budget, in nats, and
@@ -109,18 +113,6 @@ def subset_sums(values: np.ndarray) -> np.ndarray:
     return out
 
 
-def add_high_bits(buf: np.ndarray, high_values: np.ndarray, high: int) -> np.ndarray:
-    """Add ``high_values[i]`` for each set bit i of ``high`` to ``buf``, in place.
-
-    The bits are added in ascending order, the order the doubling adds
-    them, so entries of the low ``subset_sums`` table become the full-table
-    entries of the masks ``high << k | low`` bit for bit.
-    """
-    for i in mask_indices(high):
-        buf += high_values[i]
-    return buf
-
-
 def mask_indices(mask: int) -> tuple[int, ...]:
     """The set bits of ``mask`` in ascending order."""
     return tuple(i for i in range(mask.bit_length()) if mask >> i & 1)
@@ -128,31 +120,65 @@ def mask_indices(mask: int) -> tuple[int, ...]:
 
 def key_range_subsets(low: Sequence[np.ndarray], high_values: Sequence[np.ndarray],
                       low_keys: np.ndarray, lower: np.ndarray, upper: np.ndarray,
-                      floor: np.ndarray | None = None) -> Iterator[tuple[int, np.ndarray, tuple]]:
-    """The masks ``high << k | low`` with ``lower[high] <= low_keys[low] <= upper[high]``
-    and, if ``floor`` is given, ``low[0][low] >= floor[high]``.
+                      floor: np.ndarray | None = None) -> Iterator[tuple[np.ndarray, tuple]]:
+    """The masks ``high << k | low`` with ``lower[high] <= low_keys[low] <= upper[high]``,
+    less some with ``low[0][low] < floor[high]`` if ``floor`` is given.
 
     ``low[c]`` is the ``subset_sums`` table of the first k items of column
     c (``2**k`` entries, as ``low_keys`` has), ``high_values[c]`` the rest.
-    The low keys are sorted once; per high mask the lows in range are one
-    run of that order (two ``searchsorted`` calls), floored before any
-    gather.  Yields ``(first, lows, sums)`` per high mask with a match, in
-    ascending mask order: the masks are ``first + lows`` (``lows``
-    ascending) and ``sums[c][i]`` is the full-table entry of column c at
-    ``first + lows[i]`` bit for bit.  Memory is O(2**k) per column.
+    The low keys are sorted once, and each high mask's lows in range are
+    one run of that order (two ``searchsorted`` calls over all high masks).
+    A floor trims each run to start where the heaviest low so far in key
+    order (a prefix max) reaches it, so no mask that meets its floor is
+    lost, and a high mask whose run is then empty is dropped unexpanded.
+    Consecutive high masks are grouped into chunks whose runs total at most
+    ``2**BLOCK_BITS`` pairs (a longer run is a chunk alone) and expanded
+    together.  Yields ``(masks, sums)`` per chunk: ``masks`` ascending,
+    within and across chunks, and ``sums[c][i]`` the full-table entry of
+    column c at ``masks[i]`` bit for bit.  Memory is O(2**k + 2**BLOCK_BITS)
+    per column.
     """
     k = low_keys.size.bit_length() - 1
-    order = np.argsort(low_keys)  # unstable: each run is sorted below
+    order = np.argsort(low_keys).astype(np.int32)  # unstable: each chunk is sorted below
     keys = low_keys[order]
     starts = keys.searchsorted(lower, "left")
     ends = keys.searchsorted(upper, "right")
-    heads = None if floor is None else low[0][order]
-    for high in np.flatnonzero(ends > starts).tolist():
-        run = slice(starts[high], ends[high])
-        lows = np.sort(order[run] if heads is None else order[run][heads[run] >= floor[high]])
-        if lows.size:
-            yield high << k, lows, tuple(add_high_bits(t[lows], v, high)
-                                         for t, v in zip(low, high_values))
+    if floor is not None:
+        np.maximum(starts, np.maximum.accumulate(low[0][order]).searchsorted(floor), out=starts)
+    highs = np.flatnonzero(ends > starts)
+    counts = ends[highs] - starts[highs]
+    firsts = (highs << k).astype(np.int32)  # masks stay below 2**31
+    bounds = np.cumsum(counts)
+    # pair i of the chunks' concatenation reads order[i + shift] of its run
+    shift = starts[highs] - (bounds - counts)
+    a = 0
+    while a < highs.size:
+        base = int(bounds[a - 1]) if a else 0
+        b = max(int(bounds.searchsorted(base + 2**BLOCK_BITS, "right")), a + 1)
+        at = np.arange(base, int(bounds[b - 1])) + np.repeat(shift[a:b], counts[a:b])
+        # int32 sorts twice as fast, and int64 indexes faster
+        masks = np.sort(order[at] + np.repeat(firsts[a:b], counts[a:b])).astype(np.int64)
+        yield masks, _chunk_sums(masks & (2**k - 1), highs[a:b], counts[a:b], low, high_values)
+        a = b
+
+
+def _chunk_sums(lows: np.ndarray, highs: np.ndarray, counts: np.ndarray,
+                low: Sequence[np.ndarray], high_values: Sequence[np.ndarray]) -> tuple:
+    """The full-table entries of each column at a chunk's masks, bit for bit.
+
+    The chunk holds ``counts[j]`` masks of high mask ``highs[j]`` in turn,
+    with low bits ``lows``.  The high bits are added to the gathered
+    ``low[c]`` entries in ascending bit order, the order the doubling adds
+    them: as masked adds, or plain ones for a bit every high mask has set.
+    """
+    bits = (highs >> np.arange(len(high_values[0]))[:, None] & 1).astype(bool)
+    sums = tuple(table[lows] for table in low)
+    every = bits.all(axis=1)
+    for i in np.flatnonzero(bits.any(axis=1)).tolist():
+        where = True if every[i] else np.repeat(bits[i], counts)
+        for acc, values in zip(sums, high_values):
+            np.add(acc, values[i], out=acc, where=where)
+    return sums
 
 
 def exact_ecmm(instance: EcmmInstance) -> EcmmSolution:
@@ -166,11 +192,11 @@ def exact_ecmm(instance: EcmmInstance) -> EcmmSolution:
     ``key_range_subsets`` finds the subsets that pass the log-free
     ``_screen_keys`` test, taken at the mass of the heaviest feasible prefix
     of the descending order (the optimum is at least that heavy, and the
-    screen is tightest near it), and weigh no less than that prefix.  Of
-    those, the scan computes the entropy only of subsets at least as heavy
-    as the best feasible one so far.  It keeps one incumbent: each high
-    mask's feasible subsets tied at its top mass are cut to the first in
-    index order as they arrive, which then meets the incumbent.
+    screen is tightest near it), less runs of low masks too light to weigh
+    as much as that prefix.  The scan computes the entropy of each chunk's
+    subsets at once and keeps one incumbent: each chunk's feasible subsets
+    tied at its top mass are cut to the first in index order, by
+    ``_index_order_keys``, which then meets the incumbent.
     """
     n = instance.p.n
     if n > ENUMERATION_LIMIT:
@@ -178,7 +204,7 @@ def exact_ecmm(instance: EcmmInstance) -> EcmmSolution:
     probs = instance.p.probs
     budget = instance.alpha * _entropy_of(probs)
     plp = np.where(probs > 0.0, probs * np.log(np.where(probs > 0.0, probs, 1.0)), 0.0)
-    k = min(n, BLOCK_BITS)
+    k = min(n - n // 2, BLOCK_BITS)
     low = (subset_sums(probs[:k]), subset_sums(plp[:k]))
     high = (subset_sums(probs[k:]), subset_sums(plp[k:]))
     prefix = _feasible_prefix_mass(probs, plp, budget)
@@ -187,29 +213,21 @@ def exact_ecmm(instance: EcmmInstance) -> EcmmSolution:
     # best_mass, starts as the top token, feasible at any budget
     best_mask = 1 << int(np.argmax(probs))
     best_mass, best_ent = float(probs.max()), 0.0
-    low_rank = None
-    for first, lows, (mass,) in key_range_subsets(
-            low[:1], (probs[k:],), low_key, np.full_like(high_key, -np.inf), high_key,
-            (prefix - _SCREEN_MARGIN) - high[0]):
-        pos = np.flatnonzero(mass >= best_mass)
-        gamma = mass[pos]
-        ent = np.log(gamma) - add_high_bits(low[1][lows[pos]], plp[k:], first >> k) / gamma
-        feasible = ent <= budget
-        if not feasible.any():
-            continue
-        top = gamma[feasible].max()
-        if top < best_mass:
-            continue
-        at = np.flatnonzero(feasible & (gamma == top))
-        best = 0
-        if at.size > 1:
-            # the masks share their high bits, so their low bits decide
-            if low_rank is None:
-                low_rank = _index_order_keys(np.arange(2**k), k)
-            best = int(np.argmin(low_rank[lows[pos[at]]]))
-        mask = first + int(lows[pos[at[best]]])
-        if top > best_mass or _index_order(mask) < _index_order(best_mask):
-            best_mass, best_mask, best_ent = top, mask, float(ent[at[best]])
+    chunks = key_range_subsets(low, (probs[k:], plp[k:]), low_key,
+                               np.full_like(high_key, -np.inf), high_key,
+                               (prefix - _SCREEN_MARGIN) - high[0])
+    with np.errstate(divide="ignore", invalid="ignore"):  # at mass 0: nan, infeasible
+        for masks, (mass, hsum) in chunks:
+            ent = np.log(mass) - hsum / mass
+            feasible = np.where(ent <= budget, mass, -np.inf)
+            top = feasible.max()
+            if top < best_mass:
+                continue
+            at = np.flatnonzero(feasible == top)
+            best = at[np.argmin(_index_order_keys(masks[at], n))] if at.size > 1 else at[0]
+            mask = int(masks[best])
+            if top > best_mass or _index_order(mask) < _index_order(best_mask):
+                best_mass, best_mask, best_ent = top, mask, float(ent[best])
     return EcmmSolution(indices=mask_indices(best_mask), gamma=float(best_mass),
                         entropy=best_ent)
 
@@ -224,7 +242,7 @@ def _feasible_prefix_mass(probs: np.ndarray, plp: np.ndarray, budget: float) -> 
     the margin for budget <= ln 20 + 1, and a larger budget leaves no subset
     of n <= 20 tokens infeasible: the scan finds the prefix feasible.
     """
-    order = _descending_order(probs[None, :])[0]
+    order = np.argsort(-probs)  # tied tokens add equal terms, in any order
     mass = np.cumsum(probs[order])
     within = np.flatnonzero(np.log(mass) - np.cumsum(plp[order]) / mass
                             <= budget - _SCREEN_MARGIN)
@@ -268,13 +286,22 @@ def _index_order_keys(masks: np.ndarray, n: int) -> np.ndarray:
     """``_index_order`` of masks below ``2**n`` as int64 keys, smallest first:
     of equal popcounts, the set with the lowest differing bit comes first,
     i.e. the largest bit-reversed mask."""
-    count = np.zeros_like(masks)
-    reversed_ = np.zeros_like(masks)
-    for i in range(n):
-        bit = (masks >> i) & 1
-        count += bit
-        reversed_ |= bit << (n - 1 - i)
-    return (count << n) - reversed_
+    low, high = _index_order_tables(n)
+    return low[masks & (low.size - 1)] + high[masks >> (n - n // 2)]
+
+
+@functools.lru_cache(maxsize=ENUMERATION_LIMIT)
+def _index_order_tables(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The summands of ``_index_order_keys`` over the low n - n // 2 bits
+    and over the rest, from popcount and bit-reversal tables (read-only)."""
+    k = n - n // 2
+    count = subset_sums(np.ones(k, dtype=np.int64)) << n
+    reverse = subset_sums(1 << np.arange(k - 1, -1, -1, dtype=np.int64))
+    tables = (count - (reverse << (n - k)),
+              count[: 2 ** (n - k)] - (reverse[: 2 ** (n - k)] >> (2 * k - n)))
+    for table in tables:
+        table.flags.writeable = False
+    return tables
 
 
 def optimality_gap(

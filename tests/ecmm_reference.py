@@ -3,8 +3,9 @@
 These are the enumerations ``toph.oracle.exact_ecmm`` and
 ``toph.hardness.decide_ecme_small(mode="full")`` ran before they moved to
 log-free screens and the sorted meet-in-the-middle lookup of
-``toph.oracle.key_range_subsets``: one complete ``2**n`` table per column
-from ``subset_sums``, every entropy and every mask's deficit computed,
+``toph.oracle.key_range_subsets`` (tables of the low ``n - n // 2`` items,
+expanded in chunks of masks): one complete ``2**n`` table per column from
+``subset_sums``, every entropy and every mask's deficit computed,
 then the same tie-break and the same 50-digit confirmation.  They trade
 memory and time for plainness.  A single token scores entropy exactly 0,
 as in the library, whatever ``ln p - (p ln p) / p`` rounds to.

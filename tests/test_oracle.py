@@ -20,7 +20,14 @@ from toph.distributions import (
     uniform_distribution,
 )
 from toph.errors import AlphaOutOfRange, EmptyInput, VocabularyTooLarge
-from toph.hardness import CcssInstance, decide_ecme_small, reduce_to_ecme, verify_cardinality_lock
+from toph.hardness import (
+    MAX_FULL_SPACE_ITEMS,
+    MAX_HEAVY_ITEMS,
+    CcssInstance,
+    decide_ecme_small,
+    reduce_to_ecme,
+    verify_cardinality_lock,
+)
 from toph.oracle import (
     BLOCK_BITS,
     EcmmInstance,
@@ -81,32 +88,95 @@ class TestSubsetSums:
 
 
 class TestKeyRangeSubsets:
+    @staticmethod
+    def assert_matches_full_tables(rng, k, n, floored, distinct=False):
+        """Every chunk against the full tables; returns the chunks' masks.
+
+        With a floor, the masks lie between those in key range that meet
+        it and all those in key range; with distinct keys (one key order)
+        they are exactly those at or past each run's trim point."""
+        columns = (rng.random(n), rng.integers(-10**12, 10**12, n, dtype=np.int64))
+        if distinct:
+            low_keys = rng.permutation(2**k) * 40.0 / 2**k
+        else:
+            low_keys = rng.integers(0, 40, 2**k).astype(float)
+        lower = rng.integers(-5, 40, 2 ** (n - k)).astype(float)
+        upper = lower + rng.integers(-3, 15, lower.size)
+        floor = rng.random(lower.size) * k / 2 if floored else None
+        tables = [subset_sums(c) for c in columns]
+        masks = np.arange(2**n)
+        low, high = masks & (2**k - 1), masks >> k
+        hit = (lower[high] <= low_keys[low]) & (low_keys[low] <= upper[high])
+        chunks = []
+        for got, sums in key_range_subsets(
+                [subset_sums(c[:k]) for c in columns], [c[k:] for c in columns],
+                low_keys, lower, upper, floor):
+            assert got.size and np.all(np.diff(got) > 0)
+            chunks.append(got)
+            for table, column in zip(tables, sums):
+                assert column.tobytes() == table[got].tobytes()
+        found = np.concatenate(chunks) if chunks else masks[:0]
+        assert np.all(np.diff(found) > 0)
+        kept = np.isin(masks, found)
+        if not floored:
+            assert np.array_equal(kept, hit)
+            return chunks
+        low_mass = subset_sums(columns[0][:k])
+        assert not np.any(kept & ~hit)
+        assert not np.any(hit & (low_mass[low] >= floor[high]) & ~kept)
+        if distinct:
+            order = np.argsort(low_keys)
+            rank = np.argsort(order)
+            trim = np.maximum.accumulate(low_mass[order]).searchsorted(floor)
+            assert np.array_equal(kept, hit & (rank[low] >= trim[high]))
+        return chunks
+
     @pytest.mark.parametrize("k", [0, 3, 7, BLOCK_BITS])
     @pytest.mark.parametrize("floored", [False, True])
     def test_matches_full_tables(self, k, floored):
         rng = np.random.default_rng(21)
         for n in range(k, k + 4):
-            columns = (rng.random(n), rng.integers(-10**12, 10**12, n, dtype=np.int64))
-            low_keys = rng.integers(0, 40, 2**k).astype(float)
-            lower = rng.integers(-5, 40, 2 ** (n - k)).astype(float)
-            upper = lower + rng.integers(-3, 15, lower.size)
-            floor = rng.random(lower.size) * k / 2 if floored else None
-            tables = [subset_sums(c) for c in columns]
-            masks = np.arange(2**n)
-            low, high = masks & (2**k - 1), masks >> k
-            hit = (lower[high] <= low_keys[low]) & (low_keys[low] <= upper[high])
-            if floored:
-                hit &= subset_sums(columns[0][:k])[low] >= floor[high]
-            found = []
-            for first, lows, sums in key_range_subsets(
-                    [subset_sums(c[:k]) for c in columns], [c[k:] for c in columns],
-                    low_keys, lower, upper, floor):
-                assert lows.size and np.all(np.diff(lows) > 0)
-                found.append(first + lows)
-                for table, got in zip(tables, sums):
-                    assert got.tobytes() == table[first + lows].tobytes()
-            got_masks = np.concatenate(found) if found else masks[:0]
-            assert got_masks.tolist() == masks[hit].tolist()
+            for distinct in (False, True):
+                self.assert_matches_full_tables(rng, k, n, floored, distinct)
+
+    @pytest.mark.parametrize("block_bits", [1, 2, 3])
+    @pytest.mark.parametrize("floored", [False, True])
+    def test_small_chunks(self, block_bits, floored):
+        rng = np.random.default_rng(22)
+        spans = singles = 0
+        with mock.patch.object(oracle, "BLOCK_BITS", block_bits):
+            for k in range(block_bits + 1):
+                for n in range(k, k + 6):
+                    for chunk in self.assert_matches_full_tables(rng, k, n, floored, True):
+                        assert chunk.size <= 2**block_bits
+                        highs = np.unique(chunk >> k).size
+                        spans += highs > 1
+                        singles += highs == 1
+        assert spans and singles
+
+    def test_floor_drops_whole_runs(self):
+        # the heaviest low up to a run's end in key order misses the floor of
+        # some high masks whose runs are not empty: they are dropped
+        # unexpanded, and no mask that meets its floor goes with them
+        rng = np.random.default_rng(23)
+        k, n = 6, 12
+        values = rng.random(n)
+        low_mass = subset_sums(values[:k])
+        low_keys = rng.random(2**k)
+        upper = rng.random(2 ** (n - k))
+        floor = rng.random(upper.size) * low_mass.max()
+        in_run = low_keys <= upper[:, None]
+        reach = np.where(in_run, low_mass, -np.inf).max(axis=1)
+        dropped = in_run.any(axis=1) & (reach < floor)
+        assert dropped.any()
+        masks = np.arange(2**n)
+        low, high = masks & (2**k - 1), masks >> k
+        meets = in_run[high, low] & (low_mass[low] >= floor[high])
+        assert meets.any()
+        found = np.concatenate([got for got, _ in key_range_subsets(
+            [low_mass], [values[k:]], low_keys, np.full_like(upper, -np.inf), upper, floor)])
+        assert not np.any(dropped[found >> k])
+        assert np.all(np.isin(masks[meets], found))
 
 
 @st.composite
@@ -139,6 +209,21 @@ def ecmm_instances(draw, max_n=16):
     return EcmmInstance(make_distribution(probs / probs.sum()), alpha)
 
 
+@st.composite
+def near_tie_instances(draw, max_n=16):
+    """``ecmm_instances`` with some tokens set a relative 1e-3 or 1e-9 off
+    another, where greedy's choice between near-equal tokens is closest, and
+    alpha in (0, 1), where the top-H selector is defined."""
+    instance = draw(ecmm_instances(max_n))
+    probs = instance.p.probs.copy()
+    index = st.integers(0, probs.size - 1)
+    for i, j, eps in draw(st.lists(st.tuples(index, index, st.sampled_from(
+            [1e-3, -1e-3, 1e-9, -1e-9])), max_size=4)):
+        if probs[i] > 0.0:
+            probs[j] = probs[i] * (1.0 + eps)
+    return EcmmInstance(make_distribution(probs / probs.sum()), draw(st.floats(0.01, 0.99)))
+
+
 class TestExactEcmmAgainstFullTables:
     """``exact_ecmm`` returns the full-table reference's solution exactly."""
 
@@ -150,10 +235,11 @@ class TestExactEcmmAgainstFullTables:
     @settings(max_examples=100, deadline=None)
     @given(ecmm_instances(max_n=10), st.sampled_from([1, 3]))
     # the winner (3, 4, 5) (mask 56) ties on mass with (0, 1, 4, 5) (mask 51),
-    # found one block earlier, and wins on cardinality
-    @example(EcmmInstance(make_distribution(np.array([1, 1, 1, 2, 5, 4, 1]) / 15), 0.7), 3)
+    # found one chunk earlier, and wins on cardinality
+    @example(EcmmInstance(make_distribution(np.array([1, 1, 1, 2, 5, 4, 1]) / 15), 0.7), 1)
     def test_matches_reference_in_small_blocks(self, instance, block_bits):
-        # small blocks carry the incumbent and its ties across many blocks
+        # small blocks and chunks carry the incumbent and its ties across
+        # many chunks
         with mock.patch.object(oracle, "BLOCK_BITS", block_bits):
             assert exact_ecmm(instance) == reference_exact_ecmm(instance)
 
@@ -236,9 +322,10 @@ class TestScreen:
                                               ("dirichlet", 1.0), ("gaussian_logits", 1.0)])
     def test_on_full_tables_at_n20(self, family, alpha):
         instance = EcmmInstance(generate(GeneratorSpec(family, 20, seed=9), 1)[0], alpha)
-        for g0 in self.tangent_points(instance):
-            self.assert_keeps_every_feasible_subset(instance, BLOCK_BITS, g0)
-        self.assert_floor_keeps_the_optimum(instance, BLOCK_BITS)
+        for k in (10, BLOCK_BITS):  # the split exact_ecmm takes, and the widest
+            for g0 in self.tangent_points(instance):
+                self.assert_keeps_every_feasible_subset(instance, k, g0)
+            self.assert_floor_keeps_the_optimum(instance, k)
 
     def test_feasible_prefix_mass(self):
         # prefixes of [0.4, 0.3, 0.2, 0.1] have entropies 0, 0.683, 1.06, 1.28;
@@ -247,6 +334,24 @@ class TestScreen:
         for budget, mass in [(0.0, 0.0), (0.7, 0.7), (1.1, 0.9), (2.0, 1.0)]:
             got = oracle._feasible_prefix_mass(p, p * np.log(p), budget)
             assert got == pytest.approx(mass, abs=1e-15)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.sampled_from([0.0, -0.0, 5e-324, 1e-310, 2.2e-308, 0.1, 0.125, 0.3]),
+                    min_size=1, max_size=20),
+           st.floats(0.0, 3.5))
+    @example([0.3, -0.0, 0.1, 0.0, 0.1, 5e-324, 5e-324, 0.3], 1.0)
+    def test_feasible_prefix_mass_in_any_tie_order(self, values, budget):
+        # tied tokens add equal p and p ln p, so any descending order gives
+        # the cumulative sums of the stable one
+        probs = np.array(values + [0.25])
+        plp = np.where(probs > 0.0, probs * np.log(np.where(probs > 0.0, probs, 1.0)), 0.0)
+        order = np.argsort(-probs, kind="stable")
+        mass = np.cumsum(probs[order])
+        within = np.flatnonzero(np.log(mass) - np.cumsum(plp[order]) / mass
+                                <= budget - oracle._SCREEN_MARGIN)
+        expected = np.float64(mass[within[-1]] if within.size else 0.0)
+        got = np.float64(oracle._feasible_prefix_mass(probs, plp, budget))
+        assert got.tobytes() == expected.tobytes()
 
 
 class TestTieBreak:
@@ -290,7 +395,8 @@ def _peak_bytes(fn, *args):
 
 
 class TestBlockMemory:
-    """At n = m = 20 no enumeration holds a full 2**20 table (8 MiB per column)."""
+    """No enumeration holds a full table: 8 MiB per column at n = m = 20, and
+    up to 128 MiB at the largest inputs the hardness checks accept."""
 
     LIMIT = 4 * 2**20
 
@@ -301,7 +407,7 @@ class TestBlockMemory:
     def test_exact_ecmm_when_most_pairs_pass_the_screen(self):
         # 59 % of the 2**20 subsets pass the entropy screen, 4.8 % the mass
         # floor too, and 50 388 tie at the optimum (0.9 plus 7 of 19 equal
-        # tokens): survivors are gathered one high mask at a time
+        # tokens): survivors are gathered 2**BLOCK_BITS masks at a time
         p = generate(GeneratorSpec("one_hot_mix", 20, seed=3), 1)[0]
         assert _peak_bytes(exact_ecmm, EcmmInstance(p, 0.4)) < self.LIMIT
 
@@ -319,6 +425,17 @@ class TestBlockMemory:
     def test_cardinality_lock(self):
         weights = tuple(780 + 2 * i for i in range(20))
         assert _peak_bytes(verify_cardinality_lock, weights, sum(weights), 20) < self.LIMIT
+
+    def test_decide_full_mode_at_its_limit(self):
+        m = MAX_FULL_SPACE_ITEMS
+        weights = tuple(780 + 2 * i for i in range(m))
+        instance = reduce_to_ecme(CcssInstance(weights, sum(weights), m))
+        assert _peak_bytes(decide_ecme_small, instance, "full") < self.LIMIT
+
+    def test_cardinality_lock_at_its_limit(self):
+        # 61 108 subsets of 12 of the 24 weights weigh 9 636
+        weights = tuple(780 + 2 * i for i in range(MAX_HEAVY_ITEMS))
+        assert _peak_bytes(verify_cardinality_lock, weights, 12 * 780 + 2 * 138, 12) < self.LIMIT
 
 
 class TestExactEcmm:
@@ -421,6 +538,24 @@ class TestExactEcmm:
 
 
 class TestOptimalityGap:
+    @settings(max_examples=300, deadline=None)
+    @given(near_tie_instances(max_n=12))
+    def test_greedy_keeps_half_the_optimal_mass(self, instance):
+        # conjecture: uncapped top-H keeps at least half the optimal mass
+        assert optimality_gap([instance]).rows[0].ratio >= 0.5 - 1e-12
+
+    @pytest.mark.parametrize("eps,ratio", [(1e-3, 0.5015), (1e-4, 0.50015)])
+    def test_half_is_tight(self, eps, ratio):
+        # the top two tokens are nearly equal, so greedy stops at the first;
+        # the unequal pair {0, 2} fits a budget between the pairs' entropies
+        p = make_distribution([1 / 3 + eps, 1 / 3, 1 / 3 - eps])
+        pair = lambda i, j: entropy(renormalize(p, (i, j)))
+        alpha = (pair(0, 2) + pair(0, 1)) / 2 / entropy(p)
+        row = optimality_gap([EcmmInstance(p, alpha)]).rows[0]
+        assert row.gamma_greedy == p.probs[0]
+        assert row.gamma_optimal == p.probs[0] + p.probs[2]
+        assert row.ratio == pytest.approx(ratio, rel=1e-9)
+
     def test_uniform_batch_all_ones(self):
         instances = [EcmmInstance(uniform_distribution(n), 0.4) for n in (4, 6, 8)]
         report = optimality_gap(instances)
