@@ -15,12 +15,22 @@ every generator flag; runs that read ``--input`` record none of them.
 Outputs themselves contain no timestamps, so rerunning a command with the
 same manifest reproduces them exactly.  Each file appears whole or not at
 all: a run that fails leaves what was at the path before.
+
+An ``--input`` dataset is read a block at a time (``synthgen.read_dataset``):
+``truncate`` and ``sample`` select and write each block before reading the
+next, ``sweep`` keeps only each alpha's per-record statistics, and ``gap``
+only the blocks it will score.
+The first block is read before any output is written, so an empty or bad
+first block exits without touching ``--output``; a bad record further on is
+found while ``truncate`` and ``sample`` write, after the output path was
+opened, so an unwritable ``--output`` is reported first.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import sys
 import time
@@ -185,24 +195,31 @@ def _truncate_record(rid: str, block: SelectionBlock, r: int, config: Truncation
     return record
 
 
-def _read_input(path: str) -> list[DatasetBlock]:
-    """The blocks of an ``--input`` dataset; a file with none is a usage error."""
+def _read_input(path: str) -> Iterator[DatasetBlock]:
+    """The blocks of an ``--input`` dataset, read as they are consumed.
+
+    The first block is read at once, so a file with none is a usage error,
+    and a bad first record an input error, before any output is written.
+    """
     blocks = read_dataset(path)
-    if not blocks:
+    first = next(blocks, None)
+    if first is None:
         raise UsageError(f"dataset {path} is empty")
-    return blocks
+    # chain keeps its arguments to the end; a spent list iterator lets the block go
+    return itertools.chain(iter([first]), blocks)
 
 
-def _blocks(args) -> list[DatasetBlock]:
+def _blocks(args) -> Iterator[DatasetBlock]:
     """The records of ``gap`` and ``sweep``: ``--input``, else ``--trials`` generated ones."""
     if args.input:
         return _read_input(args.input)
     if args.trials < 1:
         raise UsageError(f"--trials must be >= 1, got {args.trials}")
-    return list(_generate(args, args.trials))
+    return _generate(args, args.trials)
 
 
-def _selections(blocks: list[DatasetBlock], config: TruncationConfig, with_trace: bool = False):
+def _selections(blocks: Iterable[DatasetBlock], config: TruncationConfig,
+                with_trace: bool = False):
     """(index of the block's first record, dataset block, its selections), block by block."""
     start = 0
     for block in blocks:
@@ -244,11 +261,15 @@ def cmd_gap(args) -> CommandResult:
             f"--n {args.n} exceeds the exhaustive-enumeration limit of "
             f"{ENUMERATION_LIMIT}; the exact oracle's search grows as 2**n"
         )
-    blocks = _blocks(args)
-    too_big = max(block.probs.shape[1] for block in blocks)
-    if too_big > ENUMERATION_LIMIT:
+    # the whole input is read, for its largest n, but no block is kept after one too big
+    blocks, largest = [], 0
+    for block in _blocks(args):
+        largest = max(largest, block.probs.shape[1])
+        if largest <= ENUMERATION_LIMIT:
+            blocks.append(block)
+    if largest > ENUMERATION_LIMIT:
         raise UsageError(
-            f"dataset contains n={too_big}, above the exhaustive-enumeration "
+            f"dataset contains n={largest}, above the exhaustive-enumeration "
             f"limit of {ENUMERATION_LIMIT}; the exact oracle's search grows as 2**n"
         )
     # no-copy views of the validated rows
@@ -273,16 +294,18 @@ def cmd_sweep(args) -> CommandResult:
     if not alphas:
         raise UsageError("--alphas is empty")
     configs = [_config(alpha=a, candidate_cap=args.candidate_cap) for a in alphas]
-    matrices = [block.probs for block in _blocks(args)]
-    count = sum(len(probs) for probs in matrices)
+    # every alpha's selections of a block are taken before the next block is read
+    stats = [([], [], []) for _ in configs]  # (sizes, gammas, ratios) per alpha
+    count = 0
+    for block in _blocks(args):
+        count += len(block)
+        for config, (sizes, gammas, ratios) in zip(configs, stats):
+            selection = select_block(block.probs, config)
+            sizes += selection.counts
+            gammas += selection.gamma
+            ratios += [h_q / h_p for h_q, h_p in zip(selection.h_q, selection.h_p) if h_p > 0.0]
     lines = ["alpha,mean_selected,mean_gamma,mean_entropy_ratio,count\n"]
-    for config in configs:
-        sizes, gammas, ratios = [], [], []
-        for probs in matrices:
-            block = select_block(probs, config)
-            sizes += block.counts
-            gammas += block.gamma
-            ratios += [h_q / h_p for h_q, h_p in zip(block.h_q, block.h_p) if h_p > 0.0]
+    for config, (sizes, gammas, ratios) in zip(configs, stats):
         ratio_mean = float(np.mean(ratios)) if ratios else 0.0
         lines.append(
             f"{config.alpha!r},{float(np.mean(sizes))!r},{float(np.mean(gammas))!r},"

@@ -225,10 +225,10 @@ def exact_ecmm(instance: EcmmInstance) -> EcmmSolution:
                 continue
             at = np.flatnonzero(feasible == top)
             best = at[np.argmin(_index_order_keys(masks[at], n))] if at.size > 1 else at[0]
-            mask = int(masks[best])
-            if top > best_mass or _index_order(mask) < _index_order(best_mask):
-                best_mass, best_mask, best_ent = top, mask, float(ent[best])
-    return EcmmSolution(indices=mask_indices(best_mask), gamma=float(best_mass),
+            key, best_key = _index_order_keys(np.array([masks[best], best_mask]), n)
+            if top > best_mass or key < best_key:
+                best_mass, best_mask, best_ent = top, masks[best], float(ent[best])
+    return EcmmSolution(indices=mask_indices(int(best_mask)), gamma=float(best_mass),
                         entropy=best_ent)
 
 
@@ -276,16 +276,11 @@ def _screen_keys(low: tuple[np.ndarray, np.ndarray], high: tuple[np.ndarray, np.
     return low[0] * c - low[1], g0 - high[0] * c + high[1]
 
 
-def _index_order(mask: int) -> tuple[int, tuple[int, ...]]:
-    """The tie-break of ``exact_ecmm``, smallest first: the fewest set bits,
-    then the smallest index set (``(0, 5)`` beats ``(1, 2)``)."""
-    return mask.bit_count(), mask_indices(mask)
-
-
 def _index_order_keys(masks: np.ndarray, n: int) -> np.ndarray:
-    """``_index_order`` of masks below ``2**n`` as int64 keys, smallest first:
-    of equal popcounts, the set with the lowest differing bit comes first,
-    i.e. the largest bit-reversed mask."""
+    """The tie-break of ``exact_ecmm`` on masks below ``2**n``, as int64 keys,
+    smallest first: the fewest set bits, then the smallest index set
+    (``(0, 5)`` beats ``(1, 2)``).  Of equal popcounts, the set with the
+    lowest differing bit comes first, i.e. the largest bit-reversed mask."""
     low, high = _index_order_tables(n)
     return low[masks & (low.size - 1)] + high[masks >> (n - n // 2)]
 

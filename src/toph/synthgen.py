@@ -249,28 +249,30 @@ def _validated(kind: str, lines, rows, temperatures) -> np.ndarray:
         raise MalformedRecord(lines[exc.row], str(exc)) from exc
 
 
-def read_dataset(path: str | os.PathLike) -> list[DatasetBlock]:
-    """Parse a JSONL dataset into validated blocks; malformed lines are reported by number.
+def read_dataset(path: str | os.PathLike) -> Iterator[DatasetBlock]:
+    """The validated blocks of a JSONL dataset, read as they are consumed.
 
     Each block is a run of consecutive records with equal vocabulary size,
     at most ``chunk_rows(n)`` of them, validated as soon as it is full: a
     large vocabulary goes one record at a time, and its parsed list is
-    freed at once.  An error names the earliest bad line, whichever block
-    it is in: any error first validates the records read before it.
+    freed once its block is taken.  The file is opened at the first
+    ``next``.  A malformed line raises when its block is reached, after
+    every earlier block was yielded, and names the earliest bad line: any
+    error first validates the records read before it.
     """
-    blocks: list[DatasetBlock] = []
     run: list[tuple] = []  # (line number, id, values, temperature) not yet in a block
     kind = None
 
-    def flush():
-        if run:
-            lines, ids, rows, temperatures = zip(*run)
-            run.clear()
-            blocks.append(DatasetBlock(list(ids), _validated(kind, lines, rows, temperatures)))
+    def take() -> DatasetBlock:
+        lines, ids, rows, temperatures = zip(*run)
+        run.clear()
+        return DatasetBlock(list(ids), _validated(kind, lines, rows, temperatures))
 
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            for line_no, line in enumerate(fh, start=1):
+            line_no = 0  # counted by hand: enumerate's tuple would keep the last line
+            for line in fh:
+                line_no += 1
                 if not line.strip():
                     continue
                 try:
@@ -283,16 +285,20 @@ def read_dataset(path: str | os.PathLike) -> list[DatasetBlock]:
                         raise MixedSchema(
                             f"line {line_no}: '{record_kind}' record in a '{kind}' file")
                 except (MalformedRecord, MixedSchema):
-                    flush()
+                    if run:
+                        take()  # an earlier bad line in the pending block wins
                     raise
-                if run and len(values) != len(run[0][2]):
-                    flush()
+                n = len(values)
+                if run and n != len(run[0][2]):
+                    yield take()
                 run.append((line_no, rid, values, temperature))
-                if len(run) >= chunk_rows(len(values)):
-                    flush()
-            flush()
+                del line, values  # the run holds the only reference, which take() drops
+                if len(run) >= chunk_rows(n):
+                    yield take()
+            if run:
+                yield take()
         except UnicodeDecodeError as exc:
-            flush()
+            if run:
+                take()
             # the file is decoded a block at a time, so the bad line is unknown
             raise MalformedRecord(None, f"{path} is not UTF-8 text: {exc.reason}") from exc
-    return blocks

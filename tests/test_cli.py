@@ -197,7 +197,7 @@ class TestTruncateCommand:
         assert f"line 2: {message}" in capsys.readouterr().err
         assert not out.exists()
         with pytest.raises(MalformedRecord) as err:
-            read_dataset(bad)
+            list(read_dataset(bad))
         assert type(err.value.__cause__) is error
 
     @pytest.mark.parametrize("value", ["true", "false"])
@@ -387,7 +387,7 @@ class TestGeneratedBlocks:
                 "--count", str(count), "--output", str(out)]
         assert main(argv) == 0
         generated = list(cli._generate(cli.build_parser().parse_args(argv), count))
-        read = read_dataset(out)
+        read = list(read_dataset(out))
         assert [block.ids for block in generated] == [block.ids for block in read]
         assert [block.probs.shape for block in generated] == [(chunk_rows(100), 100), (7, 100)]
         assert [block.probs.tobytes() for block in generated] == [
@@ -425,6 +425,71 @@ def write_gaussian_records(path, sizes, seed):
                 probs[np.argmax(probs)] = 1.0
             probs /= probs.sum()
             fh.write(json.dumps({"id": f"r{i}", "probs": probs.tolist()}) + "\n")
+
+
+# sha256 of the outputs on a file of 200 records of V=100 (two blocks, the
+# second short), then three of V=32768 (a block each): however the commands
+# loop over blocks, each output must keep these bytes
+STREAMED_DATA_DIGEST = "83c4b2b46257942bac391e1b4be003f294bf138d0012778507c2f0ad283954ad"
+STREAMED_DIGESTS = {
+    "sweep": (["sweep"],
+              "04b31ed8d781b5456709d221f813bcd793f2afd1aa80545fb52b1fbf9233d8d8"),
+    "truncate-trace": (["truncate", "--trace"],
+                       "bc848709d3ba0bc0409c466f9b7609daa3b6deff9ac4c1c9c1e237ac3ee1cccf"),
+    "sample": (["sample", "--num-samples", "4"],
+               "336ccd821f534bc609a86f8788bb223cac86885e135dd1ed01714f9430aa3e52"),
+}
+
+
+class TestStreamedGolden:
+    @pytest.fixture(scope="class")
+    def data(self, tmp_path_factory):
+        path = tmp_path_factory.mktemp("streamed") / "multi.jsonl"
+        write_gaussian_records(path, [100] * 200 + [32768] * 3, seed=203)
+        return path
+
+    @pytest.mark.parametrize("name", sorted(STREAMED_DIGESTS))
+    def test_output_matches_pinned_digest(self, tmp_path, data, name):
+        argv, digest = STREAMED_DIGESTS[name]
+        assert hashlib.sha256(data.read_bytes()).hexdigest() == STREAMED_DATA_DIGEST
+        out = tmp_path / "out"
+        assert main([*argv, "--input", str(data), "--output", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+class TestInputMemory:
+    @pytest.fixture(scope="class")
+    def wide(self, tmp_path_factory):
+        """Files of 1, 2 and 16 records of V=32768, by count."""
+        root = tmp_path_factory.mktemp("wide")
+        for count in (1, 2, 16):
+            write_gaussian_records(root / f"w{count}.jsonl", [32768] * count, seed=16)
+        return {count: root / f"w{count}.jsonl" for count in (1, 2, 16)}
+
+    @pytest.mark.parametrize("argv, code", [
+        pytest.param(["truncate"], 0, id="truncate"),
+        pytest.param(["sample", "--num-samples", "4"], 0, id="sample"),
+        pytest.param(["sweep", "--alphas", "0.2,0.6"], 0, id="sweep"),
+        # refused for its largest n, read to the end without keeping a block
+        pytest.param(["gap"], 1, id="gap"),
+    ])
+    def test_peak_does_not_grow_with_the_record_count(self, tmp_path, capsys, wide, argv, code):
+        # at n = 32768 a block holds one record, which is selected and
+        # written (or summed) before the next is read: sixteen peak where two do
+        def peak(count):
+            tracemalloc.start()
+            try:
+                assert main([*argv, "--input", str(wide[count]),
+                             "--output", str(tmp_path / "out")]) == code
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(1)  # one-off costs, such as building the parser, land outside the measurement
+        assert peak(16) < peak(2) + 2**20
+        if code:
+            assert "dataset contains n=32768, above the exhaustive-enumeration limit of 20" \
+                in capsys.readouterr().err
 
 
 BOUNDARY_COMMANDS = [
@@ -891,22 +956,42 @@ class TestRefusedRuns:
         assert message.format(**fields) in capsys.readouterr().err
         assert sorted(tmp_path.rglob("*")) == files
 
-    @pytest.mark.parametrize("argv", [
-        ["truncate"], ["sample", "--num-samples", "4"], ["sweep", "--alphas", "0.2,0.6"]])
-    def test_bad_row_past_the_first_block(self, tmp_path, capsys, argv):
+    @staticmethod
+    def write_bad_second_block(data):
         # 163 records of V=100 fill a block; line 170 sits in the second
         assert synthgen.chunk_rows(100) == 163
-        data, out = tmp_path / "v100.jsonl", tmp_path / "out"
         write_gaussian_records(data, [100] * 200, seed=170)
         lines = data.read_text().splitlines(keepends=True)
         lines[169] = json.dumps({"id": "r169", "probs": [0.015625] * 100}) + "\n"
         data.write_text("".join(lines))
+
+    @pytest.mark.parametrize("argv", [
+        ["truncate"], ["sample", "--num-samples", "4"], ["sweep", "--alphas", "0.2,0.6"]])
+    def test_bad_row_past_the_first_block(self, tmp_path, capsys, argv):
+        data, out = tmp_path / "v100.jsonl", tmp_path / "out"
+        self.write_bad_second_block(data)
         out.write_bytes(b"previous output\n")
         files = sorted(tmp_path.iterdir())
         assert main([*argv, "--input", str(data), "--output", str(out)]) == 2
         assert "line 170: mass 1.5625 deviates" in capsys.readouterr().err
         assert sorted(tmp_path.iterdir()) == files
         assert out.read_bytes() == b"previous output\n"
+
+    @pytest.mark.parametrize("command, code, message", [
+        ("truncate", 1, "cannot write {out}: No such file or directory"),
+        ("sample", 1, "cannot write {out}: No such file or directory"),
+        ("sweep", 2, "line 170: mass 1.5625 deviates"),
+    ])
+    def test_unwritable_output_and_a_bad_row_past_the_first_block(
+            self, tmp_path, capsys, command, code, message):
+        # truncate and sample read their input while they write it, so the
+        # output is opened, and refused, before the second block is read;
+        # sweep reads every block before it writes
+        data, out = tmp_path / "v100.jsonl", tmp_path / "missing" / "out"
+        self.write_bad_second_block(data)
+        assert main([command, "--input", str(data), "--output", str(out)]) == code
+        assert message.format(out=out) in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == [data]
 
     def test_nan_generated_row_past_the_first_block(self, tmp_path, capsys):
         # at n = 400 a block holds 40 records; seed 0's first all-zero
@@ -955,3 +1040,11 @@ class TestGapFromDataset:
         data.write_text(json.dumps({"id": "big", "probs": probs}) + "\n")
         rc = main(["gap", "--input", str(data), "--output", str(tmp_path / "g.csv")])
         assert rc == 1
+
+    def test_refusal_names_the_largest_n(self, tmp_path, capsys):
+        data = tmp_path / "d.jsonl"
+        write_gaussian_records(data, [4, 25, 3, 300, 30], seed=1)
+        rc = main(["gap", "--input", str(data), "--output", str(tmp_path / "g.csv")])
+        assert rc == 1
+        assert "dataset contains n=300, above" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == [data]

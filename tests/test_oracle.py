@@ -380,9 +380,14 @@ class TestTieBreak:
     def test_numpy_winner_matches_min(self, case):
         n, tied = case
         masks = np.asarray(sorted(tied), dtype=np.int64)
-        best = min(tied, key=lambda m: (bin(m).count("1"), mask_indices(m)))
-        assert masks[np.argmin(oracle._index_order_keys(masks, n))] == best
-        assert min(tied, key=oracle._index_order) == best
+
+        def key(m):
+            return m.bit_count(), mask_indices(m)
+
+        keys = oracle._index_order_keys(masks, n)
+        assert masks[np.argmin(keys)] == min(tied, key=key)
+        # the keys order every pair as the incumbent comparison needs
+        assert masks[np.argsort(keys)].tolist() == sorted(tied, key=key)
 
 
 def _peak_bytes(fn, *args):

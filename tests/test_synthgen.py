@@ -162,7 +162,7 @@ class TestDatasetIO:
         dists = [make_distribution(rng.normal(0.0, 2.0, n), mode="logits") for n in sizes]
         path = tmp_path / "data.jsonl"
         write_dataset(path, dists)
-        blocks = read_dataset(path)
+        blocks = list(read_dataset(path))
         assert [block.probs.shape for block in blocks] == [
             (chunk_rows(100), 100), (2, 100), (2, 3), (1, 5),
             (1, CHUNK_ELEMENTS), (1, CHUNK_ELEMENTS)]
@@ -179,15 +179,26 @@ class TestDatasetIO:
             '{"id": "a", "probs": [0.5, 0.5]}\n{"id": "b", "probs": [0.5, -0.5]}\n'
         )
         with pytest.raises(MalformedRecord) as err:
-            read_dataset(path)
+            list(read_dataset(path))
         assert err.value.line_number == 2
 
     def test_invalid_json_reports_line(self, tmp_path):
         path = tmp_path / "bad.jsonl"
         path.write_text('{"id": "a", "probs": [1.0]}\nnot json\n')
         with pytest.raises(MalformedRecord) as err:
-            read_dataset(path)
+            list(read_dataset(path))
         assert err.value.line_number == 2
+
+    def test_error_is_raised_when_its_block_is_reached(self, tmp_path):
+        path = tmp_path / "bad.jsonl"
+        path.write_text('{"id": "a", "probs": [0.5, 0.5]}\n'
+                        '{"id": "b", "probs": [0.25, 0.25, 0.5]}\n'
+                        '{"id": "c", "probs": [0.5, 0.6, 0.5]}\n')
+        blocks = read_dataset(path)
+        assert next(blocks).ids == ["a"]
+        with pytest.raises(MalformedRecord) as err:
+            next(blocks)
+        assert err.value.line_number == 3
 
     def test_mixed_schema_rejected(self, tmp_path):
         path = tmp_path / "mixed.jsonl"
@@ -196,7 +207,7 @@ class TestDatasetIO:
             '{"id": "b", "logits": [0.0, 1.0], "temperature": 1.0}\n'
         )
         with pytest.raises(MixedSchema):
-            read_dataset(path)
+            list(read_dataset(path))
 
     def test_logits_record_delegates(self, tmp_path):
         path = tmp_path / "logits.jsonl"
@@ -223,7 +234,7 @@ class TestDatasetIO:
         path = tmp_path / "bad.jsonl"
         path.write_text(f'{{"id": "a", "{kind}": [1, 0]}}\n{record}\n')
         with pytest.raises(MalformedRecord) as err:
-            read_dataset(path)
+            list(read_dataset(path))
         assert err.value.line_number == 2
 
     def test_integer_entries_accepted(self, tmp_path):
@@ -237,7 +248,7 @@ class TestDatasetIO:
         path = tmp_path / "empty.jsonl"
         path.write_text('{"id": "a"}\n')
         with pytest.raises(MalformedRecord):
-            read_dataset(path)
+            list(read_dataset(path))
 
 
 # --- the block reader against the per-line reference ----------------------
@@ -252,7 +263,7 @@ RUN_LENGTHS = ("one", "two", "below", "at", "above")
 def reference_outcome(read, path):
     """What reading ``path`` raised, as (class, message, line), or None."""
     try:
-        read(path)
+        list(read(path))
     except (MalformedRecord, MixedSchema) as exc:
         return type(exc), str(exc), getattr(exc, "line_number", None)
     return None
@@ -368,7 +379,7 @@ class TestReaderAgainstReference:
         write_lines(path, [json.dumps(r) for r in records], blank_every)
         expected = reference_read_dataset(path)
         with mock.patch.object(synthgen, "CHUNK_ELEMENTS", budget):
-            blocks = read_dataset(path)
+            blocks = list(read_dataset(path))
         for block in blocks:
             assert not block.probs.flags.writeable
             assert block.probs.shape == (len(block), block.probs.shape[1])
@@ -444,10 +455,10 @@ class TestReaderAgainstReference:
 
 class TestReaderMemory:
     def test_large_records_are_released_one_at_a_time(self, tmp_path):
-        # a record of 32k tokens is a block of one: its parsed Python list is
-        # freed once its row is validated, so the peak holds the blocks read
-        # so far plus about one record in flight, not every record's list
-        n, count = 32768, 4
+        # a record of 32k tokens is a block of one, yielded before the next
+        # line is read: taking the blocks one at a time holds about one
+        # record's line, parsed list and row, whatever the record count
+        n, count = 32768, 8
         rng = np.random.default_rng(4)
         path = tmp_path / "wide.jsonl"
         lines = []
@@ -460,9 +471,9 @@ class TestReaderMemory:
             json.loads(lines[0])
             _, one_list = tracemalloc.get_traced_memory()
             tracemalloc.reset_peak()
-            blocks = read_dataset(path)
+            shapes = [block.probs.shape for block in read_dataset(path)]
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert [block.probs.shape for block in blocks] == [(1, n)] * count
-        assert peak < count * 8 * n + 3 * one_list
+        assert shapes == [(1, n)] * count
+        assert peak < 3 * one_list

@@ -433,7 +433,7 @@ def dataset_blocks(dists):
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "data.jsonl")
         write_dataset(path, dists)
-        return read_dataset(path)
+        return list(read_dataset(path))
 
 
 def assert_block_matches_reference(dists, cfg):
