@@ -239,13 +239,21 @@ def cmd_truncate(args) -> CommandResult:
 
 
 def cmd_sample(args) -> CommandResult:
+    """``--num-samples`` tokens per record, one JSON line each, a block at a time.
+
+    A line has the bytes of ``json.dumps`` of ``{"schema_version", "id",
+    "method", "tokens"}``, built without a dict: a fixed head, the id
+    escaped by ``json.dumps``, and the tokens, whose Python list text is
+    their JSON.
+    """
     config = _build_config(args)
     if args.num_samples < 1:
         raise UsageError(f"--num-samples must be >= 1, got {args.num_samples}")
     per_record = args.num_samples
+    head = f'{{"schema_version": {SCHEMA_VERSION}, "id": '
+    after_id = f', "method": {json.dumps(config.method.value)}, "tokens": '
     # draw_index = record_index * num_samples + j, so records do not share variates
-    lines = (json.dumps({"schema_version": SCHEMA_VERSION, "id": rid,
-                         "method": config.method.value, "tokens": row}) + "\n"
+    lines = (head + json.dumps(rid) + after_id + str(row) + "}\n"
              for start, block, selection in _selections(_read_input(args.input), config)
              for rid, row in zip(block.ids, selection.draw(u01(args.seed, 0, np.arange(
                  start * per_record, (start + len(block)) * per_record, dtype=np.uint64,

@@ -206,12 +206,28 @@ def write_dataset(
                                    for rid, dist in zip(ids, dists, strict=True)))
 
 
+#: Reads one JSON value at the start of a string, and where it ended; the
+#: decoder is configured as the one ``json.loads`` uses.
+_raw_decode = json.JSONDecoder().raw_decode
+
+
 def _parse_record(line: str, line_no: int) -> tuple[str, str, list, float]:
-    """(id, kind, values, temperature) of one line, each entry's type checked."""
+    """(id, kind, values, temperature) of one line, each entry's type checked.
+
+    The line is what ``json.loads`` makes of it.  A line that starts with
+    its value and ends with JSON whitespace is decoded once, by
+    ``raw_decode``; any other line, and any that fails there, goes to
+    ``json.loads``, whose value or error is the result.
+    """
     try:
-        obj = json.loads(line)
-    except json.JSONDecodeError as exc:
-        raise MalformedRecord(line_no, f"invalid JSON: {exc.msg}") from exc
+        obj, end = _raw_decode(line)
+        if line[end:].strip(" \t\n\r"):
+            raise ValueError("text after the value")
+    except ValueError:  # a JSONDecodeError too
+        try:
+            obj = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise MalformedRecord(line_no, f"invalid JSON: {exc.msg}") from exc
     if not isinstance(obj, dict):
         raise MalformedRecord(line_no, "record is not a JSON object")
     rid = obj.get("id")
@@ -273,7 +289,7 @@ def read_dataset(path: str | os.PathLike) -> Iterator[DatasetBlock]:
             line_no = 0  # counted by hand: enumerate's tuple would keep the last line
             for line in fh:
                 line_no += 1
-                if not line.strip():
+                if line.isspace():
                     continue
                 try:
                     rid, record_kind, values, temperature = _parse_record(line, line_no)
@@ -288,12 +304,14 @@ def read_dataset(path: str | os.PathLike) -> Iterator[DatasetBlock]:
                     if run:
                         take()  # an earlier bad line in the pending block wins
                     raise
-                n = len(values)
-                if run and n != len(run[0][2]):
+                if run and len(values) != n:
                     yield take()
+                if not run:  # a new block: its vocabulary size and row limit
+                    n = len(values)
+                    limit = chunk_rows(n)
                 run.append((line_no, rid, values, temperature))
                 del line, values  # the run holds the only reference, which take() drops
-                if len(run) >= chunk_rows(n):
+                if len(run) >= limit:
                     yield take()
             if run:
                 yield take()

@@ -281,6 +281,24 @@ class TestSampleCommand:
         assert main(argv + ["--output", str(out2)]) == 0
         assert out1.read_bytes() == out2.read_bytes()
 
+    @pytest.mark.parametrize("method", ["top-h", "min-p"])
+    def test_each_line_is_json_dumps_of_its_record(self, tmp_path, method):
+        # ids with quotes, backslashes, control characters, non-ASCII text and
+        # an astral character, which JSON escapes as a surrogate pair
+        ids = ['say "hi"', "back\\slash", "tab\tnew\nline\r\x00\x1f\x7f", "caf\u00e9",
+               "\u6f22\u5b57 \u2028", "\U0001f600", "", "/", "\\\"", "\ud800"]
+        data, out = tmp_path / "ids.jsonl", tmp_path / "tokens.jsonl"
+        data.write_text("".join(json.dumps({"id": rid, "probs": [0.5, 0.3, 0.2]}) + "\n"
+                                for rid in ids), encoding="utf-8")
+        assert main(["sample", "--method", method, "--seed", "4", "--num-samples", "3",
+                     "--input", str(data), "--output", str(out)]) == 0
+        lines = out.read_text(encoding="utf-8").splitlines(keepends=True)
+        assert len(lines) == len(ids)
+        for rid, line in zip(ids, lines):
+            record = {"schema_version": 1, "id": rid, "method": method.replace("-", "_"),
+                      "tokens": json.loads(line)["tokens"]}
+            assert line == json.dumps(record) + "\n"
+
 
 class TestSampleGolden:
     @pytest.mark.parametrize("method", ["top-h", "top-k", "top-p", "min-p", "eta"])
@@ -434,6 +452,8 @@ STREAMED_DATA_DIGEST = "83c4b2b46257942bac391e1b4be003f294bf138d0012778507c2f0ad
 STREAMED_DIGESTS = {
     "sweep": (["sweep"],
               "04b31ed8d781b5456709d221f813bcd793f2afd1aa80545fb52b1fbf9233d8d8"),
+    "truncate": (["truncate"],
+                 "2ce32bcad5ecd5dcf3c440dc3652745cfd00e8a0d36eb3f61f95d8d406049966"),
     "truncate-trace": (["truncate", "--trace"],
                        "bc848709d3ba0bc0409c466f9b7609daa3b6deff9ac4c1c9c1e237ac3ee1cccf"),
     "sample": (["sample", "--num-samples", "4"],

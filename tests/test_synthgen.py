@@ -453,6 +453,83 @@ class TestReaderAgainstReference:
         assert reference_outcome(read_dataset, path) == expected
 
 
+# --- decoding a line: raw_decode against json.loads ------------------------
+
+#: JSON's whitespace but the newline, and characters only ``str.isspace`` calls space.
+JSON_SPACE = " \t\r"
+OTHER_SPACE = "\x0b\x0c\x1c\x1f\x85\xa0\u2028\u3000"
+
+RECORD_BODIES = [
+    '{"id": "a", "logits": [NaN, 1.0]}',
+    '{"id": "a", "logits": [-Infinity, 0.5], "temperature": 2}',
+    '{"id": "a", "logits": [Infinity, 0.5]}',
+    '{"id": "a", "probs": [Infinity, 0.0]}',
+    '{"id": "a", "id": "b", "probs": [1.0]}',
+    '{"id": "a", "probs": [0.5, 0.6], "probs": [0.5, 0.5]}',
+    '{"id": "a", "probs": [1.0], "probs": "x"}',
+    '{"id": "a", "probs": [1, 0]}',
+    '{"id": "a", "probs": [1.0]}{"id": "b", "probs": [1.0]}',
+    '{"id": "a", "probs": [1.0]',
+    '{"id": "a", "probs": [1.0,]}',
+    '[1.0]', "1", '"a"', "null", "{}", "NaN", "",
+]
+
+
+@st.composite
+def record_lines(draw):
+    """A line of a dataset file, newline excluded: a record or not, with text around it."""
+    rid = draw(st.text(max_size=4))
+    body = draw(st.one_of(
+        st.sampled_from(RECORD_BODIES),
+        st.builds(lambda values: json.dumps({"id": rid, "probs": values}),
+                  st.sampled_from([[1.0], [0.5, 0.5], [0.25, 0.75], [1, 0], [0.5, 0.7]])),
+        st.just(json.dumps({"id": rid, "logits": [0.0, 1.5], "temperature": 2},
+                           ensure_ascii=False)),
+    ))
+    before = draw(st.one_of(st.text(JSON_SPACE + OTHER_SPACE, max_size=2), st.just("\ufeff")))
+    after = draw(st.one_of(st.text(JSON_SPACE + OTHER_SPACE, max_size=2),
+                           st.sampled_from(["x", "}", " {}", ",", "]", "\ufeff"])))
+    return before + body + after
+
+
+def parse_outcome(line):
+    """``_parse_record``'s fields with every value's type and bits, or its error text."""
+    try:
+        rid, kind, values, temperature = synthgen._parse_record(line, 7)
+    except MalformedRecord as exc:
+        return str(exc), exc.line_number
+    return (rid, kind, type(values), [type(v) for v in values],
+            np.asarray(values, dtype=np.float64).tobytes(), repr(temperature))
+
+
+class TestDecodingAgainstJsonLoads:
+    """The ``raw_decode`` path reads every line as ``json.loads`` alone reads it."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(line=record_lines(), newline=st.sampled_from(["\n", ""]))
+    def test_same_record_or_error_for_a_line(self, line, newline):
+        line += newline
+        with mock.patch.object(synthgen, "_raw_decode", side_effect=ValueError):
+            expected = parse_outcome(line)  # every line through json.loads
+        assert parse_outcome(line) == expected
+
+    @settings(max_examples=150, deadline=None)
+    @given(lines=st.lists(st.one_of(record_lines(),
+                                    st.text(" \t" + OTHER_SPACE, min_size=1, max_size=3)),
+                          min_size=1, max_size=6))
+    def test_same_dataset_or_error_as_the_per_line_reader(self, tmp_path_factory, lines):
+        # whitespace-only lines are skipped whatever their characters; "\r" ends
+        # a line, as the text reader translates it
+        path = tmp_path_factory.mktemp("lines") / "data.jsonl"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        expected = reference_outcome(reference_read_dataset, path)
+        assert reference_outcome(read_dataset, path) == expected
+        if expected is None:
+            got = [(rid, row.tobytes()) for rid, row in records(path)]
+            assert got == [(rec.id, rec.dist.probs.tobytes())
+                           for rec in reference_read_dataset(path)]
+
+
 class TestReaderMemory:
     def test_large_records_are_released_one_at_a_time(self, tmp_path):
         # a record of 32k tokens is a block of one, yielded before the next
