@@ -175,7 +175,7 @@ def _entropy_of(values: np.ndarray) -> float:
     pos = values[values > 0.0]
     if pos.size == 0:
         return 0.0
-    return float(-np.dot(pos, np.log(pos)))
+    return float(0.0 - np.dot(pos, np.log(pos)))  # +0.0, not -0.0, for one token
 
 
 def entropy(dist: Union[ProbabilityDistribution, SubsetDistribution]) -> float:

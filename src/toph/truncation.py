@@ -290,8 +290,10 @@ def _top_h_scan(row: np.ndarray, threshold: float, order: np.ndarray | None):
             break
         g = gamma + p_j
         s = h + p_j * math.log(p_j)
-        entropy = math.log(g) - s / g
-        if entropy > threshold and count > 0:
+        # one token has entropy 0, within any budget; the running form can
+        # leave an ulp of it
+        entropy = math.log(g) - s / g if count else 0.0
+        if entropy > threshold:
             stop = STOP_BUDGET
             break
         gamma, h, h_q = g, s, entropy
@@ -337,7 +339,7 @@ def select_block(
     # a zero entry's log is -inf, and its product nan: _entropy_of drops zeros
     with np.errstate(divide="ignore", invalid="ignore"):
         logs = np.log(work)
-        h_p = (-np.matmul(work[:, None, :], logs[:, :, None])).ravel().tolist()
+        h_p = (0.0 - np.matmul(work[:, None, :], logs[:, :, None])).ravel().tolist()
     del logs
     for r in np.flatnonzero((work <= 0.0).any(axis=1)).tolist():
         h_p[r] = _entropy_of(work[r])

@@ -42,6 +42,10 @@ from toph.rng import u01
 from top_h_reference import reference_top_h, reference_truncate
 
 
+def is_plus_zero(x):
+    return x == 0.0 and math.copysign(1.0, x) == 1.0
+
+
 def config(method=Method.TOP_H, **kw):
     return TruncationConfig(method=method, **kw)
 
@@ -75,6 +79,25 @@ class TestTopH:
         assert r.selected == (1,)
         assert r.subset.gamma == 1.0
         assert r.h_q == pytest.approx(0.0, abs=1e-12)
+
+    @pytest.mark.parametrize("probs, alpha", [
+        ([0.0, 1.0, 0.0], 0.4),
+        ([1.0], 0.4),
+        # the running form reads ln 0.65 - (0.65 ln 0.65) / 0.65 = 5.6e-17
+        ([0.65, 0.25, 0.1], 0.1),
+    ])
+    def test_a_single_token_has_entropy_plus_zero(self, probs, alpha):
+        p = make_distribution(probs)
+        r = truncate(p, config(alpha=alpha), collect_trace=True)
+        assert len(r.selected) == 1
+        assert is_plus_zero(r.h_q) and is_plus_zero(r.trace[0].entropy)
+        if max(probs) == 1.0:
+            assert is_plus_zero(entropy(p)) and is_plus_zero(r.h_p)
+            assert is_plus_zero(r.threshold)
+        for method in Method:  # every method's one-token selection
+            cfg = config(method, k=1, p_nucleus=0.5, p_base=0.99, eta=0.99, alpha=alpha)
+            one = truncate(p, cfg)
+            assert len(one.selected) == 1 and is_plus_zero(one.h_q)
 
     def test_alpha_validation(self):
         p = uniform_distribution(4)

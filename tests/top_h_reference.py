@@ -88,8 +88,8 @@ class EntropyAccumulator:
         self.count -= 1
 
     def entropy(self) -> float:
-        """Entropy of the renormalized pushed prefix; 0 for an empty accumulator."""
-        if self.count == 0:
+        """Entropy of the renormalized pushed prefix; 0 for at most one item."""
+        if self.count <= 1:
             return 0.0
         return math.log(self.gamma) - self.h / self.gamma
 
