@@ -314,8 +314,8 @@ def select_block(
     ``r`` of the result is record ``r``'s selection under ``config.method``.
     Every row's ``h_p`` comes from one ``log`` of the work matrix and one
     stacked ``matmul``, which numpy evaluates as one ``np.dot`` per row, so
-    it has the bits of ``_entropy_of``; a row with a zero entry takes
-    ``_entropy_of`` itself.
+    it has the bits of ``_entropy_of``; a row with a zero entry (its last,
+    as the row is in descending order) takes ``_entropy_of`` itself.
     """
     size, n = probs.shape
     full = _descending_order(probs)
@@ -336,13 +336,15 @@ def select_block(
             _gather(probs, full[:, c:]).sum(axis=1).tolist()
     del full
 
-    # a zero entry's log is -inf, and its product nan: _entropy_of drops zeros
+    # a zero entry's log is -inf, and its product nan: _entropy_of drops zeros,
+    # which a descending row holds at its end
     with np.errstate(divide="ignore", invalid="ignore"):
         logs = np.log(work)
         h_p = (0.0 - np.matmul(work[:, None, :], logs[:, :, None])).ravel().tolist()
     del logs
-    for r in np.flatnonzero((work <= 0.0).any(axis=1)).tolist():
-        h_p[r] = _entropy_of(work[r])
+    for r, last in enumerate(work[:, -1].tolist()):
+        if last <= 0.0:
+            h_p[r] = _entropy_of(work[r])
     h_p_full = None
     if collect_trace:
         h_p_full = h_p if c == n else [_entropy_of(row) for row in probs]
