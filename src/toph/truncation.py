@@ -290,10 +290,11 @@ def _top_h_scan(row: np.ndarray, threshold: float, order: np.ndarray | None):
             break
         g = gamma + p_j
         s = h + p_j * math.log(p_j)
-        # one token has entropy 0, within any budget; the running form can
-        # leave an ulp of it
+        # one token has entropy 0 (the running form can leave an ulp of it)
+        # and is always kept: a near-one-hot row may hold an entry above 1,
+        # whose h_p, and so its budget, is an ulp below 0
         entropy = math.log(g) - s / g if count else 0.0
-        if entropy > threshold:
+        if count and entropy > threshold:
             stop = STOP_BUDGET
             break
         gamma, h, h_q = g, s, entropy

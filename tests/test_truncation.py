@@ -85,6 +85,10 @@ class TestTopH:
         ([1.0], 0.4),
         # the running form reads ln 0.65 - (0.65 ln 0.65) / 0.65 = 5.6e-17
         ([0.65, 0.25, 0.1], 0.1),
+        # within MASS_TOLERANCE of 1, so kept as read: h_p and the budget are
+        # an ulp below 0, and the first token is still kept
+        ([1.0000000000000002], 0.4),
+        ([1.0000000000000002, 0.0], 0.4),
     ])
     def test_a_single_token_has_entropy_plus_zero(self, probs, alpha):
         p = make_distribution(probs)
@@ -525,6 +529,19 @@ class TestChunkedPassAgainstReference:
         cfg = config(alpha=1 / 3, candidate_cap=64)
         assert_block_matches_reference(dists, cfg)
         assert len(truncate(dists[0], cfg).selected) == 4
+
+    def test_an_entry_above_one_is_kept(self):
+        # a one-hot row an ulp over 1 has a budget below 0; its top token is
+        # still the whole selection, in a block and as drawn
+        over = 1.0000000000000002
+        dists = [make_distribution(v) for v in (
+            [0.5, 0.5, 0.0], [over, 0.0, 0.0], [0.0, over, 0.0], [0.7, 0.2, 0.1])]
+        for method in Method:
+            assert_block_matches_reference(dists, config(method, k=1))
+        (block,) = [select_block(b.probs, config()) for b in dataset_blocks(dists)]
+        assert block.counts[1:3] == [1, 1]
+        drawn = block.draw(block_uniforms(block))
+        assert set(drawn[1].tolist()) == {0} and set(drawn[2].tolist()) == {1}
 
     @pytest.mark.parametrize("n", [100, 5000])
     def test_full_chunks_of_generated_records(self, n):
