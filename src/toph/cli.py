@@ -195,6 +195,20 @@ def _truncate_record(rid: str, block: SelectionBlock, r: int, config: Truncation
     return record
 
 
+def _sample_lines(method: Method, ids: list[str], tokens: np.ndarray) -> Iterator[str]:
+    """``sample``'s lines for a block's ``(B, num_samples)`` token matrix: each
+    the bytes of ``json.dumps`` of ``{"schema_version", "id", "method",
+    "tokens"}`` and a newline.
+
+    Built without a dict: a fixed head, the id escaped by ``json.dumps``,
+    and the row as a list of Python ints, whose text is its JSON.
+    """
+    head = f'{{"schema_version": {SCHEMA_VERSION}, "id": '
+    after_id = f', "method": {json.dumps(method.value)}, "tokens": '
+    for rid, row in zip(ids, tokens.tolist()):
+        yield head + json.dumps(rid) + after_id + str(row) + "}\n"
+
+
 def _read_input(path: str) -> Iterator[DatasetBlock]:
     """The blocks of an ``--input`` dataset, read as they are consumed.
 
@@ -239,25 +253,17 @@ def cmd_truncate(args) -> CommandResult:
 
 
 def cmd_sample(args) -> CommandResult:
-    """``--num-samples`` tokens per record, one JSON line each, a block at a time.
-
-    A line has the bytes of ``json.dumps`` of ``{"schema_version", "id",
-    "method", "tokens"}``, built without a dict: a fixed head, the id
-    escaped by ``json.dumps``, and the tokens, whose Python list text is
-    their JSON.
-    """
+    """``--num-samples`` tokens per record, one line each, a block at a time."""
     config = _build_config(args)
     if args.num_samples < 1:
         raise UsageError(f"--num-samples must be >= 1, got {args.num_samples}")
     per_record = args.num_samples
-    head = f'{{"schema_version": {SCHEMA_VERSION}, "id": '
-    after_id = f', "method": {json.dumps(config.method.value)}, "tokens": '
     # draw_index = record_index * num_samples + j, so records do not share variates
-    lines = (head + json.dumps(rid) + after_id + str(row) + "}\n"
+    lines = (line
              for start, block, selection in _selections(_read_input(args.input), config)
-             for rid, row in zip(block.ids, selection.draw(u01(args.seed, 0, np.arange(
-                 start * per_record, (start + len(block)) * per_record, dtype=np.uint64,
-             ).reshape(len(block), per_record))).tolist()))
+             for line in _sample_lines(config.method, block.ids, selection.draw(u01(
+                 args.seed, 0, np.arange(start * per_record, (start + len(block)) * per_record,
+                                         dtype=np.uint64).reshape(len(block), per_record)))))
     return CommandResult({**_config_dict(config), "num_samples": args.num_samples},
                          seed=args.seed, input=args.input, output=lines)
 

@@ -206,28 +206,12 @@ def write_dataset(
                                    for rid, dist in zip(ids, dists, strict=True)))
 
 
-#: Reads one JSON value at the start of a string, and where it ended; the
-#: decoder is configured as the one ``json.loads`` uses.
-_raw_decode = json.JSONDecoder().raw_decode
-
-
 def _parse_record(line: str, line_no: int) -> tuple[str, str, list, float]:
-    """(id, kind, values, temperature) of one line, each entry's type checked.
-
-    The line is what ``json.loads`` makes of it.  A line that starts with
-    its value and ends with JSON whitespace is decoded once, by
-    ``raw_decode``; any other line, and any that fails there, goes to
-    ``json.loads``, whose value or error is the result.
-    """
+    """(id, kind, values, temperature) of one line, each entry's type checked."""
     try:
-        obj, end = _raw_decode(line)
-        if line[end:].strip(" \t\n\r"):
-            raise ValueError("text after the value")
-    except ValueError:  # a JSONDecodeError too
-        try:
-            obj = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise MalformedRecord(line_no, f"invalid JSON: {exc.msg}") from exc
+        obj = json.loads(line)
+    except json.JSONDecodeError as exc:
+        raise MalformedRecord(line_no, f"invalid JSON: {exc.msg}") from exc
     if not isinstance(obj, dict):
         raise MalformedRecord(line_no, "record is not a JSON object")
     rid = obj.get("id")

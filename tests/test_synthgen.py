@@ -453,7 +453,7 @@ class TestReaderAgainstReference:
         assert reference_outcome(read_dataset, path) == expected
 
 
-# --- decoding a line: raw_decode against json.loads ------------------------
+# --- odd lines: the reader against the per-line reference ------------------
 
 #: JSON's whitespace but the newline, and characters only ``str.isspace`` calls space.
 JSON_SPACE = " \t\r"
@@ -492,26 +492,8 @@ def record_lines(draw):
     return before + body + after
 
 
-def parse_outcome(line):
-    """``_parse_record``'s fields with every value's type and bits, or its error text."""
-    try:
-        rid, kind, values, temperature = synthgen._parse_record(line, 7)
-    except MalformedRecord as exc:
-        return str(exc), exc.line_number
-    return (rid, kind, type(values), [type(v) for v in values],
-            np.asarray(values, dtype=np.float64).tobytes(), repr(temperature))
-
-
-class TestDecodingAgainstJsonLoads:
-    """The ``raw_decode`` path reads every line as ``json.loads`` alone reads it."""
-
-    @settings(max_examples=400, deadline=None)
-    @given(line=record_lines(), newline=st.sampled_from(["\n", ""]))
-    def test_same_record_or_error_for_a_line(self, line, newline):
-        line += newline
-        with mock.patch.object(synthgen, "_raw_decode", side_effect=ValueError):
-            expected = parse_outcome(line)  # every line through json.loads
-        assert parse_outcome(line) == expected
+class TestOddLinesAgainstReference:
+    """Whitespace, a BOM, ``NaN``, duplicate keys and trailing text read as the reference reads them."""
 
     @settings(max_examples=150, deadline=None)
     @given(lines=st.lists(st.one_of(record_lines(),
