@@ -35,6 +35,7 @@ import json
 import sys
 import time
 from dataclasses import asdict, dataclass, fields
+from json.encoder import encode_basestring_ascii
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -200,13 +201,14 @@ def _sample_lines(method: Method, ids: list[str], tokens: np.ndarray) -> Iterato
     the bytes of ``json.dumps`` of ``{"schema_version", "id", "method",
     "tokens"}`` and a newline.
 
-    Built without a dict: a fixed head, the id escaped by ``json.dumps``,
+    Built without a dict: a fixed head, the id quoted by
+    ``encode_basestring_ascii`` (what ``json.dumps`` of a string returns),
     and the row as a list of Python ints, whose text is its JSON.
     """
     head = f'{{"schema_version": {SCHEMA_VERSION}, "id": '
     after_id = f', "method": {json.dumps(method.value)}, "tokens": '
     for rid, row in zip(ids, tokens.tolist()):
-        yield head + json.dumps(rid) + after_id + str(row) + "}\n"
+        yield head + encode_basestring_ascii(rid) + after_id + str(row) + "}\n"
 
 
 def _read_input(path: str) -> Iterator[DatasetBlock]:

@@ -175,9 +175,12 @@ def write_text(path: str | os.PathLike, pieces: Iterable[str]) -> None:
     They go to a new file next to ``path`` (mode as ``open(path, "w")`` would
     give), which replaces ``path`` once all are written, or is removed on any
     exception, including one raised while producing a piece.  A symlink at
-    ``path`` stays, and the file it points to is replaced.
+    ``path`` stays, and the file it points to (at the end of a chain of
+    them, and created if missing) is replaced.  Only a symlink is resolved:
+    under a symlinked directory the new file already lands beside ``path``.
     """
-    path = os.path.realpath(path)
+    if os.path.islink(path):
+        path = os.path.realpath(path)
     tmp = f"{path}.{os.urandom(8).hex()}.tmp"
     fh = open(tmp, "x", encoding="utf-8")
     try:

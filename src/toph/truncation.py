@@ -39,6 +39,7 @@ Conventions that pin down exact outputs:
 
 from __future__ import annotations
 
+import contextlib
 import enum
 import math
 import numbers
@@ -274,17 +275,25 @@ def _descending_order(probs: np.ndarray) -> np.ndarray:
     return order
 
 
-def _top_h_scan(row: np.ndarray, threshold: float, order: np.ndarray | None):
-    """The greedy scan over one working row: (count, h_q, stop reason, steps).
+#: How many leading work entries ``select_block`` converts for every top-H
+#: row at once; a row that keeps them all is scanned again from its whole row.
+_HEAD = 16
 
-    ``order`` is the row's token indices, given only when the steps are
-    traced.
+
+def _top_h_scan(row: list[float], threshold: float, order: np.ndarray | None):
+    """The greedy scan over (a head of) one working row: (count, h_q, stop
+    reason, steps).
+
+    ``row`` is a list of the row's leading working probabilities; a scan that
+    uses them all reports ``STOP_CAP_EXHAUSTED``, and the caller decides
+    whether the row has more.  ``order`` is the row's token indices, given
+    only when the steps are traced.
     """
     gamma = h = h_q = 0.0
     count = 0
     steps = []
     stop = STOP_CAP_EXHAUSTED
-    for p_j in row.tolist():
+    for p_j in row:
         if p_j <= 0.0:
             stop = STOP_ZERO_TAIL
             break
@@ -304,6 +313,27 @@ def _top_h_scan(row: np.ndarray, threshold: float, order: np.ndarray | None):
     return count, h_q, stop, tuple(steps)
 
 
+#: ``_row_entropies``'s floating-point settings when no row holds a zero.
+_NO_FP_CHANGE = contextlib.nullcontext()
+
+
+def _row_entropies(rows: np.ndarray) -> list[float]:
+    """``_entropy_of`` of every row of a ``(B, m)`` matrix of descending rows.
+
+    One ``log`` and one stacked ``matmul``, which numpy evaluates as one
+    ``np.dot`` per row, so each entry has the bits of ``_entropy_of``; a row
+    with a zero entry (its last, as the row is descending) takes
+    ``_entropy_of`` itself, which drops the zeros.
+    """
+    zeros = [r for r, last in enumerate(rows[:, -1].tolist()) if last <= 0.0]
+    # a zero entry's log is -inf, and its product nan: those rows are redone
+    with np.errstate(divide="ignore", invalid="ignore") if zeros else _NO_FP_CHANGE:
+        h = (0.0 - np.matmul(rows[:, None, :], np.log(rows)[:, :, None])).ravel().tolist()
+    for r in zeros:
+        h[r] = _entropy_of(rows[r])
+    return h
+
+
 def select_block(
     probs: np.ndarray,
     config: TruncationConfig,
@@ -313,19 +343,22 @@ def select_block(
 
     The rows are taken as validated (``distributions.validate_block``); row
     ``r`` of the result is record ``r``'s selection under ``config.method``.
-    Every row's ``h_p`` comes from one ``log`` of the work matrix and one
-    stacked ``matmul``, which numpy evaluates as one ``np.dot`` per row, so
-    it has the bits of ``_entropy_of``; a row with a zero entry (its last,
-    as the row is in descending order) takes ``_entropy_of`` itself.
+    ``h_p`` comes from ``_row_entropies`` of the work matrix.  Top-H scans
+    each row's first ``_HEAD`` work entries, converted for the whole block
+    at once, and scans a row again from all its entries only when it kept
+    that whole head and has more.  The rows are then grouped by their count
+    k: one sum over the first k columns gives each group's ``gamma``, and
+    the baselines' ``h_q`` is ``_row_entropies`` of each group's kept
+    entries over its ``gamma``.  A row sum is pairwise over the row, as a
+    one-row sum is, so every figure has the bits of the row on its own.
     """
     size, n = probs.shape
     full = _descending_order(probs)
     c = min(config.candidate_cap, n)
     # a copy, so the full ordering is released with this function
     order = full if c == n else full[:, :c].copy()
-    rows = range(size)
     work = _gather(probs, order)
-    total = work.sum(axis=1)
+    total = np.add.reduce(work, axis=1)
     cut = [abs(t - 1.0) > MASS_TOLERANCE for t in total.tolist()]
     if any(cut):
         # rows whose cap bit; the others (the cap cut nothing, or only exact
@@ -337,15 +370,7 @@ def select_block(
             _gather(probs, full[:, c:]).sum(axis=1).tolist()
     del full
 
-    # a zero entry's log is -inf, and its product nan: _entropy_of drops zeros,
-    # which a descending row holds at its end
-    with np.errstate(divide="ignore", invalid="ignore"):
-        logs = np.log(work)
-        h_p = (0.0 - np.matmul(work[:, None, :], logs[:, :, None])).ravel().tolist()
-    del logs
-    for r, last in enumerate(work[:, -1].tolist()):
-        if last <= 0.0:
-            h_p[r] = _entropy_of(work[r])
+    h_p = _row_entropies(work)
     h_p_full = None
     if collect_trace:
         h_p_full = h_p if c == n else [_entropy_of(row) for row in probs]
@@ -355,10 +380,14 @@ def select_block(
     traces = None
     if config.method == Method.TOP_H:
         threshold = [config.alpha * h for h in h_p]
-        scans = [
-            _top_h_scan(work[r], threshold[r], order[r] if collect_trace else None)
-            for r in rows
-        ]
+        scans = []
+        for r, head in enumerate(work[:, :_HEAD].tolist()):
+            tokens = order[r] if collect_trace else None
+            scan = _top_h_scan(head, threshold[r], tokens)
+            if c > _HEAD and scan[2] == STOP_CAP_EXHAUSTED:
+                # the scan kept the whole head and the row goes on
+                scan = _top_h_scan(work[r].tolist(), threshold[r], tokens)
+            scans.append(scan)
         counts = [s[0] for s in scans]
         h_q = [s[1] for s in scans]
         stop = [s[2] for s in scans]
@@ -379,9 +408,22 @@ def select_block(
         # the top token always survives
         counts = [max(1, kept) for kept in (work >= cutoff).sum(axis=1).tolist()]
 
-    gamma = [float(np.add.reduce(work[r, : counts[r]])) for r in rows]
-    if h_q is None:
-        h_q = [_entropy_of(work[r, : counts[r]] / gamma[r]) for r in rows]
+    groups: dict[int, list[int]] = {}
+    for r, count in enumerate(counts):
+        groups.setdefault(count, []).append(r)
+    gamma = [0.0] * size
+    baseline = h_q is None
+    if baseline:
+        h_q = [0.0] * size
+    for count, members in groups.items():
+        # one group (a block of one row, or top-k) sums a view, not a copy
+        kept = work[:, :count] if len(members) == size else work[members, :count]
+        sums = np.add.reduce(kept, axis=1)
+        for r, g in zip(members, sums.tolist()):
+            gamma[r] = g
+        if baseline:
+            for r, h in zip(members, _row_entropies(kept / sums[:, None])):
+                h_q[r] = h
     return SelectionBlock(
         n=n, order=order, work=work, counts=counts, gamma=gamma, h_p=h_p, h_q=h_q,
         threshold=threshold, stop_reason=stop, dropped_mass=dropped, h_p_full=h_p_full,

@@ -859,6 +859,33 @@ class TestManifests:
         assert link.is_symlink()
         assert read_jsonl(target)[0]["id"] == "peaked"
 
+    def test_a_chain_of_symlinks_is_written_through(self, tmp_path, dataset):
+        target, middle, link = (tmp_path / f"{name}.jsonl" for name in ("target", "mid", "link"))
+        target.write_text("old\n")
+        middle.symlink_to(target)
+        link.symlink_to(middle)
+        assert main(["truncate", "--input", str(dataset), "--output", str(link)]) == 0
+        assert link.is_symlink() and middle.is_symlink()
+        assert read_jsonl(target)[0]["id"] == "peaked"
+
+    def test_a_dangling_symlink_creates_its_target(self, tmp_path, dataset):
+        target, link = tmp_path / "target.jsonl", tmp_path / "link.jsonl"
+        link.symlink_to(target)
+        assert main(["truncate", "--input", str(dataset), "--output", str(link)]) == 0
+        assert link.is_symlink()
+        assert read_jsonl(target)[0]["id"] == "peaked"
+
+    def test_output_under_a_symlinked_directory(self, tmp_path, dataset):
+        real, linked = tmp_path / "real", tmp_path / "linked"
+        real.mkdir()
+        linked.symlink_to(real, target_is_directory=True)
+        assert main(["truncate", "--input", str(dataset), "--output",
+                     str(linked / "out.jsonl")]) == 0
+        assert (real / "out.jsonl").is_file() and not (real / "out.jsonl").is_symlink()
+        assert read_jsonl(real / "out.jsonl")[0]["id"] == "peaked"
+        # no temporary file is left beside the output
+        assert sorted(p.name for p in real.iterdir()) == ["out.jsonl", "out.jsonl.manifest.json"]
+
     def test_decide_manifest_records_mode(self, tmp_path, inputs):
         out = tmp_path / "d.json"
         assert main(["decide", "--input", inputs["ecme"], "--mode", "full",

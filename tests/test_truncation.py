@@ -27,6 +27,7 @@ from toph.errors import (
 )
 from toph.synthgen import CHUNK_ELEMENTS, chunk_rows, read_dataset, write_dataset
 from toph.truncation import (
+    _HEAD,
     Method,
     TruncationConfig,
     TruncationResult,
@@ -542,6 +543,26 @@ class TestChunkedPassAgainstReference:
         assert block.counts[1:3] == [1, 1]
         drawn = block.draw(block_uniforms(block))
         assert set(drawn[1].tolist()) == {0} and set(drawn[2].tolist()) == {1}
+
+    def test_rows_around_the_top_h_head(self):
+        # top-H scans the first _HEAD work entries of a row and rescans the
+        # whole row only when it kept them all.  Uniform(m) rows padded with
+        # zeros to n = 100 (the first has its zero at index _HEAD) keep
+        # floor(m ** alpha) tokens, so alpha 0.9 at cap 100 and an alpha
+        # half a token past ln _HEAD / ln (_HEAD + 1) at the small caps put
+        # counts on both sides of the head, rescanned or not.
+        dists = [make_distribution((np.arange(100) < m) / m) for m in range(_HEAD, 2 * _HEAD)]
+        dists.append(uniform_distribution(100))
+        kept = {}
+        for alpha in (0.9, math.log(_HEAD + 0.5) / math.log(_HEAD + 1)):
+            for cap in (_HEAD, _HEAD + 1, 100):
+                cfg = config(alpha=alpha, candidate_cap=cap)
+                assert_block_matches_reference(dists, cfg)
+                (block,) = [select_block(b.probs, cfg) for b in dataset_blocks(dists)]
+                kept.setdefault(cap, set()).update(block.counts)
+        assert _HEAD - 1 in kept[_HEAD]
+        assert _HEAD in kept[_HEAD + 1]
+        assert {_HEAD - 1, _HEAD, _HEAD + 1} <= kept[100]
 
     @pytest.mark.parametrize("n", [100, 5000])
     def test_full_chunks_of_generated_records(self, n):
