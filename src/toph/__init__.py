@@ -14,7 +14,7 @@ The package has five pillars:
   distribution;
 - ``oracle``: exact solutions of the underlying entropy-constrained mass
   maximization by exhaustive subset enumeration, and the greedy-vs-optimal
-  gap harness;
+  gap harness, which runs greedy through ``select_block`` a block at a time;
 - ``hardness``: a constructive reduction from cardinality-constrained
   subset sum to the entropy-constrained mass decision problem, in exact
   rational arithmetic, with one named-check verifier, a direct decider

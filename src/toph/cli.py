@@ -49,12 +49,10 @@ from .errors import (
 )
 from .oracle import (
     ENUMERATION_LIMIT,
-    EcmmInstance,
     gap_report_csv,
     optimality_gap,
     summary_line,
 )
-from .distributions import ProbabilityDistribution
 from .rng import u01
 from .synthgen import SCHEMA_VERSION, DatasetBlock, GeneratorSpec, generate_blocks, read_dataset
 from .truncation import Method, SelectionBlock, TruncationConfig, select_block
@@ -271,7 +269,7 @@ def cmd_sample(args) -> CommandResult:
 
 
 def cmd_gap(args) -> CommandResult:
-    _config(alpha=args.alpha)  # range check only; the oracle builds its own configs
+    _config(alpha=args.alpha)  # a bad --alpha exits 1 before any input is read
     if not args.input and args.n > ENUMERATION_LIMIT:
         raise UsageError(
             f"--n {args.n} exceeds the exhaustive-enumeration limit of "
@@ -288,10 +286,7 @@ def cmd_gap(args) -> CommandResult:
             f"dataset contains n={largest}, above the exhaustive-enumeration "
             f"limit of {ENUMERATION_LIMIT}; the exact oracle's search grows as 2**n"
         )
-    # no-copy views of the validated rows
-    instances = [EcmmInstance(p=ProbabilityDistribution(row), alpha=args.alpha)
-                 for block in blocks for row in block.probs]
-    report = optimality_gap(instances)
+    report = optimality_gap([block.probs for block in blocks], args.alpha)
     print(summary_line(report))
     return CommandResult(
         {**_generator_fields(args, "trials"), "alpha": args.alpha,

@@ -2,14 +2,16 @@
 
 For small vocabularies the optimum is found by an exhaustive search over
 every non-empty subset, so the greedy selector can be scored against the
-true optimum; the batch harness aggregates the per-instance mass ratio
-greedy/optimal into a plot-ready report.  The searches never build a
-``2**n`` table: they meet in the middle, splitting masks after their low
-``n - n // 2`` bits (at most ``BLOCK_BITS``).  ``key_range_subsets`` sorts a
-key of the low bits once, finds every high mask's lows in a key range with
-one pair of ``searchsorted`` calls (``exact_ecmm`` keys them by a log-free
-entropy screen, ``toph.hardness`` by weight), and expands them in
-vectorized chunks of masks, with sums bit-identical to ``subset_sums``.
+true optimum; the batch harness takes blocks of rows at one alpha, runs
+greedy as one ``select_block`` pass per block and the search per row, and
+aggregates the per-row mass ratio greedy/optimal into a plot-ready report.
+The searches never build a ``2**n`` table: they meet in the middle,
+splitting masks after their low ``n - n // 2`` bits (at most
+``BLOCK_BITS``).  ``key_range_subsets`` sorts a key of the low bits once,
+finds every high mask's lows in a key range with one pair of
+``searchsorted`` calls (``exact_ecmm`` keys them by a log-free entropy
+screen, ``toph.hardness`` by weight), and expands them in vectorized
+chunks of masks, with sums bit-identical to ``subset_sums``.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ import numpy as np
 
 from .distributions import ProbabilityDistribution, _entropy_of
 from .errors import AlphaOutOfRange, EmptyInput, VocabularyTooLarge
-from .truncation import Method, TruncationConfig, truncate
+from .truncation import TruncationConfig, select_block
 
 #: Exhaustive search is refused above this vocabulary size (2**20 subsets).
 ENUMERATION_LIMIT = 20
@@ -299,25 +301,25 @@ def _index_order_tables(n: int) -> tuple[np.ndarray, np.ndarray]:
     return tables
 
 
-def optimality_gap(
-    instances: Iterable[EcmmInstance],
-    ids: Sequence[str] | None = None,
-) -> GapReport:
-    """Score the greedy selector against the exhaustive optimum per instance.
+def optimality_gap(blocks: Iterable[np.ndarray], alpha: float) -> GapReport:
+    """Score the greedy selector against the exhaustive optimum per row.
 
-    Both sides use the same budget alpha * H(p), and the greedy side runs
-    uncapped (the candidate cap covers the whole vocabulary).  No instances
-    raise ``EmptyInput``: a report without rows has no mean or minimum.
+    ``blocks`` are validated ``(B, n)`` probability matrices, and row ``i``
+    of their concatenation is instance ``i{i:06d}``.  Both sides use the
+    budget alpha * H(p): greedy is one ``select_block`` per block, uncapped
+    as the candidate cap covers every vocabulary ``exact_ecmm`` accepts, and
+    the exact side runs per row.  No rows raise ``EmptyInput``: a report
+    without rows has no mean or minimum.
     """
+    config = TruncationConfig(alpha=alpha, candidate_cap=ENUMERATION_LIMIT)
     rows = []
-    for pos, inst in enumerate(instances):
-        config = TruncationConfig(method=Method.TOP_H, alpha=inst.alpha,
-                                  candidate_cap=max(100, inst.p.n))
-        greedy = truncate(inst.p, config).subset.gamma
-        optimal = exact_ecmm(inst).gamma
-        rows.append(GapRow(instance_id=ids[pos] if ids is not None else f"i{pos:06d}",
-                           n=inst.p.n, alpha=inst.alpha, gamma_greedy=greedy,
-                           gamma_optimal=optimal, ratio=greedy / optimal))
+    for probs in blocks:
+        greedy = select_block(probs, config).gamma
+        for row, gamma in zip(probs, greedy):
+            optimal = exact_ecmm(EcmmInstance(ProbabilityDistribution(row), alpha)).gamma
+            rows.append(GapRow(instance_id=f"i{len(rows):06d}", n=row.size, alpha=alpha,
+                               gamma_greedy=gamma, gamma_optimal=optimal,
+                               ratio=gamma / optimal))
     if not rows:
         raise EmptyInput("optimality_gap needs at least one instance")
     return GapReport(rows=tuple(rows))

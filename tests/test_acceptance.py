@@ -34,7 +34,7 @@ from toph.hardness import (
     reduce_to_ecme,
     verify_budget_window,
 )
-from toph.oracle import EcmmInstance, optimality_gap
+from toph.oracle import optimality_gap
 from toph.synthgen import GeneratorSpec, generate
 from toph.truncation import Method, TruncationConfig, truncate
 
@@ -160,14 +160,13 @@ def test_criterion_5_incremental_equals_batch(corpus):
 
 def _zipf_gap_report():
     dists = generate(GeneratorSpec(family="zipf", n=15, s=1.1, seed=7), 1000)
-    instances = [EcmmInstance(p=d, alpha=0.4) for d in dists]
-    return optimality_gap(instances)
+    return optimality_gap([np.stack([d.probs for d in dists])], 0.4)
 
 
 def test_criterion_6_known_suboptimal_instance_and_batch_floor():
     start = time.monotonic()
-    inst = EcmmInstance(make_distribution([0.4, 0.3, 0.2, 0.1]), 0.4)
-    row = optimality_gap([inst]).rows[0]
+    p = make_distribution([0.4, 0.3, 0.2, 0.1])
+    row = optimality_gap([p.probs[None, :]], 0.4).rows[0]
     assert row.gamma_greedy == 0.4
     assert row.gamma_optimal == 0.5
     assert row.ratio == 0.8

@@ -3,6 +3,7 @@
 import hashlib
 import json
 import math
+import random
 import tracemalloc
 from pathlib import Path
 
@@ -476,6 +477,54 @@ class TestStreamedGolden:
         out = tmp_path / "out"
         assert main([*argv, "--input", str(data), "--output", str(out)]) == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+def write_weighted_records(path, sizes, seed):
+    """Records of small integer weights over their sum, with ties and some zeros.
+
+    Each entry is a Python int divided by the row's Python int sum, a
+    correctly rounded quotient, so the file's bytes do not depend on the CPU.
+    """
+    rng = random.Random(seed)
+    with open(path, "w", encoding="utf-8") as fh:
+        for i, n in enumerate(sizes):
+            weights = [rng.randint(0, 12) for _ in range(n)]
+            weights[rng.randrange(n)] += 1  # no row of zeros
+            total = sum(weights)
+            fh.write(json.dumps({"id": f"w{i}", "probs": [w / total for w in weights]}) + "\n")
+
+
+# sha256 of the gap CSV of a generated run in exact-enum's command shape, and
+# of runs on a file of 830 records of n = 20 (two blocks, the second short),
+# then 5 of n = 7 and 2 of n = 1: however greedy is cut into blocks, each
+# CSV must keep these bytes
+GAP_DATA_DIGEST = "06cee261894a331cd3212de9d7113f7890853607eaae3eff73c02912f86dafc7"
+GAP_GENERATED_DIGEST = "3c5e70ba1ca073efc96ac1f041513868de507e09f5a70631b452557dbb72106f"
+GAP_INPUT_DIGESTS = {
+    "0.3": "a8f5f6473719fda01493da9b845fce093595887bf6248203bba0c053041e8709",
+    "0.9": "945627f1469f4a40887c7ba24516e23dcd8202192f253a039897976440e05bb4",
+}
+
+
+class TestGapGolden:
+    @pytest.fixture(scope="class")
+    def data(self, tmp_path_factory):
+        path = tmp_path_factory.mktemp("gap") / "weights.jsonl"
+        write_weighted_records(path, [20] * 830 + [7] * 5 + [1] * 2, seed=23)
+        return path
+
+    def test_generated_run_matches_pinned_digest(self, tmp_path):
+        out = tmp_path / "gap.csv"
+        assert main(["gap", "--family", "dirichlet", "--n", "20", "--alpha", "0.4",
+                     "--trials", "4", "--seed", "5", "--output", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == GAP_GENERATED_DIGEST
+
+    @pytest.mark.parametrize("alpha", sorted(GAP_INPUT_DIGESTS))
+    def test_input_run_matches_pinned_digest(self, tmp_path, data, alpha):
+        assert hashlib.sha256(data.read_bytes()).hexdigest() == GAP_DATA_DIGEST
+        out = tmp_path / "gap.csv"
+        assert main(["gap", "--input", str(data), "--alpha", alpha, "--output", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == GAP_INPUT_DIGESTS[alpha]
 
 
 class TestInputMemory:

@@ -31,6 +31,7 @@ from toph.hardness import (
 from toph.oracle import (
     BLOCK_BITS,
     EcmmInstance,
+    GapReport,
     exact_ecmm,
     gap_report_csv,
     key_range_subsets,
@@ -547,7 +548,8 @@ class TestOptimalityGap:
     @given(near_tie_instances(max_n=12))
     def test_greedy_keeps_half_the_optimal_mass(self, instance):
         # conjecture: uncapped top-H keeps at least half the optimal mass
-        assert optimality_gap([instance]).rows[0].ratio >= 0.5 - 1e-12
+        report = optimality_gap([instance.p.probs[None, :]], instance.alpha)
+        assert report.rows[0].ratio >= 0.5 - 1e-12
 
     @pytest.mark.parametrize("eps,ratio", [(1e-3, 0.5015), (1e-4, 0.50015)])
     def test_half_is_tight(self, eps, ratio):
@@ -556,21 +558,21 @@ class TestOptimalityGap:
         p = make_distribution([1 / 3 + eps, 1 / 3, 1 / 3 - eps])
         pair = lambda i, j: entropy(renormalize(p, (i, j)))
         alpha = (pair(0, 2) + pair(0, 1)) / 2 / entropy(p)
-        row = optimality_gap([EcmmInstance(p, alpha)]).rows[0]
+        row = optimality_gap([p.probs[None, :]], alpha).rows[0]
         assert row.gamma_greedy == p.probs[0]
         assert row.gamma_optimal == p.probs[0] + p.probs[2]
         assert row.ratio == pytest.approx(ratio, rel=1e-9)
 
     def test_uniform_batch_all_ones(self):
-        instances = [EcmmInstance(uniform_distribution(n), 0.4) for n in (4, 6, 8)]
-        report = optimality_gap(instances)
+        blocks = [uniform_distribution(n).probs[None, :] for n in (4, 6, 8)]
+        report = optimality_gap(blocks, 0.4)
         assert report.mean == 1.0
         assert report.variance == 0.0
         assert report.count_suboptimal == 0
 
     def test_known_suboptimal_instance(self):
-        inst = EcmmInstance(make_distribution([0.4, 0.3, 0.2, 0.1]), 0.4)
-        report = optimality_gap([inst])
+        p = make_distribution([0.4, 0.3, 0.2, 0.1])
+        report = optimality_gap([p.probs[None, :]], 0.4)
         assert report.rows[0].gamma_greedy == 0.4
         assert report.rows[0].gamma_optimal == 0.5
         assert report.rows[0].ratio == 0.8
@@ -578,32 +580,44 @@ class TestOptimalityGap:
 
     def test_dominance(self):
         rng = np.random.default_rng(15)
-        instances = []
+        rows = []
         for _ in range(80):
             n = int(rng.integers(2, 12))
             raw = rng.random(n) + 1e-9
-            instances.append(
-                EcmmInstance(make_distribution(raw / raw.sum()), float(rng.uniform(0.1, 0.9)))
-            )
-        report = optimality_gap(instances)
+            p = make_distribution(raw / raw.sum())
+            # an alpha per instance, so a report per instance
+            rows += optimality_gap([p.probs[None, :]], float(rng.uniform(0.1, 0.9))).rows
+        report = GapReport(rows=tuple(rows))
         assert all(0.0 < r.ratio <= 1.0 + 1e-12 for r in report.rows)
         assert report.minimum <= report.mean <= 1.0
 
     def test_csv_round_trip(self):
-        inst = EcmmInstance(make_distribution([0.4, 0.3, 0.2, 0.1]), 0.4)
-        report = optimality_gap([inst], ids=["case0"])
+        p = make_distribution([0.4, 0.3, 0.2, 0.1])
+        report = optimality_gap([p.probs[None, :]], 0.4)
         text = gap_report_csv(report)
         rows = list(csv.DictReader(io.StringIO(text)))
-        assert rows[0]["instance_id"] == "case0"
+        assert rows[0]["instance_id"] == "i000000"
         assert int(rows[0]["n"]) == 4
         assert float(rows[0]["ratio"]) == 0.8
 
     def test_no_instances_raise_empty_input(self):
         with pytest.raises(EmptyInput):
-            optimality_gap([])
+            optimality_gap([], 0.4)
 
     def test_summary_line_fields(self):
-        inst = EcmmInstance(uniform_distribution(4), 0.4)
-        line = summary_line(optimality_gap([inst]))
+        line = summary_line(optimality_gap([uniform_distribution(4).probs[None, :]], 0.4))
         assert "mean=" in line and "variance=" in line
         assert "min=" in line and "count_suboptimal=" in line
+
+    @pytest.mark.parametrize("alpha", [0.2, 0.5, 0.8])
+    def test_rows_do_not_depend_on_the_block_cut(self, alpha):
+        # small integer weights: ties in every row, and exact zeros
+        rng = np.random.default_rng(60)
+        weights = rng.integers(0, 5, size=(60, 12)).astype(float)
+        weights[:, 0] += 1.0
+        probs = weights / weights.sum(axis=1, keepdims=True)
+        whole = optimality_gap([probs], alpha).rows
+        assert [r.instance_id for r in whole] == [f"i{i:06d}" for i in range(60)]
+        assert optimality_gap(np.split(probs, 60), alpha).rows == whole
+        cuts = np.sort(rng.choice(np.arange(1, 60), size=6, replace=False))
+        assert optimality_gap(np.split(probs, cuts), alpha).rows == whole
