@@ -11,8 +11,10 @@ target beta and a high-precision entropy budget.
 
 Arithmetic discipline: weights and derived counts are arbitrary-precision
 integers, probabilities are exact rationals, and only the transcendental
-entropy/log terms are evaluated in high-precision floating point (mpmath,
-``DEFAULT_DPS`` = 50 significant digits, fixed for every function here).
+entropy/log terms are evaluated in high-precision floating point: one
+private mpmath context at ``DEFAULT_DPS`` = 50 significant digits, whatever
+``mpmath.mp.dps`` is and whatever another thread does.  The module's
+high-precision numbers (``Mpf``) belong to that context.
 
 Well-posedness note.  The analytic budget construction assumes the heavy
 ratios w_i/tau form a near-uniform probability vector, which pins the heavy
@@ -35,7 +37,7 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Iterable, Iterator, Sequence
 
-import mpmath as mp
+import mpmath
 import numpy as np
 
 from .errors import (
@@ -55,6 +57,17 @@ from .synthgen import SCHEMA_VERSION
 #: Working precision (significant decimal digits) for entropy terms.
 DEFAULT_DPS = 50
 
+#: Every high-precision value here is computed in this context; ``Mpf`` is
+#: its number type, named in this module so that pickle finds it.
+_CTX = mpmath.MPContext()
+_CTX.dps = DEFAULT_DPS
+Mpf = _CTX.mpf
+Mpf.__module__, Mpf.__qualname__ = __name__, "Mpf"
+
+#: A margin this close to 0, or an exponent this close to an integer, is
+#: too close to resolve at ``DEFAULT_DPS`` digits.
+_UNRESOLVABLE = _CTX.mpf(10) ** (10 - DEFAULT_DPS)
+
 #: ``verify_cardinality_lock`` refuses weight families larger than this.
 MAX_HEAVY_ITEMS = 24
 
@@ -71,8 +84,8 @@ _C_NUM = Fraction(7333, 10000)    # 0.7333
 _C_DEN = Fraction(133, 1000)      # 0.133
 
 
-def _mpf(x: Fraction) -> mp.mpf:
-    return mp.mpf(x.numerator) / x.denominator
+def _mpf(x: Fraction) -> Mpf:
+    return _CTX.mpf(x.numerator) / x.denominator
 
 
 @dataclass(frozen=True)
@@ -113,11 +126,11 @@ class CcssInstance:
 @dataclass(frozen=True)
 class ReductionConstants:
     gamma_k: Fraction          # 1 / (16 K^2)
-    theta_k: mp.mpf            # ln K - H(w/tau), the uniformity deficit
-    delta_k: mp.mpf            # 5 theta / (2 ln K)
-    epsilon_k: mp.mpf          # (0.0384 + gamma) / ln K
+    theta_k: Mpf               # ln K - H(w/tau), the uniformity deficit
+    delta_k: Mpf               # 5 theta / (2 ln K)
+    epsilon_k: Mpf             # (0.0384 + gamma) / ln K
     lambda_k: int              # ceil((0.7333 - eps + delta) / 0.133)
-    lambda_raw: mp.mpf         # the same quantity before the ceiling
+    lambda_raw: Mpf            # the same quantity before the ceiling
     booster_count: int         # B = K ** lambda_k
     w_b: Fraction              # booster weight tau / (2B)
     normalizer: Fraction       # W = sum(w) + tau/2
@@ -142,7 +155,7 @@ class EcmeInstance:
     booster_count: int
     booster_prob: Fraction
     beta: Fraction
-    budget: mp.mpf
+    budget: Mpf
     constants: ReductionConstants
 
     @property
@@ -153,8 +166,8 @@ class EcmeInstance:
 @dataclass(frozen=True)
 class WindowCheck:
     holds: bool
-    lower_margin: mp.mpf   # budget - (ln K - gamma_K)
-    upper_margin: mp.mpf   # ln(K+1) - budget
+    lower_margin: Mpf   # budget - (ln K - gamma_K)
+    upper_margin: Mpf   # ln(K+1) - budget
 
 
 @dataclass(frozen=True)
@@ -206,47 +219,46 @@ def prepare(instance: CcssInstance) -> CcssInstance:
 
 # --- the reduction -----------------------------------------------------------
 
-def _heavy_pseudo_entropy(weights: Sequence[int], tau: int) -> mp.mpf:
+def _heavy_pseudo_entropy(weights: Sequence[int], tau: int) -> Mpf:
     """-sum (w/tau) ln(w/tau), grouped by repeated weight values."""
     counts: dict[int, int] = {}
     for w in weights:
         counts[w] = counts.get(w, 0) + 1
-    total = mp.mpf(0)
-    ln_tau = mp.log(tau)
+    total = _CTX.mpf(0)
+    ln_tau = _CTX.log(tau)
     for w, c in counts.items():
-        r = mp.mpf(w) / tau
-        total += c * r * (ln_tau - mp.log(w))
+        r = _CTX.mpf(w) / tau
+        total += c * r * (ln_tau - _CTX.log(w))
     return total
 
 
-def _theta_in_range(theta: mp.mpf, k: int) -> bool:
+def _theta_in_range(theta: Mpf, k: int) -> bool:
     """0 < theta < 1/(2K^2): the deficit window the budget construction needs."""
-    with mp.workdps(DEFAULT_DPS):
-        return bool(0 < theta < mp.mpf(1) / (2 * k * k))
+    return bool(0 < theta < _CTX.mpf(1) / (2 * k * k))
 
 
-def _calibration(k: int, theta: mp.mpf) -> tuple[Fraction, mp.mpf, mp.mpf]:
+def _calibration(k: int, theta: Mpf) -> tuple[Fraction, Mpf, Mpf]:
     """gamma_K, delta_K and epsilon_K for budget coefficient K and deficit theta."""
-    ln_k = mp.log(k)
+    ln_k = _CTX.log(k)
     gamma = Fraction(1, 16 * k * k)
     return gamma, 5 * theta / (2 * ln_k), (_mpf(_C_EPS) + _mpf(gamma)) / ln_k
 
 
-def lambda_exponent(k: int, theta: mp.mpf) -> tuple[int, mp.mpf]:
+def lambda_exponent(k: int, theta: Mpf) -> tuple[int, Mpf]:
     """Booster-count exponent for budget coefficient K and deficit theta.
 
     Returns (ceil value, raw value).  Raises if the raw value sits too
     close to an integer for the ceiling to be trustworthy at the working
-    precision.
+    precision.  ``theta`` may be a number of any mpmath context.
     """
-    _, delta, eps = _calibration(k, theta)
+    _, delta, eps = _calibration(k, _CTX.convert(theta))
     raw = (_mpf(_C_NUM) - eps + delta) / _mpf(_C_DEN)
-    nearest = mp.nint(raw)
-    if abs(raw - nearest) < mp.mpf(10) ** (-(mp.mp.dps - 10)) and raw != nearest:
+    nearest = _CTX.nint(raw)
+    if abs(raw - nearest) < _UNRESOLVABLE and raw != nearest:
         raise PrecisionInsufficient(
             f"lambda expression {raw} is too close to an integer to ceil safely"
         )
-    return int(mp.ceil(raw)), raw
+    return int(_CTX.ceil(raw)), raw
 
 
 def reduce_to_ecme(instance: CcssInstance) -> EcmeInstance:
@@ -275,75 +287,67 @@ def reduce_to_ecme(instance: CcssInstance) -> EcmeInstance:
             "apply pad_to_narrow_range/scale_to_k20 first"
         )
     k, tau = instance.k, instance.tau
-    with mp.workdps(DEFAULT_DPS):
-        ln_k = mp.log(k)
-        pseudo_h = _heavy_pseudo_entropy(instance.weights, tau)
-        theta = ln_k - pseudo_h
-        if not _theta_in_range(theta, k):
-            raise ThetaOutOfBounds(
-                f"theta={mp.nstr(theta, 8)} outside "
-                f"(0, 1/(2K^2)={mp.nstr(mp.mpf(1) / (2 * k * k), 8)}); "
-                "the construction needs near-uniform heavy ratios (m == K)"
-            )
-        gamma, delta, eps = _calibration(k, theta)
-        lam, lam_raw = lambda_exponent(k, theta)
-        booster_count = k ** lam
-        w_b = Fraction(tau, 2 * booster_count)
-        normalizer = Fraction(sum(instance.weights)) + Fraction(tau, 2)
-        heavy_probs = tuple(Fraction(w) / normalizer for w in instance.weights)
-        booster_prob = w_b / normalizer
-        beta = Fraction(tau) / normalizer
-
-        h_heavy = Fraction(2, 3) * (pseudo_h + mp.log(mp.mpf(2) / 3))
-        h_boost = Fraction(1, 3) * (mp.log(3) + lam_raw * ln_k)
-        budget = Fraction(2, 5) * (h_heavy + h_boost)
-
-        constants = ReductionConstants(
-            gamma_k=gamma,
-            theta_k=theta,
-            delta_k=delta,
-            epsilon_k=eps,
-            lambda_k=lam,
-            lambda_raw=lam_raw,
-            booster_count=booster_count,
-            w_b=w_b,
-            normalizer=normalizer,
+    ln_k = _CTX.log(k)
+    pseudo_h = _heavy_pseudo_entropy(instance.weights, tau)
+    theta = ln_k - pseudo_h
+    if not _theta_in_range(theta, k):
+        raise ThetaOutOfBounds(
+            f"theta={_CTX.nstr(theta, 8)} outside "
+            f"(0, 1/(2K^2)={_CTX.nstr(_CTX.mpf(1) / (2 * k * k), 8)}); "
+            "the construction needs near-uniform heavy ratios (m == K)"
         )
-        return EcmeInstance(
-            weights=instance.weights,
-            tau=tau,
-            k=k,
-            heavy_probs=heavy_probs,
-            booster_count=booster_count,
-            booster_prob=booster_prob,
-            beta=beta,
-            budget=+budget,
-            constants=constants,
-        )
+    gamma, delta, eps = _calibration(k, theta)
+    lam, lam_raw = lambda_exponent(k, theta)
+    booster_count = k ** lam
+    w_b = Fraction(tau, 2 * booster_count)
+    normalizer = Fraction(sum(instance.weights)) + Fraction(tau, 2)
+    heavy_probs = tuple(Fraction(w) / normalizer for w in instance.weights)
+    booster_prob = w_b / normalizer
+    beta = Fraction(tau) / normalizer
+
+    h_heavy = Fraction(2, 3) * (pseudo_h + _CTX.log(_CTX.mpf(2) / 3))
+    h_boost = Fraction(1, 3) * (_CTX.log(3) + lam_raw * ln_k)
+    budget = Fraction(2, 5) * (h_heavy + h_boost)
+
+    constants = ReductionConstants(
+        gamma_k=gamma,
+        theta_k=theta,
+        delta_k=delta,
+        epsilon_k=eps,
+        lambda_k=lam,
+        lambda_raw=lam_raw,
+        booster_count=booster_count,
+        w_b=w_b,
+        normalizer=normalizer,
+    )
+    return EcmeInstance(
+        weights=instance.weights,
+        tau=tau,
+        k=k,
+        heavy_probs=heavy_probs,
+        booster_count=booster_count,
+        booster_prob=booster_prob,
+        beta=beta,
+        budget=budget,
+        constants=constants,
+    )
 
 
 # --- verifiers ---------------------------------------------------------------
 
 def verify_budget_window(instance: EcmeInstance) -> WindowCheck:
     """Check ln K - gamma_K < budget < ln(K+1) with explicit margins."""
-    k = instance.k
-    with mp.workdps(DEFAULT_DPS):
-        lower_bound = mp.log(k) - _mpf(instance.constants.gamma_k)
-        upper_bound = mp.log(k + 1)
-        lower_margin = instance.budget - lower_bound
-        upper_margin = upper_bound - instance.budget
-        tol = mp.mpf(10) ** (-(DEFAULT_DPS - 10))
-        for margin in (lower_margin, upper_margin):
-            if abs(margin) < tol:
-                raise PrecisionInsufficient(
-                    f"window margin {mp.nstr(margin, 5)} below resolvable scale at "
-                    f"{DEFAULT_DPS} digits"
-                )
-        return WindowCheck(
-            holds=bool(lower_margin > 0 and upper_margin > 0),
-            lower_margin=+lower_margin,
-            upper_margin=+upper_margin,
-        )
+    k, budget = instance.k, _CTX.convert(instance.budget)
+    lower_margin = budget - (_CTX.log(k) - _mpf(instance.constants.gamma_k))
+    upper_margin = _CTX.log(k + 1) - budget
+    for margin in (lower_margin, upper_margin):
+        if abs(margin) < _UNRESOLVABLE:
+            raise PrecisionInsufficient(
+                f"window margin {_CTX.nstr(margin, 5)} below resolvable scale at "
+                f"{DEFAULT_DPS} digits"
+            )
+    return WindowCheck(holds=bool(lower_margin > 0 and upper_margin > 0),
+                       lower_margin=lower_margin, upper_margin=upper_margin)
 
 
 def verify_instance(instance: EcmeInstance) -> list[tuple[str, bool, str]]:
@@ -371,14 +375,14 @@ def verify_instance(instance: EcmeInstance) -> list[tuple[str, bool, str]]:
     wrong = [name for name, ok in fields.items() if not ok]
     return [
         ("budget_window", window.holds,
-         f"lower_margin={mp.nstr(window.lower_margin, 8)} "
-         f"upper_margin={mp.nstr(window.upper_margin, 8)}"),
+         f"lower_margin={_CTX.nstr(window.lower_margin, 8)} "
+         f"upper_margin={_CTX.nstr(window.upper_margin, 8)}"),
         ("narrow_range",
          CcssInstance(instance.weights, instance.tau, instance.k).narrow_range_holds(),
          "exact rational comparison"),
         ("total_mass_one", total == 1, "exact rational identity"),
         ("theta_bounds", _theta_in_range(c.theta_k, instance.k),
-         f"theta={mp.nstr(c.theta_k, 8)}"),
+         f"theta={_CTX.nstr(c.theta_k, 8)}"),
         ("booster_block_weight", c.w_b * 2 * instance.booster_count == instance.tau,
          "2 B w_b == tau"),
         ("heavy_count", instance.m == instance.k, f"m={instance.m} K={instance.k}"),
@@ -396,7 +400,7 @@ def mixed_subset_entropy(
     instance: EcmeInstance,
     heavy_indices: Sequence[int],
     booster_count: int,
-) -> mp.mpf:
+) -> Mpf:
     """Entropy of a renormalized subset of heavy items plus b boosters.
 
     Booster contributions enter analytically as count * per-item term; the
@@ -407,17 +411,16 @@ def mixed_subset_entropy(
     total = Fraction(subset_weight(instance, heavy_indices)) + booster_count * instance.constants.w_b
     if total <= 0:
         raise WrongMass("subset carries no weight")
-    with mp.workdps(DEFAULT_DPS):
-        total_mp = _mpf(total)
-        ln_total = mp.log(total_mp)
-        h = mp.mpf(0)
-        for i in heavy_indices:
-            w = instance.weights[i]
-            h += (mp.mpf(w) / total_mp) * (ln_total - mp.log(w))
-        if booster_count:
-            r_b = _mpf(instance.constants.w_b) / total_mp
-            h += booster_count * r_b * (ln_total - mp.log(_mpf(instance.constants.w_b)))
-        return +h
+    total_mp = _mpf(total)
+    ln_total = _CTX.log(total_mp)
+    h = _CTX.mpf(0)
+    for i in heavy_indices:
+        w = instance.weights[i]
+        h += (_CTX.mpf(w) / total_mp) * (ln_total - _CTX.log(w))
+    if booster_count:
+        r_b = _mpf(instance.constants.w_b) / total_mp
+        h += booster_count * r_b * (ln_total - _CTX.log(_mpf(instance.constants.w_b)))
+    return h
 
 
 def verify_cardinality_lock(weights: Sequence[int], tau: int, k: int) -> bool:
@@ -432,37 +435,37 @@ def verify_cardinality_lock(weights: Sequence[int], tau: int, k: int) -> bool:
         raise TooManyHeavyItems(
             f"m={len(weights)} exceeds the exhaustive limit {MAX_HEAVY_ITEMS}"
         )
-    if sum(weights) >= 2**62:
-        raise TooManyHeavyItems("weights too large for the vectorized enumerator")
     if not sum(min(w, 0) for w in weights) <= tau <= sum(max(w, 0) for w in weights):
         return True  # no subset reaches tau
-    columns = (np.asarray(weights, dtype=np.int64), np.ones(len(weights), dtype=np.int64))
-    return all(bool(np.all(sizes == k))
-               for _, (_, sizes) in _exact_sum_blocks(columns, tau, 1, 1))
+    return all(bool(np.all(sizes == k)) for _, (_, sizes) in
+               _exact_sum_blocks(weights, np.ones(len(weights), dtype=np.int64), tau, 1, 1))
 
 
 def _exact_sum_blocks(
-    columns: Sequence[np.ndarray], target: int, step: int, count: int,
-    block_bits: int = BLOCK_BITS,
+    weights: Sequence[int], column: np.ndarray, target: int, step: int, count: int,
 ) -> Iterator[tuple[np.ndarray, tuple[np.ndarray, ...]]]:
-    """``key_range_subsets`` of the masks whose column-0 sum is ``target - j * step``
-    for a j in ``range(count)``.
+    """``key_range_subsets`` of the masks whose weight is ``target - j * step``
+    for a j in ``range(count)``, with the sums of ``column`` alongside.
 
-    Meet in the middle: the low m - m // 2 items (at most ``block_bits``)
-    are keyed by their column-0 sum as (sum mod step, sum // step).  A high
-    mask of sum s needs low sums congruent to target - s mod step whose
+    Meet in the middle: the low m - m // 2 items (at most ``BLOCK_BITS``)
+    are keyed by their weight as (sum mod step, sum // step).  A high mask
+    of weight s needs low weights congruent to target - s mod step whose
     quotient lies in a window of ``count`` values: one key range, empty when
-    the window misses every low quotient.  Column 0 is int64 and every
-    target must fit it.
+    the window misses every low quotient.  Weights are summed in int64, so
+    sum(|w|) must stay below 2**62 (else ``TooManyHeavyItems``), and every
+    target must fit int64.
     """
-    m = columns[0].shape[0]
-    k = min(m - m // 2, block_bits)
+    if sum(abs(w) for w in weights) >= 2**62:
+        raise TooManyHeavyItems("weights too large for the vectorized enumerator")
+    columns = (np.asarray(weights, dtype=np.int64), column)
+    m = len(weights)
+    k = min(m - m // 2, BLOCK_BITS)
     low = [subset_sums(c[:k]) for c in columns]
     quot, rem = np.divmod(low[0], step)
     base = int(quot.min())
     span = int(quot.max()) - base + 1
     # keys < step * span <= (max - min low sum) + step, in int64 under the
-    # callers' 2**62 guards
+    # 2**62 guard
     hi_quot, hi_rem = np.divmod(target - subset_sums(columns[0][k:]), step)
     top = hi_quot - base
     return key_range_subsets(low, [c[k:] for c in columns], rem * span + (quot - base),
@@ -487,18 +490,18 @@ def _full_space_candidates(instance: EcmeInstance) -> Iterator[int]:
         ln(tau) - (sum_{i in S} w ln w + b * w_b ln(w_b)) / tau.
     That is screened vectorized in float64, the ``w ln w`` sums added in
     ascending bit order; only candidates within float noise of the budget
-    go on to the high-precision confirmation.  The caller checks both int64
-    guards.
+    go on to the high-precision confirmation.  The booster counts are
+    computed in int64, so 2 B tau must stay below 2**62.
     """
     tau, big_b = instance.tau, instance.booster_count
+    if 2 * big_b * tau >= 2**62:
+        raise TooManyHeavyItems("booster count too large for the vectorized screen")
     w_b = float(instance.constants.w_b)
     limit = float(instance.budget) + 1e-6
     step = tau // math.gcd(2 * big_b, tau)
-    columns = (
-        np.asarray(instance.weights, dtype=np.int64),
-        np.asarray([w * math.log(w) for w in instance.weights]),
-    )
-    for masks, (sums, wlogw) in _exact_sum_blocks(columns, tau, step, tau // (2 * step) + 1):
+    wlogw_column = np.asarray([w * math.log(w) for w in instance.weights])
+    for masks, (sums, wlogw) in _exact_sum_blocks(instance.weights, wlogw_column, tau, step,
+                                                  tau // (2 * step) + 1):
         b_counts = 2 * big_b * (tau - sums) // tau
         h_float = math.log(tau) - (wlogw + b_counts * (w_b * math.log(w_b))) / tau
         yield from masks[h_float <= limit].tolist()
@@ -535,18 +538,12 @@ def decide_ecme_small(instance: EcmeInstance, mode: str = "structural") -> EcmeD
             raise TooManyHeavyItems(
                 f"m={instance.m} exceeds the full-space limit {MAX_FULL_SPACE_ITEMS}"
             )
-        big_b = instance.booster_count
-        if 2 * big_b * instance.tau >= 2**62:
-            raise TooManyHeavyItems("booster count too large for the vectorized screen")
-        if sum(instance.weights) >= 2**62:
-            raise TooManyHeavyItems("weights too large for the vectorized enumerator")
-        with mp.workdps(DEFAULT_DPS):
-            for mask in _full_space_candidates(instance):
-                subset = mask_indices(mask)
-                b = 2 * big_b * (instance.tau - subset_weight(instance, subset)) // instance.tau
-                h = mixed_subset_entropy(instance, subset, int(b))
-                if h <= instance.budget:
-                    return EcmeDecision(is_yes=True, witness=subset, witness_boosters=int(b))
+        tau, big_b = instance.tau, instance.booster_count
+        for mask in _full_space_candidates(instance):
+            subset = mask_indices(mask)
+            b = 2 * big_b * (tau - subset_weight(instance, subset)) // tau
+            if mixed_subset_entropy(instance, subset, b) <= instance.budget:
+                return EcmeDecision(is_yes=True, witness=subset, witness_boosters=b)
         return EcmeDecision(is_yes=False, witness=None)
     raise ValueError(f"unknown mode {mode!r}")
 
@@ -594,30 +591,29 @@ def ccss_from_json(obj: dict) -> CcssInstance:
 
 def ecme_to_json(instance: EcmeInstance) -> dict:
     c = instance.constants
-    with mp.workdps(DEFAULT_DPS):
-        return {
-            "schema_version": SCHEMA_VERSION,
-            "kind": "ecme",
-            "weights": [str(w) for w in instance.weights],
-            "tau": str(instance.tau),
-            "k": instance.k,
-            "heavy_probs": [_frac_to_json(f) for f in instance.heavy_probs],
-            "booster_count": str(instance.booster_count),
-            "booster_prob": _frac_to_json(instance.booster_prob),
-            "beta": _frac_to_json(instance.beta),
-            "budget": mp.nstr(instance.budget, DEFAULT_DPS - 5),
-            "constants": {
-                "gamma_k": _frac_to_json(c.gamma_k),
-                "theta_k": mp.nstr(c.theta_k, DEFAULT_DPS - 5),
-                "delta_k": mp.nstr(c.delta_k, DEFAULT_DPS - 5),
-                "epsilon_k": mp.nstr(c.epsilon_k, DEFAULT_DPS - 5),
-                "lambda_k": c.lambda_k,
-                "lambda_raw": mp.nstr(c.lambda_raw, DEFAULT_DPS - 5),
-                "booster_count": str(c.booster_count),
-                "w_b": _frac_to_json(c.w_b),
-                "normalizer": _frac_to_json(c.normalizer),
-            },
-        }
+    return {
+        "schema_version": SCHEMA_VERSION,
+        "kind": "ecme",
+        "weights": [str(w) for w in instance.weights],
+        "tau": str(instance.tau),
+        "k": instance.k,
+        "heavy_probs": [_frac_to_json(f) for f in instance.heavy_probs],
+        "booster_count": str(instance.booster_count),
+        "booster_prob": _frac_to_json(instance.booster_prob),
+        "beta": _frac_to_json(instance.beta),
+        "budget": _CTX.nstr(instance.budget, DEFAULT_DPS - 5),
+        "constants": {
+            "gamma_k": _frac_to_json(c.gamma_k),
+            "theta_k": _CTX.nstr(c.theta_k, DEFAULT_DPS - 5),
+            "delta_k": _CTX.nstr(c.delta_k, DEFAULT_DPS - 5),
+            "epsilon_k": _CTX.nstr(c.epsilon_k, DEFAULT_DPS - 5),
+            "lambda_k": c.lambda_k,
+            "lambda_raw": _CTX.nstr(c.lambda_raw, DEFAULT_DPS - 5),
+            "booster_count": str(c.booster_count),
+            "w_b": _frac_to_json(c.w_b),
+            "normalizer": _frac_to_json(c.normalizer),
+        },
+    }
 
 
 def ecme_from_json(obj: dict) -> EcmeInstance:
@@ -625,29 +621,28 @@ def ecme_from_json(obj: dict) -> EcmeInstance:
         if obj.get("kind") != "ecme":
             raise KeyError("kind")
         cj = obj["constants"]
-        with mp.workdps(DEFAULT_DPS):
-            constants = ReductionConstants(
-                gamma_k=_frac_from_json(cj["gamma_k"]),
-                theta_k=mp.mpf(cj["theta_k"]),
-                delta_k=mp.mpf(cj["delta_k"]),
-                epsilon_k=mp.mpf(cj["epsilon_k"]),
-                lambda_k=int(cj["lambda_k"]),
-                lambda_raw=mp.mpf(cj["lambda_raw"]),
-                booster_count=int(cj["booster_count"]),
-                w_b=_frac_from_json(cj["w_b"]),
-                normalizer=_frac_from_json(cj["normalizer"]),
-            )
-            instance = EcmeInstance(
-                weights=tuple(int(w) for w in obj["weights"]),
-                tau=int(obj["tau"]),
-                k=int(obj["k"]),
-                heavy_probs=tuple(_frac_from_json(f) for f in obj["heavy_probs"]),
-                booster_count=int(obj["booster_count"]),
-                booster_prob=_frac_from_json(obj["booster_prob"]),
-                beta=_frac_from_json(obj["beta"]),
-                budget=mp.mpf(obj["budget"]),
-                constants=constants,
-            )
+        constants = ReductionConstants(
+            gamma_k=_frac_from_json(cj["gamma_k"]),
+            theta_k=_CTX.mpf(cj["theta_k"]),
+            delta_k=_CTX.mpf(cj["delta_k"]),
+            epsilon_k=_CTX.mpf(cj["epsilon_k"]),
+            lambda_k=int(cj["lambda_k"]),
+            lambda_raw=_CTX.mpf(cj["lambda_raw"]),
+            booster_count=int(cj["booster_count"]),
+            w_b=_frac_from_json(cj["w_b"]),
+            normalizer=_frac_from_json(cj["normalizer"]),
+        )
+        instance = EcmeInstance(
+            weights=tuple(int(w) for w in obj["weights"]),
+            tau=int(obj["tau"]),
+            k=int(obj["k"]),
+            heavy_probs=tuple(_frac_from_json(f) for f in obj["heavy_probs"]),
+            booster_count=int(obj["booster_count"]),
+            booster_prob=_frac_from_json(obj["booster_prob"]),
+            beta=_frac_from_json(obj["beta"]),
+            budget=_CTX.mpf(obj["budget"]),
+            constants=constants,
+        )
     except (AttributeError, KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
         raise MalformedRecord(None, f"not a valid ECME object: {exc}") from exc
     # the deciders take logs of tau, w and w_b and divide by gcd(2B, tau)

@@ -1,8 +1,10 @@
 """Unit tests for the subset-sum reduction pipeline and its verifiers."""
 
-import functools
 import json
+import pickle
 import random
+import sys
+import threading
 from fractions import Fraction
 from unittest import mock
 
@@ -139,6 +141,25 @@ class TestReduce:
         assert lam == 6
         assert float(raw) == pytest.approx(5.4246, abs=1e-3)
         assert 20**lam == 64_000_000
+
+    @pytest.mark.parametrize("caller_dps", [None, 30, 80])
+    def test_lambda_exponent_ignores_the_caller_precision(self, caller_dps):
+        # theta made at 50 digits; the exponent comes out at 50 digits
+        # whatever precision the caller's global mpmath context has
+        with mp.workdps(50):
+            ln20 = mp.log(20)
+            theta = mp.mpf("0.00125")
+            eps = (mp.mpf(384) / 10000 + mp.mpf(1) / 6400) / ln20
+            delta = 5 * theta / (2 * ln20)
+            reference = (mp.mpf(7333) / 10000 - eps + delta) / (mp.mpf(133) / 1000)
+        if caller_dps is None:
+            lam, raw = lambda_exponent(20, theta)
+        else:
+            with mp.workdps(caller_dps):
+                lam, raw = lambda_exponent(20, theta)
+        assert lam == 6
+        with mp.workdps(60):
+            assert abs(raw - reference) < mp.mpf("1e-40")
 
     def test_lambda_too_close_to_integer_raises(self):
         # solve the exponent formula at K=20 for the deficit that puts the
@@ -316,6 +337,15 @@ class TestCardinalityLock:
     def test_int64_overflow_guard(self):
         with pytest.raises(TooManyHeavyItems, match="weights too large"):
             verify_cardinality_lock([2**61, 2**61, 3], 3, 1)
+
+    def test_int64_guard_bounds_absolute_weights(self):
+        # sum(w) is small here, sum(|w|) is not: refused before int64 overflows
+        with pytest.raises(TooManyHeavyItems, match="weights too large"):
+            verify_cardinality_lock([-2**70, 5, 6], 11, 2)
+
+    def test_no_subset_reaches_tau(self):
+        assert verify_cardinality_lock([3, 5, 7], 16, 3) is True
+        assert verify_cardinality_lock([-3, 5], -4, 1) is True
 
 
 class TestDecide:
@@ -548,8 +578,7 @@ class TestCardinalityLockInBlocks:
     @pytest.mark.parametrize("block_bits", [2, 5, oracle.BLOCK_BITS])
     def test_matches_full_tables(self, block_bits):
         rng = np.random.default_rng(31)
-        blocks = functools.partial(hardness._exact_sum_blocks, block_bits=block_bits)
-        with mock.patch.object(hardness, "_exact_sum_blocks", blocks):
+        with mock.patch.object(hardness, "BLOCK_BITS", block_bits):
             for trial in range(30):
                 m = int(rng.integers(3, 13))
                 weights = [int(w) for w in rng.integers(1, 12 if trial % 2 else 400, m)]
@@ -630,6 +659,52 @@ class TestSerialization:
         assert all(isinstance(w, str) for w in obj["weights"])
         assert obj["booster_count"] == str(21**6)
         assert obj["beta"] == {"num": "2", "den": "3"}
+
+
+class TestPrivateContext:
+    """Hardness computes at 50 digits whatever the global mpmath context does."""
+
+    def test_outputs_ignore_another_threads_precision(self, ecme_yes):
+        cases = [prepare(YES), prepare(NO), SPREAD, prepare(FULL_MODE_CASES[2])]
+        reference = [json.dumps(ecme_to_json(reduce_to_ecme(c))) for c in cases]
+        checks = [verify_instance(reduce_to_ecme(c)) for c in cases]
+        decisions = [decide_ecme_small(reduce_to_ecme(c), mode="full") for c in cases]
+        stop = threading.Event()
+
+        def meddle():
+            while not stop.is_set():
+                with mp.workdps(30):
+                    mp.log(3)
+
+        # switch threads often: numpy calls in full mode give up the lock,
+        # and each waits a whole switch interval to get it back
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-4)
+        meddler = threading.Thread(target=meddle)
+        meddler.start()
+        try:
+            for i in range(2000):
+                c = i % len(cases)
+                assert json.dumps(ecme_to_json(reduce_to_ecme(cases[c]))) == reference[c]
+                if i % 10 == 0:
+                    assert verify_instance(reduce_to_ecme(cases[c])) == checks[c]
+                if i % 500 < len(cases):
+                    assert decide_ecme_small(reduce_to_ecme(cases[c]), mode="full") == decisions[c]
+        finally:
+            stop.set()
+            meddler.join()
+            sys.setswitchinterval(interval)
+
+    def test_instance_survives_pickle(self, ecme_yes, ecme_spread):
+        for inst in (ecme_yes, ecme_spread):
+            back = pickle.loads(pickle.dumps(inst))
+            assert ecme_to_json(back) == ecme_to_json(inst)
+            assert back.budget == inst.budget
+
+    def test_numbers_mix_with_global_mpf(self, ecme_yes):
+        budget = ecme_yes.budget
+        assert mp.log(20) < budget < mp.log(22)
+        assert mp.nstr(budget + mp.mpf(0), 10) == mp.nstr(mp.mpf(0) + budget, 10)
 
 
 class TestInstanceValidation:
