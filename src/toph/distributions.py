@@ -71,20 +71,17 @@ class SubsetDistribution:
         object.__setattr__(self, "q", _frozen(self.q))
 
 
-def validate_block(
-    values: np.ndarray,
-    mode: str = "probs",
-    temperatures: Sequence[float] | None = None,
-) -> np.ndarray:
+def validate_block(values: np.ndarray, mode: str, temperatures: Sequence[float]) -> np.ndarray:
     """Validate a ``(B, n)`` block of rows at once; return them as read-only probabilities.
 
     ``mode="probs"``: each row must be non-negative with a finite sum
     within ``INPUT_MASS_TOLERANCE`` of 1.  A row off by more than
     ``MASS_TOLERANCE`` is divided by its sum; the others keep their bits.
     ``mode="logits"``: row ``r`` becomes softmax(values[r] /
-    temperatures[r]) (temperature 1 when none are given), max-shifted for
-    stability; a temperature must be > 0 and finite, and a ``-inf`` logit
-    gives probability 0.  The checks are reductions over the whole block.
+    temperatures[r]), max-shifted for stability; a temperature must be > 0
+    and finite, and a ``-inf`` logit gives probability 0 (``temperatures``
+    is read in logits mode only).  The checks are reductions over the whole
+    block.
 
     ``values`` is a float64 array the caller hands over; it may be
     overwritten.  The first bad row raises its typed error (``EmptyInput``,
@@ -117,8 +114,7 @@ def validate_block(
             values[cut] /= total[cut, None]
         return _frozen(values)
     if mode == "logits":
-        temps = np.ones(values.shape[0]) if temperatures is None else \
-            np.asarray(temperatures, dtype=np.float64)
+        temps = np.asarray(temperatures, dtype=np.float64)
         # a bad temperature, overflow and inf - inf surface below as bad rows
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             scaled = values / temps[:, None]

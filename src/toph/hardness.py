@@ -13,8 +13,9 @@ Arithmetic discipline: weights and derived counts are arbitrary-precision
 integers, probabilities are exact rationals, and only the transcendental
 entropy/log terms are evaluated in high-precision floating point: one
 private mpmath context at ``DEFAULT_DPS`` = 50 significant digits, whatever
-``mpmath.mp.dps`` is and whatever another thread does.  The module's
-high-precision numbers (``Mpf``) belong to that context.
+the precision of mpmath's global context and whatever another thread does
+with it.  The module's high-precision numbers (``Mpf``) belong to that
+context.
 
 Well-posedness note.  The analytic budget construction assumes the heavy
 ratios w_i/tau form a near-uniform probability vector, which pins the heavy
@@ -118,9 +119,15 @@ class CcssInstance:
 
     def narrow_range_holds(self) -> bool:
         """tau/(K+1) < w_i < tau/(K-1) for every weight, checked exactly."""
-        lo = Fraction(self.tau, self.k + 1)
-        hi = Fraction(self.tau, self.k - 1)
-        return all(lo < w < hi for w in self.weights)
+        return _narrow_range_holds(self.weights, self.tau, self.k)
+
+
+def _narrow_range_holds(weights: Sequence[int], tau: int, k: int) -> bool:
+    """The narrow-range check on bare numbers (K >= 2): ``verify_instance``
+    applies it to an ECME file's fields, which need not make a ``CcssInstance``."""
+    lo = Fraction(tau, k + 1)
+    hi = Fraction(tau, k - 1)
+    return all(lo < w < hi for w in weights)
 
 
 @dataclass(frozen=True)
@@ -377,8 +384,7 @@ def verify_instance(instance: EcmeInstance) -> list[tuple[str, bool, str]]:
         ("budget_window", window.holds,
          f"lower_margin={_CTX.nstr(window.lower_margin, 8)} "
          f"upper_margin={_CTX.nstr(window.upper_margin, 8)}"),
-        ("narrow_range",
-         CcssInstance(instance.weights, instance.tau, instance.k).narrow_range_holds(),
+        ("narrow_range", _narrow_range_holds(instance.weights, instance.tau, instance.k),
          "exact rational comparison"),
         ("total_mass_one", total == 1, "exact rational identity"),
         ("theta_bounds", _theta_in_range(c.theta_k, instance.k),
@@ -645,14 +651,21 @@ def ecme_from_json(obj: dict) -> EcmeInstance:
         )
     except (AttributeError, KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
         raise MalformedRecord(None, f"not a valid ECME object: {exc}") from exc
-    # the deciders take logs of tau, w and w_b and divide by gcd(2B, tau)
-    out_of_range = [name for name, ok in (
-        ("tau", instance.tau >= 1),
-        ("weights", all(w >= 1 for w in instance.weights)),
-        ("booster_count", instance.booster_count >= 1),
-        ("constants.w_b", instance.constants.w_b > 0),
+    # the deciders take logs of tau, w and w_b and divide by gcd(2B, tau);
+    # an infinite budget decides YES and a NaN one NO, whatever the weights
+    c = instance.constants
+    wrong = [rule for rule, ok in (
+        ("tau must be positive", instance.tau >= 1),
+        ("weights must not be empty", len(instance.weights) > 0),
+        ("weights must be positive", all(w >= 1 for w in instance.weights)),
+        ("k must be at least 3", instance.k >= 3),
+        ("booster_count must be positive", instance.booster_count >= 1),
+        ("constants.w_b must be positive", c.w_b > 0),
+        *((f"{name} must be finite", _CTX.isfinite(x)) for name, x in (
+            ("budget", instance.budget), ("constants.theta_k", c.theta_k),
+            ("constants.delta_k", c.delta_k), ("constants.epsilon_k", c.epsilon_k),
+            ("constants.lambda_raw", c.lambda_raw))),
     ) if not ok]
-    if out_of_range:
-        raise MalformedRecord(None, "not a valid ECME object: "
-                              f"{', '.join(out_of_range)} must be positive")
+    if wrong:
+        raise MalformedRecord(None, f"not a valid ECME object: {'; '.join(wrong)}")
     return instance

@@ -807,8 +807,17 @@ class TestHardnessCommands:
         (("weights", 0), "0"),
         (("booster_count",), "0"),
         (("constants", "w_b"), {"num": "0", "den": "1"}),
+        (("budget",), "inf"),
+        (("budget",), "nan"),
+        (("constants", "theta_k"), "inf"),
+        (("constants", "delta_k"), "nan"),
+        (("constants", "epsilon_k"), "-inf"),
+        (("constants", "lambda_raw"), "nan"),
+        (("k",), 2),
+        (("weights",), []),
     ], ids=["beta-den-0", "heavy-prob-den-0", "w_b-den-0", "tau-0", "tau-negative",
-            "weight-0", "booster-count-0", "w_b-0"])
+            "weight-0", "booster-count-0", "w_b-0", "budget-inf", "budget-nan", "theta-inf",
+            "delta-nan", "epsilon-minus-inf", "lambda-raw-nan", "k-2", "no-weights"])
     @pytest.mark.parametrize("argv", [["decide"], ["decide", "--mode", "full"], ["verify"]],
                              ids=["decide", "decide-full", "verify"])
     def test_out_of_range_field_exits_2(self, tmp_path, capsys, path, value, argv):
@@ -832,6 +841,21 @@ class TestHardnessCommands:
         assert "m=22" in err and "K=21" in err and "--mode full" in err
         assert main(["verify", "--input", str(ecme)]) == 3
         assert "FAIL heavy_count: m=22 K=21" in capsys.readouterr().out
+
+    def test_verify_reports_k_above_m(self, tmp_path, capsys):
+        # K = 30 > m = 21 makes no CCSS instance; verify still runs every check
+        ecme = self.edited_ecme(tmp_path, ("k",), 30)
+        report = tmp_path / "report.json"
+        capsys.readouterr()
+        assert main(["verify", "--input", str(ecme), "--output", str(report)]) == 3
+        out = capsys.readouterr().out
+        names = ["budget_window", "narrow_range", "total_mass_one", "theta_bounds",
+                 "booster_block_weight", "heavy_count", "exact_fields"]
+        assert [line.split(":")[0].split()[1] for line in out.splitlines()] == names
+        assert "FAIL heavy_count: m=21 K=30\n" in out
+        payload = json.loads(report.read_text())
+        assert [check["name"] for check in payload["checks"]] == names
+        assert payload["all_ok"] is False
 
 
 class TestParser:
@@ -1042,6 +1066,10 @@ class TestRefusedRuns:
         *[pytest.param(["generate", f"--{field}", "inf", "--output", "{tmp}/out"], 1,
                        f"{field} must be finite, got inf", id=f"generate-infinite-{field}")
           for field in ("s", "a", "sigma", "temperature", "peak")],
+        *[pytest.param(["generate", "--family", "gaussian_logits", f"--{field}", "0",
+                        "--output", "{tmp}/out"], 1, f"{field} must be > 0",
+                       id=f"generate-zero-{field}")
+          for field in ("sigma", "temperature")],
     ])
     def test_exit_code_and_no_file(self, tmp_path, dataset, capsys, argv, code, message):
         (tmp_path / "dir").mkdir()

@@ -7,12 +7,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from toph.distributions import (
+    ProbabilityDistribution,
     entropy,
     jsd_closed_form,
     jsd_direct,
     make_distribution,
     renormalize,
     uniform_distribution,
+    validate_block,
 )
 from toph.errors import (
     EmptyInput,
@@ -86,6 +88,12 @@ class TestMakeDistribution:
             make_distribution([0.5, 0.4])
         with pytest.raises(NonPositiveTemperature):
             make_distribution([1.0, 2.0], mode="logits", temperature=0.0)
+        with pytest.raises(EmptyInput):
+            make_distribution([[0.5, 0.5]])
+        with pytest.raises(EmptyInput):
+            uniform_distribution(0)
+        with pytest.raises(ValueError, match="unknown mode 'odds'"):
+            validate_block(np.array([[0.5, 0.5]]), "odds", [1.0])
 
     @pytest.mark.parametrize("values, mode, temperature", [
         ([math.nan, 0.0], "logits", 1.0),
@@ -110,6 +118,10 @@ class TestEntropy:
 
     def test_one_hot(self):
         assert entropy(make_distribution([1.0, 0.0, 0.0])) == 0.0
+
+    def test_all_zero_vector(self):
+        # no positive entry to sum over: 0, not an error
+        assert entropy(ProbabilityDistribution(np.zeros(3))) == 0.0
 
     def test_skewed_matches_reference(self):
         p = make_distribution([0.6, 0.3, 0.1])

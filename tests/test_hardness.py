@@ -21,6 +21,7 @@ from toph.errors import (
     ThetaOutOfBounds,
     TooManyHeavyItems,
     WrongCardinality,
+    WrongMass,
 )
 from toph.hardness import (
     CcssInstance,
@@ -308,6 +309,16 @@ class TestBoosterBlowup:
         kept, b = _backfilled(ecme_spread, 2)
         assert mixed_subset_entropy(ecme_spread, kept, b) > ecme_spread.budget
 
+    @pytest.mark.parametrize("heavy, boosters, error", [
+        ((0,), -1, InvalidParameters),
+        ((0,), 21**6 + 1, InvalidParameters),
+        ((), 0, WrongMass),
+    ], ids=["negative-boosters", "too-many-boosters", "empty-subset"])
+    def test_refused_subsets(self, ecme_yes, heavy, boosters, error):
+        assert ecme_yes.booster_count == 21**6
+        with pytest.raises(error):
+            mixed_subset_entropy(ecme_yes, heavy, boosters)
+
     def test_entropy_well_above_budget(self, ecme_yes):
         kept, b = _backfilled(ecme_yes, 1)
         h = mixed_subset_entropy(ecme_yes, kept, b)
@@ -558,6 +569,18 @@ class TestVerifyInstance:
         assert checks["heavy_count"] is False
         assert checks["budget_window"] and checks["theta_bounds"]
 
+    @pytest.mark.parametrize("changes, heavy_count", [
+        ({"k": 30}, "m=21 K=30"),
+        ({"weights": (), "heavy_probs": ()}, "m=0 K=21"),
+    ], ids=["k-above-m", "no-weights"])
+    def test_every_check_runs_without_a_ccss_instance(self, ecme_yes, changes, heavy_count):
+        # neither field set makes a CcssInstance; every check still reports
+        import dataclasses
+
+        checks = verify_instance(dataclasses.replace(ecme_yes, **changes))
+        assert [name for name, _, _ in checks] == self.NAMES
+        assert ("heavy_count", False, heavy_count) in checks
+
     def test_huge_lambda_is_refused_without_the_power(self, ecme_yes):
         # K**lambda at lambda = 10**12 would need terabytes; the check must
         # refuse it from B's bit length before raising K to that power
@@ -664,7 +687,7 @@ class TestSerialization:
 class TestPrivateContext:
     """Hardness computes at 50 digits whatever the global mpmath context does."""
 
-    def test_outputs_ignore_another_threads_precision(self, ecme_yes):
+    def test_outputs_ignore_another_threads_precision(self):
         cases = [prepare(YES), prepare(NO), SPREAD, prepare(FULL_MODE_CASES[2])]
         reference = [json.dumps(ecme_to_json(reduce_to_ecme(c))) for c in cases]
         checks = [verify_instance(reduce_to_ecme(c)) for c in cases]
@@ -692,8 +715,9 @@ class TestPrivateContext:
                     assert decide_ecme_small(reduce_to_ecme(cases[c]), mode="full") == decisions[c]
         finally:
             stop.set()
-            meddler.join()
+            meddler.join(timeout=10)
             sys.setswitchinterval(interval)
+        assert not meddler.is_alive()
 
     def test_instance_survives_pickle(self, ecme_yes, ecme_spread):
         for inst in (ecme_yes, ecme_spread):

@@ -1,4 +1,5 @@
-"""The package imports nothing but the standard library and its declared dependencies."""
+"""The package imports nothing but the standard library and its declared
+dependencies, and leaves mpmath's global precision alone."""
 
 import ast
 import sys
@@ -36,3 +37,40 @@ def test_imports_only_declared_dependencies(path):
 def test_an_undeclared_import_is_found():
     tree = ast.parse("import json\nfrom . import cli\ndef f():\n    import orjson.x\n")
     assert imported_roots(tree) - ALLOWED == {"orjson"}
+
+
+#: mpmath calls that switch the global context's precision for a block.
+PRECISION_SWITCHES = {"workdps", "workprec", "extradps", "extraprec"}
+
+
+def global_precision_uses(tree: ast.AST) -> list[int]:
+    """Lines that switch, read or set the precision of mpmath's global context
+    ``mpmath.mp``: a module computes in a context of its own instead."""
+    lines = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute):
+            owner = node.value
+            owner_name = owner.attr if isinstance(owner, ast.Attribute) else getattr(owner, "id", "")
+            if node.attr in PRECISION_SWITCHES or (node.attr in ("dps", "prec") and owner_name == "mp"):
+                lines.append(node.lineno)
+        elif isinstance(node, ast.ImportFrom) and node.module == "mpmath":
+            lines.extend(node.lineno for alias in node.names if alias.name in PRECISION_SWITCHES)
+    return sorted(lines)
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)
+def test_global_mpmath_precision_is_untouched(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    assert global_precision_uses(tree) == []
+
+
+def test_a_global_precision_use_is_found():
+    tree = ast.parse(
+        "import mpmath as mp\n"
+        "with mp.workdps(50):\n    pass\n"
+        "digits = mp.mp.dps\n"
+        "mpmath.mp.prec = 53\n"
+        "from mpmath import workprec\n"
+        "ctx = mpmath.MPContext()\nctx.dps = 50\n"
+        "doc = 'mpmath.mp.dps'  # mp.workdps\n")
+    assert global_precision_uses(tree) == [2, 4, 5, 6]

@@ -78,3 +78,10 @@ def test_stream_words_across_refills(seed):
 def test_scalar_counter_is_batch_of_one():
     assert u01(3, 1, 5).shape == (1,)
     assert u01(3, 1, 5)[0] == reference_u01(3, 1, 5)
+
+
+@pytest.mark.parametrize("draw, argument", [("integer_below", 0), ("gamma", 0.0)])
+def test_out_of_domain_argument_raises(draw, argument):
+    lane = Stream(0, 0)
+    with pytest.raises(ValueError, match="must be positive"):
+        getattr(lane, draw)(argument)

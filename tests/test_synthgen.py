@@ -124,6 +124,12 @@ class TestFamilies:
             generate(GeneratorSpec(family="one_hot_mix", n=4, peak=0.0), 1)
         with pytest.raises(InvalidParameters):
             generate(GeneratorSpec(family="uniform", n=0), 1)
+        with pytest.raises(InvalidParameters, match="sigma must be > 0"):
+            generate(GeneratorSpec(family="gaussian_logits", n=4, sigma=0.0), 1)
+        with pytest.raises(InvalidParameters, match="temperature must be > 0"):
+            generate(GeneratorSpec(family="gaussian_logits", n=4, temperature=0.0), 1)
+        with pytest.raises(InvalidParameters, match="count must be >= 0"):
+            next(generate_blocks(GeneratorSpec(family="uniform", n=4), -1))
 
     @pytest.mark.parametrize("field", ["s", "a", "sigma", "temperature", "peak"])
     @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
