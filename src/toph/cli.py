@@ -41,7 +41,7 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from . import __version__
-from . import hardness, synthgen
+from . import synthgen
 from .errors import (
     MalformedRecord,
     MixedSchema,
@@ -194,19 +194,29 @@ def _truncate_record(rid: str, block: SelectionBlock, r: int, config: Truncation
     return record
 
 
-def _sample_lines(method: Method, ids: list[str], tokens: np.ndarray) -> Iterator[str]:
-    """``sample``'s lines for a block's ``(B, num_samples)`` token matrix: each
-    the bytes of ``json.dumps`` of ``{"schema_version", "id", "method",
-    "tokens"}`` and a newline.
+def _sample_lines(blocks: Iterable[DatasetBlock], config: TruncationConfig, seed: int,
+                  per_record: int) -> Iterator[str]:
+    """``sample``'s lines: each the bytes of ``json.dumps`` of
+    ``{"schema_version", "id", "method", "tokens"}`` and a newline.
 
-    Built without a dict: a fixed head, the id quoted by
+    The tokens are drawn ``chunk_rows(per_record)`` records at a time, so a
+    run holds one element budget of draws whatever ``--num-samples`` is.
+    A line is built without a dict: a fixed head, the id quoted by
     ``encode_basestring_ascii`` (what ``json.dumps`` of a string returns),
     and the row as a list of Python ints, whose text is its JSON.
     """
     head = f'{{"schema_version": {SCHEMA_VERSION}, "id": '
-    after_id = f', "method": {json.dumps(method.value)}, "tokens": '
-    for rid, row in zip(ids, tokens.tolist()):
-        yield head + encode_basestring_ascii(rid) + after_id + str(row) + "}\n"
+    after_id = f', "method": {json.dumps(config.method.value)}, "tokens": '
+    step = synthgen.chunk_rows(per_record)
+    for start, block, selection in _selections(blocks, config):
+        for first in range(0, len(block), step):
+            ids = block.ids[first:first + step]
+            # draw_index = record_index * num_samples + j, so records do not share variates
+            counters = np.arange((start + first) * per_record,
+                                 (start + first + len(ids)) * per_record, dtype=np.uint64)
+            tokens = selection.draw(u01(seed, 0, counters.reshape(len(ids), per_record)), first)
+            for rid, row in zip(ids, tokens.tolist()):
+                yield head + encode_basestring_ascii(rid) + after_id + str(row) + "}\n"
 
 
 def _read_input(path: str) -> Iterator[DatasetBlock]:
@@ -257,13 +267,7 @@ def cmd_sample(args) -> CommandResult:
     config = _build_config(args)
     if args.num_samples < 1:
         raise UsageError(f"--num-samples must be >= 1, got {args.num_samples}")
-    per_record = args.num_samples
-    # draw_index = record_index * num_samples + j, so records do not share variates
-    lines = (line
-             for start, block, selection in _selections(_read_input(args.input), config)
-             for line in _sample_lines(config.method, block.ids, selection.draw(u01(
-                 args.seed, 0, np.arange(start * per_record, (start + len(block)) * per_record,
-                                         dtype=np.uint64).reshape(len(block), per_record)))))
+    lines = _sample_lines(_read_input(args.input), config, args.seed, args.num_samples)
     return CommandResult({**_config_dict(config), "num_samples": args.num_samples},
                          seed=args.seed, input=args.input, output=lines)
 
@@ -347,6 +351,7 @@ def _load_instance(path: str, from_json):
 
 
 def cmd_reduce(args) -> CommandResult:
+    from . import hardness  # mpmath is loaded by these three commands only
     instance = _load_instance(args.input, hardness.ccss_from_json)
     prepped = hardness.prepare(instance)
     ecme = hardness.reduce_to_ecme(prepped)
@@ -356,6 +361,7 @@ def cmd_reduce(args) -> CommandResult:
 
 
 def cmd_verify(args) -> CommandResult:
+    from . import hardness
     instance = _load_instance(args.input, hardness.ecme_from_json)
     checks = hardness.verify_instance(instance)
     all_ok = all(ok for _, ok, _ in checks)
@@ -371,6 +377,7 @@ def cmd_verify(args) -> CommandResult:
 
 
 def cmd_decide(args) -> CommandResult:
+    from . import hardness
     instance = _load_instance(args.input, hardness.ecme_from_json)
     decision = hardness.decide_ecme_small(instance, mode=args.mode)
     print("YES" if decision.is_yes else "NO")

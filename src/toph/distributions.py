@@ -109,9 +109,7 @@ def validate_block(values: np.ndarray, mode: str, temperatures: Sequence[float])
                 error = NormalizationOutOfTolerance(
                     f"mass {t!r} deviates from 1 by more than {INPUT_MASS_TOLERANCE}")
             raise _row_error(error, r)
-        cut = drift > MASS_TOLERANCE
-        if cut.any():
-            values[cut] /= total[cut, None]
+        renormalize_rows(values, total)
         return _frozen(values)
     if mode == "logits":
         temps = np.asarray(temperatures, dtype=np.float64)
@@ -144,6 +142,14 @@ def _row_error(error: ValueError, row: int) -> ValueError:
     return error
 
 
+def renormalize_rows(rows: np.ndarray, total: np.ndarray) -> None:
+    """Divide each row of ``rows`` whose mass ``total[r]`` is off 1 by more
+    than ``MASS_TOLERANCE`` by that mass, in place; the others keep their bits."""
+    cut = np.abs(total - 1.0) > MASS_TOLERANCE
+    if cut.any():
+        rows[cut] /= total[cut, None]
+
+
 def make_distribution(
     values: Sequence[float],
     mode: str = "probs",
@@ -167,18 +173,31 @@ def uniform_distribution(n: int) -> ProbabilityDistribution:
     return ProbabilityDistribution(np.full(n, 1.0 / n))
 
 
+def row_entropies(rows: np.ndarray) -> list[float]:
+    """-sum p ln p of every row of a ``(B, n)`` block of probability rows.
+
+    One ``log`` and one stacked ``matmul``, which numpy evaluates as one
+    BLAS ``ddot`` per row: each entry has the bits of ``np.dot``, taken from
+    +0.0 so that one token gives +0.0, not -0.0.  A zero entry (of either
+    sign, anywhere) has log -inf and makes its row's sum nan; such a row is
+    summed again over its positive entries.
+    """
+    with np.errstate(divide="ignore", invalid="ignore"):
+        h = 0.0 - np.matmul(rows[:, None, :], np.log(rows)[:, :, None]).ravel()
+    for r in np.flatnonzero(np.isnan(h)).tolist():
+        pos = rows[r][rows[r] > 0.0]
+        h[r] = 0.0 - np.dot(pos, np.log(pos))
+    return h.tolist()
+
+
 def _entropy_of(values: np.ndarray) -> float:
-    pos = values[values > 0.0]
-    if pos.size == 0:
-        return 0.0
-    return float(0.0 - np.dot(pos, np.log(pos)))  # +0.0, not -0.0, for one token
+    """``row_entropies`` of one row."""
+    return row_entropies(values[None, :])[0]
 
 
 def entropy(dist: Union[ProbabilityDistribution, SubsetDistribution]) -> float:
     """Shannon entropy -sum p ln p in nats; lies in [0, ln n]."""
-    if isinstance(dist, SubsetDistribution):
-        return _entropy_of(dist.q)
-    return _entropy_of(dist.probs)
+    return _entropy_of(dist.q if isinstance(dist, SubsetDistribution) else dist.probs)
 
 
 def renormalize(

@@ -244,28 +244,25 @@ def _theta_in_range(theta: Mpf, k: int) -> bool:
     return bool(0 < theta < _CTX.mpf(1) / (2 * k * k))
 
 
-def _calibration(k: int, theta: Mpf) -> tuple[Fraction, Mpf, Mpf]:
-    """gamma_K, delta_K and epsilon_K for budget coefficient K and deficit theta."""
-    ln_k = _CTX.log(k)
+def _calibration(k: int, ln_k: Mpf, theta: Mpf) -> tuple[Fraction, Mpf, Mpf, int, Mpf]:
+    """gamma_K, delta_K, epsilon_K and the booster-count exponent (ceiled, raw)
+    for budget coefficient K, ``ln_k`` = ln K and deficit theta; raises if the
+    raw exponent is too close to an integer to ceil safely at ``DEFAULT_DPS``."""
     gamma = Fraction(1, 16 * k * k)
-    return gamma, 5 * theta / (2 * ln_k), (_mpf(_C_EPS) + _mpf(gamma)) / ln_k
-
-
-def lambda_exponent(k: int, theta: Mpf) -> tuple[int, Mpf]:
-    """Booster-count exponent for budget coefficient K and deficit theta.
-
-    Returns (ceil value, raw value).  Raises if the raw value sits too
-    close to an integer for the ceiling to be trustworthy at the working
-    precision.  ``theta`` may be a number of any mpmath context.
-    """
-    _, delta, eps = _calibration(k, _CTX.convert(theta))
+    delta = 5 * theta / (2 * ln_k)
+    eps = (_mpf(_C_EPS) + _mpf(gamma)) / ln_k
     raw = (_mpf(_C_NUM) - eps + delta) / _mpf(_C_DEN)
     nearest = _CTX.nint(raw)
     if abs(raw - nearest) < _UNRESOLVABLE and raw != nearest:
         raise PrecisionInsufficient(
-            f"lambda expression {raw} is too close to an integer to ceil safely"
-        )
-    return int(_CTX.ceil(raw)), raw
+            f"lambda expression {raw} is too close to an integer to ceil safely")
+    return gamma, delta, eps, int(_CTX.ceil(raw)), raw
+
+
+def lambda_exponent(k: int, theta: Mpf) -> tuple[int, Mpf]:
+    """Booster-count exponent (ceil value, raw value) for budget coefficient K
+    and deficit theta, a number of any mpmath context (see ``_calibration``)."""
+    return _calibration(k, _CTX.log(k), _CTX.convert(theta))[3:]
 
 
 def reduce_to_ecme(instance: CcssInstance) -> EcmeInstance:
@@ -303,8 +300,7 @@ def reduce_to_ecme(instance: CcssInstance) -> EcmeInstance:
             f"(0, 1/(2K^2)={_CTX.nstr(_CTX.mpf(1) / (2 * k * k), 8)}); "
             "the construction needs near-uniform heavy ratios (m == K)"
         )
-    gamma, delta, eps = _calibration(k, theta)
-    lam, lam_raw = lambda_exponent(k, theta)
+    gamma, delta, eps, lam, lam_raw = _calibration(k, ln_k, theta)
     booster_count = k ** lam
     w_b = Fraction(tau, 2 * booster_count)
     normalizer = Fraction(sum(instance.weights)) + Fraction(tau, 2)

@@ -39,7 +39,6 @@ Conventions that pin down exact outputs:
 
 from __future__ import annotations
 
-import contextlib
 import enum
 import math
 import numbers
@@ -49,10 +48,10 @@ from typing import Sequence
 import numpy as np
 
 from .distributions import (
-    MASS_TOLERANCE,
     ProbabilityDistribution,
     SubsetDistribution,
-    _entropy_of,
+    renormalize_rows,
+    row_entropies,
 )
 from .errors import (
     AlphaOutOfRange,
@@ -207,10 +206,13 @@ class SelectionBlock:
             trace=None if self.trace is None else self.trace[r],
         )
 
-    def draw(self, u: np.ndarray) -> np.ndarray:
-        """Inverse-CDF tokens: entry ``[r, j]`` is row ``r``'s token for ``u[r, j]``."""
-        q = self.work[:, : max(self.counts)] / np.asarray(self.gamma)[:, None]
-        return _inverse_cdf(q, self.order, self.counts, u)
+    def draw(self, u: np.ndarray, start: int = 0) -> np.ndarray:
+        """Inverse-CDF tokens of rows ``start`` on: entry ``[i, j]`` is row
+        ``start + i``'s token for ``u[i, j]``."""
+        rows = slice(start, start + len(u))
+        counts = self.counts[rows]
+        q = self.work[rows, : max(counts)] / np.asarray(self.gamma[rows])[:, None]
+        return _inverse_cdf(q, self.order[rows], counts, u)
 
 
 def _inverse_cdf(q: np.ndarray, tokens: np.ndarray, counts: Sequence[int],
@@ -313,27 +315,6 @@ def _top_h_scan(row: list[float], threshold: float, order: np.ndarray | None):
     return count, h_q, stop, tuple(steps)
 
 
-#: ``_row_entropies``'s floating-point settings when no row holds a zero.
-_NO_FP_CHANGE = contextlib.nullcontext()
-
-
-def _row_entropies(rows: np.ndarray) -> list[float]:
-    """``_entropy_of`` of every row of a ``(B, m)`` matrix of descending rows.
-
-    One ``log`` and one stacked ``matmul``, which numpy evaluates as one
-    ``np.dot`` per row, so each entry has the bits of ``_entropy_of``; a row
-    with a zero entry (its last, as the row is descending) takes
-    ``_entropy_of`` itself, which drops the zeros.
-    """
-    zeros = [r for r, last in enumerate(rows[:, -1].tolist()) if last <= 0.0]
-    # a zero entry's log is -inf, and its product nan: those rows are redone
-    with np.errstate(divide="ignore", invalid="ignore") if zeros else _NO_FP_CHANGE:
-        h = (0.0 - np.matmul(rows[:, None, :], np.log(rows)[:, :, None])).ravel().tolist()
-    for r in zeros:
-        h[r] = _entropy_of(rows[r])
-    return h
-
-
 def select_block(
     probs: np.ndarray,
     config: TruncationConfig,
@@ -343,14 +324,15 @@ def select_block(
 
     The rows are taken as validated (``distributions.validate_block``); row
     ``r`` of the result is record ``r``'s selection under ``config.method``.
-    ``h_p`` comes from ``_row_entropies`` of the work matrix.  Top-H scans
-    each row's first ``_HEAD`` work entries, converted for the whole block
-    at once, and scans a row again from all its entries only when it kept
-    that whole head and has more.  The rows are then grouped by their count
-    k: one sum over the first k columns gives each group's ``gamma``, and
-    the baselines' ``h_q`` is ``_row_entropies`` of each group's kept
-    entries over its ``gamma``.  A row sum is pairwise over the row, as a
-    one-row sum is, so every figure has the bits of the row on its own.
+    ``h_p`` is ``distributions.row_entropies`` of the work matrix, and the
+    traced ``h_p_full`` that of ``probs``.  Top-H scans each row's first
+    ``_HEAD`` work entries, converted for the whole block at once, and scans
+    a row again from all its entries only when it kept that whole head and
+    has more.  The rows are then grouped by their count k: one sum over
+    the first k columns gives each group's ``gamma``, and the baselines'
+    ``h_q`` is ``row_entropies`` of each group's kept entries over its
+    ``gamma``.  A row sum is pairwise over the row, as a one-row sum is, so
+    every figure has the bits of the row on its own.
     """
     size, n = probs.shape
     full = _descending_order(probs)
@@ -358,22 +340,17 @@ def select_block(
     # a copy, so the full ordering is released with this function
     order = full if c == n else full[:, :c].copy()
     work = _gather(probs, order)
-    total = np.add.reduce(work, axis=1)
-    cut = [abs(t - 1.0) > MASS_TOLERANCE for t in total.tolist()]
-    if any(cut):
-        # rows whose cap bit; the others (the cap cut nothing, or only exact
-        # zeros) keep their entries bit-exact
-        work[cut] /= total[cut, None]
-    dropped = None
+    # a row the cap cut mass from is divided by its mass; the others (the cap
+    # cut nothing, or only exact zeros) keep their entries bit-exact
+    renormalize_rows(work, np.add.reduce(work, axis=1))
+    dropped = h_p_full = None
     if collect_trace:
-        dropped = [0.0] * size if c == n else \
-            _gather(probs, full[:, c:]).sum(axis=1).tolist()
+        dropped = [0.0] * size if c == n else _gather(probs, full[:, c:]).sum(axis=1).tolist()
     del full
 
-    h_p = _row_entropies(work)
-    h_p_full = None
+    h_p = row_entropies(work)
     if collect_trace:
-        h_p_full = h_p if c == n else [_entropy_of(row) for row in probs]
+        h_p_full = h_p if c == n else row_entropies(probs)
     threshold: list[float | None] = [None] * size
     stop: list[str | None] = [None] * size
     h_q: list[float] | None = None
@@ -422,7 +399,7 @@ def select_block(
         for r, g in zip(members, sums.tolist()):
             gamma[r] = g
         if baseline:
-            for r, h in zip(members, _row_entropies(kept / sums[:, None])):
+            for r, h in zip(members, row_entropies(kept / sums[:, None])):
                 h_q[r] = h
     return SelectionBlock(
         n=n, order=order, work=work, counts=counts, gamma=gamma, h_p=h_p, h_q=h_q,

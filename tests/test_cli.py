@@ -432,6 +432,27 @@ class TestGenerateMemory:
         assert peak(16) < peak(2) + 2**20
 
 
+class TestSampleMemory:
+    def test_peak_does_not_grow_with_the_records_of_a_block(self, tmp_path):
+        # 163 records of V=100 make one block, but 16384 draws a record fill
+        # the element budget: each record is drawn and written before the next
+        paths = {count: tmp_path / f"v{count}.jsonl" for count in (1, 163)}
+        for count, path in paths.items():
+            write_gaussian_records(path, [100] * count, seed=9)
+
+        def peak(count):
+            tracemalloc.start()
+            try:
+                assert main(["sample", "--num-samples", "16384", "--input", str(paths[count]),
+                             "--output", str(tmp_path / "out")]) == 0
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(1)  # one-off costs, such as building the parser, land outside the measurement
+        assert peak(163) < peak(1) + 2**20
+
+
 def write_gaussian_records(path, sizes, seed):
     """Softmax-of-gaussian probs records of the given vocabulary sizes, some with exact zeros."""
     rng = np.random.default_rng(seed)

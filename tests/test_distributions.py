@@ -8,11 +8,13 @@ from hypothesis import given, settings, strategies as st
 
 from toph.distributions import (
     ProbabilityDistribution,
+    _entropy_of,
     entropy,
     jsd_closed_form,
     jsd_direct,
     make_distribution,
     renormalize,
+    row_entropies,
     uniform_distribution,
     validate_block,
 )
@@ -28,6 +30,7 @@ from toph.errors import (
     ZeroMassSubset,
     DimensionMismatch,
 )
+from toph.truncation import TruncationConfig, select_block
 
 from top_h_reference import EntropyAccumulator, MassOverflow, NonPositiveProbability
 
@@ -135,6 +138,67 @@ class TestEntropy:
             p = random_distribution(rng, n)
             h = entropy(p)
             assert -1e-12 <= h <= math.log(max(n, 2)) + 1e-12
+
+
+def dot_entropy(row):
+    """The bits the one entropy routine must give: ``np.dot`` over the positive entries."""
+    pos = row[row > 0.0]
+    return float(0.0 - np.dot(pos, np.log(pos)))
+
+
+def same_bits(got, expected):
+    return [float(h).hex() for h in got] == [float(h).hex() for h in expected]
+
+
+#: Entries of either-signed zeros, denormals, ones and ordinary probabilities.
+ENTRIES = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, 5e-324]),
+    st.floats(min_value=5e-324, max_value=2.2250738585072014e-308),
+    st.floats(min_value=1e-300, max_value=1.0),
+)
+
+
+@st.composite
+def entropy_blocks(draw):
+    """``(B, n)`` blocks, n = 1 included, with zeros anywhere and some one-hot rows."""
+    size, n = draw(st.integers(1, 6)), draw(st.integers(1, 40))
+    block = np.array(draw(st.lists(st.lists(ENTRIES, min_size=n, max_size=n),
+                                   min_size=size, max_size=size)))
+    for r in draw(st.sets(st.integers(0, size - 1))):
+        block[r] = 0.0
+        block[r, draw(st.integers(0, n - 1))] = 1.0
+    return block
+
+
+class TestRowEntropies:
+    """Every entropy of a probability row comes from ``row_entropies``, with
+    the bits of ``np.dot`` over the row's positive entries."""
+
+    @given(entropy_blocks())
+    @settings(max_examples=200, deadline=None)
+    def test_each_row_has_the_bits_of_np_dot(self, block):
+        expected = [dot_entropy(row) for row in block]
+        assert same_bits(row_entropies(block), expected)
+        assert same_bits([_entropy_of(row) for row in block], expected)
+
+    @pytest.mark.parametrize("n", [32768, 131072])
+    def test_large_rows(self, n):
+        rng = np.random.default_rng(n)
+        block = np.exp(rng.normal(0.0, 2.0, (3, n)))
+        block[1, ::5] = 0.0  # zeros inside the row, not at its end
+        block[2, -1] = -0.0
+        block /= block.sum(axis=1, keepdims=True)
+        assert same_bits(row_entropies(block), [dot_entropy(row) for row in block])
+
+    def test_traced_h_p_full_is_each_rows_entropy(self):
+        rng = np.random.default_rng(3)
+        block = np.exp(rng.normal(0.0, 2.0, (5, 500)))
+        block[0, ::7] = 0.0
+        block /= block.sum(axis=1, keepdims=True)
+        selection = select_block(block, TruncationConfig(candidate_cap=100), collect_trace=True)
+        assert selection.h_p_full != selection.h_p  # the cap cut every row
+        assert same_bits(selection.h_p_full, [_entropy_of(row) for row in block])
+        assert same_bits(selection.h_p_full, [dot_entropy(row) for row in block])
 
 
 class TestRenormalize:

@@ -1,11 +1,17 @@
 """The package imports nothing but the standard library and its declared
-dependencies, and leaves mpmath's global precision alone."""
+dependencies, leaves mpmath's global precision alone, and loads mpmath in
+the CLI only for the commands that need it."""
 
 import ast
+import json
+import os
+import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+
+from toph.hardness import CcssInstance, ccss_to_json
 
 SOURCES = sorted((Path(__file__).resolve().parent.parent / "src" / "toph").glob("*.py"))
 
@@ -74,3 +80,31 @@ def test_a_global_precision_use_is_found():
         "ctx = mpmath.MPContext()\nctx.dps = 50\n"
         "doc = 'mpmath.mp.dps'  # mp.workdps\n")
     assert global_precision_uses(tree) == [2, 4, 5, 6]
+
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def mpmath_loaded_after(code: str) -> bool:
+    """Whether a fresh interpreter has imported mpmath once it has run ``code``."""
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", f"{code}\nimport sys\nprint('mpmath' in sys.modules)"],
+        env={**os.environ, "PYTHONPATH": path}, capture_output=True, text=True, check=True)
+    return done.stdout.splitlines()[-1] == "True"  # a command may print before it
+
+
+@pytest.mark.parametrize("argv, loaded", [
+    pytest.param(None, False, id="import"),
+    pytest.param(["truncate", "--input", "{data}", "--output", "{out}"], False, id="truncate"),
+    pytest.param(["reduce", "--input", "{ccss}", "--output", "{out}"], True, id="reduce"),
+])
+def test_the_cli_loads_mpmath_only_for_the_hardness_commands(tmp_path, argv, loaded):
+    data, ccss, out = tmp_path / "data.jsonl", tmp_path / "ccss.json", tmp_path / "out"
+    data.write_text('{"id": "a", "probs": [0.6, 0.3, 0.1]}\n')
+    ccss.write_text(json.dumps(ccss_to_json(CcssInstance((3, 5, 7), 15, 3))))
+    code = "import toph.cli"
+    if argv is not None:
+        argv = [arg.format(data=data, ccss=ccss, out=out) for arg in argv]
+        code += f"\nassert toph.cli.main({argv!r}) == 0"
+    assert mpmath_loaded_after(code) is loaded
