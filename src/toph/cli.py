@@ -343,9 +343,11 @@ def _load_instance(path: str, from_json):
     """Read a hardness JSON file and parse it with ``from_json``."""
     try:
         with open(path, encoding="utf-8") as fh:
-            return from_json(json.load(fh))
-    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+            obj = json.load(fh)
+    except (OSError, ValueError, RecursionError) as exc:  # ValueError: bad text, JSON or int
         raise MalformedRecord(None, f"cannot parse {path}: {exc}") from exc
+    try:
+        return from_json(obj)
     except MalformedRecord as exc:
         raise MalformedRecord(None, f"{path}: {exc.reason}") from exc
 
@@ -355,8 +357,8 @@ def cmd_reduce(args) -> CommandResult:
     instance = _load_instance(args.input, hardness.ccss_from_json)
     prepped = hardness.prepare(instance)
     ecme = hardness.reduce_to_ecme(prepped)
-    c = ecme.constants
-    print(f"k={ecme.k} m={ecme.m} lambda={c.lambda_k} boosters={c.booster_count}")
+    print(f"k={ecme.k} m={ecme.m} lambda={ecme.constants.lambda_k} "
+          f"boosters={ecme.booster_count}")
     return CommandResult({}, input=args.input, output=_json_text(hardness.ecme_to_json(ecme)))
 
 

@@ -9,6 +9,9 @@ m "heavy" items (the weights) plus an implicitly stored block of B
 identical low-probability "booster" items, together with an exact mass
 target beta and a high-precision entropy budget.
 
+An ``EcmeInstance`` keeps only what the reduction chose; ``ecme_from_json``
+recomputes the derived fields a file stores and refuses one that differs.
+
 Arithmetic discipline: weights and derived counts are arbitrary-precision
 integers, probabilities are exact rationals, and only the transcendental
 entropy/log terms are evaluated in high-precision floating point: one
@@ -33,6 +36,7 @@ inside the theta window as long as the deficit is below ~20% of tau.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
@@ -130,44 +134,48 @@ def _narrow_range_holds(weights: Sequence[int], tau: int, k: int) -> bool:
     return all(lo < w < hi for w in weights)
 
 
+def _gamma(k: int) -> Fraction:
+    """gamma_K = 1 / (16 K^2), the entropy-gap constant."""
+    return Fraction(1, 16 * k * k)
+
+
 @dataclass(frozen=True)
 class ReductionConstants:
-    gamma_k: Fraction          # 1 / (16 K^2)
     theta_k: Mpf               # ln K - H(w/tau), the uniformity deficit
     delta_k: Mpf               # 5 theta / (2 ln K)
-    epsilon_k: Mpf             # (0.0384 + gamma) / ln K
+    epsilon_k: Mpf             # (0.0384 + gamma_K) / ln K
     lambda_k: int              # ceil((0.7333 - eps + delta) / 0.133)
     lambda_raw: Mpf            # the same quantity before the ceiling
-    booster_count: int         # B = K ** lambda_k
-    w_b: Fraction              # booster weight tau / (2B)
-    normalizer: Fraction       # W = sum(w) + tau/2
 
 
 @dataclass(frozen=True)
 class EcmeInstance:
-    """Reduction output: heavy probabilities plus an implicit booster block.
+    """Reduction output: m heavy items plus an implicit block of B boosters.
 
-    ``heavy_probs[i] = weights[i] / W`` and ``booster_prob = w_b / W`` with
-    W the exact total weight, so the full vector sums to 1 exactly.  The
-    mass target ``beta = tau / W`` corresponds to subsets of weight exactly
-    tau; it equals 2/3 exactly whenever sum(weights) == tau.  Boosters are
-    never materialized: all their mass/entropy contributions are computed
-    from (count, unit probability).
+    Only the independent data are fields.  With W = sum(weights) + tau/2 the
+    exact total weight, heavy item i has probability ``weights[i] / W`` and
+    each booster ``w_b / W``, so the full vector sums to 1 exactly; the mass
+    target ``beta = tau / W`` corresponds to subsets of weight exactly tau
+    and equals 2/3 whenever sum(weights) == tau.  These derived values
+    appear only in the JSON form (``ecme_to_json``).  Boosters are never
+    materialized: their mass and entropy come from (B, w_b).
     """
 
     weights: tuple[int, ...]
     tau: int
     k: int
-    heavy_probs: tuple[Fraction, ...]
-    booster_count: int
-    booster_prob: Fraction
-    beta: Fraction
+    booster_count: int         # B = K ** lambda_k
     budget: Mpf
     constants: ReductionConstants
 
     @property
     def m(self) -> int:
         return len(self.weights)
+
+    @property
+    def w_b(self) -> Fraction:
+        """Booster weight tau / (2B): the booster block weighs tau/2 whatever B is."""
+        return Fraction(self.tau, 2 * self.booster_count)
 
 
 @dataclass(frozen=True)
@@ -244,25 +252,24 @@ def _theta_in_range(theta: Mpf, k: int) -> bool:
     return bool(0 < theta < _CTX.mpf(1) / (2 * k * k))
 
 
-def _calibration(k: int, ln_k: Mpf, theta: Mpf) -> tuple[Fraction, Mpf, Mpf, int, Mpf]:
-    """gamma_K, delta_K, epsilon_K and the booster-count exponent (ceiled, raw)
-    for budget coefficient K, ``ln_k`` = ln K and deficit theta; raises if the
+def _calibration(k: int, ln_k: Mpf, theta: Mpf) -> tuple[Mpf, Mpf, int, Mpf]:
+    """delta_K, epsilon_K and the booster-count exponent (ceiled, raw) for
+    budget coefficient K, ``ln_k`` = ln K and deficit theta; raises if the
     raw exponent is too close to an integer to ceil safely at ``DEFAULT_DPS``."""
-    gamma = Fraction(1, 16 * k * k)
     delta = 5 * theta / (2 * ln_k)
-    eps = (_mpf(_C_EPS) + _mpf(gamma)) / ln_k
+    eps = (_mpf(_C_EPS) + _mpf(_gamma(k))) / ln_k
     raw = (_mpf(_C_NUM) - eps + delta) / _mpf(_C_DEN)
     nearest = _CTX.nint(raw)
     if abs(raw - nearest) < _UNRESOLVABLE and raw != nearest:
         raise PrecisionInsufficient(
             f"lambda expression {raw} is too close to an integer to ceil safely")
-    return gamma, delta, eps, int(_CTX.ceil(raw)), raw
+    return delta, eps, int(_CTX.ceil(raw)), raw
 
 
 def lambda_exponent(k: int, theta: Mpf) -> tuple[int, Mpf]:
     """Booster-count exponent (ceil value, raw value) for budget coefficient K
     and deficit theta, a number of any mpmath context (see ``_calibration``)."""
-    return _calibration(k, _CTX.log(k), _CTX.convert(theta))[3:]
+    return _calibration(k, _CTX.log(k), _CTX.convert(theta))[2:]
 
 
 def reduce_to_ecme(instance: CcssInstance) -> EcmeInstance:
@@ -300,40 +307,13 @@ def reduce_to_ecme(instance: CcssInstance) -> EcmeInstance:
             f"(0, 1/(2K^2)={_CTX.nstr(_CTX.mpf(1) / (2 * k * k), 8)}); "
             "the construction needs near-uniform heavy ratios (m == K)"
         )
-    gamma, delta, eps, lam, lam_raw = _calibration(k, ln_k, theta)
-    booster_count = k ** lam
-    w_b = Fraction(tau, 2 * booster_count)
-    normalizer = Fraction(sum(instance.weights)) + Fraction(tau, 2)
-    heavy_probs = tuple(Fraction(w) / normalizer for w in instance.weights)
-    booster_prob = w_b / normalizer
-    beta = Fraction(tau) / normalizer
-
+    delta, eps, lam, lam_raw = _calibration(k, ln_k, theta)
     h_heavy = Fraction(2, 3) * (pseudo_h + _CTX.log(_CTX.mpf(2) / 3))
     h_boost = Fraction(1, 3) * (_CTX.log(3) + lam_raw * ln_k)
-    budget = Fraction(2, 5) * (h_heavy + h_boost)
-
-    constants = ReductionConstants(
-        gamma_k=gamma,
-        theta_k=theta,
-        delta_k=delta,
-        epsilon_k=eps,
-        lambda_k=lam,
-        lambda_raw=lam_raw,
-        booster_count=booster_count,
-        w_b=w_b,
-        normalizer=normalizer,
-    )
-    return EcmeInstance(
-        weights=instance.weights,
-        tau=tau,
-        k=k,
-        heavy_probs=heavy_probs,
-        booster_count=booster_count,
-        booster_prob=booster_prob,
-        beta=beta,
-        budget=budget,
-        constants=constants,
-    )
+    constants = ReductionConstants(theta_k=theta, delta_k=delta, epsilon_k=eps,
+                                   lambda_k=lam, lambda_raw=lam_raw)
+    return EcmeInstance(weights=instance.weights, tau=tau, k=k, booster_count=k ** lam,
+                        budget=Fraction(2, 5) * (h_heavy + h_boost), constants=constants)
 
 
 # --- verifiers ---------------------------------------------------------------
@@ -341,7 +321,7 @@ def reduce_to_ecme(instance: CcssInstance) -> EcmeInstance:
 def verify_budget_window(instance: EcmeInstance) -> WindowCheck:
     """Check ln K - gamma_K < budget < ln(K+1) with explicit margins."""
     k, budget = instance.k, _CTX.convert(instance.budget)
-    lower_margin = budget - (_CTX.log(k) - _mpf(instance.constants.gamma_k))
+    lower_margin = budget - (_CTX.log(k) - _mpf(_gamma(k)))
     upper_margin = _CTX.log(k + 1) - budget
     for margin in (lower_margin, upper_margin):
         if abs(margin) < _UNRESOLVABLE:
@@ -358,39 +338,20 @@ def verify_instance(instance: EcmeInstance) -> list[tuple[str, bool, str]]:
 
     ``heavy_count`` (m == K) is the precondition of structural ``decide``;
     every ``reduce_to_ecme`` output meets it (see the module docstring).
-    ``exact_fields``: the stored rationals are the ones the weights determine.
+    The exact identities (total mass 1, booster block weight tau/2) hold by
+    construction: the instance stores no probability that could break them.
     """
     window = verify_budget_window(instance)
     c = instance.constants
-    total = sum(instance.heavy_probs) + instance.booster_count * instance.booster_prob
-    # p * W == w, not p == w / W: a hand-written W of 0 divides nothing.  For
-    # K >= 2, B == K**lambda implies lambda <= bit_length(B): no huge power.
-    fields = {
-        "normalizer": c.normalizer == sum(instance.weights) + Fraction(instance.tau, 2),
-        "heavy_probs": len(instance.heavy_probs) == instance.m and all(
-            p * c.normalizer == w for p, w in zip(instance.heavy_probs, instance.weights)),
-        "booster_prob": instance.booster_prob * c.normalizer == c.w_b,
-        "beta": instance.beta * c.normalizer == instance.tau,
-        "booster_count": (instance.booster_count == c.booster_count
-                          and 0 <= c.lambda_k <= c.booster_count.bit_length()
-                          and c.booster_count == instance.k ** c.lambda_k),
-    }
-    wrong = [name for name, ok in fields.items() if not ok]
     return [
         ("budget_window", window.holds,
          f"lower_margin={_CTX.nstr(window.lower_margin, 8)} "
          f"upper_margin={_CTX.nstr(window.upper_margin, 8)}"),
         ("narrow_range", _narrow_range_holds(instance.weights, instance.tau, instance.k),
          "exact rational comparison"),
-        ("total_mass_one", total == 1, "exact rational identity"),
         ("theta_bounds", _theta_in_range(c.theta_k, instance.k),
          f"theta={_CTX.nstr(c.theta_k, 8)}"),
-        ("booster_block_weight", c.w_b * 2 * instance.booster_count == instance.tau,
-         "2 B w_b == tau"),
         ("heavy_count", instance.m == instance.k, f"m={instance.m} K={instance.k}"),
-        ("exact_fields", not wrong,
-         f"wrong: {', '.join(wrong)}" if wrong
-         else "W = sum(w) + tau/2, p_i = w_i/W, p_b = w_b/W, beta = tau/W, B = K**lambda"),
     ]
 
 
@@ -410,7 +371,7 @@ def mixed_subset_entropy(
     """
     if booster_count < 0 or booster_count > instance.booster_count:
         raise InvalidParameters("booster count out of range")
-    total = Fraction(subset_weight(instance, heavy_indices)) + booster_count * instance.constants.w_b
+    total = Fraction(subset_weight(instance, heavy_indices)) + booster_count * instance.w_b
     if total <= 0:
         raise WrongMass("subset carries no weight")
     total_mp = _mpf(total)
@@ -420,8 +381,8 @@ def mixed_subset_entropy(
         w = instance.weights[i]
         h += (_CTX.mpf(w) / total_mp) * (ln_total - _CTX.log(w))
     if booster_count:
-        r_b = _mpf(instance.constants.w_b) / total_mp
-        h += booster_count * r_b * (ln_total - _CTX.log(_mpf(instance.constants.w_b)))
+        r_b = _mpf(instance.w_b) / total_mp
+        h += booster_count * r_b * (ln_total - _CTX.log(_mpf(instance.w_b)))
     return h
 
 
@@ -498,7 +459,7 @@ def _full_space_candidates(instance: EcmeInstance) -> Iterator[int]:
     tau, big_b = instance.tau, instance.booster_count
     if 2 * big_b * tau >= 2**62:
         raise TooManyHeavyItems("booster count too large for the vectorized screen")
-    w_b = float(instance.constants.w_b)
+    w_b = float(instance.w_b)
     limit = float(instance.budget) + 1e-6
     step = tau // math.gcd(2 * big_b, tau)
     wlogw_column = np.asarray([w * math.log(w) for w in instance.weights])
@@ -516,8 +477,9 @@ def decide_ecme_small(instance: EcmeInstance, mode: str = "structural") -> EcmeD
     mass-beta subsets overshoot the budget; booster-free ones must have
     exactly K items of total weight tau) to an m == K instance, as every
     ``reduce_to_ecme`` output is, and raises ``WrongCardinality`` otherwise.
-    Its one K-subset ``range(m)`` is checked directly (weight == tau, exact
-    mass == beta, entropy <= budget at 50 digits) and is the witness.
+    Its one K-subset ``range(m)`` is checked directly (weight == tau, which
+    makes its mass exactly beta, and entropy <= budget at 50 digits) and is
+    the witness.
     ``full`` mode cross-validates on tiny instances over every heavy subset
     whose weight leaves a deficit that a whole number of boosters fills
     exactly (``_full_space_candidates``); its witness is the qualifying
@@ -531,7 +493,6 @@ def decide_ecme_small(instance: EcmeInstance, mode: str = "structural") -> EcmeD
                                    f"heavy items and K={instance.k}; use --mode full")
         subset = tuple(range(instance.m))
         if (subset_weight(instance, subset) == instance.tau
-                and sum(instance.heavy_probs) == instance.beta
                 and mixed_subset_entropy(instance, subset, 0) <= instance.budget):
             return EcmeDecision(is_yes=True, witness=subset)
         return EcmeDecision(is_yes=False, witness=None)
@@ -560,12 +521,48 @@ def brute_force_ccss(instance: CcssInstance) -> tuple[bool, tuple[int, ...] | No
 
 # --- JSON serialization -------------------------------------------------------
 
-def _frac_to_json(f: Fraction) -> dict:
-    return {"num": str(f.numerator), "den": str(f.denominator)}
+_DECIMAL = re.compile(r"-?[0-9]+")
 
 
-def _frac_from_json(obj: dict) -> Fraction:
-    return Fraction(int(obj["num"]), int(obj["den"]))
+def _int_from_json(value, name: str, strings: bool = True) -> int:
+    """``value`` as an integer: a JSON integer or, where ``strings``, a decimal
+    string, as the writers write them.  A bool, a float or any other string
+    raises ``ValueError`` naming the field."""
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    if strings and isinstance(value, str) and _DECIMAL.fullmatch(value):
+        return int(value)
+    kinds = "a decimal string or a JSON integer" if strings else "a JSON integer"
+    raise ValueError(f"{name} must be {kinds}, got {value!r}")
+
+
+def _weights_from_json(value) -> tuple[int, ...]:
+    if not isinstance(value, list):
+        raise ValueError(f"weights must be a list, got {type(value).__name__}")
+    return tuple(_int_from_json(w, f"weights[{i}]") for i, w in enumerate(value))
+
+
+def _ratio_json(num: int, den: int) -> dict:
+    """The JSON form of the rational num/den (den > 0), in lowest terms."""
+    g = math.gcd(num, den)
+    return {"num": str(num // g), "den": str(den // g)}
+
+
+def _derived_json(instance: EcmeInstance) -> dict:
+    """The JSON form of the fields that the weights, tau, K and B determine, keyed
+    by their path in an ECME object.  With d = 2W = 2 sum(w) + tau, twice the total
+    weight: p_i = w_i/W = 2 w_i/d, p_b = w_b/W = tau/(B d), beta = tau/W = 2 tau/d."""
+    tau, big_b = instance.tau, instance.booster_count
+    d = 2 * sum(instance.weights) + tau
+    return {
+        "heavy_probs": [_ratio_json(2 * w, d) for w in instance.weights],
+        "booster_prob": _ratio_json(tau, big_b * d),
+        "beta": _ratio_json(2 * tau, d),
+        "constants.gamma_k": _ratio_json(*_gamma(instance.k).as_integer_ratio()),
+        "constants.booster_count": str(big_b),
+        "constants.w_b": _ratio_json(tau, 2 * big_b),
+        "constants.normalizer": _ratio_json(d, 2),
+    }
 
 
 def ccss_to_json(instance: CcssInstance) -> dict:
@@ -583,9 +580,9 @@ def ccss_from_json(obj: dict) -> CcssInstance:
         if obj.get("kind") != "ccss":
             raise KeyError("kind")
         return CcssInstance(
-            weights=tuple(int(w) for w in obj["weights"]),
-            tau=int(obj["tau"]),
-            k=int(obj["k"]),
+            weights=_weights_from_json(obj["weights"]),
+            tau=_int_from_json(obj["tau"], "tau"),
+            k=_int_from_json(obj["k"], "k", strings=False),
         )
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise MalformedRecord(None, f"not a valid CCSS object: {exc}") from exc
@@ -593,27 +590,28 @@ def ccss_from_json(obj: dict) -> CcssInstance:
 
 def ecme_to_json(instance: EcmeInstance) -> dict:
     c = instance.constants
+    derived = _derived_json(instance)
     return {
         "schema_version": SCHEMA_VERSION,
         "kind": "ecme",
         "weights": [str(w) for w in instance.weights],
         "tau": str(instance.tau),
         "k": instance.k,
-        "heavy_probs": [_frac_to_json(f) for f in instance.heavy_probs],
+        "heavy_probs": derived["heavy_probs"],
         "booster_count": str(instance.booster_count),
-        "booster_prob": _frac_to_json(instance.booster_prob),
-        "beta": _frac_to_json(instance.beta),
+        "booster_prob": derived["booster_prob"],
+        "beta": derived["beta"],
         "budget": _CTX.nstr(instance.budget, DEFAULT_DPS - 5),
         "constants": {
-            "gamma_k": _frac_to_json(c.gamma_k),
+            "gamma_k": derived["constants.gamma_k"],
             "theta_k": _CTX.nstr(c.theta_k, DEFAULT_DPS - 5),
             "delta_k": _CTX.nstr(c.delta_k, DEFAULT_DPS - 5),
             "epsilon_k": _CTX.nstr(c.epsilon_k, DEFAULT_DPS - 5),
             "lambda_k": c.lambda_k,
             "lambda_raw": _CTX.nstr(c.lambda_raw, DEFAULT_DPS - 5),
-            "booster_count": str(c.booster_count),
-            "w_b": _frac_to_json(c.w_b),
-            "normalizer": _frac_to_json(c.normalizer),
+            "booster_count": derived["constants.booster_count"],
+            "w_b": derived["constants.w_b"],
+            "normalizer": derived["constants.normalizer"],
         },
     }
 
@@ -623,45 +621,44 @@ def ecme_from_json(obj: dict) -> EcmeInstance:
         if obj.get("kind") != "ecme":
             raise KeyError("kind")
         cj = obj["constants"]
-        constants = ReductionConstants(
-            gamma_k=_frac_from_json(cj["gamma_k"]),
-            theta_k=_CTX.mpf(cj["theta_k"]),
-            delta_k=_CTX.mpf(cj["delta_k"]),
-            epsilon_k=_CTX.mpf(cj["epsilon_k"]),
-            lambda_k=int(cj["lambda_k"]),
-            lambda_raw=_CTX.mpf(cj["lambda_raw"]),
-            booster_count=int(cj["booster_count"]),
-            w_b=_frac_from_json(cj["w_b"]),
-            normalizer=_frac_from_json(cj["normalizer"]),
-        )
         instance = EcmeInstance(
-            weights=tuple(int(w) for w in obj["weights"]),
-            tau=int(obj["tau"]),
-            k=int(obj["k"]),
-            heavy_probs=tuple(_frac_from_json(f) for f in obj["heavy_probs"]),
-            booster_count=int(obj["booster_count"]),
-            booster_prob=_frac_from_json(obj["booster_prob"]),
-            beta=_frac_from_json(obj["beta"]),
+            weights=_weights_from_json(obj["weights"]),
+            tau=_int_from_json(obj["tau"], "tau"),
+            k=_int_from_json(obj["k"], "k", strings=False),
+            booster_count=_int_from_json(obj["booster_count"], "booster_count"),
             budget=_CTX.mpf(obj["budget"]),
-            constants=constants,
+            constants=ReductionConstants(
+                theta_k=_CTX.mpf(cj["theta_k"]),
+                delta_k=_CTX.mpf(cj["delta_k"]),
+                epsilon_k=_CTX.mpf(cj["epsilon_k"]),
+                lambda_k=_int_from_json(cj["lambda_k"], "constants.lambda_k", strings=False),
+                lambda_raw=_CTX.mpf(cj["lambda_raw"]),
+            ),
         )
-    except (AttributeError, KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise MalformedRecord(None, f"not a valid ECME object: {exc}") from exc
     # the deciders take logs of tau, w and w_b and divide by gcd(2B, tau);
-    # an infinite budget decides YES and a NaN one NO, whatever the weights
-    c = instance.constants
+    # an infinite budget decides YES and a NaN one NO, whatever the weights.
+    # For K >= 2, B == K**lambda implies lambda <= bit_length(B): no huge power.
+    c, big_b = instance.constants, instance.booster_count
     wrong = [rule for rule, ok in (
         ("tau must be positive", instance.tau >= 1),
         ("weights must not be empty", len(instance.weights) > 0),
         ("weights must be positive", all(w >= 1 for w in instance.weights)),
         ("k must be at least 3", instance.k >= 3),
-        ("booster_count must be positive", instance.booster_count >= 1),
-        ("constants.w_b must be positive", c.w_b > 0),
+        ("booster_count must be positive", big_b >= 1),
         *((f"{name} must be finite", _CTX.isfinite(x)) for name, x in (
             ("budget", instance.budget), ("constants.theta_k", c.theta_k),
             ("constants.delta_k", c.delta_k), ("constants.epsilon_k", c.epsilon_k),
             ("constants.lambda_raw", c.lambda_raw))),
     ) if not ok]
+    if not wrong and not (0 <= c.lambda_k <= big_b.bit_length()
+                          and instance.k ** c.lambda_k == big_b):
+        wrong = ["booster_count must be k ** constants.lambda_k"]
+    if not wrong:
+        wrong = [f"{path} is not what weights, tau, k and booster_count give"
+                 for path, value in _derived_json(instance).items()
+                 if (cj if "." in path else obj).get(path.rpartition(".")[2]) != value]
     if wrong:
         raise MalformedRecord(None, f"not a valid ECME object: {'; '.join(wrong)}")
     return instance

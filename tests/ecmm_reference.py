@@ -51,7 +51,7 @@ def reference_full_candidates(instance):
     valid = (deficit >= 0) & (scaled % instance.tau == 0) & (scaled // instance.tau <= big_b)
     valid[0] = False  # a sampler set cannot be empty
     wlogw = subset_sums(np.asarray([w * math.log(w) for w in instance.weights]))
-    w_b = float(instance.constants.w_b)
+    w_b = float(instance.w_b)
     b_counts = np.where(valid, scaled // instance.tau, 0)
     h_float = math.log(instance.tau) - (
         wlogw + b_counts * (w_b * math.log(w_b))

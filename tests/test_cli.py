@@ -1,6 +1,9 @@
 """CLI contract tests: outputs, exit codes, manifests, determinism."""
 
+import contextlib
+import dataclasses
 import hashlib
+import io
 import json
 import math
 import random
@@ -9,11 +12,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from toph import cli, synthgen
 from toph.cli import main
 from toph.errors import MalformedRecord, NonFiniteValue, NonPositiveTemperature, TophError
-from toph.hardness import CcssInstance, ccss_to_json
+from toph.hardness import CcssInstance, ccss_to_json, ecme_to_json, prepare, reduce_to_ecme
 from toph.synthgen import GeneratorSpec, chunk_rows, generate_blocks, read_dataset
 
 
@@ -764,7 +768,9 @@ class TestHardnessCommands:
         None,  # missing file
         '{"schema_version": 1, "kind": "ccss", "weights": ["3"], "tau": "3", "k": 1}\n',
         "[1, 2]\n",
-    ], ids=["missing", "wrong-kind", "not-an-object"])
+        '{"kind": "ccss", "weights": ["3"], "tau": "3", "k": ' + "1" * 5000 + "}\n",
+        "[" * 100_000 + "\n",
+    ], ids=["missing", "wrong-kind", "not-an-object", "int-beyond-str-limit", "deep-nesting"])
     def test_whole_file_error_names_file(self, tmp_path, capsys, content):
         path = tmp_path / "instance.json"
         if content is not None:
@@ -804,20 +810,24 @@ class TestHardnessCommands:
         assert "full-space limit 22" in capsys.readouterr().err
 
     @pytest.mark.parametrize("path, value, wrong", [
-        (("beta",), {"num": "1", "den": "2"}, "beta"),
-        (("booster_prob",), {"num": "1", "den": "3"}, "booster_prob"),
-        (("heavy_probs", 0), {"num": "1", "den": "21"}, "heavy_probs"),
+        (("beta",), {"num": "1", "den": "2"}, "beta is not what"),
+        (("booster_prob",), {"num": "1", "den": "3"}, "booster_prob is not what"),
+        (("heavy_probs", 0), {"num": "1", "den": "21"}, "heavy_probs is not what"),
         (("constants", "normalizer"), {"num": "1", "den": "1"},
-         "normalizer, heavy_probs, booster_prob, beta"),
-        (("booster_count",), "7", "booster_count"),
-        (("constants", "lambda_k"), 7, "booster_count"),
+         "constants.normalizer is not what"),
+        (("booster_count",), "7", "booster_count must be k ** constants.lambda_k"),
+        (("constants", "lambda_k"), 7, "booster_count must be k ** constants.lambda_k"),
     ], ids=["beta", "booster_prob", "heavy_prob", "normalizer", "booster_count", "lambda"])
     def test_contradictory_field_fails_exact_fields(self, tmp_path, capsys, path, value, wrong):
-        # each edited file still passes every check the edit leaves alone
+        # the reader refuses a stored field that the weights, tau, K and B
+        # do not give; each edited file differs from a reduce output in one field
         ecme = self.edited_ecme(tmp_path, path, value)
-        capsys.readouterr()
-        assert main(["verify", "--input", str(ecme)]) == 3
-        assert f"FAIL exact_fields: wrong: {wrong}\n" in capsys.readouterr().out
+        for argv in (["verify"], ["decide"], ["decide", "--mode", "full"]):
+            capsys.readouterr()
+            assert main([*argv, "--input", str(ecme), "--output", str(tmp_path / "o")]) == 2
+            err = capsys.readouterr().err
+            assert f"toph: input error: {ecme}: not a valid ECME object: {wrong}" in err
+            assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("path, value", [
         (("beta",), {"num": "1", "den": "0"}),
@@ -849,13 +859,16 @@ class TestHardnessCommands:
         assert captured.out == ""
         assert f"toph: input error: {ecme}: not a valid ECME object" in captured.err
 
-    def test_hand_written_m_not_k_exits_3(self, tmp_path, capsys):
+    def consistent_ecme(self, tmp_path, edit):
+        """The ECME file that ``ecme_to_json`` writes for ``edit`` of the YES instance."""
         ecme = tmp_path / "ecme.json"
-        main(["reduce", "--input", str(self.yes_path(tmp_path)), "--output", str(ecme)])
-        obj = json.loads(ecme.read_text())
-        obj["weights"].append(obj["weights"][0])
-        obj["heavy_probs"].append(obj["heavy_probs"][0])
-        ecme.write_text(json.dumps(obj))
+        instance = reduce_to_ecme(prepare(CcssInstance((3, 5, 7), 15, 3)))
+        ecme.write_text(json.dumps(ecme_to_json(edit(instance))))
+        return ecme
+
+    def test_hand_written_m_not_k_exits_3(self, tmp_path, capsys):
+        ecme = self.consistent_ecme(
+            tmp_path, lambda e: dataclasses.replace(e, weights=e.weights + e.weights[:1]))
         capsys.readouterr()
         assert main(["decide", "--input", str(ecme)]) == 3
         err = capsys.readouterr().err
@@ -865,18 +878,150 @@ class TestHardnessCommands:
 
     def test_verify_reports_k_above_m(self, tmp_path, capsys):
         # K = 30 > m = 21 makes no CCSS instance; verify still runs every check
-        ecme = self.edited_ecme(tmp_path, ("k",), 30)
+        ecme = self.consistent_ecme(
+            tmp_path, lambda e: dataclasses.replace(e, k=30, booster_count=30**6))
         report = tmp_path / "report.json"
         capsys.readouterr()
         assert main(["verify", "--input", str(ecme), "--output", str(report)]) == 3
         out = capsys.readouterr().out
-        names = ["budget_window", "narrow_range", "total_mass_one", "theta_bounds",
-                 "booster_block_weight", "heavy_count", "exact_fields"]
+        names = ["budget_window", "narrow_range", "theta_bounds", "heavy_count"]
         assert [line.split(":")[0].split()[1] for line in out.splitlines()] == names
         assert "FAIL heavy_count: m=21 K=30\n" in out
         payload = json.loads(report.read_text())
         assert [check["name"] for check in payload["checks"]] == names
         assert payload["all_ok"] is False
+
+
+@pytest.fixture(scope="module")
+def yes_ecme():
+    """The ``reduce`` output of the YES instance (3, 5, 7)/15, as a JSON object."""
+    return ecme_to_json(reduce_to_ecme(prepare(CcssInstance((3, 5, 7), 15, 3))))
+
+
+def _run(argv):
+    """``main(argv)`` with stdout and stderr captured: (exit code, stderr)."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, err.getvalue()
+
+
+def _paths(obj, prefix=()):
+    """The path (keys and indices) of every value inside ``obj``, containers included."""
+    if isinstance(obj, dict):
+        items = obj.items()
+    elif isinstance(obj, list):
+        items = enumerate(obj)
+    else:
+        return
+    for key, value in items:
+        yield (*prefix, key)
+        yield from _paths(value, (*prefix, key))
+
+
+def _perturbed(value, delta):
+    """``value`` moved by ``delta``: integers and decimal strings exactly, decimal
+    fractions (the mpmath fields) relatively; anything else unchanged."""
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value + delta
+    if isinstance(value, str):
+        try:
+            return str(int(value) + delta)
+        except ValueError:
+            pass
+        try:
+            return str(float(value) * (1 + delta / 1e3))
+        except ValueError:
+            pass
+    return value
+
+
+# Values a hand edit might leave where a writer wrote something else.
+_RETYPED = [None, True, False, 0, -1, 2**70, 1.5, float("inf"), "", "x", "1_5", " 3", "1e3",
+            [], {}, ["3"], {"num": "1", "den": "0"}]
+
+
+class TestStrictInstanceReaders:
+    """An instance reader accepts what the writers write and refuses the rest
+    with exit 2, the path on stderr and no output file."""
+
+    @pytest.mark.parametrize("field, value", [
+        ("weights", "357"),
+        ("weights", {"3": "1", "5": "1", "7": "1"}),
+        ("weights", [3.9, 5.2, 7.0]),
+        ("tau", 15.7),
+        ("tau", " 1_5 "),
+        ("tau", True),
+        ("k", "3"),
+        ("k", 3.9),
+    ], ids=["weights-string", "weights-dict", "weights-floats", "tau-float", "tau-underscored",
+            "tau-true", "k-string", "k-float"])
+    def test_loose_ccss_value_exits_2(self, tmp_path, field, value):
+        ccss = tmp_path / "ccss.json"
+        ccss.write_text(json.dumps({**ccss_to_json(CcssInstance((3, 5, 7), 15, 3)),
+                                    field: value}))
+        out = tmp_path / "ecme.json"
+        code, err = _run(["reduce", "--input", str(ccss), "--output", str(out)])
+        assert code == 2
+        assert f"toph: input error: {ccss}: not a valid CCSS object: {field}" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("field, value, reason", [
+        ("beta", {"num": "1", "den": "2"}, "beta is not what weights, tau, k"),
+        ("booster_count", str(10**30), "booster_count must be k ** constants.lambda_k"),
+        ("weights", [True] * 21, "weights[0] must be a decimal string or a JSON integer"),
+    ], ids=["beta-one-half", "booster-count-1e30", "weights-true"])
+    @pytest.mark.parametrize("argv", [["decide"], ["decide", "--mode", "full"], ["verify"]],
+                             ids=["decide", "decide-full", "verify"])
+    def test_inconsistent_ecme_exits_2(self, tmp_path, yes_ecme, field, value, reason, argv):
+        ecme = tmp_path / "ecme.json"
+        ecme.write_text(json.dumps({**yes_ecme, field: value}))
+        out = tmp_path / "out.json"
+        code, err = _run([*argv, "--input", str(ecme), "--output", str(out)])
+        assert code == 2
+        assert f"toph: input error: {ecme}: not a valid ECME object: {reason}" in err
+        assert not out.exists()
+
+    def test_writers_output_loads(self, tmp_path, yes_ecme):
+        # JSON integers are integers too, where the reader takes strings
+        ccss = tmp_path / "ccss.json"
+        ccss.write_text(json.dumps({"kind": "ccss", "weights": [3, "5", 7], "tau": 15, "k": 3}))
+        ecme = tmp_path / "ecme.json"
+        assert _run(["reduce", "--input", str(ccss), "--output", str(ecme)])[0] == 0
+        assert json.loads(ecme.read_text()) == yes_ecme
+        ecme.write_text(json.dumps({**yes_ecme, "tau": int(yes_ecme["tau"])}))
+        assert _run(["verify", "--input", str(ecme)]) == (0, "")
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_mutated_files_exit_cleanly(self, tmp_path_factory, yes_ecme, data):
+        # retype, delete or perturb one value of a valid file: every command
+        # that reads it exits 0, 2 or 3, and writes nothing when it exits 2
+        argv = data.draw(st.sampled_from([["reduce"], ["verify"], ["decide"],
+                                          ["decide", "--mode", "full"]]))
+        obj = json.loads(json.dumps(ccss_to_json(CcssInstance((3, 5, 7), 15, 3))
+                                    if argv == ["reduce"] else yes_ecme))
+        path = data.draw(st.sampled_from(list(_paths(obj))))
+        *parents, last = path
+        parent = obj
+        for key in parents:
+            parent = parent[key]
+        action = data.draw(st.sampled_from(["retype", "delete", "perturb"]))
+        if action == "delete":
+            del parent[last]
+        elif action == "retype":
+            parent[last] = data.draw(st.sampled_from(_RETYPED))
+        else:
+            parent[last] = _perturbed(parent[last], data.draw(st.sampled_from([-2, -1, 1, 7])))
+        tmp = tmp_path_factory.mktemp("mutated")
+        instance, out = tmp / "instance.json", tmp / "out.json"
+        instance.write_text(json.dumps(obj))
+        code, err = _run([*argv, "--input", str(instance), "--output", str(out)])
+        assert code in (0, 2, 3)
+        assert "Traceback" not in err
+        if code == 2:
+            assert str(instance) in err
+            assert not out.exists()
 
 
 class TestParser:

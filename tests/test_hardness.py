@@ -68,6 +68,19 @@ def ecme_spread():
     return reduce_to_ecme(SPREAD)
 
 
+def _derived(instance):
+    """The derived fields of ``instance``'s JSON form, rationals as ``Fraction``."""
+    obj = ecme_to_json(instance)
+
+    def frac(f):
+        return Fraction(int(f["num"]), int(f["den"]))
+
+    return {"heavy_probs": [frac(f) for f in obj["heavy_probs"]],
+            "booster_prob": frac(obj["booster_prob"]), "beta": frac(obj["beta"]),
+            **{name: frac(obj["constants"][name]) for name in ("gamma_k", "w_b", "normalizer")},
+            "booster_count": int(obj["constants"]["booster_count"])}
+
+
 class TestPadding:
     def test_hand_example(self):
         padded = pad_to_narrow_range(YES)
@@ -129,10 +142,9 @@ class TestScaling:
 
 class TestReduce:
     def test_constants_at_k20(self, ecme_spread):
-        c = ecme_spread.constants
-        assert c.gamma_k == Fraction(1, 6400)
-        assert c.lambda_k == 6
-        assert c.booster_count == 20**6 == 64_000_000
+        assert _derived(ecme_spread)["gamma_k"] == Fraction(1, 6400)
+        assert ecme_spread.constants.lambda_k == 6
+        assert ecme_spread.booster_count == _derived(ecme_spread)["booster_count"] == 20**6
 
     def test_lambda_formula_at_theta_bound(self):
         # independent evaluation of the exponent formula at K=20 with the
@@ -181,27 +193,30 @@ class TestReduce:
 
     def test_mass_identity_exact(self, ecme_yes, ecme_no, ecme_spread):
         for inst in (ecme_yes, ecme_no, ecme_spread):
-            total = sum(inst.heavy_probs) + inst.booster_count * inst.booster_prob
-            assert total == 1
+            d = _derived(inst)
+            assert sum(d["heavy_probs"]) + inst.booster_count * d["booster_prob"] == 1
 
     def test_balanced_instance_constants(self, ecme_yes):
         # when sum(w) == tau the construction's round numbers hold exactly
-        assert ecme_yes.beta == Fraction(2, 3)
-        assert ecme_yes.booster_prob == Fraction(1, 3 * ecme_yes.booster_count)
-        assert ecme_yes.constants.normalizer == Fraction(3 * ecme_yes.tau, 2)
+        d = _derived(ecme_yes)
+        assert d["beta"] == Fraction(2, 3)
+        assert d["booster_prob"] == Fraction(1, 3 * ecme_yes.booster_count)
+        assert d["normalizer"] == Fraction(3 * ecme_yes.tau, 2)
 
     def test_deficit_instance_nearby_rationals(self, ecme_no):
         assert sum(ecme_no.weights) == ecme_no.tau - 7
-        assert ecme_no.beta != Fraction(2, 3)
-        assert abs(ecme_no.beta - Fraction(2, 3)) < Fraction(1, 10**4)
+        beta = _derived(ecme_no)["beta"]
+        assert beta != Fraction(2, 3)
+        assert abs(beta - Fraction(2, 3)) < Fraction(1, 10**4)
 
     def test_mass_split_exact_on_balanced_instance(self, ecme_yes):
-        assert sum(ecme_yes.heavy_probs) == Fraction(2, 3)
-        assert ecme_yes.booster_count * ecme_yes.booster_prob == Fraction(1, 3)
+        d = _derived(ecme_yes)
+        assert sum(d["heavy_probs"]) == d["beta"] == Fraction(2, 3)
+        assert ecme_yes.booster_count * d["booster_prob"] == Fraction(1, 3)
 
     def test_booster_block_weight(self, ecme_yes):
-        c = ecme_yes.constants
-        assert 2 * ecme_yes.booster_count * c.w_b == ecme_yes.tau
+        assert 2 * ecme_yes.booster_count * _derived(ecme_yes)["w_b"] == ecme_yes.tau
+        assert ecme_yes.w_b == _derived(ecme_yes)["w_b"]
 
     def test_theta_in_window(self, ecme_yes, ecme_no, ecme_spread):
         for inst in (ecme_yes, ecme_no, ecme_spread):
@@ -271,8 +286,7 @@ def _heavy_entropy(instance):
 
 def _gap_bound(instance):
     """ln K - gamma_K, the entropy-gap bound, at 50 digits."""
-    gamma = instance.constants.gamma_k
-    return mp.log(instance.k) - mp.mpf(gamma.numerator) / gamma.denominator
+    return mp.log(instance.k) - mp.mpf(1) / (16 * instance.k ** 2)
 
 
 class TestEntropyGap:
@@ -423,9 +437,7 @@ def _with_heavy_count(instance, m):
     """``instance`` with its heavy items cut or repeated to m of them."""
     import dataclasses
 
-    weights = (instance.weights * 2)[:m]
-    probs = (instance.heavy_probs * 2)[:m]
-    return dataclasses.replace(instance, weights=weights, heavy_probs=probs)
+    return dataclasses.replace(instance, weights=(instance.weights * 2)[:m])
 
 
 def _m_equals_k(k, seed, deficit):
@@ -480,15 +492,12 @@ class TestFullModeAgainstFullTables:
 
 def _hand_ecme(base, weights, tau, big_b, budget):
     """``base`` with the fields full mode reads replaced: the weights, tau,
-    the booster count B (and w_b = tau / (2B)) and the budget."""
+    the booster count B (which sets w_b = tau / (2B)) and the budget."""
     import dataclasses
 
     with mp.workdps(50):
-        constants = dataclasses.replace(base.constants, booster_count=big_b,
-                                        w_b=Fraction(tau, 2 * big_b))
         return dataclasses.replace(base, weights=tuple(weights), tau=tau, k=len(weights),
-                                   booster_count=big_b, budget=mp.mpf(budget),
-                                   constants=constants)
+                                   booster_count=big_b, budget=mp.mpf(budget))
 
 
 def _weights(m):
@@ -554,8 +563,7 @@ class TestStructuralDecideBeyondTwentyFour:
 
 
 class TestVerifyInstance:
-    NAMES = ["budget_window", "narrow_range", "total_mass_one", "theta_bounds",
-             "booster_block_weight", "heavy_count", "exact_fields"]
+    NAMES = ["budget_window", "narrow_range", "theta_bounds", "heavy_count"]
 
     def test_reduce_outputs_pass_every_check(self, ecme_yes, ecme_no, ecme_spread):
         for inst in (ecme_yes, ecme_no, ecme_spread):
@@ -571,7 +579,7 @@ class TestVerifyInstance:
 
     @pytest.mark.parametrize("changes, heavy_count", [
         ({"k": 30}, "m=21 K=30"),
-        ({"weights": (), "heavy_probs": ()}, "m=0 K=21"),
+        ({"weights": ()}, "m=0 K=21"),
     ], ids=["k-above-m", "no-weights"])
     def test_every_check_runs_without_a_ccss_instance(self, ecme_yes, changes, heavy_count):
         # neither field set makes a CcssInstance; every check still reports
@@ -580,21 +588,6 @@ class TestVerifyInstance:
         checks = verify_instance(dataclasses.replace(ecme_yes, **changes))
         assert [name for name, _, _ in checks] == self.NAMES
         assert ("heavy_count", False, heavy_count) in checks
-
-    def test_huge_lambda_is_refused_without_the_power(self, ecme_yes):
-        # K**lambda at lambda = 10**12 would need terabytes; the check must
-        # refuse it from B's bit length before raising K to that power
-        import dataclasses
-
-        class NoPower(int):
-            def __pow__(self, exponent):
-                raise AssertionError(f"computed K**{exponent}")
-
-        huge = dataclasses.replace(
-            ecme_yes, k=NoPower(ecme_yes.k),
-            constants=dataclasses.replace(ecme_yes.constants, lambda_k=10**12))
-        checks = {name: (ok, detail) for name, ok, detail in verify_instance(huge)}
-        assert checks["exact_fields"] == (False, "wrong: booster_count")
 
 
 class TestCardinalityLockInBlocks:
@@ -667,15 +660,28 @@ class TestSerialization:
     def test_ecme_round_trip_exact(self, ecme_yes):
         obj = json.loads(json.dumps(ecme_to_json(ecme_yes)))
         back = ecme_from_json(obj)
-        assert back.weights == ecme_yes.weights
-        assert back.heavy_probs == ecme_yes.heavy_probs
-        assert back.booster_prob == ecme_yes.booster_prob
-        assert back.beta == ecme_yes.beta
-        assert back.constants.gamma_k == ecme_yes.constants.gamma_k
+        assert (back.weights, back.tau, back.k, back.booster_count) == (
+            ecme_yes.weights, ecme_yes.tau, ecme_yes.k, ecme_yes.booster_count)
         assert back.constants.lambda_k == ecme_yes.constants.lambda_k
-        assert back.constants.w_b == ecme_yes.constants.w_b
+        assert _derived(back) == _derived(ecme_yes)
+        assert ecme_to_json(back) == obj
         with mp.workdps(50):
             assert abs(back.budget - ecme_yes.budget) < mp.mpf("1e-40")
+
+    def test_huge_lambda_is_refused_without_the_power(self, ecme_yes):
+        # K**lambda at lambda = 10**12 would need terabytes; the reader must
+        # refuse it from B's bit length before raising K to that power
+        class NoPower(int):
+            def __rpow__(self, base):
+                raise AssertionError(f"computed {base}**{int(self)}")
+
+        obj = ecme_to_json(ecme_yes)
+        obj["constants"]["lambda_k"] = NoPower(10**12)
+        with pytest.raises(MalformedRecord, match=r"booster_count must be k \*\* "):
+            ecme_from_json(obj)
+        obj["constants"]["lambda_k"] = NoPower(6)  # the power is taken when it is small
+        with pytest.raises(AssertionError, match=r"computed 21\*\*6"):
+            ecme_from_json(obj)
 
     def test_weights_serialized_as_decimal_strings(self, ecme_yes):
         obj = ecme_to_json(ecme_yes)
