@@ -9,8 +9,9 @@ m "heavy" items (the weights) plus an implicitly stored block of B
 identical low-probability "booster" items, together with an exact mass
 target beta and a high-precision entropy budget.
 
-An ``EcmeInstance`` keeps only what the reduction chose; ``ecme_from_json``
-recomputes the derived fields a file stores and refuses one that differs.
+An ``EcmeInstance`` keeps only what the reduction chose.  Every ECME file
+is a ``reduce`` output, so ``ecme_from_json`` re-runs the reduction on the
+file's weights, tau and K and refuses a file whose stored values differ.
 
 Arithmetic discipline: weights and derived counts are arbitrary-precision
 integers, probabilities are exact rationals, and only the transcendental
@@ -35,6 +36,7 @@ inside the theta window as long as the deficit is below ~20% of tau.
 
 from __future__ import annotations
 
+import json
 import math
 import re
 from dataclasses import dataclass
@@ -128,7 +130,7 @@ class CcssInstance:
 
 def _narrow_range_holds(weights: Sequence[int], tau: int, k: int) -> bool:
     """The narrow-range check on bare numbers (K >= 2): ``verify_instance``
-    applies it to an ECME file's fields, which need not make a ``CcssInstance``."""
+    applies it to an ``EcmeInstance``, whose fields need not make a ``CcssInstance``."""
     lo = Fraction(tau, k + 1)
     hi = Fraction(tau, k - 1)
     return all(lo < w < hi for w in weights)
@@ -548,23 +550,6 @@ def _ratio_json(num: int, den: int) -> dict:
     return {"num": str(num // g), "den": str(den // g)}
 
 
-def _derived_json(instance: EcmeInstance) -> dict:
-    """The JSON form of the fields that the weights, tau, K and B determine, keyed
-    by their path in an ECME object.  With d = 2W = 2 sum(w) + tau, twice the total
-    weight: p_i = w_i/W = 2 w_i/d, p_b = w_b/W = tau/(B d), beta = tau/W = 2 tau/d."""
-    tau, big_b = instance.tau, instance.booster_count
-    d = 2 * sum(instance.weights) + tau
-    return {
-        "heavy_probs": [_ratio_json(2 * w, d) for w in instance.weights],
-        "booster_prob": _ratio_json(tau, big_b * d),
-        "beta": _ratio_json(2 * tau, d),
-        "constants.gamma_k": _ratio_json(*_gamma(instance.k).as_integer_ratio()),
-        "constants.booster_count": str(big_b),
-        "constants.w_b": _ratio_json(tau, 2 * big_b),
-        "constants.normalizer": _ratio_json(d, 2),
-    }
-
-
 def ccss_to_json(instance: CcssInstance) -> dict:
     return {
         "schema_version": SCHEMA_VERSION,
@@ -589,76 +574,71 @@ def ccss_from_json(obj: dict) -> CcssInstance:
 
 
 def ecme_to_json(instance: EcmeInstance) -> dict:
+    """The JSON form of ``instance``, with the fields that the weights, tau, K and B
+    determine.  With d = 2W = 2 sum(w) + tau, twice the total weight:
+    p_i = w_i/W = 2 w_i/d, p_b = w_b/W = tau/(B d), beta = tau/W = 2 tau/d."""
     c = instance.constants
-    derived = _derived_json(instance)
+    tau, big_b = instance.tau, instance.booster_count
+    d = 2 * sum(instance.weights) + tau
     return {
         "schema_version": SCHEMA_VERSION,
         "kind": "ecme",
         "weights": [str(w) for w in instance.weights],
-        "tau": str(instance.tau),
+        "tau": str(tau),
         "k": instance.k,
-        "heavy_probs": derived["heavy_probs"],
-        "booster_count": str(instance.booster_count),
-        "booster_prob": derived["booster_prob"],
-        "beta": derived["beta"],
+        "heavy_probs": [_ratio_json(2 * w, d) for w in instance.weights],
+        "booster_count": str(big_b),
+        "booster_prob": _ratio_json(tau, big_b * d),
+        "beta": _ratio_json(2 * tau, d),
         "budget": _CTX.nstr(instance.budget, DEFAULT_DPS - 5),
         "constants": {
-            "gamma_k": derived["constants.gamma_k"],
+            "gamma_k": _ratio_json(*_gamma(instance.k).as_integer_ratio()),
             "theta_k": _CTX.nstr(c.theta_k, DEFAULT_DPS - 5),
             "delta_k": _CTX.nstr(c.delta_k, DEFAULT_DPS - 5),
             "epsilon_k": _CTX.nstr(c.epsilon_k, DEFAULT_DPS - 5),
             "lambda_k": c.lambda_k,
             "lambda_raw": _CTX.nstr(c.lambda_raw, DEFAULT_DPS - 5),
-            "booster_count": derived["constants.booster_count"],
-            "w_b": derived["constants.w_b"],
-            "normalizer": derived["constants.normalizer"],
+            "booster_count": str(big_b),
+            "w_b": _ratio_json(tau, 2 * big_b),
+            "normalizer": _ratio_json(d, 2),
         },
     }
 
 
 def ecme_from_json(obj: dict) -> EcmeInstance:
+    """The ``reduce_to_ecme`` output for the file's (prepared) weights, tau and K.
+
+    Every other number of an ECME file follows from those three, so the file
+    is refused when the reduction refuses them, and when a stored value
+    differs, as JSON, from what ``ecme_to_json`` writes for the result;
+    ``booster_count`` may be a JSON integer as well as a decimal string.
+    """
     try:
         if obj.get("kind") != "ecme":
             raise KeyError("kind")
-        cj = obj["constants"]
-        instance = EcmeInstance(
+        booster_count = _int_from_json(obj["booster_count"], "booster_count")
+        constants = obj["constants"]
+        if not isinstance(constants, dict):
+            raise TypeError(f"constants must be an object, got {type(constants).__name__}")
+        # the reduction's own refusals (K < 20, narrow range, theta window) are
+        # TophErrors, hence ValueErrors
+        instance = reduce_to_ecme(CcssInstance(
             weights=_weights_from_json(obj["weights"]),
             tau=_int_from_json(obj["tau"], "tau"),
             k=_int_from_json(obj["k"], "k", strings=False),
-            booster_count=_int_from_json(obj["booster_count"], "booster_count"),
-            budget=_CTX.mpf(obj["budget"]),
-            constants=ReductionConstants(
-                theta_k=_CTX.mpf(cj["theta_k"]),
-                delta_k=_CTX.mpf(cj["delta_k"]),
-                epsilon_k=_CTX.mpf(cj["epsilon_k"]),
-                lambda_k=_int_from_json(cj["lambda_k"], "constants.lambda_k", strings=False),
-                lambda_raw=_CTX.mpf(cj["lambda_raw"]),
-            ),
-        )
+        ))
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise MalformedRecord(None, f"not a valid ECME object: {exc}") from exc
-    # the deciders take logs of tau, w and w_b and divide by gcd(2B, tau);
-    # an infinite budget decides YES and a NaN one NO, whatever the weights.
-    # For K >= 2, B == K**lambda implies lambda <= bit_length(B): no huge power.
-    c, big_b = instance.constants, instance.booster_count
-    wrong = [rule for rule, ok in (
-        ("tau must be positive", instance.tau >= 1),
-        ("weights must not be empty", len(instance.weights) > 0),
-        ("weights must be positive", all(w >= 1 for w in instance.weights)),
-        ("k must be at least 3", instance.k >= 3),
-        ("booster_count must be positive", big_b >= 1),
-        *((f"{name} must be finite", _CTX.isfinite(x)) for name, x in (
-            ("budget", instance.budget), ("constants.theta_k", c.theta_k),
-            ("constants.delta_k", c.delta_k), ("constants.epsilon_k", c.epsilon_k),
-            ("constants.lambda_raw", c.lambda_raw))),
-    ) if not ok]
-    if not wrong and not (0 <= c.lambda_k <= big_b.bit_length()
-                          and instance.k ** c.lambda_k == big_b):
-        wrong = ["booster_count must be k ** constants.lambda_k"]
-    if not wrong:
-        wrong = [f"{path} is not what weights, tau, k and booster_count give"
-                 for path, value in _derived_json(instance).items()
-                 if (cj if "." in path else obj).get(path.rpartition(".")[2]) != value]
+    written = ecme_to_json(instance)
+    # equal as JSON text, where 6.0 and true are not 6; == goes first, so a
+    # deeply nested value never reaches the encoder
+    wrong = [f"{path} is not what weights, tau and k give" for path, value, expected in (
+        ("booster_count", booster_count, instance.booster_count),
+        *((key, obj.get(key), written[key])
+          for key in ("heavy_probs", "booster_prob", "beta", "budget")),
+        *((f"constants.{key}", constants.get(key), expected)
+          for key, expected in written["constants"].items()),
+    ) if not (value == expected and json.dumps(value) == json.dumps(expected))]
     if wrong:
         raise MalformedRecord(None, f"not a valid ECME object: {'; '.join(wrong)}")
     return instance

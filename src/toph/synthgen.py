@@ -215,6 +215,9 @@ def _parse_record(line: str, line_no: int) -> tuple[str, str, list, float]:
         obj = json.loads(line)
     except json.JSONDecodeError as exc:
         raise MalformedRecord(line_no, f"invalid JSON: {exc.msg}") from exc
+    except (ValueError, RecursionError) as exc:
+        # an integer past Python's digit limit, or nesting too deep for the parser
+        raise MalformedRecord(line_no, f"cannot parse JSON: {exc}") from exc
     if not isinstance(obj, dict):
         raise MalformedRecord(line_no, "record is not a JSON object")
     rid = obj.get("id")

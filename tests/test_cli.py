@@ -16,9 +16,13 @@ from hypothesis import given, settings, strategies as st
 
 from toph import cli, synthgen
 from toph.cli import main
-from toph.errors import MalformedRecord, NonFiniteValue, NonPositiveTemperature, TophError
+from toph.errors import (
+    MalformedRecord, MixedSchema, NonFiniteValue, NonPositiveTemperature, TophError,
+)
 from toph.hardness import CcssInstance, ccss_to_json, ecme_to_json, prepare, reduce_to_ecme
 from toph.synthgen import GeneratorSpec, chunk_rows, generate_blocks, read_dataset
+
+from dataset_reference import reference_read_dataset
 
 
 @pytest.fixture()
@@ -782,16 +786,25 @@ class TestHardnessCommands:
         assert "line 0" not in err
 
     def test_corrupted_budget_fails_verify(self, tmp_path, capsys):
-        ccss = self.yes_path(tmp_path)
-        ecme = tmp_path / "ecme.json"
-        main(["reduce", "--input", str(ccss), "--output", str(ecme)])
-        obj = json.loads(ecme.read_text())
-        obj["budget"] = "4.1"
-        ecme.write_text(json.dumps(obj))
+        # the reader recomputes the budget, so an edited one is refused at load
+        ecme = self.edited_ecme(tmp_path, ("budget",), "4.1")
         capsys.readouterr()
-        rc = main(["verify", "--input", str(ecme)])
-        assert rc == 3
-        assert "FAIL budget_window" in capsys.readouterr().out
+        assert main(["verify", "--input", str(ecme)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"{ecme}: not a valid ECME object: budget is not what weights" in captured.err
+
+    def test_budget_outside_the_window_fails_verify(self, tmp_path, capsys):
+        # at K = 120 the reduction's own budget lies above ln(K + 1)
+        weights = [1000 + i % 3 for i in range(120)]
+        ccss, ecme = tmp_path / "ccss.json", tmp_path / "ecme.json"
+        ccss.write_text(json.dumps(ccss_to_json(CcssInstance(tuple(weights), sum(weights), 120))))
+        assert main(["reduce", "--input", str(ccss), "--output", str(ecme)]) == 0
+        capsys.readouterr()
+        assert main(["verify", "--input", str(ecme)]) == 3
+        out = capsys.readouterr().out
+        assert "FAIL budget_window" in out
+        assert [line.split()[0] for line in out.splitlines()] == ["FAIL", "PASS", "PASS", "PASS"]
 
     def test_decide_domain_limit_exits_3(self, tmp_path, capsys):
         ccss = tmp_path / "wide.json"
@@ -815,12 +828,12 @@ class TestHardnessCommands:
         (("heavy_probs", 0), {"num": "1", "den": "21"}, "heavy_probs is not what"),
         (("constants", "normalizer"), {"num": "1", "den": "1"},
          "constants.normalizer is not what"),
-        (("booster_count",), "7", "booster_count must be k ** constants.lambda_k"),
-        (("constants", "lambda_k"), 7, "booster_count must be k ** constants.lambda_k"),
+        (("booster_count",), "7", "booster_count is not what weights, tau and k give"),
+        (("constants", "lambda_k"), 7, "constants.lambda_k is not what weights, tau and k give"),
     ], ids=["beta", "booster_prob", "heavy_prob", "normalizer", "booster_count", "lambda"])
     def test_contradictory_field_fails_exact_fields(self, tmp_path, capsys, path, value, wrong):
-        # the reader refuses a stored field that the weights, tau, K and B
-        # do not give; each edited file differs from a reduce output in one field
+        # the reader refuses a stored field that the weights, tau and K do not
+        # give; each edited file differs from a reduce output in one field
         ecme = self.edited_ecme(tmp_path, path, value)
         for argv in (["verify"], ["decide"], ["decide", "--mode", "full"]):
             capsys.readouterr()
@@ -866,30 +879,30 @@ class TestHardnessCommands:
         ecme.write_text(json.dumps(ecme_to_json(edit(instance))))
         return ecme
 
-    def test_hand_written_m_not_k_exits_3(self, tmp_path, capsys):
+    def test_hand_written_m_not_k_exits_2(self, tmp_path, capsys):
+        # no reduce output has m != K: the reader's reduction refuses it
         ecme = self.consistent_ecme(
             tmp_path, lambda e: dataclasses.replace(e, weights=e.weights + e.weights[:1]))
-        capsys.readouterr()
-        assert main(["decide", "--input", str(ecme)]) == 3
-        err = capsys.readouterr().err
-        assert "m=22" in err and "K=21" in err and "--mode full" in err
-        assert main(["verify", "--input", str(ecme)]) == 3
-        assert "FAIL heavy_count: m=22 K=21" in capsys.readouterr().out
+        for argv in (["decide"], ["decide", "--mode", "full"], ["verify"]):
+            capsys.readouterr()
+            assert main([*argv, "--input", str(ecme), "--output", str(tmp_path / "o")]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert f"{ecme}: not a valid ECME object: theta=" in captured.err
+            assert "(m == K)" in captured.err
+            assert not (tmp_path / "o").exists()
 
-    def test_verify_reports_k_above_m(self, tmp_path, capsys):
-        # K = 30 > m = 21 makes no CCSS instance; verify still runs every check
+    def test_k_above_m_exits_2(self, tmp_path, capsys):
+        # K = 30 > m = 21 makes no CCSS instance, so no reduce output has it
         ecme = self.consistent_ecme(
             tmp_path, lambda e: dataclasses.replace(e, k=30, booster_count=30**6))
         report = tmp_path / "report.json"
         capsys.readouterr()
-        assert main(["verify", "--input", str(ecme), "--output", str(report)]) == 3
-        out = capsys.readouterr().out
-        names = ["budget_window", "narrow_range", "theta_bounds", "heavy_count"]
-        assert [line.split(":")[0].split()[1] for line in out.splitlines()] == names
-        assert "FAIL heavy_count: m=21 K=30\n" in out
-        payload = json.loads(report.read_text())
-        assert [check["name"] for check in payload["checks"]] == names
-        assert payload["all_ok"] is False
+        assert main(["verify", "--input", str(ecme), "--output", str(report)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "not a valid ECME object: need 3 <= K <= m, got K=30, m=21" in captured.err
+        assert not report.exists()
 
 
 @pytest.fixture(scope="module")
@@ -936,6 +949,13 @@ def _perturbed(value, delta):
     return value
 
 
+def _as_written(value):
+    """``value`` as JSON text, with an integer spelt as its decimal string."""
+    if isinstance(value, int) and not isinstance(value, bool):
+        value = str(value)
+    return json.dumps(value)
+
+
 # Values a hand edit might leave where a writer wrote something else.
 _RETYPED = [None, True, False, 0, -1, 2**70, 1.5, float("inf"), "", "x", "1_5", " 3", "1e3",
             [], {}, ["3"], {"num": "1", "den": "0"}]
@@ -967,15 +987,28 @@ class TestStrictInstanceReaders:
         assert not out.exists()
 
     @pytest.mark.parametrize("field, value, reason", [
-        ("beta", {"num": "1", "den": "2"}, "beta is not what weights, tau, k"),
-        ("booster_count", str(10**30), "booster_count must be k ** constants.lambda_k"),
+        ("beta", {"num": "1", "den": "2"}, "beta is not what weights, tau and k give"),
+        ("booster_count", str(10**30), "booster_count is not what weights, tau and k give"),
         ("weights", [True] * 21, "weights[0] must be a decimal string or a JSON integer"),
-    ], ids=["beta-one-half", "booster-count-1e30", "weights-true"])
+        ("budget", True, "budget is not what weights, tau and k give"),
+        ("constants.theta_k", "0.0001", "constants.theta_k is not what weights, tau and k give"),
+        ("constants.theta_k", "5", "constants.theta_k is not what weights, tau and k give"),
+        ("constants.delta_k", "123", "constants.delta_k is not what weights, tau and k give"),
+        ("constants.lambda_raw", "-7",
+         "constants.lambda_raw is not what weights, tau and k give"),
+    ], ids=["beta-one-half", "booster-count-1e30", "weights-true", "budget-true",
+            "theta-1e-4", "theta-5", "delta-123", "lambda-raw-minus-7"])
     @pytest.mark.parametrize("argv", [["decide"], ["decide", "--mode", "full"], ["verify"]],
                              ids=["decide", "decide-full", "verify"])
     def test_inconsistent_ecme_exits_2(self, tmp_path, yes_ecme, field, value, reason, argv):
+        obj = json.loads(json.dumps(yes_ecme))
+        *parents, last = field.split(".")
+        target = obj
+        for key in parents:
+            target = target[key]
+        target[last] = value
         ecme = tmp_path / "ecme.json"
-        ecme.write_text(json.dumps({**yes_ecme, field: value}))
+        ecme.write_text(json.dumps(obj))
         out = tmp_path / "out.json"
         code, err = _run([*argv, "--input", str(ecme), "--output", str(out)])
         assert code == 2
@@ -996,7 +1029,9 @@ class TestStrictInstanceReaders:
     @given(data=st.data())
     def test_mutated_files_exit_cleanly(self, tmp_path_factory, yes_ecme, data):
         # retype, delete or perturb one value of a valid file: every command
-        # that reads it exits 0, 2 or 3, and writes nothing when it exits 2
+        # that reads it exits 0, 2 or 3, and writes nothing when it exits 2.
+        # An ECME file is a reduce output, so any changed value but the
+        # schema version makes it one no more: that exits 2.
         argv = data.draw(st.sampled_from([["reduce"], ["verify"], ["decide"],
                                           ["decide", "--mode", "full"]]))
         obj = json.loads(json.dumps(ccss_to_json(CcssInstance((3, 5, 7), 15, 3))
@@ -1007,18 +1042,22 @@ class TestStrictInstanceReaders:
         for key in parents:
             parent = parent[key]
         action = data.draw(st.sampled_from(["retype", "delete", "perturb"]))
+        before = parent[last]
         if action == "delete":
             del parent[last]
         elif action == "retype":
             parent[last] = data.draw(st.sampled_from(_RETYPED))
         else:
             parent[last] = _perturbed(parent[last], data.draw(st.sampled_from([-2, -1, 1, 7])))
+        changed = action == "delete" or _as_written(parent[last]) != _as_written(before)
         tmp = tmp_path_factory.mktemp("mutated")
         instance, out = tmp / "instance.json", tmp / "out.json"
         instance.write_text(json.dumps(obj))
         code, err = _run([*argv, "--input", str(instance), "--output", str(out)])
         assert code in (0, 2, 3)
         assert "Traceback" not in err
+        if argv != ["reduce"] and changed and path != ("schema_version",):
+            assert code == 2, (path, action, parent[last] if action != "delete" else None)
         if code == 2:
             assert str(instance) in err
             assert not out.exists()
@@ -1339,3 +1378,93 @@ class TestGapFromDataset:
         assert rc == 1
         assert "dataset contains n=300, above" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == [data]
+
+
+#: The commands that read a JSONL ``--input``.
+_DATASET_COMMANDS = ["truncate", "sample", "gap", "sweep"]
+
+
+class TestUnparsableLines:
+    """A line that Python's JSON parser cannot take, though it may be valid
+    JSON, is a bad record on its line like any other."""
+
+    @pytest.mark.parametrize("bad", [
+        '{"id": "b", "probs": [' + "1" * 5000 + "]}\n",
+        "[" * 100_000 + "\n",
+    ], ids=["int-beyond-str-limit", "deep-nesting"])
+    @pytest.mark.parametrize("command", _DATASET_COMMANDS)
+    def test_exits_2_naming_the_line(self, tmp_path, command, bad):
+        data, out = tmp_path / "d.jsonl", tmp_path / "out"
+        data.write_text('{"id": "a", "probs": [0.5, 0.5]}\n' + bad)
+        code, err = _run([command, "--input", str(data), "--output", str(out)])
+        assert code == 2
+        assert "toph: input error: line 2: cannot parse JSON: " in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
+
+def _valid_records(kind, sizes):
+    """Records of ``kind`` with ``sizes`` tokens each, as ``toph generate`` might write them."""
+    if kind == "probs":
+        return [{"schema_version": 1, "id": f"r{i}",
+                 "probs": [(j + 1) / (n * (n + 1) / 2) for j in range(n)]}
+                for i, n in enumerate(sizes)]
+    return [{"schema_version": 1, "id": f"r{i}", "logits": [0.5 * j - 1.0 for j in range(n)],
+             "temperature": 0.7} for i, n in enumerate(sizes)]
+
+
+# Values a hand edit might leave in a dataset record.
+_RETYPED_ENTRIES = [None, True, "x", "0.5", 0, 1, 2**70, -1.0, [], {}, [0.5]]
+
+
+class TestMutatedDatasets:
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_mutated_files_exit_cleanly(self, tmp_path_factory, data):
+        # retype a value, delete a key or an entry, cut a line short or put a
+        # NaN or an infinity in one entry of a record of a valid file: every
+        # command that reads it exits 0, 1 or 2 with no traceback, writes
+        # nothing unless it exits 0, and exits 2 naming the earliest bad line
+        # exactly when the reference reader refuses the file.  (An infinite
+        # temperature is left out: the reference takes it, the reader refuses
+        # it, and test_non_finite_temperature_exits_2 pins that.)
+        command = data.draw(st.sampled_from(_DATASET_COMMANDS))
+        kind = data.draw(st.sampled_from(["probs", "logits"]))
+        sizes = data.draw(st.lists(st.integers(1, 8), min_size=1, max_size=3))
+        records = _valid_records(kind, sizes)
+        row = data.draw(st.integers(0, len(records) - 1))
+        record = records[row]
+        keys = [(key,) for key in record] + [(kind, j) for j in range(len(record[kind]))]
+        action = data.draw(st.sampled_from(["retype", "delete", "cut", "non-finite"]))
+        lines = [json.dumps(r) + "\n" for r in records]
+        if action == "cut":
+            lines[row] = lines[row][:data.draw(st.integers(0, len(lines[row]) - 2))] + "\n"
+        else:
+            if action == "non-finite":
+                keys = keys[len(record):]
+            path = data.draw(st.sampled_from(keys))
+            parent = record if len(path) == 1 else record[kind]
+            if action == "delete":
+                del parent[path[-1]]
+            elif action == "retype":
+                parent[path[-1]] = data.draw(st.sampled_from(_RETYPED_ENTRIES))
+            else:
+                parent[path[-1]] = data.draw(st.sampled_from(
+                    [float("nan"), float("inf"), float("-inf")]))
+            lines[row] = json.dumps(record) + "\n"
+        tmp = tmp_path_factory.mktemp("mutated")
+        dataset, out = tmp / "d.jsonl", tmp / "out"
+        dataset.write_text("".join(lines))
+        try:
+            reference_read_dataset(dataset)
+            refused = None
+        except (MalformedRecord, MixedSchema) as exc:
+            refused = str(exc).split(":")[0]  # "line N"
+        code, err = _run([command, "--input", str(dataset), "--output", str(out)])
+        assert code in (0, 1, 2)
+        assert "Traceback" not in err
+        if code != 0:
+            assert not out.exists()
+        assert (code == 2) == (refused is not None)
+        if code == 2:
+            assert f"toph: input error: {refused}: " in err
