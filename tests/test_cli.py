@@ -556,6 +556,51 @@ class TestGapGolden:
         assert hashlib.sha256(out.read_bytes()).hexdigest() == GAP_INPUT_DIGESTS[alpha]
 
 
+# CCSS instances (weights, tau, K) whose hardness outputs are pinned: the
+# tests' YES, NO and SPREAD instances, one K = 4 instance and two m == K == 20
+# full-mode cases, the second with a deficit of 57.
+HARDNESS_CASES = {
+    "yes": ((3, 5, 7), 15, 3),
+    "no": ((3, 5, 7), 16, 3),
+    "spread": ((763,) * 10 + (837,) * 10, 16000, 20),
+    "k4": ((11, 17, 23, 31), 82, 4),
+    "k20": ((778, 806, 824, 821, 818, 774, 786, 777, 801, 818,
+             798, 800, 811, 794, 820, 783, 776, 801, 771, 827), 15984, 20),
+    "k20-deficit": ((785, 807, 804, 778, 793, 828, 808, 800, 810, 807,
+                     774, 808, 770, 828, 823, 800, 786, 805, 784, 782), 16037, 20),
+}
+HARDNESS_DIGESTS = {
+    "yes": "6199e45242f0da28c0823ee5cfc8239b2929fad21b56ae250dccf7b2ab39f503",
+    "no": "c2ebe06513a264571b2153cb782a2e43d36f8c9e6642a4e62a6466e981d671f6",
+    "spread": "7c0d15242ae7467a0c137cdb3d9b81386bdeffb0340d5d45dc3c42d52e62b876",
+    "k4": "d5f5b61780f4baf46ce043c2f0386f21faf7a6e889efab9895837dfc2b4add05",
+    "k20": "d4e7f998362991d15ecadd3a842fb843dd1af7bb9011ea17adeaeaa4663c8fd3",
+    "k20-deficit": "78bd90555c8df182926e10035d63369551ed5961b3d6e6a5b88e115a7ff28f88",
+}
+
+
+class TestHardnessGolden:
+    """``reduce``, ``decide`` in both modes and ``verify`` write the same bytes:
+    each digest covers every command's exit code, stdout and ``--output`` file."""
+
+    @pytest.mark.parametrize("name", sorted(HARDNESS_CASES))
+    def test_outputs_match_pinned_digest(self, tmp_path, name):
+        weights, tau, k = HARDNESS_CASES[name]
+        ccss, ecme = tmp_path / "ccss.json", tmp_path / "ecme.json"
+        ccss.write_text(json.dumps(ccss_to_json(CcssInstance(weights, tau, k))))
+        digest = hashlib.sha256()
+        for argv, out in [(["reduce", "--input", ccss], ecme),
+                          (["decide", "--input", ecme], tmp_path / "structural.json"),
+                          (["decide", "--mode", "full", "--input", ecme], tmp_path / "full.json"),
+                          (["verify", "--input", ecme], tmp_path / "verify.json")]:
+            stdout = io.StringIO()
+            with contextlib.redirect_stdout(stdout):
+                code = main([*map(str, argv), "--output", str(out)])
+            for part in (str(code).encode(), stdout.getvalue().encode(), out.read_bytes()):
+                digest.update(len(part).to_bytes(8, "little") + part)
+        assert digest.hexdigest() == HARDNESS_DIGESTS[name]
+
+
 class TestInputMemory:
     @pytest.fixture(scope="class")
     def wide(self, tmp_path_factory):
