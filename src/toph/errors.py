@@ -110,6 +110,10 @@ class PrecisionInsufficient(TophError):
     pass
 
 
+class BudgetOutsideWindow(TophError):
+    pass
+
+
 # --- dataset I/O ----------------------------------------------------------
 
 class MalformedRecord(TophError):

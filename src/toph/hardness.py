@@ -11,7 +11,8 @@ target beta and a high-precision entropy budget.
 
 An ``EcmeInstance`` keeps only what the reduction chose.  Every ECME file
 is a ``reduce`` output, so ``ecme_from_json`` re-runs the reduction on the
-file's weights, tau and K and refuses a file whose stored values differ.
+file's weights, tau and K and refuses a file whose stored values differ: a
+file that loads passes all four ``verify`` checks.
 
 Arithmetic discipline: weights and derived counts are arbitrary-precision
 integers, probabilities are exact rationals, and only the transcendental
@@ -29,6 +30,9 @@ m >= K+1 gives sum -r ln r > ln(K+1) (theta < 0) and m <= K-1 gives
 sum -r ln r < ln(K-1) (theta > 1/K), so the theta bounds check in
 ``reduce_to_ecme`` rejects both.  Every ECME it emits has m == K, and its
 one heavy K-subset is all of it: structural ``decide`` checks just that.
+The cardinality lock needs no search either: s weights strictly inside
+(tau/(K+1), tau/(K-1)) sum to strictly between s tau/(K+1) and s tau/(K-1),
+so a booster-free subset of weight tau has K-1 < s < K+1, i.e. K, items.
 Deficit instances (sum(w) < tau, i.e. NO instances of the m = K family)
 pass through with the pseudo-entropy of the w_i/tau ratios, which stays
 inside the theta window as long as the deficit is below ~20% of tau.
@@ -39,6 +43,7 @@ from __future__ import annotations
 import json
 import math
 import re
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
@@ -48,6 +53,7 @@ import mpmath
 import numpy as np
 
 from .errors import (
+    BudgetOutsideWindow,
     InvalidParameters,
     KTooSmall,
     MalformedRecord,
@@ -75,13 +81,9 @@ Mpf.__module__, Mpf.__qualname__ = __name__, "Mpf"
 #: too close to resolve at ``DEFAULT_DPS`` digits.
 _UNRESOLVABLE = _CTX.mpf(10) ** (10 - DEFAULT_DPS)
 
-#: ``verify_cardinality_lock`` refuses weight families larger than this.
-MAX_HEAVY_ITEMS = 24
-
-#: Full-space cross-validation finds the exact-weight heavy subsets by a
-#: meet in the middle (tables of the low m - m // 2 items, looked up for
-#: every high mask), so memory stays O(2**BLOCK_BITS); capped lower than
-#: MAX_HEAVY_ITEMS because the time grows with m.
+#: Full-space cross-validation finds the exact-weight heavy subsets by a meet
+#: in the middle (tables of the low m - m // 2 items, looked up for every high
+#: mask): memory stays O(2**BLOCK_BITS), and this caps its 2**m time.
 MAX_FULL_SPACE_ITEMS = 22
 
 # Calibration constants of the booster-count exponent, taken verbatim as
@@ -129,11 +131,9 @@ class CcssInstance:
 
 
 def _narrow_range_holds(weights: Sequence[int], tau: int, k: int) -> bool:
-    """The narrow-range check on bare numbers (K >= 2): ``verify_instance``
+    """The narrow-range check on bare numbers (K >= 2), in integers: ``verify_instance``
     applies it to an ``EcmeInstance``, whose fields need not make a ``CcssInstance``."""
-    lo = Fraction(tau, k + 1)
-    hi = Fraction(tau, k - 1)
-    return all(lo < w < hi for w in weights)
+    return all(w * (k - 1) < tau < w * (k + 1) for w in weights)
 
 
 def _gamma(k: int) -> Fraction:
@@ -186,6 +186,11 @@ class WindowCheck:
     lower_margin: Mpf   # budget - (ln K - gamma_K)
     upper_margin: Mpf   # ln(K+1) - budget
 
+    @property
+    def detail(self) -> str:
+        return (f"lower_margin={_CTX.nstr(self.lower_margin, 8)} "
+                f"upper_margin={_CTX.nstr(self.upper_margin, 8)}")
+
 
 @dataclass(frozen=True)
 class EcmeDecision:
@@ -236,17 +241,14 @@ def prepare(instance: CcssInstance) -> CcssInstance:
 
 # --- the reduction -----------------------------------------------------------
 
-def _heavy_pseudo_entropy(weights: Sequence[int], tau: int) -> Mpf:
-    """-sum (w/tau) ln(w/tau), grouped by repeated weight values."""
-    counts: dict[int, int] = {}
-    for w in weights:
-        counts[w] = counts.get(w, 0) + 1
-    total = _CTX.mpf(0)
-    ln_tau = _CTX.log(tau)
+def _grouped_entropy(counts: dict[int | Mpf, int], total: int | Mpf) -> Mpf:
+    """-sum c (w/T) ln(w/T) over weight w -> count c and total T (ints or ``Mpf``), as
+    terms c (w/T) (ln T - ln w) in the mapping's order."""
+    ln_t = _CTX.log(total)
+    h = _CTX.mpf(0)
     for w, c in counts.items():
-        r = _CTX.mpf(w) / tau
-        total += c * r * (ln_tau - _CTX.log(w))
-    return total
+        h += c * (_CTX.mpf(w) / total) * (ln_t - _CTX.log(w))
+    return h
 
 
 def _theta_in_range(theta: Mpf, k: int) -> bool:
@@ -285,12 +287,12 @@ def reduce_to_ecme(instance: CcssInstance) -> EcmeInstance:
         H_heavy   = (2/3) (H(w/tau) + ln(2/3))
         H_booster = (1/3) (ln 3 + lambda_raw ln K)
 
-    and budget = 0.4 * H.  With the pre-ceiling exponent this lands
-    strictly between ln K and ln(K+1) for K in the working range (20..120),
-    which is what the decision equivalence needs: every weight-tau heavy
-    K-subset (entropy <= ln K) is feasible, while any mass-beta subset
-    containing boosters overshoots the budget.  See the decisions notes for
-    why the ceiled exponent must not be used here.
+    and budget = 0.4 * H.  The decision equivalence needs the budget inside
+    (ln K - gamma_K, ln(K+1)): every weight-tau heavy K-subset (entropy
+    <= ln K) is feasible, and any mass-beta subset containing boosters
+    overshoots.  The pre-ceiling exponent puts it about 0.0018 ln K above
+    ln K (the ceiled one would add up to (0.4/3) ln K more): inside for
+    K = 20..117, past ln(K+1) from K = 118 on (``BudgetOutsideWindow``).
     """
     if instance.k < 20:
         raise KTooSmall(f"reduction requires K >= 20, got K={instance.k}")
@@ -301,7 +303,7 @@ def reduce_to_ecme(instance: CcssInstance) -> EcmeInstance:
         )
     k, tau = instance.k, instance.tau
     ln_k = _CTX.log(k)
-    pseudo_h = _heavy_pseudo_entropy(instance.weights, tau)
+    pseudo_h = _grouped_entropy(Counter(instance.weights), tau)
     theta = ln_k - pseudo_h
     if not _theta_in_range(theta, k):
         raise ThetaOutOfBounds(
@@ -314,8 +316,13 @@ def reduce_to_ecme(instance: CcssInstance) -> EcmeInstance:
     h_boost = Fraction(1, 3) * (_CTX.log(3) + lam_raw * ln_k)
     constants = ReductionConstants(theta_k=theta, delta_k=delta, epsilon_k=eps,
                                    lambda_k=lam, lambda_raw=lam_raw)
-    return EcmeInstance(weights=instance.weights, tau=tau, k=k, booster_count=k ** lam,
+    ecme = EcmeInstance(weights=instance.weights, tau=tau, k=k, booster_count=k ** lam,
                         budget=Fraction(2, 5) * (h_heavy + h_boost), constants=constants)
+    window = verify_budget_window(ecme)
+    if not window.holds:
+        raise BudgetOutsideWindow(f"budget outside the window (ln K - gamma_K, ln(K+1)) at "
+                                  f"K={k}: {window.detail}")
+    return ecme
 
 
 # --- verifiers ---------------------------------------------------------------
@@ -346,9 +353,7 @@ def verify_instance(instance: EcmeInstance) -> list[tuple[str, bool, str]]:
     window = verify_budget_window(instance)
     c = instance.constants
     return [
-        ("budget_window", window.holds,
-         f"lower_margin={_CTX.nstr(window.lower_margin, 8)} "
-         f"upper_margin={_CTX.nstr(window.upper_margin, 8)}"),
+        ("budget_window", window.holds, window.detail),
         ("narrow_range", _narrow_range_holds(instance.weights, instance.tau, instance.k),
          "exact rational comparison"),
         ("theta_bounds", _theta_in_range(c.theta_k, instance.k),
@@ -376,34 +381,10 @@ def mixed_subset_entropy(
     total = Fraction(subset_weight(instance, heavy_indices)) + booster_count * instance.w_b
     if total <= 0:
         raise WrongMass("subset carries no weight")
-    total_mp = _mpf(total)
-    ln_total = _CTX.log(total_mp)
-    h = _CTX.mpf(0)
-    for i in heavy_indices:
-        w = instance.weights[i]
-        h += (_CTX.mpf(w) / total_mp) * (ln_total - _CTX.log(w))
+    counts = Counter(instance.weights[i] for i in heavy_indices)
     if booster_count:
-        r_b = _mpf(instance.w_b) / total_mp
-        h += booster_count * r_b * (ln_total - _CTX.log(_mpf(instance.w_b)))
-    return h
-
-
-def verify_cardinality_lock(weights: Sequence[int], tau: int, k: int) -> bool:
-    """Exhaustively confirm that booster-free subsets of weight tau have size K.
-
-    Works on any narrow-range weight family (not only reduction outputs);
-    the subsets of weight exactly tau are found by ``_exact_sum_blocks`` in
-    int64, in chunks of at most 2**BLOCK_BITS masks, so memory stays
-    O(2**BLOCK_BITS).
-    """
-    if len(weights) > MAX_HEAVY_ITEMS:
-        raise TooManyHeavyItems(
-            f"m={len(weights)} exceeds the exhaustive limit {MAX_HEAVY_ITEMS}"
-        )
-    if not sum(min(w, 0) for w in weights) <= tau <= sum(max(w, 0) for w in weights):
-        return True  # no subset reaches tau
-    return all(bool(np.all(sizes == k)) for _, (_, sizes) in
-               _exact_sum_blocks(weights, np.ones(len(weights), dtype=np.int64), tau, 1, 1))
+        counts[_mpf(instance.w_b)] += booster_count
+    return _grouped_entropy(counts, _mpf(total))
 
 
 def _exact_sum_blocks(

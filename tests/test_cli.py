@@ -840,16 +840,35 @@ class TestHardnessCommands:
         assert f"{ecme}: not a valid ECME object: budget is not what weights" in captured.err
 
     def test_budget_outside_the_window_fails_verify(self, tmp_path, capsys):
-        # at K = 120 the reduction's own budget lies above ln(K + 1)
-        weights = [1000 + i % 3 for i in range(120)]
-        ccss, ecme = tmp_path / "ccss.json", tmp_path / "ecme.json"
-        ccss.write_text(json.dumps(ccss_to_json(CcssInstance(tuple(weights), sum(weights), 120))))
-        assert main(["reduce", "--input", str(ccss), "--output", str(ecme)]) == 0
+        # the reduction's budget passes ln(K + 1) from K = 118 on: reduce
+        # refuses such weights with exit 3 and the ECME reader with exit 2
+        def ccss(k):
+            weights = tuple(1000 + i % 3 for i in range(k))
+            path = tmp_path / f"ccss-{k}.json"
+            path.write_text(json.dumps(ccss_to_json(CcssInstance(weights, sum(weights), k))))
+            return path
+
+        ecme = tmp_path / "ecme.json"
+        assert main(["reduce", "--input", str(ccss(117)), "--output", str(ecme)]) == 0
         capsys.readouterr()
-        assert main(["verify", "--input", str(ecme)]) == 3
+        assert main(["verify", "--input", str(ecme)]) == 0
         out = capsys.readouterr().out
-        assert "FAIL budget_window" in out
-        assert [line.split()[0] for line in out.splitlines()] == ["FAIL", "PASS", "PASS", "PASS"]
+        assert [line.split()[0] for line in out.splitlines()] == ["PASS"] * 4
+        for k in (118, 120):
+            refused = tmp_path / f"ecme-{k}.json"
+            assert main(["reduce", "--input", str(ccss(k)), "--output", str(refused)]) == 3
+            assert (f"toph: precondition failed: budget outside the window "
+                    f"(ln K - gamma_K, ln(K+1)) at K={k}: lower_margin=") in capsys.readouterr().err
+            assert not refused.exists()
+        # the K = 117 file with the K = 120 weights, tau and K
+        obj = json.loads(ecme.read_text())
+        weights = [str(1000 + i % 3) for i in range(120)]
+        obj.update(weights=weights, tau=str(sum(map(int, weights))), k=120)
+        ecme.write_text(json.dumps(obj))
+        assert main(["verify", "--input", str(ecme)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"{ecme}: not a valid ECME object: budget outside the window" in captured.err
 
     def test_decide_domain_limit_exits_3(self, tmp_path, capsys):
         ccss = tmp_path / "wide.json"

@@ -11,6 +11,7 @@ from unittest import mock
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from toph.errors import (
     InvalidParameters,
@@ -38,7 +39,6 @@ from toph.hardness import (
     reduce_to_ecme,
     scale_to_k20,
     verify_budget_window,
-    verify_cardinality_lock,
     verify_instance,
 )
 from toph import hardness, oracle
@@ -340,37 +340,61 @@ class TestBoosterBlowup:
         assert h - ecme_yes.budget > mp.mpf("0.5")
 
 
+def _sizes_at(weights, tau):
+    """The sizes of the subsets of weight ``tau``, found by ``_exact_sum_blocks``."""
+    blocks = hardness._exact_sum_blocks(weights, np.ones(len(weights), dtype=np.int64), tau, 1, 1)
+    return np.concatenate([np.empty(0, dtype=np.int64)] + [sizes for _, (_, sizes) in blocks])
+
+
 class TestCardinalityLock:
+    """The cardinality lock of the module docstring: in the narrow range, every
+    subset of weight tau has K items.  ``_exact_sum_blocks`` finds the subsets."""
+
     def test_on_reduction_output(self, ecme_yes):
-        assert verify_cardinality_lock(ecme_yes.weights, ecme_yes.tau, ecme_yes.k)
+        sizes = _sizes_at(ecme_yes.weights, ecme_yes.tau)
+        assert sizes.size > 0 and np.all(sizes == ecme_yes.k)
 
     def test_on_hand_built_narrow_family(self):
-        # 21 weights strictly inside (2000/21, 2000/19); many subsets hit
-        # 2000 and every one of them must have exactly 20 elements
-        weights = [96 + (i % 10) for i in range(21)]
-        assert verify_cardinality_lock(weights, 2000, 20)
+        # 21 weights strictly inside (2010/21, 2010/19): the three subsets
+        # that leave out one of the three 96s weigh 2010, with 20 elements each
+        sizes = _sizes_at([96 + (i % 10) for i in range(21)], 2010)
+        assert sizes.tolist() == [20] * 3
 
     def test_detects_violation_without_narrow_range(self):
         # wide weights: {4, 8} and {2, 4, 6} both reach 12, so no single
-        # cardinality can be locked in
-        assert verify_cardinality_lock([2, 4, 6, 8, 10], 12, 3) is False
-
-    def test_limit(self):
-        with pytest.raises(TooManyHeavyItems):
-            verify_cardinality_lock(list(range(1, 27)), 30, 3)
+        # cardinality is locked in
+        assert not hardness._narrow_range_holds([2, 4, 6, 8, 10], 12, 3)
+        assert set(_sizes_at([2, 4, 6, 8, 10], 12).tolist()) == {2, 3}
 
     def test_int64_overflow_guard(self):
         with pytest.raises(TooManyHeavyItems, match="weights too large"):
-            verify_cardinality_lock([2**61, 2**61, 3], 3, 1)
+            hardness._exact_sum_blocks([2**61, 2**61, 3], np.ones(3, dtype=np.int64), 3, 1, 1)
 
     def test_int64_guard_bounds_absolute_weights(self):
         # sum(w) is small here, sum(|w|) is not: refused before int64 overflows
         with pytest.raises(TooManyHeavyItems, match="weights too large"):
-            verify_cardinality_lock([-2**70, 5, 6], 11, 2)
+            hardness._exact_sum_blocks([-2**70, 5, 6], np.ones(3, dtype=np.int64), 11, 1, 1)
 
     def test_no_subset_reaches_tau(self):
-        assert verify_cardinality_lock([3, 5, 7], 16, 3) is True
-        assert verify_cardinality_lock([-3, 5], -4, 1) is True
+        assert _sizes_at([3, 5, 7], 16).size == 0
+        assert _sizes_at([-3, 5], -4).size == 0
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_narrow_range_locks_the_cardinality(self, data):
+        # weights within base / (2K + 2) of a base, tau the sum of K of them:
+        # the narrow range holds, and the full tables find only K-item hits
+        m = data.draw(st.integers(3, 14))
+        k = data.draw(st.integers(2, m))
+        base = data.draw(st.integers(2 * k + 2, 2000))
+        spread = base // (2 * k + 2)
+        weights = data.draw(st.lists(st.integers(base - spread, base + spread),
+                                     min_size=m, max_size=m))
+        tau = sum(data.draw(st.permutations(weights))[:k])
+        assert all(Fraction(tau, k + 1) < w < Fraction(tau, k - 1) for w in weights)
+        sums = subset_sums(np.asarray(weights, dtype=np.int64))
+        sizes = subset_sums(np.ones(m, dtype=np.int64))[sums == tau]
+        assert sizes.size > 0 and np.all(sizes == k)
 
 
 class TestDecide:
@@ -590,20 +614,36 @@ class TestVerifyInstance:
         assert ("heavy_count", False, heavy_count) in checks
 
 
+def _blocks_against_full_tables(weights, column, target, step, count):
+    """Check ``_exact_sum_blocks`` against full tables; return the masks it found."""
+    chunks = list(hardness._exact_sum_blocks(weights, column, target, step, count))
+    masks = np.concatenate([np.empty(0, dtype=np.int64)] + [m for m, _ in chunks])
+    sums = subset_sums(np.asarray(weights, dtype=np.int64))
+    window = [target - j * step for j in range(count)]
+    assert masks.tolist() == np.flatnonzero(np.isin(sums, window)).tolist()  # ascending
+    table = subset_sums(column)
+    for chunk_masks, (chunk_sums, chunk_column) in chunks:
+        assert np.array_equal(chunk_sums, sums[chunk_masks])
+        assert np.array_equal(chunk_column, table[chunk_masks])  # bit for bit
+    return masks
+
+
 class TestCardinalityLockInBlocks:
+    """``_exact_sum_blocks``, the one meet-in-the-middle enumerator, against full tables."""
+
     @pytest.mark.parametrize("block_bits", [2, 5, oracle.BLOCK_BITS])
     def test_matches_full_tables(self, block_bits):
         rng = np.random.default_rng(31)
         with mock.patch.object(hardness, "BLOCK_BITS", block_bits):
-            for trial in range(30):
+            for trial in range(60):
                 m = int(rng.integers(3, 13))
-                weights = [int(w) for w in rng.integers(1, 12 if trial % 2 else 400, m)]
-                sums = subset_sums(np.asarray(weights, dtype=np.int64))
-                sizes = subset_sums(np.ones(m, dtype=np.int64))
-                tau = int(sums[int(rng.integers(1, 2**m))])
-                for k in sorted(set(sizes[sums == tau].tolist())):
-                    expected = bool(np.all(sizes[sums == tau] == k))
-                    assert verify_cardinality_lock(weights, tau, k) is expected
+                weights = [int(w) for w in rng.integers(1, 12 if trial % 3 else 400, m)]
+                column = rng.random(m) * 10.0 - 3.0
+                target = int(subset_sums(np.asarray(weights))[int(rng.integers(1, 2**m))])
+                # odd trials: one sum; even ones: a window of sums step apart
+                step, count = (1, 1) if trial % 2 else (int(rng.integers(2, 9)),
+                                                        int(rng.integers(2, 6)))
+                _blocks_against_full_tables(weights, column, target, step, count)
 
     @pytest.mark.parametrize("weights,tau,k,expected", [
         # 4 x 15, 3 x 10 + 2 x 15 and 6 x 10 all weigh 60
@@ -613,12 +653,14 @@ class TestCardinalityLockInBlocks:
          1700, 17, True),
     ])
     def test_eighteen_items_against_full_table(self, weights, tau, k, expected):
-        sums = subset_sums(np.asarray(weights, dtype=np.int64))
-        sizes = subset_sums(np.ones(len(weights), dtype=np.int64))
-        hits = sizes[sums == tau]
-        assert hits.size > 0
-        assert bool(np.all(hits == k)) is expected
-        assert verify_cardinality_lock(weights, tau, k) is expected
+        masks = _blocks_against_full_tables(weights, np.ones(len(weights), dtype=np.int64),
+                                            tau, 1, 1)
+        sizes = subset_sums(np.ones(len(weights), dtype=np.int64))[masks]
+        assert sizes.size > 0
+        assert bool(np.all(sizes == k)) is expected
+        assert hardness._narrow_range_holds(weights, tau, k) is expected
+        _blocks_against_full_tables(weights, np.log(np.asarray(weights, dtype=float)),
+                                    tau, 5, 4)
 
 
 class TestRandomBatchAgreement:

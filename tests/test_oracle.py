@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from toph import oracle
+from toph import hardness, oracle
 from toph.distributions import (
     _entropy_of,
     entropy,
@@ -22,11 +22,9 @@ from toph.distributions import (
 from toph.errors import AlphaOutOfRange, EmptyInput, VocabularyTooLarge
 from toph.hardness import (
     MAX_FULL_SPACE_ITEMS,
-    MAX_HEAVY_ITEMS,
     CcssInstance,
     decide_ecme_small,
     reduce_to_ecme,
-    verify_cardinality_lock,
 )
 from toph.oracle import (
     BLOCK_BITS,
@@ -400,9 +398,16 @@ def _peak_bytes(fn, *args):
         tracemalloc.stop()
 
 
+def _scan_weight(weights, tau):
+    """Run ``_exact_sum_blocks`` over the subsets of weight ``tau`` with a count column."""
+    for _ in hardness._exact_sum_blocks(weights, np.ones(len(weights), dtype=np.int64),
+                                        tau, 1, 1):
+        pass
+
+
 class TestBlockMemory:
     """No enumeration holds a full table: 8 MiB per column at n = m = 20, and
-    up to 128 MiB at the largest inputs the hardness checks accept."""
+    32 MiB at the full-space limit m = 22."""
 
     LIMIT = 4 * 2**20
 
@@ -430,7 +435,7 @@ class TestBlockMemory:
 
     def test_cardinality_lock(self):
         weights = tuple(780 + 2 * i for i in range(20))
-        assert _peak_bytes(verify_cardinality_lock, weights, sum(weights), 20) < self.LIMIT
+        assert _peak_bytes(_scan_weight, weights, sum(weights)) < self.LIMIT
 
     def test_decide_full_mode_at_its_limit(self):
         m = MAX_FULL_SPACE_ITEMS
@@ -439,9 +444,9 @@ class TestBlockMemory:
         assert _peak_bytes(decide_ecme_small, instance, "full") < self.LIMIT
 
     def test_cardinality_lock_at_its_limit(self):
-        # 61 108 subsets of 12 of the 24 weights weigh 9 636
-        weights = tuple(780 + 2 * i for i in range(MAX_HEAVY_ITEMS))
-        assert _peak_bytes(verify_cardinality_lock, weights, 12 * 780 + 2 * 138, 12) < self.LIMIT
+        # 18 084 subsets of 11 of the 22 weights weigh 8 810
+        weights = tuple(780 + 2 * i for i in range(MAX_FULL_SPACE_ITEMS))
+        assert _peak_bytes(_scan_weight, weights, 11 * 780 + 2 * 115) < self.LIMIT
 
 
 class TestExactEcmm:
