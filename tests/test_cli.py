@@ -569,36 +569,74 @@ HARDNESS_CASES = {
     "k20-deficit": ((785, 807, 804, 778, 793, 828, 808, 800, 810, 807,
                      774, 808, 770, 828, 823, 800, 786, 805, 784, 782), 16037, 20),
 }
+# The hardness commands run on each case, in this order: ``reduce`` writes the
+# ECME file that the others read.
+HARDNESS_COMMANDS = {
+    "reduce": ["reduce", "--input", "{ccss}"],
+    "decide": ["decide", "--input", "{ecme}"],
+    "decide-full": ["decide", "--mode", "full", "--input", "{ecme}"],
+    "verify": ["verify", "--input", "{ecme}"],
+}
 HARDNESS_DIGESTS = {
-    "yes": "6199e45242f0da28c0823ee5cfc8239b2929fad21b56ae250dccf7b2ab39f503",
-    "no": "c2ebe06513a264571b2153cb782a2e43d36f8c9e6642a4e62a6466e981d671f6",
-    "spread": "7c0d15242ae7467a0c137cdb3d9b81386bdeffb0340d5d45dc3c42d52e62b876",
-    "k4": "d5f5b61780f4baf46ce043c2f0386f21faf7a6e889efab9895837dfc2b4add05",
-    "k20": "d4e7f998362991d15ecadd3a842fb843dd1af7bb9011ea17adeaeaa4663c8fd3",
-    "k20-deficit": "78bd90555c8df182926e10035d63369551ed5961b3d6e6a5b88e115a7ff28f88",
+    "yes": {
+        "reduce": "33befbe73c1bc775184d8133c6613108568b6ab7a20a5b740de96f4787cf8e94",
+        "decide": "ff7a30ef19440a5d725b1383532fecb5e3e03770b31493f7553e07a65db6e5b7",
+        "decide-full": "68ef4ad37d44fed06717481612ed21af1cdcee408d939c676de7e89a6727a2f9",
+        "verify": "8d9e3125ee9439fc9a0f877b66b47382c84fb5809d193985ff64efdb28c9175e",
+    },
+    "no": {
+        "reduce": "353929e7747b2d4ed64ec96def6726de5ac3d30dfc67c8ade79136c14887f761",
+        "decide": "4ad84d792ca71bc70049b805fd54af4fa78dda5e0cc6f1dbbf28321f0aaec17c",
+        "decide-full": "4ad84d792ca71bc70049b805fd54af4fa78dda5e0cc6f1dbbf28321f0aaec17c",
+        "verify": "cdb31bfb642ea04c976359f7695a22f36159e930cccb1063f78c73cbb65ed10b",
+    },
+    "spread": {
+        "reduce": "74a8111918aa1e7634c9e58fbe8b87476e57a1d7dd30a95fbe502f6c04f4efc6",
+        "decide": "0fbad03c50201cf8ef00d77be090edfa933fb6c850252109ef6117089f59cc6f",
+        "decide-full": "c510591038d6256bce5c49a5ded8b3910666485d640a8f62afbcb7feefbfc7d5",
+        "verify": "a2a4c5e01907e59f3cb01b5ede240ef88b270c674450bd47dd027db62238bf4f",
+    },
+    "k4": {
+        "reduce": "e59ea757d89b17b0d171e298b91d4972637afaf18e640868fe890150ff1386e8",
+        "decide": "0fbad03c50201cf8ef00d77be090edfa933fb6c850252109ef6117089f59cc6f",
+        "decide-full": "c510591038d6256bce5c49a5ded8b3910666485d640a8f62afbcb7feefbfc7d5",
+        "verify": "a686b5192b352d4709258c62a8e3480c5759e54e8da90f97304b1ff659ba4761",
+    },
+    "k20": {
+        "reduce": "83f70c6f4206d98bedc9d4a4a5c293249824acd980a41f707530f5e8dd45d73c",
+        "decide": "0fbad03c50201cf8ef00d77be090edfa933fb6c850252109ef6117089f59cc6f",
+        "decide-full": "c510591038d6256bce5c49a5ded8b3910666485d640a8f62afbcb7feefbfc7d5",
+        "verify": "89457511f2f236ee9e2ee8f6a445da159f9744f088ec6c63c84cd4ee7530b9a9",
+    },
+    "k20-deficit": {
+        "reduce": "52ceedc5c7895dd5f4d3797b727c43cf24f73e2e5d89426bd7fcf4915d9fdc12",
+        "decide": "4ad84d792ca71bc70049b805fd54af4fa78dda5e0cc6f1dbbf28321f0aaec17c",
+        "decide-full": "4ad84d792ca71bc70049b805fd54af4fa78dda5e0cc6f1dbbf28321f0aaec17c",
+        "verify": "c8f49e270cccd7f463ba1a3105c6afb54b4969fec51aa39a9c2cc0d8929589c5",
+    },
 }
 
 
 class TestHardnessGolden:
     """``reduce``, ``decide`` in both modes and ``verify`` write the same bytes:
-    each digest covers every command's exit code, stdout and ``--output`` file."""
+    one digest per command covers its exit code, stdout and ``--output`` file."""
 
     @pytest.mark.parametrize("name", sorted(HARDNESS_CASES))
     def test_outputs_match_pinned_digest(self, tmp_path, name):
         weights, tau, k = HARDNESS_CASES[name]
-        ccss, ecme = tmp_path / "ccss.json", tmp_path / "ecme.json"
-        ccss.write_text(json.dumps(ccss_to_json(CcssInstance(weights, tau, k))))
-        digest = hashlib.sha256()
-        for argv, out in [(["reduce", "--input", ccss], ecme),
-                          (["decide", "--input", ecme], tmp_path / "structural.json"),
-                          (["decide", "--mode", "full", "--input", ecme], tmp_path / "full.json"),
-                          (["verify", "--input", ecme], tmp_path / "verify.json")]:
+        paths = {"ccss": tmp_path / "ccss.json", "ecme": tmp_path / "ecme.json"}
+        paths["ccss"].write_text(json.dumps(ccss_to_json(CcssInstance(weights, tau, k))))
+        digests = {}
+        for command, argv in HARDNESS_COMMANDS.items():
+            out = paths["ecme"] if command == "reduce" else tmp_path / f"{command}.json"
             stdout = io.StringIO()
             with contextlib.redirect_stdout(stdout):
-                code = main([*map(str, argv), "--output", str(out)])
+                code = main([a.format(**paths) for a in argv] + ["--output", str(out)])
+            digest = hashlib.sha256()
             for part in (str(code).encode(), stdout.getvalue().encode(), out.read_bytes()):
                 digest.update(len(part).to_bytes(8, "little") + part)
-        assert digest.hexdigest() == HARDNESS_DIGESTS[name]
+            digests[command] = digest.hexdigest()
+        assert digests == HARDNESS_DIGESTS[name]
 
 
 class TestInputMemory:
