@@ -1,5 +1,6 @@
 """CLI contract tests: outputs, exit codes, manifests, determinism."""
 
+import argparse
 import contextlib
 import dataclasses
 import hashlib
@@ -15,7 +16,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from toph import cli, synthgen
-from toph.cli import main
+from toph.cli import build_parser, main
 from toph.errors import (
     MalformedRecord, MixedSchema, NonFiniteValue, NonPositiveTemperature, TophError,
 )
@@ -1177,6 +1178,17 @@ class TestParser:
             cli._parser.cache_clear()
         assert built == [1]
         assert build() is not build()
+
+    def test_readme_examples_name_every_command(self):
+        # the `toph ...` lines of README's fenced code blocks use exactly the
+        # parser's subcommands, so a command cannot be added or removed unseen
+        readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+        blocks = readme.split("```")[1::2]
+        documented = {line.split()[1] for block in blocks for line in block.splitlines()
+                      if line.startswith("toph ")}
+        (commands,) = [a.choices for a in build_parser()._actions
+                       if isinstance(a, argparse._SubParsersAction)]
+        assert documented == set(commands)
 
 
 class TestDeterminism:
