@@ -17,9 +17,8 @@ The package has five pillars:
   gap harness, which runs greedy through ``select_block`` a block at a time;
 - ``hardness``: a constructive reduction from cardinality-constrained
   subset sum to the entropy-constrained mass decision problem, in exact
-  rational arithmetic, with one named-check verifier, a direct decider
-  for the m == K instances the reduction emits, and a full subset search
-  for small instances;
+  rational arithmetic, with a direct decider for the m == K instances the
+  reduction emits and a full subset search for small instances;
 - ``synthgen``: seeded synthetic distribution generators and JSONL
   dataset I/O; a generated run is drawn as the validated ``(B, n)``
   blocks that reading its file gives.

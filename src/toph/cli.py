@@ -353,29 +353,14 @@ def _load_instance(path: str, from_json):
 
 
 def cmd_reduce(args) -> CommandResult:
-    from . import hardness  # mpmath is loaded by these three commands only
+    """The ECME file of the prepared instance; the manifest records both budget-window margins."""
+    from . import hardness  # mpmath is loaded by these two commands only
     instance = _load_instance(args.input, hardness.ccss_from_json)
-    prepped = hardness.prepare(instance)
-    ecme = hardness.reduce_to_ecme(prepped)
+    ecme = hardness.reduce_to_ecme(hardness.prepare(instance))
     print(f"k={ecme.k} m={ecme.m} lambda={ecme.constants.lambda_k} "
           f"boosters={ecme.booster_count}")
-    return CommandResult({}, input=args.input, output=_json_text(hardness.ecme_to_json(ecme)))
-
-
-def cmd_verify(args) -> CommandResult:
-    from . import hardness
-    instance = _load_instance(args.input, hardness.ecme_from_json)
-    checks = hardness.verify_instance(instance)
-    all_ok = all(ok for _, ok, _ in checks)
-    for name, ok, detail in checks:
-        print(f"{'PASS' if ok else 'FAIL'} {name}: {detail}")
-    payload = {
-        "schema_version": SCHEMA_VERSION,
-        "checks": [{"name": n, "ok": ok, "detail": d} for n, ok, d in checks],
-        "all_ok": all_ok,
-    }
-    return CommandResult({}, input=args.input, code=EXIT_OK if all_ok else EXIT_DOMAIN,
-                         output=_json_text(payload))
+    return CommandResult({"budget_window": hardness.verify_budget_window(ecme).margins},
+                         input=args.input, output=_json_text(hardness.ecme_to_json(ecme)))
 
 
 def cmd_decide(args) -> CommandResult:
@@ -448,11 +433,6 @@ def build_parser() -> _Parser:
     p.add_argument("--input", required=True)
     p.add_argument("--output", required=True)
     p.set_defaults(func=cmd_reduce)
-
-    p = sub.add_parser("verify", help="structural checks on an ECME JSON, m == K included")
-    p.add_argument("--input", required=True)
-    p.add_argument("--output", default=None)
-    p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("decide", help="decide an ECME JSON (m == K check, or full search)")
     p.add_argument("--input", required=True)

@@ -1,8 +1,9 @@
 """Constructive reduction from cardinality-constrained subset sum (CCSS) to
-the entropy-constrained mass decision problem (ECME), with verifiers.
+the entropy-constrained mass decision problem (ECME), with its deciders.
 
 Pipeline: ``pad_to_narrow_range`` shifts every weight by the same constant
-so that all weights land strictly inside (tau/(K+1), tau/(K-1));
+so that all weights below (K+2) tau/(K-1) land strictly inside
+(tau/(K+1), tau/(K-1));
 ``scale_to_k20`` duplicates weights to force K >= 20 and re-pads;
 ``reduce_to_ecme`` turns the result into a probability vector consisting of
 m "heavy" items (the weights) plus an implicitly stored block of B
@@ -12,7 +13,7 @@ target beta and a high-precision entropy budget.
 An ``EcmeInstance`` keeps only what the reduction chose.  Every ECME file
 is a ``reduce`` output, so ``ecme_from_json`` re-runs the reduction on the
 file's weights, tau and K and refuses a file whose stored values differ: a
-file that loads passes all four ``verify`` checks.
+file that loads meets every precondition of the reduction.
 
 Arithmetic discipline: weights and derived counts are arbitrary-precision
 integers, probabilities are exact rationals, and only the transcendental
@@ -127,13 +128,7 @@ class CcssInstance:
 
     def narrow_range_holds(self) -> bool:
         """tau/(K+1) < w_i < tau/(K-1) for every weight, checked exactly."""
-        return _narrow_range_holds(self.weights, self.tau, self.k)
-
-
-def _narrow_range_holds(weights: Sequence[int], tau: int, k: int) -> bool:
-    """The narrow-range check on bare numbers (K >= 2), in integers: ``verify_instance``
-    applies it to an ``EcmeInstance``, whose fields need not make a ``CcssInstance``."""
-    return all(w * (k - 1) < tau < w * (k + 1) for w in weights)
+        return all(w * (self.k - 1) < self.tau < w * (self.k + 1) for w in self.weights)
 
 
 def _gamma(k: int) -> Fraction:
@@ -187,9 +182,10 @@ class WindowCheck:
     upper_margin: Mpf   # ln(K+1) - budget
 
     @property
-    def detail(self) -> str:
-        return (f"lower_margin={_CTX.nstr(self.lower_margin, 8)} "
-                f"upper_margin={_CTX.nstr(self.upper_margin, 8)}")
+    def margins(self) -> dict[str, str]:
+        """Both margins to 8 significant digits, as ``reduce``'s manifest records them."""
+        return {"lower_margin": _CTX.nstr(self.lower_margin, 8),
+                "upper_margin": _CTX.nstr(self.upper_margin, 8)}
 
 
 @dataclass(frozen=True)
@@ -204,8 +200,10 @@ class EcmeDecision:
 def pad_to_narrow_range(instance: CcssInstance) -> CcssInstance:
     """Shift every weight by M = (K+1) tau; the K-subset sums are preserved.
 
-    The padded instance (w_i + M; tau + K M; K) always satisfies the narrow
-    range, and a K-subset sums to tau in the original exactly when the
+    The padded instance (w_i + M; tau + K M; K) satisfies the narrow range
+    exactly when (K-1) w_i < (K+2) tau for every weight (the lower bound
+    always holds); a larger weight exceeds tau, so it is in no K-subset of
+    weight tau.  A K-subset sums to tau in the original exactly when the
     corresponding subset sums to the new target.
     """
     m_shift = (instance.k + 1) * instance.tau
@@ -296,12 +294,14 @@ def reduce_to_ecme(instance: CcssInstance) -> EcmeInstance:
     """
     if instance.k < 20:
         raise KTooSmall(f"reduction requires K >= 20, got K={instance.k}")
-    if not instance.narrow_range_holds():
-        raise NarrowRangeViolated(
-            "weights must lie strictly inside (tau/(K+1), tau/(K-1)); "
-            "apply pad_to_narrow_range/scale_to_k20 first"
-        )
     k, tau = instance.k, instance.tau
+    for i, w in enumerate(instance.weights):  # the narrow range, naming the first weight out
+        if not w * (k - 1) < tau < w * (k + 1):
+            raise NarrowRangeViolated(
+                f"weights must lie strictly inside (tau/(K+1), tau/(K-1)); weights[{i}]={w} is "
+                f"outside ({Fraction(tau, k + 1)}, {Fraction(tau, k - 1)}); pad_to_narrow_range"
+                " and scale_to_k20 leave a weight outside only for an input weight w with "
+                "(K-1) w >= (K+2) tau, which is above tau and so in no K-subset of weight tau")
     ln_k = _CTX.log(k)
     pseudo_h = _grouped_entropy(Counter(instance.weights), tau)
     theta = ln_k - pseudo_h
@@ -320,12 +320,12 @@ def reduce_to_ecme(instance: CcssInstance) -> EcmeInstance:
                         budget=Fraction(2, 5) * (h_heavy + h_boost), constants=constants)
     window = verify_budget_window(ecme)
     if not window.holds:
-        raise BudgetOutsideWindow(f"budget outside the window (ln K - gamma_K, ln(K+1)) at "
-                                  f"K={k}: {window.detail}")
+        raise BudgetOutsideWindow(f"budget outside the window (ln K - gamma_K, ln(K+1)) at K={k}: "
+                                  + " ".join(f"{n}={v}" for n, v in window.margins.items()))
     return ecme
 
 
-# --- verifiers ---------------------------------------------------------------
+# --- the budget window -------------------------------------------------------
 
 def verify_budget_window(instance: EcmeInstance) -> WindowCheck:
     """Check ln K - gamma_K < budget < ln(K+1) with explicit margins."""
@@ -340,26 +340,6 @@ def verify_budget_window(instance: EcmeInstance) -> WindowCheck:
             )
     return WindowCheck(holds=bool(lower_margin > 0 and upper_margin > 0),
                        lower_margin=lower_margin, upper_margin=upper_margin)
-
-
-def verify_instance(instance: EcmeInstance) -> list[tuple[str, bool, str]]:
-    """The named ``(name, ok, detail)`` checks ``toph verify`` prints.
-
-    ``heavy_count`` (m == K) is the precondition of structural ``decide``;
-    every ``reduce_to_ecme`` output meets it (see the module docstring).
-    The exact identities (total mass 1, booster block weight tau/2) hold by
-    construction: the instance stores no probability that could break them.
-    """
-    window = verify_budget_window(instance)
-    c = instance.constants
-    return [
-        ("budget_window", window.holds, window.detail),
-        ("narrow_range", _narrow_range_holds(instance.weights, instance.tau, instance.k),
-         "exact rational comparison"),
-        ("theta_bounds", _theta_in_range(c.theta_k, instance.k),
-         f"theta={_CTX.nstr(c.theta_k, 8)}"),
-        ("heavy_count", instance.m == instance.k, f"m={instance.m} K={instance.k}"),
-    ]
 
 
 def subset_weight(instance: EcmeInstance, heavy_indices: Iterable[int]) -> int:

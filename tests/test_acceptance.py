@@ -314,7 +314,6 @@ def test_criterion_10_cli_determinism(tmp_path):
         (["sweep", "--input", str(data), "--alphas", "0.2,0.4,0.8"], "sweep.csv"),
         (["reduce", "--input", str(ccss)], "ecme2.json"),
         (["decide", "--input", str(ecme)], "dec.json"),
-        (["verify", "--input", str(ecme)], "ver.json"),
     ]
     for argv, name in cases:
         a, b = tmp_path / f"a_{name}", tmp_path / f"b_{name}"

@@ -576,51 +576,44 @@ HARDNESS_COMMANDS = {
     "reduce": ["reduce", "--input", "{ccss}"],
     "decide": ["decide", "--input", "{ecme}"],
     "decide-full": ["decide", "--mode", "full", "--input", "{ecme}"],
-    "verify": ["verify", "--input", "{ecme}"],
 }
 HARDNESS_DIGESTS = {
     "yes": {
         "reduce": "33befbe73c1bc775184d8133c6613108568b6ab7a20a5b740de96f4787cf8e94",
         "decide": "ff7a30ef19440a5d725b1383532fecb5e3e03770b31493f7553e07a65db6e5b7",
         "decide-full": "68ef4ad37d44fed06717481612ed21af1cdcee408d939c676de7e89a6727a2f9",
-        "verify": "8d9e3125ee9439fc9a0f877b66b47382c84fb5809d193985ff64efdb28c9175e",
     },
     "no": {
         "reduce": "353929e7747b2d4ed64ec96def6726de5ac3d30dfc67c8ade79136c14887f761",
         "decide": "4ad84d792ca71bc70049b805fd54af4fa78dda5e0cc6f1dbbf28321f0aaec17c",
         "decide-full": "4ad84d792ca71bc70049b805fd54af4fa78dda5e0cc6f1dbbf28321f0aaec17c",
-        "verify": "cdb31bfb642ea04c976359f7695a22f36159e930cccb1063f78c73cbb65ed10b",
     },
     "spread": {
         "reduce": "74a8111918aa1e7634c9e58fbe8b87476e57a1d7dd30a95fbe502f6c04f4efc6",
         "decide": "0fbad03c50201cf8ef00d77be090edfa933fb6c850252109ef6117089f59cc6f",
         "decide-full": "c510591038d6256bce5c49a5ded8b3910666485d640a8f62afbcb7feefbfc7d5",
-        "verify": "a2a4c5e01907e59f3cb01b5ede240ef88b270c674450bd47dd027db62238bf4f",
     },
     "k4": {
         "reduce": "e59ea757d89b17b0d171e298b91d4972637afaf18e640868fe890150ff1386e8",
         "decide": "0fbad03c50201cf8ef00d77be090edfa933fb6c850252109ef6117089f59cc6f",
         "decide-full": "c510591038d6256bce5c49a5ded8b3910666485d640a8f62afbcb7feefbfc7d5",
-        "verify": "a686b5192b352d4709258c62a8e3480c5759e54e8da90f97304b1ff659ba4761",
     },
     "k20": {
         "reduce": "83f70c6f4206d98bedc9d4a4a5c293249824acd980a41f707530f5e8dd45d73c",
         "decide": "0fbad03c50201cf8ef00d77be090edfa933fb6c850252109ef6117089f59cc6f",
         "decide-full": "c510591038d6256bce5c49a5ded8b3910666485d640a8f62afbcb7feefbfc7d5",
-        "verify": "89457511f2f236ee9e2ee8f6a445da159f9744f088ec6c63c84cd4ee7530b9a9",
     },
     "k20-deficit": {
         "reduce": "52ceedc5c7895dd5f4d3797b727c43cf24f73e2e5d89426bd7fcf4915d9fdc12",
         "decide": "4ad84d792ca71bc70049b805fd54af4fa78dda5e0cc6f1dbbf28321f0aaec17c",
         "decide-full": "4ad84d792ca71bc70049b805fd54af4fa78dda5e0cc6f1dbbf28321f0aaec17c",
-        "verify": "c8f49e270cccd7f463ba1a3105c6afb54b4969fec51aa39a9c2cc0d8929589c5",
     },
 }
 
 
 class TestHardnessGolden:
-    """``reduce``, ``decide`` in both modes and ``verify`` write the same bytes:
-    one digest per command covers its exit code, stdout and ``--output`` file."""
+    """``reduce`` and ``decide`` in both modes write the same bytes: one digest
+    per command covers its exit code, stdout and ``--output`` file."""
 
     @pytest.mark.parametrize("name", sorted(HARDNESS_CASES))
     def test_outputs_match_pinned_digest(self, tmp_path, name):
@@ -824,13 +817,10 @@ class TestHardnessCommands:
         obj = json.loads(ecme.read_text())
         assert obj["k"] == 21
         assert obj["constants"]["lambda_k"] == 6
-
-        rc = main(["verify", "--input", str(ecme)])
-        assert rc == 0
-        out = capsys.readouterr().out
-        assert "PASS budget_window" in out
-        assert "lower_margin=" in out
-        assert "PASS heavy_count: m=21 K=21" in out
+        # the manifest records both budget-window margins
+        margins = json.loads((tmp_path / "ecme.json.manifest.json").read_text())["config"]
+        assert margins == {"budget_window": {"lower_margin": "0.0053548922",
+                                             "upper_margin": "0.041306847"}}
 
         rc = main(["decide", "--input", str(ecme), "--output", str(tmp_path / "d.json")])
         assert rc == 0
@@ -863,7 +853,7 @@ class TestHardnessCommands:
         path = tmp_path / "instance.json"
         if content is not None:
             path.write_text(content)
-        rc = main(["verify", "--input", str(path)])
+        rc = main(["decide", "--input", str(path)])
         assert rc == 2
         err = capsys.readouterr().err
         assert str(path) in err
@@ -873,7 +863,7 @@ class TestHardnessCommands:
         # the reader recomputes the budget, so an edited one is refused at load
         ecme = self.edited_ecme(tmp_path, ("budget",), "4.1")
         capsys.readouterr()
-        assert main(["verify", "--input", str(ecme)]) == 2
+        assert main(["decide", "--input", str(ecme)]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         assert f"{ecme}: not a valid ECME object: budget is not what weights" in captured.err
@@ -890,9 +880,8 @@ class TestHardnessCommands:
         ecme = tmp_path / "ecme.json"
         assert main(["reduce", "--input", str(ccss(117)), "--output", str(ecme)]) == 0
         capsys.readouterr()
-        assert main(["verify", "--input", str(ecme)]) == 0
-        out = capsys.readouterr().out
-        assert [line.split()[0] for line in out.splitlines()] == ["PASS"] * 4
+        margins = json.loads((tmp_path / "ecme.json.manifest.json").read_text())["config"]
+        assert all(float(m) > 0 for m in margins["budget_window"].values())
         for k in (118, 120):
             refused = tmp_path / f"ecme-{k}.json"
             assert main(["reduce", "--input", str(ccss(k)), "--output", str(refused)]) == 3
@@ -904,10 +893,25 @@ class TestHardnessCommands:
         weights = [str(1000 + i % 3) for i in range(120)]
         obj.update(weights=weights, tau=str(sum(map(int, weights))), k=120)
         ecme.write_text(json.dumps(obj))
-        assert main(["verify", "--input", str(ecme)]) == 2
+        assert main(["decide", "--input", str(ecme)]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         assert f"{ecme}: not a valid ECME object: budget outside the window" in captured.err
+
+    @pytest.mark.parametrize("weights, tau, k, named", [
+        ((100000, 1, 1, 1), 3, 3, "weights[0]=106018 is outside (126399/22, 126399/20)"),
+        ((24,) + (1,) * 20, 20, 20, "weights[0]=444 is outside (8420/21, 8420/19)"),
+    ], ids=["k3-scaled", "k20"])
+    def test_weight_above_tau_is_named(self, tmp_path, capsys, weights, tau, k, named):
+        # (K-1) w >= (K+2) tau leaves the padded weight outside the narrow range
+        ccss, ecme = tmp_path / "ccss.json", tmp_path / "ecme.json"
+        ccss.write_text(json.dumps(ccss_to_json(CcssInstance(weights, tau, k))))
+        assert main(["reduce", "--input", str(ccss), "--output", str(ecme)]) == 3
+        err = capsys.readouterr().err
+        assert f"toph: precondition failed: weights must lie strictly inside " \
+               f"(tau/(K+1), tau/(K-1)); {named}" in err
+        assert "above tau and so in no K-subset of weight tau" in err
+        assert not ecme.exists()
 
     def test_decide_domain_limit_exits_3(self, tmp_path, capsys):
         ccss = tmp_path / "wide.json"
@@ -938,7 +942,7 @@ class TestHardnessCommands:
         # the reader refuses a stored field that the weights, tau and K do not
         # give; each edited file differs from a reduce output in one field
         ecme = self.edited_ecme(tmp_path, path, value)
-        for argv in (["verify"], ["decide"], ["decide", "--mode", "full"]):
+        for argv in (["decide"], ["decide", "--mode", "full"]):
             capsys.readouterr()
             assert main([*argv, "--input", str(ecme), "--output", str(tmp_path / "o")]) == 2
             err = capsys.readouterr().err
@@ -965,8 +969,8 @@ class TestHardnessCommands:
     ], ids=["beta-den-0", "heavy-prob-den-0", "w_b-den-0", "tau-0", "tau-negative",
             "weight-0", "booster-count-0", "w_b-0", "budget-inf", "budget-nan", "theta-inf",
             "delta-nan", "epsilon-minus-inf", "lambda-raw-nan", "k-2", "no-weights"])
-    @pytest.mark.parametrize("argv", [["decide"], ["decide", "--mode", "full"], ["verify"]],
-                             ids=["decide", "decide-full", "verify"])
+    @pytest.mark.parametrize("argv", [["decide"], ["decide", "--mode", "full"]],
+                             ids=["decide", "decide-full"])
     def test_out_of_range_field_exits_2(self, tmp_path, capsys, path, value, argv):
         ecme = self.edited_ecme(tmp_path, path, value)
         capsys.readouterr()
@@ -986,7 +990,7 @@ class TestHardnessCommands:
         # no reduce output has m != K: the reader's reduction refuses it
         ecme = self.consistent_ecme(
             tmp_path, lambda e: dataclasses.replace(e, weights=e.weights + e.weights[:1]))
-        for argv in (["decide"], ["decide", "--mode", "full"], ["verify"]):
+        for argv in (["decide"], ["decide", "--mode", "full"]):
             capsys.readouterr()
             assert main([*argv, "--input", str(ecme), "--output", str(tmp_path / "o")]) == 2
             captured = capsys.readouterr()
@@ -1001,7 +1005,7 @@ class TestHardnessCommands:
             tmp_path, lambda e: dataclasses.replace(e, k=30, booster_count=30**6))
         report = tmp_path / "report.json"
         capsys.readouterr()
-        assert main(["verify", "--input", str(ecme), "--output", str(report)]) == 2
+        assert main(["decide", "--input", str(ecme), "--output", str(report)]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "not a valid ECME object: need 3 <= K <= m, got K=30, m=21" in captured.err
@@ -1101,8 +1105,8 @@ class TestStrictInstanceReaders:
          "constants.lambda_raw is not what weights, tau and k give"),
     ], ids=["beta-one-half", "booster-count-1e30", "weights-true", "budget-true",
             "theta-1e-4", "theta-5", "delta-123", "lambda-raw-minus-7"])
-    @pytest.mark.parametrize("argv", [["decide"], ["decide", "--mode", "full"], ["verify"]],
-                             ids=["decide", "decide-full", "verify"])
+    @pytest.mark.parametrize("argv", [["decide"], ["decide", "--mode", "full"]],
+                             ids=["decide", "decide-full"])
     def test_inconsistent_ecme_exits_2(self, tmp_path, yes_ecme, field, value, reason, argv):
         obj = json.loads(json.dumps(yes_ecme))
         *parents, last = field.split(".")
@@ -1126,7 +1130,7 @@ class TestStrictInstanceReaders:
         assert _run(["reduce", "--input", str(ccss), "--output", str(ecme)])[0] == 0
         assert json.loads(ecme.read_text()) == yes_ecme
         ecme.write_text(json.dumps({**yes_ecme, "tau": int(yes_ecme["tau"])}))
-        assert _run(["verify", "--input", str(ecme)]) == (0, "")
+        assert _run(["decide", "--input", str(ecme)]) == (0, "")
 
     @settings(max_examples=300, deadline=None)
     @given(data=st.data())
@@ -1135,8 +1139,7 @@ class TestStrictInstanceReaders:
         # that reads it exits 0, 2 or 3, and writes nothing when it exits 2.
         # An ECME file is a reduce output, so any changed value but the
         # schema version makes it one no more: that exits 2.
-        argv = data.draw(st.sampled_from([["reduce"], ["verify"], ["decide"],
-                                          ["decide", "--mode", "full"]]))
+        argv = data.draw(st.sampled_from([["reduce"], ["decide"], ["decide", "--mode", "full"]]))
         obj = json.loads(json.dumps(ccss_to_json(CcssInstance((3, 5, 7), 15, 3))
                                     if argv == ["reduce"] else yes_ecme))
         path = data.draw(st.sampled_from(list(_paths(obj))))
@@ -1178,6 +1181,10 @@ class TestParser:
             cli._parser.cache_clear()
         assert built == [1]
         assert build() is not build()
+
+    def test_verify_is_not_a_command(self, capsys):
+        assert main(["verify", "--input", "x"]) == 1
+        assert "invalid choice: 'verify'" in capsys.readouterr().err
 
     def test_readme_examples_name_every_command(self):
         # the `toph ...` lines of README's fenced code blocks use exactly the
@@ -1230,7 +1237,6 @@ class TestManifests:
         "gap": ["--n", "6", "--trials", "3"],
         "sweep": ["--input", "{dataset}"],
         "reduce": ["--input", "{ccss}"],
-        "verify": ["--input", "{ecme}"],
         "decide": ["--input", "{ecme}"],
     }
 

@@ -1,4 +1,4 @@
-"""Unit tests for the subset-sum reduction pipeline and its verifiers."""
+"""Unit tests for the subset-sum reduction pipeline and its deciders."""
 
 import json
 import pickle
@@ -39,7 +39,6 @@ from toph.hardness import (
     reduce_to_ecme,
     scale_to_k20,
     verify_budget_window,
-    verify_instance,
 )
 from toph import hardness, oracle
 from toph.oracle import subset_sums
@@ -103,6 +102,16 @@ class TestPadding:
         assert yes and witness == (0, 1, 2)
         padded_no = pad_to_narrow_range(NO)
         assert brute_force_ccss(padded_no)[0] is False
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_narrow_range_condition_is_exact(self, data):
+        # the padded instance is narrow exactly when (K-1) w < (K+2) tau for every weight
+        k = data.draw(st.integers(3, 8))
+        weights = tuple(data.draw(st.lists(st.integers(1, 60), min_size=k, max_size=k + 3)))
+        tau = data.draw(st.integers(1, 40))
+        padded = pad_to_narrow_range(CcssInstance(weights, tau, k))
+        assert padded.narrow_range_holds() is all((k - 1) * w < (k + 2) * tau for w in weights)
 
     def test_all_subset_sums_transfer(self):
         # exact equivalence: a K-subset hits tau iff the padded one hits tau'
@@ -225,7 +234,8 @@ class TestReduce:
             assert 0 < theta < cap
 
     def test_requires_narrow_range(self):
-        with pytest.raises(NarrowRangeViolated):
+        with pytest.raises(NarrowRangeViolated,
+                           match=r"weights\[0\]=1 is outside \(10/3, 70/19\)"):
             reduce_to_ecme(CcssInstance(tuple([1] * 20) + (50,), 70, 20))
 
     def test_requires_k20(self):
@@ -363,7 +373,7 @@ class TestCardinalityLock:
     def test_detects_violation_without_narrow_range(self):
         # wide weights: {4, 8} and {2, 4, 6} both reach 12, so no single
         # cardinality is locked in
-        assert not hardness._narrow_range_holds([2, 4, 6, 8, 10], 12, 3)
+        assert not CcssInstance((2, 4, 6, 8, 10), 12, 3).narrow_range_holds()
         assert set(_sizes_at([2, 4, 6, 8, 10], 12).tolist()) == {2, 3}
 
     def test_int64_overflow_guard(self):
@@ -586,34 +596,6 @@ class TestStructuralDecideBeyondTwentyFour:
         assert decision.witness == (tuple(range(2 * k)) if expected else None)
 
 
-class TestVerifyInstance:
-    NAMES = ["budget_window", "narrow_range", "theta_bounds", "heavy_count"]
-
-    def test_reduce_outputs_pass_every_check(self, ecme_yes, ecme_no, ecme_spread):
-        for inst in (ecme_yes, ecme_no, ecme_spread):
-            checks = verify_instance(inst)
-            assert [name for name, _, _ in checks] == self.NAMES
-            assert all(ok for _, ok, _ in checks)
-        assert dict((n, d) for n, _, d in verify_instance(ecme_yes))["heavy_count"] == "m=21 K=21"
-
-    def test_heavy_count_fails_off_cardinality(self, ecme_yes):
-        checks = {name: ok for name, ok, _ in verify_instance(_with_heavy_count(ecme_yes, 22))}
-        assert checks["heavy_count"] is False
-        assert checks["budget_window"] and checks["theta_bounds"]
-
-    @pytest.mark.parametrize("changes, heavy_count", [
-        ({"k": 30}, "m=21 K=30"),
-        ({"weights": ()}, "m=0 K=21"),
-    ], ids=["k-above-m", "no-weights"])
-    def test_every_check_runs_without_a_ccss_instance(self, ecme_yes, changes, heavy_count):
-        # neither field set makes a CcssInstance; every check still reports
-        import dataclasses
-
-        checks = verify_instance(dataclasses.replace(ecme_yes, **changes))
-        assert [name for name, _, _ in checks] == self.NAMES
-        assert ("heavy_count", False, heavy_count) in checks
-
-
 def _blocks_against_full_tables(weights, column, target, step, count):
     """Check ``_exact_sum_blocks`` against full tables; return the masks it found."""
     chunks = list(hardness._exact_sum_blocks(weights, column, target, step, count))
@@ -658,7 +640,7 @@ class TestCardinalityLockInBlocks:
         sizes = subset_sums(np.ones(len(weights), dtype=np.int64))[masks]
         assert sizes.size > 0
         assert bool(np.all(sizes == k)) is expected
-        assert hardness._narrow_range_holds(weights, tau, k) is expected
+        assert CcssInstance(tuple(weights), tau, k).narrow_range_holds() is expected
         _blocks_against_full_tables(weights, np.log(np.asarray(weights, dtype=float)),
                                     tau, 5, 4)
 
@@ -737,7 +719,6 @@ class TestPrivateContext:
     def test_outputs_ignore_another_threads_precision(self):
         cases = [prepare(YES), prepare(NO), SPREAD, prepare(FULL_MODE_CASES[2])]
         reference = [json.dumps(ecme_to_json(reduce_to_ecme(c))) for c in cases]
-        checks = [verify_instance(reduce_to_ecme(c)) for c in cases]
         decisions = [decide_ecme_small(reduce_to_ecme(c), mode="full") for c in cases]
         stop = threading.Event()
 
@@ -756,8 +737,6 @@ class TestPrivateContext:
             for i in range(2000):
                 c = i % len(cases)
                 assert json.dumps(ecme_to_json(reduce_to_ecme(cases[c]))) == reference[c]
-                if i % 10 == 0:
-                    assert verify_instance(reduce_to_ecme(cases[c])) == checks[c]
                 if i % 500 < len(cases):
                     assert decide_ecme_small(reduce_to_ecme(cases[c]), mode="full") == decisions[c]
         finally:
