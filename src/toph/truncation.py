@@ -278,23 +278,23 @@ def _descending_order(probs: np.ndarray) -> np.ndarray:
 
 
 #: How many leading work entries ``select_block`` converts for every top-H
-#: row at once; a row that keeps them all is scanned again from its whole row.
+#: row at once; a row that keeps them all goes on from the rest of its row.
 _HEAD = 16
 
 
-def _top_h_scan(row: list[float], threshold: float, order: np.ndarray | None):
-    """The greedy scan over (a head of) one working row: (count, h_q, stop
-    reason, steps).
+def _top_h_scan(row: list[float], threshold: float, order: np.ndarray | None,
+                start=(0, 0.0, STOP_CAP_EXHAUSTED, (), 0.0, 0.0)):
+    """The greedy scan over (a stretch of) one working row: (count, h_q, stop
+    reason, steps, gamma, sum p ln p).
 
-    ``row`` is a list of the row's leading working probabilities; a scan that
-    uses them all reports ``STOP_CAP_EXHAUSTED``, and the caller decides
-    whether the row has more.  ``order`` is the row's token indices, given
-    only when the steps are traced.
+    ``row`` is a list of the row's working probabilities from entry
+    ``start[0]`` on, and ``start`` the result of the scan of the entries
+    before them; a scan that uses them all reports ``STOP_CAP_EXHAUSTED``,
+    and the caller decides whether the row has more.  ``order`` is the
+    row's token indices, given only when the steps are traced.
     """
-    gamma = h = h_q = 0.0
-    count = 0
-    steps = []
-    stop = STOP_CAP_EXHAUSTED
+    count, h_q, stop, steps, gamma, h = start
+    steps = list(steps)
     for p_j in row:
         if p_j <= 0.0:
             stop = STOP_ZERO_TAIL
@@ -312,7 +312,7 @@ def _top_h_scan(row: list[float], threshold: float, order: np.ndarray | None):
         count += 1
         if order is not None:
             steps.append(TraceStep(index=int(order[count - 1]), gamma=gamma, entropy=entropy))
-    return count, h_q, stop, tuple(steps)
+    return count, h_q, stop, tuple(steps), gamma, h
 
 
 def select_block(
@@ -326,8 +326,8 @@ def select_block(
     ``r`` of the result is record ``r``'s selection under ``config.method``.
     ``h_p`` is ``distributions.row_entropies`` of the work matrix, and the
     traced ``h_p_full`` that of ``probs``.  Top-H scans each row's first
-    ``_HEAD`` work entries, converted for the whole block at once, and scans
-    a row again from all its entries only when it kept that whole head and
+    ``_HEAD`` work entries, converted for the whole block at once, and goes
+    on over the rest of a row only when it kept that whole head and the row
     has more.  The rows are then grouped by their count k: one sum over
     the first k columns gives each group's ``gamma``, and the baselines'
     ``h_q`` is ``row_entropies`` of each group's kept entries over its
@@ -363,7 +363,7 @@ def select_block(
             scan = _top_h_scan(head, threshold[r], tokens)
             if c > _HEAD and scan[2] == STOP_CAP_EXHAUSTED:
                 # the scan kept the whole head and the row goes on
-                scan = _top_h_scan(work[r].tolist(), threshold[r], tokens)
+                scan = _top_h_scan(work[r, _HEAD:].tolist(), threshold[r], tokens, scan)
             scans.append(scan)
         counts = [s[0] for s in scans]
         h_q = [s[1] for s in scans]

@@ -564,6 +564,30 @@ class TestChunkedPassAgainstReference:
         assert _HEAD in kept[_HEAD + 1]
         assert {_HEAD - 1, _HEAD, _HEAD + 1} <= kept[100]
 
+    @pytest.mark.parametrize("cap, alpha", [(_HEAD + 1, 0.9), (_HEAD + 1, 0.99), (64, 0.9),
+                                            (100, 0.9), (1000, 0.9)])
+    def test_rows_that_keep_more_than_the_head(self, cap, alpha):
+        # a row that keeps its whole head goes on from entry _HEAD with the
+        # head's running sums.  Softmax rows of 1000 tokens and zero-padded
+        # uniform(m) rows (floor(m ** alpha) tokens) keep 17 to 100 tokens and
+        # more at alpha 0.9; at cap 17 they stop inside the head, and at alpha
+        # 0.99 they keep it and stop on entry 17, whose entropy is over budget
+        rng = np.random.default_rng(cap)
+        dists = [make_distribution(rng.normal(0.0, sigma, 1000), mode="logits")
+                 for sigma in (0.5, 1.0, 2.0)]
+        dists += [make_distribution((np.arange(1000) < m) / m) for m in (24, 60, 120, 166)]
+        cfg = config(alpha=alpha, candidate_cap=cap)
+        assert_block_matches_reference(dists, cfg)
+        kept = []
+        for block in dataset_blocks(dists):
+            plain, traced = (select_block(block.probs, cfg, trace) for trace in (False, True))
+            assert plain.trace is None
+            assert (plain.counts, plain.gamma, plain.h_q, plain.stop_reason) == (
+                traced.counts, traced.gamma, traced.h_q, traced.stop_reason)
+            kept += plain.counts
+        assert (min(kept) >= _HEAD) is (cap > _HEAD + 1 or alpha > 0.9)
+        assert any(_HEAD < count <= 100 for count in kept) is (cap > _HEAD + 1)
+
     @pytest.mark.parametrize("n", [100, 5000])
     def test_full_chunks_of_generated_records(self, n):
         # more records than one chunk holds, so the pass runs several chunks
