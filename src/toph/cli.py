@@ -88,12 +88,11 @@ class _Parser(argparse.ArgumentParser):
 
 @dataclass(frozen=True)
 class CommandResult:
-    """What a command hands back to ``main``: manifest fields, exit code and output pieces."""
+    """What a command hands back to ``main``: manifest fields and output pieces."""
 
     config: dict
     seed: int | None = None
     input: str | None = None
-    code: int = EXIT_OK
     output: Iterable[str] = ()
 
 
@@ -482,7 +481,7 @@ def main(argv: list[str] | None = None) -> int:
                         "duration_s": round(time.monotonic() - started, 6),
                         "schema_version": SCHEMA_VERSION}
             _write(args.output + ".manifest.json", _json_text(manifest))
-        return result.code
+        return EXIT_OK
     except UsageError as exc:
         print(f"toph: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
