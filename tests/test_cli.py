@@ -818,9 +818,9 @@ class TestHardnessCommands:
         assert obj["k"] == 21
         assert obj["constants"]["lambda_k"] == 6
         # the manifest records both budget-window margins
-        margins = json.loads((tmp_path / "ecme.json.manifest.json").read_text())["config"]
-        assert margins == {"budget_window": {"lower_margin": "0.0053548922",
-                                             "upper_margin": "0.041306847"}}
+        config = json.loads((tmp_path / "ecme.json.manifest.json").read_text())["config"]
+        assert config == {"budget_window": {"lower_margin": "0.0053548922",
+                                            "upper_margin": "0.041306847"}}
 
         rc = main(["decide", "--input", str(ecme), "--output", str(tmp_path / "d.json")])
         assert rc == 0
@@ -880,8 +880,8 @@ class TestHardnessCommands:
         ecme = tmp_path / "ecme.json"
         assert main(["reduce", "--input", str(ccss(117)), "--output", str(ecme)]) == 0
         capsys.readouterr()
-        margins = json.loads((tmp_path / "ecme.json.manifest.json").read_text())["config"]
-        assert all(float(m) > 0 for m in margins["budget_window"].values())
+        config = json.loads((tmp_path / "ecme.json.manifest.json").read_text())["config"]
+        assert all(float(m) > 0 for m in config["budget_window"].values())
         for k in (118, 120):
             refused = tmp_path / f"ecme-{k}.json"
             assert main(["reduce", "--input", str(ccss(k)), "--output", str(refused)]) == 3
