@@ -16,9 +16,9 @@ The package has five pillars:
   maximization by exhaustive subset enumeration, and the greedy-vs-optimal
   gap harness, which runs greedy through ``select_block`` a block at a time;
 - ``hardness``: a constructive reduction from cardinality-constrained
-  subset sum to the entropy-constrained mass decision problem, in exact
-  rational arithmetic, with a direct decider for the m == K instances the
-  reduction emits and a full subset search for small instances;
+  subset sum to the exact-mass entropy decision problem for every m >= K,
+  in exact rational arithmetic, with its proof and a decider that searches
+  the heavy subsets of instances up to ``MAX_FULL_SPACE_ITEMS`` items;
 - ``synthgen``: seeded synthetic distribution generators and JSONL
   dataset I/O; a generated run is drawn as the validated ``(B, n)``
   blocks that reading its file gives.

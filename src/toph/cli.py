@@ -352,13 +352,12 @@ def _load_instance(path: str, from_json):
 
 
 def cmd_reduce(args) -> CommandResult:
-    """The ECME file of the prepared instance; the manifest records both budget-window margins."""
+    """The ECME file of the instance; the manifest records the budget's margins."""
     from . import hardness  # mpmath is loaded by these two commands only
     instance = _load_instance(args.input, hardness.ccss_from_json)
-    ecme = hardness.reduce_to_ecme(hardness.prepare(instance))
-    print(f"k={ecme.k} m={ecme.m} lambda={ecme.constants.lambda_k} "
-          f"boosters={ecme.booster_count}")
-    return CommandResult({"budget_window": hardness.verify_budget_window(ecme).margins},
+    ecme = hardness.reduce_to_ecme(instance)
+    print(f"k={ecme.k} m={ecme.m} boosters={ecme.booster_count}")
+    return CommandResult({"budget_window": hardness.budget_margins(ecme)},
                          input=args.input, output=_json_text(hardness.ecme_to_json(ecme)))
 
 
@@ -428,12 +427,12 @@ def build_parser() -> _Parser:
     p.add_argument("--output", required=True)
     p.set_defaults(func=cmd_generate)
 
-    p = sub.add_parser("reduce", help="CCSS JSON -> prepared ECME JSON")
+    p = sub.add_parser("reduce", help="CCSS JSON -> ECME JSON")
     p.add_argument("--input", required=True)
     p.add_argument("--output", required=True)
     p.set_defaults(func=cmd_reduce)
 
-    p = sub.add_parser("decide", help="decide an ECME JSON (m == K check, or full search)")
+    p = sub.add_parser("decide", help="decide an ECME JSON by subset search")
     p.add_argument("--input", required=True)
     p.add_argument("--output", default=None)
     p.add_argument("--mode", choices=["structural", "full"], default="structural")

@@ -82,35 +82,11 @@ class VocabularyTooLarge(TophError):
 
 # --- hardness pipeline ----------------------------------------------------
 
-class NarrowRangeViolated(TophError):
-    pass
-
-
-class ThetaOutOfBounds(TophError):
-    pass
-
-
-class KTooSmall(TophError):
-    pass
-
-
-class WrongCardinality(TophError):
-    pass
-
-
 class WrongMass(TophError):
     pass
 
 
 class TooManyHeavyItems(TophError):
-    pass
-
-
-class PrecisionInsufficient(TophError):
-    pass
-
-
-class BudgetOutsideWindow(TophError):
     pass
 
 

@@ -1,7 +1,7 @@
 """Full-table exhaustive searches that the tests compare the library against.
 
 These are the enumerations ``toph.oracle.exact_ecmm`` and
-``toph.hardness.decide_ecme_small(mode="full")`` ran before they moved to
+``toph.hardness.decide_ecme_small`` ran before they moved to
 log-free screens and the sorted meet-in-the-middle lookup of
 ``toph.oracle.key_range_subsets`` (tables of the low ``n - n // 2`` items,
 expanded in chunks of masks): one complete ``2**n`` table per column from
@@ -42,14 +42,17 @@ def reference_exact_ecmm(instance):
     )
 
 
-def reference_full_candidates(instance):
-    """Every mask that passes the full-mode float screen, from full tables."""
+def reference_full_candidates(instance, full=True):
+    """Every mask that passes the float screen, from full tables: of every
+    deficit that whole boosters fill, or, unless ``full``, of deficit 0."""
     big_b = instance.booster_count
     sums = subset_sums(np.asarray(instance.weights, dtype=np.int64))
     deficit = instance.tau - sums
     scaled = 2 * big_b * deficit
     valid = (deficit >= 0) & (scaled % instance.tau == 0) & (scaled // instance.tau <= big_b)
     valid[0] = False  # a sampler set cannot be empty
+    if not full:
+        valid &= deficit == 0
     wlogw = subset_sums(np.asarray([w * math.log(w) for w in instance.weights]))
     w_b = float(instance.w_b)
     b_counts = np.where(valid, scaled // instance.tau, 0)
@@ -59,11 +62,12 @@ def reference_full_candidates(instance):
     return np.nonzero(valid & (h_float <= float(instance.budget) + 1e-6))[0].tolist()
 
 
-def reference_decide_full(instance):
-    """Full-space decision on full tables; the witness has the smallest mask."""
+def reference_decide_full(instance, full=True):
+    """The decision on full tables (structural unless ``full``); the witness
+    has the smallest mask."""
     big_b = instance.booster_count
     with mp.workdps(DEFAULT_DPS):
-        for mask in reference_full_candidates(instance):
+        for mask in reference_full_candidates(instance, full):
             subset = mask_indices(mask)
             b = 2 * big_b * (instance.tau - subset_weight(instance, subset)) // instance.tau
             h = mixed_subset_entropy(instance, subset, int(b))

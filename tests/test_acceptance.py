@@ -30,12 +30,9 @@ from toph.hardness import (
     ccss_to_json,
     decide_ecme_small,
     ecme_to_json,
-    lambda_exponent,
-    prepare,
     reduce_to_ecme,
-    verify_budget_window,
 )
-from toph.oracle import optimality_gap
+from toph.oracle import optimality_gap, subset_sums
 from toph.synthgen import GeneratorSpec, generate
 from toph.truncation import Method, TruncationConfig, truncate
 
@@ -250,16 +247,12 @@ def test_criterion_8_hardness_pipeline():
         k = rng.choice([3, 4, 5, 6, 7, 8, 10, 11, 12])
         weights = [rng.randint(1, 100) for _ in range(k)]
         if len(set(weights)) == 1:
-            weights[0] += 1  # uniform weights hit the theta == 0 boundary
+            weights[0] += 1  # kept, so that the 200 instances stay the same
         total = sum(weights)
         tau = total if trial % 2 == 0 else total + rng.randint(1, max(1, total // 8))
         inst = CcssInstance(tuple(weights), tau, k)
 
-        padded = prepare(inst)
-        assert padded.narrow_range_holds()
-        ecme = reduce_to_ecme(padded)
-        window = verify_budget_window(ecme)
-        assert window.holds and window.lower_margin > 0 and window.upper_margin > 0
+        ecme = reduce_to_ecme(inst)
         expected, _ = brute_force_ccss(inst)
         assert decide_ecme_small(ecme).is_yes == expected
         agreements += 1
@@ -271,26 +264,37 @@ def test_criterion_8_hardness_pipeline():
 
 
 def test_criterion_9_reduction_constants():
-    # the exponent formula, evaluated independently at the deficit cap
-    with mp.workdps(50):
-        ln20 = mp.log(20)
-        theta = mp.mpf("0.00125")
-        gamma = Fraction(1, 6400)
-        eps = (mp.mpf(384) / 10000 + mp.mpf(1) / 6400) / ln20
-        delta = 5 * theta / (2 * ln20)
-        raw_reference = (mp.mpf(7333) / 10000 - eps + delta) / (mp.mpf(133) / 1000)
-        lam, raw = lambda_exponent(20, theta)
-        assert abs(raw - raw_reference) < mp.mpf("1e-40")
-    assert lam == 6
-    assert 20**lam == 64_000_000
-
-    # a real K=20 reduction reports the same constants
+    # K = 20: B = K boosters, and the budget is ln K plus the margin 1/(4K)
     spread = CcssInstance(tuple([763] * 10 + [837] * 10), 16000, 20)
     ecme = reduce_to_ecme(spread)
-    assert ecme_to_json(ecme)["constants"]["gamma_k"] == {"num": "1", "den": "6400"}
-    assert ecme.constants.lambda_k == 6
-    assert ecme.booster_count == 64_000_000
-    _ok(9, "gamma = 1/6400 exactly and exponent 6 at K=20, cross-checked")
+    assert ecme.booster_count == 20
+    assert ecme_to_json(ecme)["booster_count"] == "20"
+    with mp.workdps(50):
+        assert abs(ecme.budget - mp.log(20) - mp.mpf(1) / 80) < mp.mpf(10) ** -48
+
+    # every mass-exact subset with boosters, found from the subset-sum table
+    # and scored from its item counts: none is within the budget
+    tau, w_b = ecme.tau, ecme.w_b
+    sums = subset_sums(np.asarray(ecme.weights, dtype=np.int64))
+    lows = subset_sums(np.asarray([1] * 10 + [0] * 10, dtype=np.int64))  # 763s in the mask
+    highs = subset_sums(np.asarray([0] * 10 + [1] * 10, dtype=np.int64))
+    found = 0
+    with mp.workdps(50):
+        for b in range(1, 21):
+            target = tau - b * w_b
+            if target.denominator != 1:
+                continue
+            hits = np.flatnonzero(sums == target.numerator)
+            found += hits.size
+            for a, c in set(zip(lows[hits].tolist(), highs[hits].tolist())):
+                terms = [(a, Fraction(ecme.weights[0], tau)),
+                         (c, Fraction(ecme.weights[10], tau)), (b, Fraction(1, 40))]
+                probs = [(n, mp.mpf(p.numerator) / p.denominator) for n, p in terms if n]
+                h = -mp.fsum(n * p * mp.log(p) for n, p in probs)
+                assert h > ecme.budget
+    assert found > 0
+    _ok(9, "B = K = 20, budget ln 20 + 1/80, and no booster subset within it",
+        f"{found} mass-exact booster subsets")
 
 
 def test_criterion_10_cli_determinism(tmp_path):

@@ -20,7 +20,7 @@ from toph.cli import build_parser, main
 from toph.errors import (
     MalformedRecord, MixedSchema, NonFiniteValue, NonPositiveTemperature, TophError,
 )
-from toph.hardness import CcssInstance, ccss_to_json, ecme_to_json, prepare, reduce_to_ecme
+from toph.hardness import CcssInstance, ccss_to_json, ecme_to_json, reduce_to_ecme
 from toph.synthgen import GeneratorSpec, chunk_rows, generate_blocks, read_dataset
 
 from dataset_reference import reference_read_dataset
@@ -558,8 +558,9 @@ class TestGapGolden:
 
 
 # CCSS instances (weights, tau, K) whose hardness outputs are pinned: the
-# tests' YES, NO and SPREAD instances, one K = 4 instance and two m == K == 20
-# full-mode cases, the second with a deficit of 57.
+# tests' YES, NO and SPREAD instances, one K = 4 instance, two m == K == 20
+# full-mode cases, the second with a deficit of 57, one m > K instance and
+# one with a weight far above tau.
 HARDNESS_CASES = {
     "yes": ((3, 5, 7), 15, 3),
     "no": ((3, 5, 7), 16, 3),
@@ -569,6 +570,8 @@ HARDNESS_CASES = {
              798, 800, 811, 794, 820, 783, 776, 801, 771, 827), 15984, 20),
     "k20-deficit": ((785, 807, 804, 778, 793, 828, 808, 800, 810, 807,
                      774, 808, 770, 828, 823, 800, 786, 805, 784, 782), 16037, 20),
+    "m-above-k": ((9, 4, 12, 7, 3, 15, 6), 22, 3),
+    "k3-above-tau": ((100000, 1, 1, 1), 3, 3),
 }
 # The hardness commands run on each case, in this order: ``reduce`` writes the
 # ECME file that the others read.
@@ -579,34 +582,44 @@ HARDNESS_COMMANDS = {
 }
 HARDNESS_DIGESTS = {
     "yes": {
-        "reduce": "33befbe73c1bc775184d8133c6613108568b6ab7a20a5b740de96f4787cf8e94",
-        "decide": "ff7a30ef19440a5d725b1383532fecb5e3e03770b31493f7553e07a65db6e5b7",
-        "decide-full": "68ef4ad37d44fed06717481612ed21af1cdcee408d939c676de7e89a6727a2f9",
+        "reduce": "4fecf4d920c782cd68859102bb1438070d5ba456e2730ac641c76f08555c58f7",
+        "decide": "bb2b63c0db7149643ca89eb098085999bb8dc20d57bbcd7ae1941ce1fc26f024",
+        "decide-full": "b23ae5b0d0d9a44577f4d7b8c05add6cd33701f22dc0abb523519d76ba818861",
     },
     "no": {
-        "reduce": "353929e7747b2d4ed64ec96def6726de5ac3d30dfc67c8ade79136c14887f761",
+        "reduce": "1f130befa11b888efa4620464e3dd7e8e5d7526feb0f2bfdbde56f753041c1c5",
         "decide": "4ad84d792ca71bc70049b805fd54af4fa78dda5e0cc6f1dbbf28321f0aaec17c",
         "decide-full": "4ad84d792ca71bc70049b805fd54af4fa78dda5e0cc6f1dbbf28321f0aaec17c",
     },
     "spread": {
-        "reduce": "74a8111918aa1e7634c9e58fbe8b87476e57a1d7dd30a95fbe502f6c04f4efc6",
+        "reduce": "b97dfdaa8e0611ceb23579b7b0a4e3fa39f5cb08aa40494ec02249f9e4e664c9",
         "decide": "0fbad03c50201cf8ef00d77be090edfa933fb6c850252109ef6117089f59cc6f",
         "decide-full": "c510591038d6256bce5c49a5ded8b3910666485d640a8f62afbcb7feefbfc7d5",
     },
     "k4": {
-        "reduce": "e59ea757d89b17b0d171e298b91d4972637afaf18e640868fe890150ff1386e8",
-        "decide": "0fbad03c50201cf8ef00d77be090edfa933fb6c850252109ef6117089f59cc6f",
-        "decide-full": "c510591038d6256bce5c49a5ded8b3910666485d640a8f62afbcb7feefbfc7d5",
+        "reduce": "10cc388859ab65edb58bb7e222e509322eb3ea1ba1094e3aecf40910c1079cb1",
+        "decide": "4e65c9fc7078500dde37e485b76e863e4270de936a572b6a4b9c57c428c58bf4",
+        "decide-full": "cb497d6b9a8788a71d97957e2caead6b71fbc348919f24676304f4462e9af4a3",
     },
     "k20": {
-        "reduce": "83f70c6f4206d98bedc9d4a4a5c293249824acd980a41f707530f5e8dd45d73c",
+        "reduce": "18b8d4cde3325cae32f94d55356dac88e7a354f7fa9553dfb0535a19b22d695e",
         "decide": "0fbad03c50201cf8ef00d77be090edfa933fb6c850252109ef6117089f59cc6f",
         "decide-full": "c510591038d6256bce5c49a5ded8b3910666485d640a8f62afbcb7feefbfc7d5",
     },
     "k20-deficit": {
-        "reduce": "52ceedc5c7895dd5f4d3797b727c43cf24f73e2e5d89426bd7fcf4915d9fdc12",
+        "reduce": "47b26b8f5bcb8aeb62a373225d6b4d7dd161f03e046098b00f4ee378e1cf0920",
         "decide": "4ad84d792ca71bc70049b805fd54af4fa78dda5e0cc6f1dbbf28321f0aaec17c",
         "decide-full": "4ad84d792ca71bc70049b805fd54af4fa78dda5e0cc6f1dbbf28321f0aaec17c",
+    },
+    "m-above-k": {
+        "reduce": "7514a4e2fea79b506fb71d3173358d849bbd3b55d3f8859efc3e09fefb678221",
+        "decide": "37e0e14cc2540a5e9c45947579e940d158bd5503e2674a5c77a3c27fb09e7878",
+        "decide-full": "cd7a1a490d6636c3b886ed4c979661b7b4a532b272cb5e9823c1536ef63877be",
+    },
+    "k3-above-tau": {
+        "reduce": "0b61fe5986a29befb942397248096b4330603038d883edc9b26b6a9f9a0845f4",
+        "decide": "5f59b3dbb3d40c716b6d832912360d6fd10790a5d221b1825c93e70815176904",
+        "decide-full": "c149f89ac8147e8318b2591c4b39301cf18a38407408617c2c16fbcded5cfded",
     },
 }
 
@@ -802,8 +815,8 @@ class TestHardnessCommands:
         obj = json.loads(ecme.read_text())
         *parents, last = path
         target = obj
-        for key in parents:
-            target = target[key]
+        for key in parents:  # a missing object is added, as an old file holds it
+            target = target.setdefault(key, {}) if isinstance(target, dict) else target[key]
         target[last] = value
         ecme.write_text(json.dumps(obj))
         return ecme
@@ -813,14 +826,15 @@ class TestHardnessCommands:
         ecme = tmp_path / "ecme.json"
         rc = main(["reduce", "--input", str(ccss), "--output", str(ecme)])
         assert rc == 0
-        assert "k=21" in capsys.readouterr().out
+        assert capsys.readouterr().out == "k=3 m=3 boosters=3\n"
         obj = json.loads(ecme.read_text())
-        assert obj["k"] == 21
-        assert obj["constants"]["lambda_k"] == 6
-        # the manifest records both budget-window margins
+        assert obj["k"] == 3
+        assert obj["booster_count"] == "3"
+        # the manifest records budget - ln K and the proof's least booster
+        # overshoot less that margin
         config = json.loads((tmp_path / "ecme.json.manifest.json").read_text())["config"]
-        assert config == {"budget_window": {"lower_margin": "0.0053548922",
-                                            "upper_margin": "0.041306847"}}
+        assert config == {"budget_window": {"lower_margin": "0.083333333",
+                                            "upper_margin": "0.069672022"}}
 
         rc = main(["decide", "--input", str(ecme), "--output", str(tmp_path / "d.json")])
         assert rc == 0
@@ -868,79 +882,70 @@ class TestHardnessCommands:
         assert captured.out == ""
         assert f"{ecme}: not a valid ECME object: budget is not what weights" in captured.err
 
-    def test_budget_outside_the_window_fails_verify(self, tmp_path, capsys):
-        # the reduction's budget passes ln(K + 1) from K = 118 on: reduce
-        # refuses such weights with exit 3 and the ECME reader with exit 2
-        def ccss(k):
-            weights = tuple(1000 + i % 3 for i in range(k))
-            path = tmp_path / f"ccss-{k}.json"
-            path.write_text(json.dumps(ccss_to_json(CcssInstance(weights, sum(weights), k))))
-            return path
-
-        ecme = tmp_path / "ecme.json"
-        assert main(["reduce", "--input", str(ccss(117)), "--output", str(ecme)]) == 0
-        capsys.readouterr()
-        config = json.loads((tmp_path / "ecme.json.manifest.json").read_text())["config"]
-        assert all(float(m) > 0 for m in config["budget_window"].values())
-        for k in (118, 120):
-            refused = tmp_path / f"ecme-{k}.json"
-            assert main(["reduce", "--input", str(ccss(k)), "--output", str(refused)]) == 3
-            assert (f"toph: precondition failed: budget outside the window "
-                    f"(ln K - gamma_K, ln(K+1)) at K={k}: lower_margin=") in capsys.readouterr().err
-            assert not refused.exists()
-        # the K = 117 file with the K = 120 weights, tau and K
-        obj = json.loads(ecme.read_text())
-        weights = [str(1000 + i % 3) for i in range(120)]
-        obj.update(weights=weights, tau=str(sum(map(int, weights))), k=120)
-        ecme.write_text(json.dumps(obj))
-        assert main(["decide", "--input", str(ecme)]) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert f"{ecme}: not a valid ECME object: budget outside the window" in captured.err
-
-    @pytest.mark.parametrize("weights, tau, k, named", [
-        ((100000, 1, 1, 1), 3, 3, "weights[0]=106018 is outside (126399/22, 126399/20)"),
-        ((24,) + (1,) * 20, 20, 20, "weights[0]=444 is outside (8420/21, 8420/19)"),
-    ], ids=["k3-scaled", "k20"])
-    def test_weight_above_tau_is_named(self, tmp_path, capsys, weights, tau, k, named):
-        # (K-1) w >= (K+2) tau leaves the padded weight outside the narrow range
+    @pytest.mark.parametrize("weights, tau, k, witness", [
+        ((100000, 1, 1, 1), 3, 3, [1, 2, 3]),
+        ((24,) + (1,) * 20, 20, 20, list(range(1, 21))),
+    ], ids=["k3", "k20"])
+    def test_weight_above_tau_reduces(self, tmp_path, capsys, weights, tau, k, witness):
+        # a weight above tau is in no solution; the pad takes it like any other
         ccss, ecme = tmp_path / "ccss.json", tmp_path / "ecme.json"
         ccss.write_text(json.dumps(ccss_to_json(CcssInstance(weights, tau, k))))
-        assert main(["reduce", "--input", str(ccss), "--output", str(ecme)]) == 3
-        err = capsys.readouterr().err
-        assert f"toph: precondition failed: weights must lie strictly inside " \
-               f"(tau/(K+1), tau/(K-1)); {named}" in err
-        assert "above tau and so in no K-subset of weight tau" in err
-        assert not ecme.exists()
+        assert main(["reduce", "--input", str(ccss), "--output", str(ecme)]) == 0
+        for argv in (["decide"], ["decide", "--mode", "full"]):
+            capsys.readouterr()
+            assert main([*argv, "--input", str(ecme)]) == 0
+            assert capsys.readouterr().out.splitlines()[:2] == ["YES", f"witness_heavy={witness}"]
+
+    def test_old_format_ecme_exits_2(self, tmp_path, capsys):
+        # a file as the reduction with K**lambda implicit boosters wrote it
+        # for SPREAD (B = 20**6), with its constants object
+        ecme = tmp_path / "old.json"
+        obj = ecme_to_json(reduce_to_ecme(CcssInstance((763,) * 10 + (837,) * 10, 16000, 20)))
+        del obj["pad"]
+        obj.update(booster_count="64000000", constants={
+            "gamma_k": {"num": "1", "den": "6400"}, "lambda_k": 6,
+            "booster_count": "64000000", "w_b": {"num": "1", "den": "8000"}})
+        ecme.write_text(json.dumps(obj))
+        for argv in (["decide"], ["decide", "--mode", "full"]):
+            capsys.readouterr()
+            assert main([*argv, "--input", str(ecme), "--output", str(tmp_path / "o")]) == 2
+            err = capsys.readouterr().err
+            assert (f"toph: input error: {ecme}: not a valid ECME object: booster_count is not "
+                    "what weights, tau and k give; pad is not") in err
+            assert "constants is not an ECME field" in err
+            assert not (tmp_path / "o").exists()
 
     def test_decide_domain_limit_exits_3(self, tmp_path, capsys):
         ccss = tmp_path / "wide.json"
-        # m == K == 13 scales to 26 heavy items: structural mode decides it
-        # directly, full mode refuses it (26 > 22)
-        weights = [str(w) for w in range(10, 23)]
+        # m == K == 120 reduces (K >= 118 was once refused); both decide modes
+        # refuse its 120 heavy items (120 > 28)
+        weights = [str(1000 + i % 3) for i in range(120)]
         ccss.write_text(json.dumps({"schema_version": 1, "kind": "ccss", "weights": weights,
-                                    "tau": str(sum(range(10, 23))), "k": 13}))
+                                    "tau": str(sum(map(int, weights))), "k": 120}))
         ecme = tmp_path / "ecme.json"
         assert main(["reduce", "--input", str(ccss), "--output", str(ecme)]) == 0
-        capsys.readouterr()
-        assert main(["decide", "--input", str(ecme)]) == 0
-        assert capsys.readouterr().out.splitlines()[0] == "YES"
-        rc = main(["decide", "--input", str(ecme), "--mode", "full"])
-        assert rc == 3
-        assert "full-space limit 22" in capsys.readouterr().err
+        config = json.loads((tmp_path / "ecme.json.manifest.json").read_text())["config"]
+        assert all(float(m) > 0 for m in config["budget_window"].values())
+        for argv in (["decide"], ["decide", "--mode", "full"]):
+            capsys.readouterr()
+            assert main([*argv, "--input", str(ecme)]) == 3
+            assert "m=120 exceeds the full-space limit 28" in capsys.readouterr().err
 
     @pytest.mark.parametrize("path, value, wrong", [
         (("beta",), {"num": "1", "den": "2"}, "beta is not what"),
         (("booster_prob",), {"num": "1", "den": "3"}, "booster_prob is not what"),
         (("heavy_probs", 0), {"num": "1", "den": "21"}, "heavy_probs is not what"),
         (("constants", "normalizer"), {"num": "1", "den": "1"},
-         "constants.normalizer is not what"),
+         "constants is not an ECME field"),
         (("booster_count",), "7", "booster_count is not what weights, tau and k give"),
-        (("constants", "lambda_k"), 7, "constants.lambda_k is not what weights, tau and k give"),
-    ], ids=["beta", "booster_prob", "heavy_prob", "normalizer", "booster_count", "lambda"])
+        (("constants", "lambda_k"), 7, "constants is not an ECME field"),
+        (("pad",), "30", "pad is not what weights, tau and k give"),
+    ], ids=["beta", "booster_prob", "heavy_prob", "normalizer", "booster_count", "lambda", "pad"])
     def test_contradictory_field_fails_exact_fields(self, tmp_path, capsys, path, value, wrong):
         # the reader refuses a stored field that the weights, tau and K do not
-        # give; each edited file differs from a reduce output in one field
+        # give, and a field the writer does not write (the constants object
+        # of an older format); each edited file differs from a reduce output
+        # in one field
         ecme = self.edited_ecme(tmp_path, path, value)
         for argv in (["decide"], ["decide", "--mode", "full"]):
             capsys.readouterr()
@@ -966,9 +971,12 @@ class TestHardnessCommands:
         (("constants", "lambda_raw"), "nan"),
         (("k",), 2),
         (("weights",), []),
+        (("pad",), "0"),
+        (("pad",), "-31"),
     ], ids=["beta-den-0", "heavy-prob-den-0", "w_b-den-0", "tau-0", "tau-negative",
             "weight-0", "booster-count-0", "w_b-0", "budget-inf", "budget-nan", "theta-inf",
-            "delta-nan", "epsilon-minus-inf", "lambda-raw-nan", "k-2", "no-weights"])
+            "delta-nan", "epsilon-minus-inf", "lambda-raw-nan", "k-2", "no-weights", "pad-0",
+            "pad-negative"])
     @pytest.mark.parametrize("argv", [["decide"], ["decide", "--mode", "full"]],
                              ids=["decide", "decide-full"])
     def test_out_of_range_field_exits_2(self, tmp_path, capsys, path, value, argv):
@@ -982,40 +990,37 @@ class TestHardnessCommands:
     def consistent_ecme(self, tmp_path, edit):
         """The ECME file that ``ecme_to_json`` writes for ``edit`` of the YES instance."""
         ecme = tmp_path / "ecme.json"
-        instance = reduce_to_ecme(prepare(CcssInstance((3, 5, 7), 15, 3)))
+        instance = reduce_to_ecme(CcssInstance((3, 5, 7), 15, 3))
         ecme.write_text(json.dumps(ecme_to_json(edit(instance))))
         return ecme
 
-    def test_hand_written_m_not_k_exits_2(self, tmp_path, capsys):
-        # no reduce output has m != K: the reader's reduction refuses it
+    def test_hand_written_m_above_k_is_decided(self, tmp_path, capsys):
+        # one more heavy item, written by ecme_to_json: the reduction of
+        # (3, 5, 7, 3) pads by the same M, so the file is a reduce output
         ecme = self.consistent_ecme(
             tmp_path, lambda e: dataclasses.replace(e, weights=e.weights + e.weights[:1]))
+        assert json.loads(ecme.read_text())["weights"] == ["3", "5", "7", "3"]
         for argv in (["decide"], ["decide", "--mode", "full"]):
             capsys.readouterr()
-            assert main([*argv, "--input", str(ecme), "--output", str(tmp_path / "o")]) == 2
-            captured = capsys.readouterr()
-            assert captured.out == ""
-            assert f"{ecme}: not a valid ECME object: theta=" in captured.err
-            assert "(m == K)" in captured.err
-            assert not (tmp_path / "o").exists()
+            assert main([*argv, "--input", str(ecme)]) == 0
+            assert capsys.readouterr().out.splitlines()[:2] == ["YES", "witness_heavy=[0, 1, 2]"]
 
     def test_k_above_m_exits_2(self, tmp_path, capsys):
-        # K = 30 > m = 21 makes no CCSS instance, so no reduce output has it
-        ecme = self.consistent_ecme(
-            tmp_path, lambda e: dataclasses.replace(e, k=30, booster_count=30**6))
+        # K = 30 > m = 3 makes no CCSS instance, so no reduce output has it
+        ecme = self.edited_ecme(tmp_path, ("k",), 30)
         report = tmp_path / "report.json"
         capsys.readouterr()
         assert main(["decide", "--input", str(ecme), "--output", str(report)]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert "not a valid ECME object: need 3 <= K <= m, got K=30, m=21" in captured.err
+        assert "not a valid ECME object: need 3 <= K <= m, got K=30, m=3" in captured.err
         assert not report.exists()
 
 
 @pytest.fixture(scope="module")
 def yes_ecme():
     """The ``reduce`` output of the YES instance (3, 5, 7)/15, as a JSON object."""
-    return ecme_to_json(reduce_to_ecme(prepare(CcssInstance((3, 5, 7), 15, 3))))
+    return ecme_to_json(reduce_to_ecme(CcssInstance((3, 5, 7), 15, 3)))
 
 
 def _run(argv):
@@ -1098,21 +1103,21 @@ class TestStrictInstanceReaders:
         ("booster_count", str(10**30), "booster_count is not what weights, tau and k give"),
         ("weights", [True] * 21, "weights[0] must be a decimal string or a JSON integer"),
         ("budget", True, "budget is not what weights, tau and k give"),
-        ("constants.theta_k", "0.0001", "constants.theta_k is not what weights, tau and k give"),
-        ("constants.theta_k", "5", "constants.theta_k is not what weights, tau and k give"),
-        ("constants.delta_k", "123", "constants.delta_k is not what weights, tau and k give"),
-        ("constants.lambda_raw", "-7",
-         "constants.lambda_raw is not what weights, tau and k give"),
+        ("constants.theta_k", "0.0001", "constants is not an ECME field"),
+        ("constants.theta_k", "5", "constants is not an ECME field"),
+        ("constants.delta_k", "123", "constants is not an ECME field"),
+        ("constants.lambda_raw", "-7", "constants is not an ECME field"),
+        ("pad", "32", "pad is not what weights, tau and k give"),
     ], ids=["beta-one-half", "booster-count-1e30", "weights-true", "budget-true",
-            "theta-1e-4", "theta-5", "delta-123", "lambda-raw-minus-7"])
+            "theta-1e-4", "theta-5", "delta-123", "lambda-raw-minus-7", "pad-32"])
     @pytest.mark.parametrize("argv", [["decide"], ["decide", "--mode", "full"]],
                              ids=["decide", "decide-full"])
     def test_inconsistent_ecme_exits_2(self, tmp_path, yes_ecme, field, value, reason, argv):
         obj = json.loads(json.dumps(yes_ecme))
         *parents, last = field.split(".")
         target = obj
-        for key in parents:
-            target = target[key]
+        for key in parents:  # the constants object of an older format is added
+            target = target.setdefault(key, {})
         target[last] = value
         ecme = tmp_path / "ecme.json"
         ecme.write_text(json.dumps(obj))

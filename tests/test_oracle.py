@@ -407,7 +407,7 @@ def _scan_weight(weights, tau):
 
 class TestBlockMemory:
     """No enumeration holds a full table: 8 MiB per column at n = m = 20, and
-    32 MiB at the full-space limit m = 22."""
+    2 GiB at the search limit m = 28."""
 
     LIMIT = 4 * 2**20
 
@@ -444,7 +444,7 @@ class TestBlockMemory:
         assert _peak_bytes(decide_ecme_small, instance, "full") < self.LIMIT
 
     def test_cardinality_lock_at_its_limit(self):
-        # 18 084 subsets of 11 of the 22 weights weigh 8 810
+        # 120 510 subsets of 11 of the 28 weights weigh 8 810
         weights = tuple(780 + 2 * i for i in range(MAX_FULL_SPACE_ITEMS))
         assert _peak_bytes(_scan_weight, weights, 11 * 780 + 2 * 115) < self.LIMIT
 
