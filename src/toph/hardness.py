@@ -359,16 +359,23 @@ def ccss_to_json(instance: CcssInstance) -> dict:
 
 
 def ccss_from_json(obj: dict) -> CcssInstance:
+    """The instance of a CCSS file; a field that ``ccss_to_json`` does not
+    write is refused, as ``ecme_from_json`` refuses one."""
     try:
         if obj.get("kind") != "ccss":
             raise KeyError("kind")
-        return CcssInstance(
+        instance = CcssInstance(
             weights=_weights_from_json(obj["weights"]),
             tau=_int_from_json(obj["tau"], "tau"),
             k=_int_from_json(obj["k"], "k", strings=False),
         )
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise MalformedRecord(None, f"not a valid CCSS object: {exc}") from exc
+    written = ccss_to_json(instance)
+    stray = [f"{key} is not a CCSS field" for key in obj if key not in written]
+    if stray:
+        raise MalformedRecord(None, f"not a valid CCSS object: {'; '.join(stray)}")
+    return instance
 
 
 def ecme_to_json(instance: EcmeInstance) -> dict:

@@ -7,10 +7,11 @@ then picks a prefix or threshold set of that order.  Entropies reported in
 the result refer to the capped, renormalized working distribution.
 
 All five methods run through one selection pass, ``select_block``, over a
-``(B, n)`` matrix of probability rows: one sort orders every row (ties in
-index order: the permutation a stable sort gives), the capped rows are
-gathered into one ``(B, c)`` work matrix and renormalized together, and
-each method's count rule picks every row's prefix.  ``truncate`` is a
+``(B, n)`` matrix of probability rows: one sort orders every row, and only
+the ``c = min(candidate_cap, n)`` places the cap keeps are put in the order
+a stable sort gives (ties in index order); the capped rows are gathered
+into one ``(B, c)`` work matrix and renormalized together, and each
+method's count rule picks every row's prefix.  ``truncate`` is a
 block of one row; both run ``config.method``.  Every per-row figure equals
 the one the record gets on its own, so how the caller cuts its records into
 blocks (``toph.synthgen`` does it for the CLI) changes no output.
@@ -237,43 +238,56 @@ def _gather(rows: np.ndarray, columns: np.ndarray) -> np.ndarray:
     return rows.ravel().take(columns)
 
 
-def _descending_order(probs: np.ndarray) -> np.ndarray:
-    """Each row's token indices by descending probability, ties in ascending
-    index order, for a ``(B, n)`` matrix.
+def _descending_order(probs: np.ndarray, c: int) -> np.ndarray:
+    """The first ``c`` of each row's token indices by descending probability,
+    ties in ascending index order, for a ``(B, n)`` matrix and ``1 <= c <= n``.
 
-    The contract: the result is exactly ``(-probs).argsort(kind="stable")``,
+    The contract: the result is exactly ``(-probs).argsort(kind="stable")[:, :c]``,
     so everything built from it is bit for bit what the stable sort gives.
     Equal values form one run (``0.0`` equals ``-0.0``).  numpy's default
     sort is several times faster than the stable one on large rows but
-    leaves each run in some order, so the tokens of runs of two or more are
-    sorted again by the unique key ``run start << b | index`` (``2**b >= n``;
-    the keys fit int64 while ``B * n * 2**b < 2**63``): runs keep their
-    place and come out in index order, whatever sort orders the keys.  A
-    row of one repeated value costs more than the stable sort, which finds
-    it presorted.
+    leaves each run in some order.  Its ascending order, read from the end,
+    puts the right values in the ``c`` head places; only those are gathered
+    and repaired.  The tokens of the head's runs of two or more are sorted
+    again by the unique key ``run start << b | index`` (``2**b >= n``; the
+    keys fit int64 while ``B * c * 2**b < 2**63``): runs keep their place
+    and come out in index order, whatever sort orders the keys.  A run that
+    straddles the boundary (place ``c + 1`` holds the value of place ``c``)
+    holds only some of its tokens in the head, so its head places take the
+    smallest indices of all the row's tokens of that value.
     """
-    n = probs.shape[1]
-    negated = -probs
-    order = negated.argsort()
-    flat = order.reshape(-1)  # a view: writes land in order
-    # starts[i]: a run starts at position i (every row starts one); the last closes the final run
-    starts = np.ones(flat.size + 1, dtype=bool)
-    values = _gather(negated, order).reshape(-1)  # the sort left its input in cache, not `probs`
-    np.not_equal(values[1:], values[:-1], out=starts[1:-1])
-    del negated, values
-    starts[n::max(n, 1)] = True
-    if starts.all():
-        return order
-    # the positions in runs of two or more, and where in them each run starts
-    tied = np.flatnonzero(~(starts[:-1] & starts[1:]))
-    heads = np.flatnonzero(starts[tied])
-    del starts
-    bits = (n - 1).bit_length()
-    keys = np.repeat(tied[heads], np.diff(heads, append=tied.size)) << bits
-    keys |= flat[tied]
-    keys.sort()
-    keys &= (1 << bits) - 1
-    flat[tied] = keys
+    size, n = probs.shape
+    ascending = probs.argsort()
+    if c < n:
+        order = ascending[:, n - 1 : n - c - 1 : -1].copy()
+        # the value at place c + 1, where a run that straddles the boundary goes on
+        after = _gather(probs, ascending[:, n - c - 1 : n - c])[:, 0]
+    else:
+        order, after = ascending[:, ::-1].copy(), None
+    del ascending
+    values = _gather(probs, order)
+    flat_values = values.reshape(-1)
+    # starts[i]: a run starts at place i (every row starts one); the last closes the final run
+    starts = np.empty(flat_values.size + 1, dtype=bool)
+    starts[0] = True
+    np.not_equal(flat_values[1:], flat_values[:-1], out=starts[1:-1])
+    starts[c::c] = True
+    if not starts.all():
+        # the places in runs of two or more, and where in them each run starts
+        tied = np.flatnonzero(~(starts[:-1] & starts[1:]))
+        heads = np.flatnonzero(starts[tied])
+        bits = (n - 1).bit_length()
+        keys = np.repeat(tied[heads], np.diff(heads, append=tied.size)) << bits
+        flat = order.reshape(-1)  # a view: writes land in order
+        keys |= flat[tied]
+        keys.sort()
+        keys &= (1 << bits) - 1
+        flat[tied] = keys
+    if after is not None:
+        edge = values[:, -1]
+        for r in np.flatnonzero(edge == after).tolist():
+            run = np.count_nonzero(values[r] == edge[r])
+            order[r, c - run:] = np.flatnonzero(probs[r] == edge[r])[:run]
     return order
 
 
@@ -324,8 +338,10 @@ def select_block(
 
     The rows are taken as validated (``distributions.validate_block``); row
     ``r`` of the result is record ``r``'s selection under ``config.method``.
-    ``h_p`` is ``distributions.row_entropies`` of the work matrix, and the
-    traced ``h_p_full`` that of ``probs``.  Top-H scans each row's first
+    Only the ``c`` capped places of each row are ordered; the traced
+    ``dropped_mass`` sums the rest of the row's values, sorted.  ``h_p`` is
+    ``distributions.row_entropies`` of the work matrix, and the traced
+    ``h_p_full`` that of ``probs``.  Top-H scans each row's first
     ``_HEAD`` work entries, converted for the whole block at once, and goes
     on over the rest of a row only when it kept that whole head and the row
     has more.  The rows are then grouped by their count k: one sum over
@@ -335,18 +351,24 @@ def select_block(
     every figure has the bits of the row on its own.
     """
     size, n = probs.shape
-    full = _descending_order(probs)
     c = min(config.candidate_cap, n)
-    # a copy, so the full ordering is released with this function
-    order = full if c == n else full[:, :c].copy()
+    order = _descending_order(probs, c)
     work = _gather(probs, order)
     # a row the cap cut mass from is divided by its mass; the others (the cap
     # cut nothing, or only exact zeros) keep their entries bit-exact
     renormalize_rows(work, np.add.reduce(work, axis=1))
     dropped = h_p_full = None
     if collect_trace:
-        dropped = [0.0] * size if c == n else _gather(probs, full[:, c:]).sum(axis=1).tolist()
-    del full
+        dropped = [0.0] * size
+        if c < n:
+            # the row's values, largest first, hold the stable order's place for
+            # place but for the sign of a zero, which changes no sum: so the sum
+            # over places c on, a contiguous row, has the stable order's bits
+            values = np.negative(probs)
+            values.sort(axis=1)
+            np.negative(values, out=values)  # negation is exact
+            dropped = np.add.reduce(values[:, c:], axis=1).tolist()
+            del values
 
     h_p = row_entropies(work)
     if collect_trace:

@@ -1086,8 +1086,10 @@ class TestStrictInstanceReaders:
         ("tau", True),
         ("k", "3"),
         ("k", 3.9),
+        ("junk", 1),  # a field ccss_to_json does not write: "junk is not a CCSS field"
+        ("pad", "31"),
     ], ids=["weights-string", "weights-dict", "weights-floats", "tau-float", "tau-underscored",
-            "tau-true", "k-string", "k-float"])
+            "tau-true", "k-string", "k-float", "junk", "pad"])
     def test_loose_ccss_value_exits_2(self, tmp_path, field, value):
         ccss = tmp_path / "ccss.json"
         ccss.write_text(json.dumps({**ccss_to_json(CcssInstance((3, 5, 7), 15, 3)),

@@ -725,6 +725,8 @@ class TestSerialization:
             ccss_from_json({"kind": "ccss", "weights": ["x"], "tau": "1", "k": 3})
         with pytest.raises(MalformedRecord):
             ccss_from_json({"weights": ["3"], "tau": "1", "k": 3})
+        with pytest.raises(MalformedRecord, match="pad is not a CCSS field; junk is not a"):
+            ccss_from_json({**ccss_to_json(YES), "pad": "31", "junk": 1})
 
     def test_ecme_round_trip_exact(self, ecme_yes):
         obj = json.loads(json.dumps(ecme_to_json(ecme_yes)))

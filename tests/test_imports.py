@@ -1,6 +1,6 @@
 """The package imports nothing but the standard library and its declared
-dependencies, leaves mpmath's global precision alone, and loads mpmath in
-the CLI only for the commands that need it."""
+dependencies, leaves mpmath's global precision alone, loads mpmath in the
+CLI only for the commands that need it, and orders tokens in one place."""
 
 import ast
 import json
@@ -83,6 +83,45 @@ def test_a_global_precision_use_is_found():
 
 
 SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+#: numpy's functions that order token indices.
+ORDERINGS = {"argsort", "argpartition", "lexsort"}
+
+
+def ordering_functions(tree: ast.AST) -> set[str]:
+    """The functions whose code (not a docstring or comment) names one of
+    ``ORDERINGS``; ``"<module>"`` for code outside every function."""
+    found = set()
+
+    def visit(node: ast.AST, function: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            names = {getattr(child, "attr", None), getattr(child, "id", None)}
+            if isinstance(child, ast.alias):
+                names.add(child.name)
+            if names & ORDERINGS:
+                found.add(function)
+            inner = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
+            visit(child, child.name if inner else function)
+
+    visit(tree, "<module>")
+    return found
+
+
+def test_truncation_orders_tokens_in_one_place():
+    # one ordering path: a second order beside it could disagree on ties
+    path = SRC / "toph" / "truncation.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    assert ordering_functions(tree) == {"_descending_order"}
+
+
+def test_a_second_ordering_is_found():
+    tree = ast.parse(
+        "from numpy import lexsort as sort\n"
+        "def a(p):\n    'p.argsort()'\n    return p.argsort()  # argpartition\n"
+        "class B:\n    def b(self, p):\n        return np.argpartition(p, 3)\n"
+        "def c(p):\n    return sorted(p), p.sort()\n")
+    assert ordering_functions(tree) == {"<module>", "a", "b"}
 
 
 def mpmath_loaded_after(code: str) -> bool:

@@ -621,10 +621,44 @@ class TestChunkMemory:
             assert peak < 2 * record_arrays, (method, peak)
 
 
+class TestSelectionMemory:
+    """The tracemalloc peak of one selection of a 131 072-token row, in units
+    of the row's 8n bytes.
+
+    The ordering keeps only the capped head of a row, so an untraced softmax
+    row peaks at about its argsort (1.0), and a uniform row, whose tied run
+    straddles the cap, at that plus the indices of the run (1.1).  Ordering
+    the whole row peaked at 3.13 and 4.00 with or without a trace; the
+    traced cut mass must stay below those.
+    """
+
+    @pytest.mark.parametrize("family, collect_trace, limit", [
+        ("softmax", False, 1.5), ("uniform", False, 2.5),
+        ("softmax", True, 3.13), ("uniform", True, 4.01),
+    ])
+    def test_peak_of_one_large_row(self, family, collect_trace, limit):
+        n = 131072
+        if family == "softmax":
+            probs = make_distribution(np.random.default_rng(n).normal(0.0, 2.0, n),
+                                      mode="logits").probs
+        else:
+            probs = uniform_distribution(n).probs
+        tracemalloc.start()
+        try:
+            select_block(probs[None, :], config(), collect_trace)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < limit * 8 * n, peak / (8 * n)
+
+
+#: Tie-heavy values: exact zeros of both signs, the least denormal and a few fractions.
+TIED = [0.0, -0.0, 5e-324, 0.125, 1 / 3, 0.5]
+
+
 class TestDescendingOrder:
     @given(
-        st.lists(st.sampled_from([0.0, -0.0, 5e-324, 0.125, 0.25, 1 / 3, 0.5]),
-                 min_size=1, max_size=300),
+        st.lists(st.sampled_from(TIED + [0.25]), min_size=1, max_size=300),
         st.lists(st.floats(0.0, 1.0), max_size=20),
     )
     @settings(max_examples=200, deadline=None)
@@ -632,15 +666,42 @@ class TestDescendingOrder:
         # tie-heavy values, exact zeros of both signs: ties stay in index order
         probs = np.asarray(tied + free, dtype=np.float64)
         expected = np.lexsort((np.arange(probs.shape[0]), -probs))
-        assert np.array_equal(_descending_order(probs[None, :])[0], expected)
+        assert np.array_equal(_descending_order(probs[None, :], probs.shape[0])[0], expected)
+
+    @given(st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_every_head_of_a_block_is_the_stable_order(self, data):
+        # every c in 1..n over a block that holds, besides drawn tie-heavy
+        # rows, a row of one value (it straddles every c < n), a row of
+        # distinct values (it straddles none) and a row with one positive
+        # entry (for c >= 2 the boundary value is a zero of either sign)
+        n = data.draw(st.integers(1, 40))
+        value = st.one_of(st.sampled_from(TIED), st.floats(0.0, 1.0))
+        drawn = data.draw(st.lists(st.lists(value, min_size=n, max_size=n),
+                                   min_size=1, max_size=4))
+        signs = data.draw(st.lists(st.sampled_from([0.0, -0.0]), min_size=n, max_size=n))
+        one = np.asarray(signs)
+        one[data.draw(st.integers(0, n - 1))] = 1.0
+        probs = np.array(drawn + [np.full(n, 1 / 3), np.arange(1, n + 1) / n, one])
+        index = np.arange(n)
+        expected = [np.lexsort((index, -row)) for row in probs]
+        for c in range(1, n + 1):
+            got = _descending_order(probs, c)
+            assert got.shape == (probs.shape[0], c)
+            for head, order in zip(got, expected):
+                assert np.array_equal(head, order[:c]), c
 
     @staticmethod
     def assert_rows_in_stable_order(probs):
-        got = _descending_order(probs)
-        assert got.shape == probs.shape
-        index = np.arange(probs.shape[1])
-        for row, order in zip(probs, got):
-            assert np.array_equal(order, np.lexsort((index, -row)))
+        # the head of one place, of the default cap and of every place
+        n = probs.shape[1]
+        index = np.arange(n)
+        expected = [np.lexsort((index, -row)) for row in probs]
+        for c in sorted({1, min(100, n), n}):
+            got = _descending_order(probs, c)
+            assert got.shape == (probs.shape[0], c)
+            for head, order in zip(got, expected):
+                assert np.array_equal(head, order[:c])
 
     # n <= 16 takes numpy's small-array sort, larger n its vectorized one
     @pytest.mark.parametrize("n", [1, 2, 15, 16, 17, 100, 1000, 32768, 131072])
