@@ -40,23 +40,49 @@ M > 2 tau and M > 2 S - tau, and M is the least integer that meets both;
 The decider finds the heavy subsets whose weight a whole number of
 boosters tops up to tau' (``_candidates``): by (1) only b = 0, weight
 exactly tau' (structural mode), suffices; ``--mode full`` takes every
-such deficit as a cross-check.
+such deficit as a cross-check.  Each candidate comes with its entropy in
+float64, h_float, within ``FLOAT_ENTROPY_ERROR`` = E of the exact value;
+it is decided from h_float when that lies more than E from the budget, and
+at 50 digits (``mixed_subset_entropy``) only inside that window.  By (3)
+and (4) no candidate of a reduction output comes within 0.0069 of the
+budget for K <= 28, so ``reduce`` -> ``decide`` never needs the 50 digits;
+a hand-built ``EcmeInstance`` with a budget nearer than E to a subset's
+entropy is still decided exactly.
 
 An ``EcmeInstance`` keeps only what the reduction chose.  Every ECME file
 is a ``reduce`` output, so ``ecme_from_json`` re-runs the reduction on the
 file's weights, tau and K and refuses a file whose stored values differ.
 
 Arithmetic discipline: weights and derived counts are arbitrary-precision
-integers, probabilities are exact rationals, and only the transcendental
-entropy/log terms are evaluated in high-precision floating point: one
-private mpmath context at ``DEFAULT_DPS`` = 50 significant digits, whatever
-the precision of mpmath's global context and whatever another thread does
-with it.  The module's high-precision numbers (``Mpf``) belong to that
-context.
+integers and probabilities are exact rationals.  Decisions are float64,
+certified by E and the proof's gap, with 50 digits inside E.  The budget,
+its text and its margins are evaluated at 50 significant digits in one
+private mpmath context (``DEFAULT_DPS``), whatever the precision of
+mpmath's global context and whatever another thread does with it; ln K
+and the budget are computed there once per K.  The module's
+high-precision numbers (``Mpf``) belong to that context.
+
+The bound E.  With u = 2**-53, a candidate is s <= m <= 28 heavy weights
+1 <= w < 2**62 (the enumerator's guard) and b <= K boosters of weight
+w_b = tau/(2K), together weighing exactly tau (so tau < 2**63 and, for
+K <= 2**62, w_b >= 2**-63): every weight v has |ln v| <= L = 44, and the
+entropy is h = ln tau - A/tau, A = sum v ln v, with 0 <= h < L.  Each
+term v ln v is w * math.log(w) in float64: the weight rounds once
+(relative u, so an absolute u in its log), libm's log is within 1 ulp
+(2u relative) and the product and a float count of boosters round once
+each, an error of at most v u (6 |ln v| + 1).  The terms are summed in s
+additions, at most s u tau L more; A / tau rounds tau and the quotient
+(2 u L), ln tau errs by u (1 + 2 L) and the final subtraction by u L.
+Together |h_float - h| <= u (39 L + 2) + O(u**2) < 2e-13, and E is a
+hundred times that.  The float budget is within u |budget| <= 45 u of the
+budget wherever the comparison is not settled by 0 <= h < 44, so a
+decision from h_float is the exact one, and the 50-digit one, with more
+than 1e-11 to spare.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import re
@@ -88,6 +114,10 @@ Mpf.__module__, Mpf.__qualname__ = __name__, "Mpf"
 #: to this many items neither half passes BLOCK_BITS, so memory stays
 #: O(2**BLOCK_BITS).
 MAX_FULL_SPACE_ITEMS = 2 * BLOCK_BITS
+
+#: E of the module docstring: a candidate's float64 entropy is within this
+#: many nats of its exact entropy (a hundred times the derived bound).
+FLOAT_ENTROPY_ERROR = 2e-11
 
 
 @dataclass(frozen=True)
@@ -169,14 +199,21 @@ def prepare(instance: CcssInstance) -> CcssInstance:
                         tau=instance.tau + instance.k * pad, k=instance.k)
 
 
+@functools.lru_cache(maxsize=64)
+def _k_constants(k: int) -> tuple[Mpf, Mpf, str]:
+    """ln K, the budget ln K + 1/(4K) and the budget's text in an ECME file."""
+    ln_k = _CTX.log(k)
+    budget = ln_k + _CTX.mpf(1) / (4 * k)
+    return ln_k, budget, _CTX.nstr(budget, DEFAULT_DPS - 5)
+
+
 def reduce_to_ecme(instance: CcssInstance) -> EcmeInstance:
     """Pad ``instance`` and add K boosters and the budget ln K + 1/(4K):
     the ECME instance of the module docstring, YES exactly when ``instance`` is."""
     padded = prepare(instance)
     k = instance.k
     return EcmeInstance(weights=padded.weights, tau=padded.tau, k=k,
-                        pad=(padded.tau - instance.tau) // k,
-                        budget=_CTX.log(k) + _CTX.mpf(1) / (4 * k))
+                        pad=(padded.tau - instance.tau) // k, budget=_k_constants(k)[1])
 
 
 def budget_margins(instance: EcmeInstance) -> dict[str, str]:
@@ -184,7 +221,7 @@ def budget_margins(instance: EcmeInstance) -> dict[str, str]:
     booster overshoot above ln K, (ln 2 - (tau/M)^2)/K, less that margin, to
     8 significant digits, as ``reduce``'s manifest records them."""
     k = instance.k
-    lower = instance.budget - _CTX.log(k)
+    lower = instance.budget - _k_constants(k)[0]
     ratio = _CTX.mpf(instance.tau - k * instance.pad) / instance.pad
     upper = (_CTX.ln2 - ratio * ratio) / k - lower
     return {"lower_margin": _CTX.nstr(lower, 8), "upper_margin": _CTX.nstr(upper, 8)}
@@ -260,19 +297,21 @@ def _exact_sum_blocks(
 
 # --- decision ----------------------------------------------------------------
 
-def _candidates(instance: EcmeInstance, full: bool) -> Iterator[tuple[int, int]]:
-    """(mask, booster count) of the mass-exact subsets that pass the float
-    screen, by ascending mask: booster-free ones only unless ``full``.
+def _candidates(instance: EcmeInstance, full: bool) -> Iterator[tuple[int, int, float]]:
+    """(mask, booster count, float entropy) of the mass-exact subsets whose
+    float entropy is within 1e-6 of the budget, by ascending mask:
+    booster-free ones only unless ``full``.
 
     A heavy subset of weight S takes b boosters when its deficit tau - S is
     b tau/(2K) for a whole b in [0, K].  With g = gcd(2K, tau) that is a
     deficit j (tau // g) with b = j (2K // g), for 0 <= j <= g // 2, which
     ``_exact_sum_blocks`` finds; the empty mask (b = 2K) never qualifies.
     Every candidate renormalizes over total weight exactly tau, so its
-    entropy is ln(tau) - (sum_{i in S} w ln w + b w_b ln(w_b)) / tau.
-    That is screened vectorized in float64, the ``w ln w`` sums added in
-    ascending bit order; only candidates within float noise of the budget
-    go on to the high-precision confirmation.
+    entropy is ln(tau) - (sum_{i in S} w ln w + b w_b ln(w_b)) / tau,
+    computed vectorized in float64 with the ``w ln w`` sums added in
+    ascending bit order: h_float, within ``FLOAT_ENTROPY_ERROR`` of the
+    exact entropy (module docstring).  Every candidate that passes the
+    screen goes on to ``decide_ecme_small`` with it.
     """
     tau, g = instance.tau, math.gcd(2 * instance.k, instance.tau)
     step, count, per_step = (tau // g, g // 2 + 1, 2 * instance.k // g) if full else (1, 1, 0)
@@ -284,19 +323,23 @@ def _candidates(instance: EcmeInstance, full: bool) -> Iterator[tuple[int, int]]
         b_counts = (tau - sums) // step * per_step
         h_float = math.log(tau) - (wlogw + b_counts * (w_b * math.log(w_b))) / tau
         keep = h_float <= limit
-        yield from zip(masks[keep].tolist(), b_counts[keep].tolist())
+        yield from zip(masks[keep].tolist(), b_counts[keep].tolist(), h_float[keep].tolist())
 
 
 def decide_ecme_small(instance: EcmeInstance, mode: str = "structural") -> EcmeDecision:
     """Decide the constructed instance by search, for m up to ``MAX_FULL_SPACE_ITEMS``.
 
-    Both modes confirm each candidate of ``_candidates`` at 50 digits (mass
-    exact, entropy <= budget) and answer with the first, the qualifying
-    subset with the smallest mask (bit i = heavy item i), i.e. the
+    Both modes take the mass-exact candidates of ``_candidates`` and answer
+    with the first whose entropy is within the budget, the qualifying subset
+    with the smallest mask (bit i = heavy item i), i.e. the
     colexicographically first: ``(1,)`` (mask 2) comes before ``(0, 5)``
-    (mask 33).  ``structural`` mode takes the subsets of weight exactly tau,
-    the only ones the proof admits; ``full`` mode cross-checks over every
-    deficit a whole number of boosters fills.
+    (mask 33).  A candidate's float entropy decides it when it lies more
+    than ``FLOAT_ENTROPY_ERROR`` from the budget; only inside that window is
+    its entropy computed at 50 digits (``mixed_subset_entropy``), so the
+    answer is the one a 50-digit comparison of every candidate gives.
+    ``structural`` mode takes the subsets of weight exactly tau, the only
+    ones the proof admits; ``full`` mode cross-checks over every deficit a
+    whole number of boosters fills.
     """
     if mode not in ("structural", "full"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -304,9 +347,14 @@ def decide_ecme_small(instance: EcmeInstance, mode: str = "structural") -> EcmeD
         raise TooManyHeavyItems(
             f"m={instance.m} exceeds the full-space limit {MAX_FULL_SPACE_ITEMS}"
         )
-    for mask, b in _candidates(instance, full=mode == "full"):
+    budget = float(instance.budget)
+    # E is derived for boosters of at least 2**-63, i.e. K <= 2**62
+    error = FLOAT_ENTROPY_ERROR if instance.k <= 2**62 else math.inf
+    for mask, b, h_float in _candidates(instance, full=mode == "full"):
+        if h_float > budget + error:
+            continue
         subset = mask_indices(mask)
-        if mixed_subset_entropy(instance, subset, b) <= instance.budget:
+        if h_float < budget - error or mixed_subset_entropy(instance, subset, b) <= instance.budget:
             return EcmeDecision(is_yes=True, witness=subset, witness_boosters=b)
     return EcmeDecision(is_yes=False, witness=None)
 
@@ -384,6 +432,7 @@ def ecme_to_json(instance: EcmeInstance) -> dict:
     total weight: p_i = 2 w_i'/d, p_b = tau'/(K d), beta = 2 tau'/d."""
     tau, k, pad = instance.tau, instance.k, instance.pad
     d = 2 * sum(instance.weights) + tau
+    _, budget, text = _k_constants(k)
     return {
         "schema_version": SCHEMA_VERSION,
         "kind": "ecme",
@@ -395,7 +444,8 @@ def ecme_to_json(instance: EcmeInstance) -> dict:
         "booster_count": str(instance.booster_count),
         "booster_prob": _ratio_json(tau, k * d),
         "beta": _ratio_json(2 * tau, d),
-        "budget": _CTX.nstr(instance.budget, DEFAULT_DPS - 5),
+        "budget": text if instance.budget == budget else _CTX.nstr(instance.budget,
+                                                                     DEFAULT_DPS - 5),
     }
 
 

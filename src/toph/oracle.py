@@ -106,12 +106,15 @@ def subset_sums(values: np.ndarray) -> np.ndarray:
     Entry ``m`` is the sum over the set bits of ``m`` (bit i = value i),
     added in ascending bit order.  Built by doubling, so the whole table
     costs O(2**n) arithmetic and O(2**n) memory; the exhaustive searches
-    use it for at most ``BLOCK_BITS`` items at a time.
+    use it for at most ``BLOCK_BITS`` items at a time.  A ``(rows, n)``
+    array gives a ``(rows, 2**n)`` table, row r that of ``values[r]`` bit
+    for bit, built in the same n doubling steps.
     """
-    n = values.shape[0]
-    out = np.zeros(2**n, dtype=values.dtype)
+    n = values.shape[-1]
+    out = np.zeros(values.shape[:-1] + (2**n,), dtype=values.dtype)
+    table, columns = out.T, values.T  # views: a 1-D table adds plain scalars
     for i in range(n):
-        out[2**i : 2 ** (i + 1)] = out[: 2**i] + values[i]
+        table[2**i : 2 ** (i + 1)] = table[: 2**i] + columns[i]
     return out
 
 
@@ -121,10 +124,11 @@ def mask_indices(mask: int) -> tuple[int, ...]:
 
 
 def key_range_subsets(low: Sequence[np.ndarray], high_values: Sequence[np.ndarray],
-                      low_keys: np.ndarray, lower: np.ndarray, upper: np.ndarray,
+                      low_keys: np.ndarray, lower: np.ndarray | None, upper: np.ndarray,
                       floor: np.ndarray | None = None) -> Iterator[tuple[np.ndarray, tuple]]:
-    """The masks ``high << k | low`` with ``lower[high] <= low_keys[low] <= upper[high]``,
-    less some with ``low[0][low] < floor[high]`` if ``floor`` is given.
+    """The masks ``high << k | low`` with ``lower[high] <= low_keys[low] <= upper[high]``
+    (no lower bound if ``lower`` is None), less some with
+    ``low[0][low] < floor[high]`` if ``floor`` is given.
 
     ``low[c]`` is the ``subset_sums`` table of the first k items of column
     c (``2**k`` entries, as ``low_keys`` has), ``high_values[c]`` the rest.
@@ -143,7 +147,8 @@ def key_range_subsets(low: Sequence[np.ndarray], high_values: Sequence[np.ndarra
     k = low_keys.size.bit_length() - 1
     order = np.argsort(low_keys).astype(np.int32)  # unstable: each chunk is sorted below
     keys = low_keys[order]
-    starts = keys.searchsorted(lower, "left")
+    starts = (np.zeros(upper.shape, dtype=np.intp) if lower is None
+              else keys.searchsorted(lower, "left"))
     ends = keys.searchsorted(upper, "right")
     if floor is not None:
         np.maximum(starts, np.maximum.accumulate(low[0][order]).searchsorted(floor), out=starts)
@@ -207,16 +212,19 @@ def exact_ecmm(instance: EcmmInstance) -> EcmmSolution:
     budget = instance.alpha * _entropy_of(probs)
     plp = np.where(probs > 0.0, probs * np.log(np.where(probs > 0.0, probs, 1.0)), 0.0)
     k = min(n - n // 2, BLOCK_BITS)
-    low = (subset_sums(probs[:k]), subset_sums(plp[:k]))
-    high = (subset_sums(probs[k:]), subset_sums(plp[k:]))
+    # the (p, p ln p) x (low, high) tables in one doubling, the shorter side
+    # padded with zeros: the first 2**j entries of a table of j items never add them
+    values = np.zeros((4, max(k, n - k)))
+    values[:2, :k], values[2:, : n - k] = (probs[:k], plp[:k]), (probs[k:], plp[k:])
+    tables = subset_sums(values)
+    low, high = tables[:2, : 2**k], tables[2:, : 2 ** (n - k)]
     prefix = _feasible_prefix_mass(probs, plp, budget)
     low_key, high_key = _screen_keys(low, high, budget, max(prefix, float(probs.max())))
     # the incumbent, the first in index order of the subsets tied at
     # best_mass, starts as the top token, feasible at any budget
     best_mask = 1 << int(np.argmax(probs))
     best_mass, best_ent = float(probs.max()), 0.0
-    chunks = key_range_subsets(low, (probs[k:], plp[k:]), low_key,
-                               np.full_like(high_key, -np.inf), high_key,
+    chunks = key_range_subsets(low, (probs[k:], plp[k:]), low_key, None, high_key,
                                (prefix - _SCREEN_MARGIN) - high[0])
     with np.errstate(divide="ignore", invalid="ignore"):  # at mass 0: nan, infeasible
         for masks, (mass, hsum) in chunks:

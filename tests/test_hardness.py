@@ -1,5 +1,7 @@
 """Unit tests for the subset-sum reduction pipeline and its decider."""
 
+import dataclasses
+import itertools
 import json
 import pickle
 import random
@@ -29,7 +31,7 @@ from toph.hardness import (
     reduce_to_ecme,
 )
 from toph import hardness, oracle
-from toph.oracle import subset_sums
+from toph.oracle import mask_indices, subset_sums
 from toph.synthgen import SCHEMA_VERSION
 
 from ecmm_reference import reference_decide_full, reference_full_candidates
@@ -321,7 +323,9 @@ class TestProof:
                 h = _entropy(probs + [Fraction(1, 2 * k)] * b)
                 assert sum(probs) + Fraction(b, 2 * k) == 1
                 if b == 0:
-                    assert h <= ln_k < ecme.budget
+                    # equal weights give exactly ln K, and h and ln_k are
+                    # rounded apart at 50 digits
+                    assert h - ln_k <= mp.mpf("1e-45") and ln_k < ecme.budget
                 else:
                     assert h - ln_k > bound > ecme.budget - ln_k
 
@@ -505,7 +509,7 @@ FULL_MODE_CASES = [
 
 
 def _candidate_masks(instance, full=True):
-    return [mask for mask, _ in hardness._candidates(instance, full)]
+    return [mask for mask, _, _ in hardness._candidates(instance, full)]
 
 
 class TestFullModeAgainstFullTables:
@@ -641,6 +645,120 @@ class TestBeyondMEqualsK:
         assert 60 < sum(answers) < 140
 
 
+@st.composite
+def ccss_with_distractors(draw):
+    """A CCSS instance with m <= 28 and K in 3..m, and its head: at most 12
+    weights that hold every solution, the rest lying above tau."""
+    h = draw(st.integers(3, 12))
+    k = draw(st.integers(3, h))
+    top = draw(st.sampled_from([9, 1000, 2**40]))
+    head = draw(st.lists(st.integers(1, top), min_size=h, max_size=h))
+    if draw(st.booleans()):
+        tau = sum(draw(st.permutations(head))[:k])
+    else:
+        tau = draw(st.integers(1, sum(head)))
+    count = draw(st.integers(0, hardness.MAX_FULL_SPACE_ITEMS - h))
+    above = draw(st.lists(st.integers(tau + 1, 2 * tau + top), min_size=count, max_size=count))
+    return CcssInstance(tuple(head + above), tau, k), CcssInstance(tuple(head), tau, k)
+
+
+def _decide_counting_confirmations(instance, mode):
+    """The decision, and how many candidates it took to 50 digits."""
+    with mock.patch.object(hardness, "mixed_subset_entropy",
+                           wraps=mixed_subset_entropy) as confirm:
+        decision = decide_ecme_small(instance, mode=mode)
+    return decision, confirm.call_count
+
+
+def _guard_instance(base, m):
+    """Weights of m unit multiples (1..9 units) summing to just under 2**62,
+    tau their sum T and K = T/2 boosters of one unit each: every subset of
+    at least T/2 units is a candidate of full mode, with T minus its units
+    in boosters."""
+    rng = random.Random(m)
+    units = [rng.randint(1, 9) for _ in range(m)]
+    units[0] += sum(units) % 2
+    total = sum(units)
+    unit = (2**62 - 1) // total
+    return _hand_ecme(base, [unit * u for u in units], unit * total, total // 2, "50")
+
+
+class TestFloatCertificate:
+    """Decisions from the float entropy, certified by FLOAT_ENTROPY_ERROR (E):
+    50 digits only for a candidate within E of the budget."""
+
+    E = hardness.FLOAT_ENTROPY_ERROR
+
+    @settings(max_examples=100, deadline=None)
+    @given(ccss_with_distractors())
+    def test_reduction_outputs_never_need_fifty_digits(self, pair):
+        ccss, head = pair
+        ecme = reduce_to_ecme(ccss)
+        # a weight above tau is in no solution: beyond 16 weights the
+        # full-table references run on the head
+        small = ccss if ccss.m <= 16 else head
+        expected = brute_force_ccss(small)[0]
+        for mode in ("structural", "full"):
+            decision, confirmed = _decide_counting_confirmations(ecme, mode)
+            assert confirmed == 0
+            assert decision == reference_decide_full(reduce_to_ecme(small), mode == "full")
+            assert decision.is_yes is expected
+
+    @pytest.mark.parametrize("mode", ["structural", "full"])
+    @pytest.mark.parametrize("offset,is_yes,confirmed", [
+        (-2, False, False), (-0.5, False, True), (-1e-20, False, True), (0, True, True),
+        (1e-20, True, True), (0.5, True, True), (2, True, False),
+    ])
+    def test_budget_near_the_witness_entropy(self, ecme_spread, mode, offset, is_yes,
+                                             confirmed):
+        # the budget offset by a multiple of E from the 50-digit entropy of
+        # the only candidate: inside the window only 50 digits decide
+        h = mixed_subset_entropy(ecme_spread, tuple(range(ecme_spread.m)), 0)
+        with mp.workdps(50):
+            shifted = dataclasses.replace(ecme_spread, budget=h + offset * mp.mpf(self.E))
+        decision, count = _decide_counting_confirmations(shifted, mode)
+        assert decision == reference_decide_full(shifted, mode == "full")
+        assert decision.is_yes is is_yes
+        assert (count > 0) is confirmed
+
+    @pytest.mark.parametrize("side", [-1, 1])
+    def test_booster_candidate_near_the_budget(self, ecme_spread, side):
+        ecme = _hand_ecme(ecme_spread, _weights(16), 3072, 2**20, "5")
+        first = decide_ecme_small(ecme, mode="full")
+        assert first.witness_boosters > 0
+        h = mixed_subset_entropy(ecme, first.witness, first.witness_boosters)
+        with mp.workdps(50):
+            shifted = dataclasses.replace(ecme, budget=h + side * mp.mpf(self.E) / 2)
+        decision, count = _decide_counting_confirmations(shifted, "full")
+        assert count > 0
+        assert decision == reference_decide_full(shifted)
+        assert (decision == first) is (side > 0)
+
+    @pytest.mark.parametrize("build", [
+        pytest.param(lambda base: _guard_instance(base, 3), id="guard-m3"),
+        pytest.param(lambda base: _guard_instance(base, 12), id="guard-m12"),
+        pytest.param(lambda base: _guard_instance(base, 20), id="guard-m20"),
+        pytest.param(lambda base: _guard_instance(base, 28), id="guard-m28"),
+        # boosters of 3072 / 2**21 and 4: their logs of both signs
+        pytest.param(lambda base: _hand_ecme(base, _weights(16), 3072, 2**20, "50"),
+                     id="light-boosters"),
+        pytest.param(lambda base: _hand_ecme(base, [2**k for k in range(22)], 2**22, 2**19,
+                                             "50"), id="powers-of-two"),
+    ])
+    def test_float_entropy_is_within_a_hundredth_of_the_bound(self, ecme_spread, build):
+        ecme = build(ecme_spread)
+        candidates = list(itertools.islice(hardness._candidates(ecme, full=True), 400))
+        assert any(b > 0 for _, b, _ in candidates)
+        with mp.workdps(50):
+            for mask, b, h_float in candidates:
+                h = mixed_subset_entropy(ecme, mask_indices(mask), b)
+                assert abs(mp.mpf(h_float) - h) <= self.E / 100
+
+    def test_guard_instances_are_near_the_guard(self, ecme_spread):
+        for m in (3, 12, 20, 28):
+            assert 2**62 - 2**10 < sum(_guard_instance(ecme_spread, m).weights) < 2**62
+
+
 def _blocks_against_full_tables(weights, column, target, step, count):
     """Check ``_exact_sum_blocks`` against full tables; return the masks it found."""
     chunks = list(hardness._exact_sum_blocks(weights, column, target, step, count))
@@ -743,6 +861,13 @@ class TestSerialization:
         assert obj["booster_count"] == "3"
         assert obj["beta"] == {"num": "2", "den": "3"}
         assert obj["schema_version"] == SCHEMA_VERSION == 1
+
+    def test_budget_text_is_the_instances_own(self, ecme_yes):
+        # the reduction's budget text is kept per K; another budget is written as it is
+        other = dataclasses.replace(ecme_yes, budget=ecme_yes.budget + hardness.Mpf("1e-40"))
+        with mp.workdps(50):
+            assert ecme_to_json(other)["budget"] == mp.nstr(other.budget, 45)
+        assert ecme_to_json(other)["budget"] != ecme_to_json(ecme_yes)["budget"]
 
     def test_old_format_is_refused(self, ecme_spread):
         # a file as the reduction with B = K**lambda boosters wrote it

@@ -1,6 +1,7 @@
 """The package imports nothing but the standard library and its declared
 dependencies, leaves mpmath's global precision alone, loads mpmath in the
-CLI only for the commands that need it, and orders tokens in one place."""
+CLI only for the commands that need it, orders tokens in one place and
+takes 50-digit logs in two."""
 
 import ast
 import json
@@ -89,23 +90,31 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 ORDERINGS = {"argsort", "argpartition", "lexsort"}
 
 
-def ordering_functions(tree: ast.AST) -> set[str]:
-    """The functions whose code (not a docstring or comment) names one of
-    ``ORDERINGS``; ``"<module>"`` for code outside every function."""
+def functions_where(tree: ast.AST, matches) -> set[str]:
+    """The functions whose code (not a docstring or comment) holds a node that
+    ``matches``; ``"<module>"`` for code outside every function."""
     found = set()
 
     def visit(node: ast.AST, function: str) -> None:
         for child in ast.iter_child_nodes(node):
-            names = {getattr(child, "attr", None), getattr(child, "id", None)}
-            if isinstance(child, ast.alias):
-                names.add(child.name)
-            if names & ORDERINGS:
+            if matches(child):
                 found.add(function)
             inner = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
             visit(child, child.name if inner else function)
 
     visit(tree, "<module>")
     return found
+
+
+def ordering_functions(tree: ast.AST) -> set[str]:
+    """The functions whose code names one of ``ORDERINGS``."""
+    def matches(node: ast.AST) -> bool:
+        names = {getattr(node, "attr", None), getattr(node, "id", None)}
+        if isinstance(node, ast.alias):
+            names.add(node.name)
+        return bool(names & ORDERINGS)
+
+    return functions_where(tree, matches)
 
 
 def test_truncation_orders_tokens_in_one_place():
@@ -122,6 +131,31 @@ def test_a_second_ordering_is_found():
         "class B:\n    def b(self, p):\n        return np.argpartition(p, 3)\n"
         "def c(p):\n    return sorted(p), p.sort()\n")
     assert ordering_functions(tree) == {"<module>", "a", "b"}
+
+
+def high_precision_log_functions(tree: ast.AST) -> set[str]:
+    """The functions whose code takes ``_CTX.log`` (or its alias ``ln``), a
+    log in ``toph.hardness``'s 50-digit context."""
+    return functions_where(tree, lambda node: isinstance(node, ast.Attribute)
+                           and node.attr in ("log", "ln")
+                           and getattr(node.value, "id", None) == "_CTX")
+
+
+def test_hardness_takes_fifty_digit_logs_in_two_places():
+    # ln K once per K, and the entropy of a candidate inside the float
+    # certificate's window: no other path pays for a 50-digit log
+    path = SRC / "toph" / "hardness.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    assert high_precision_log_functions(tree) == {"_k_constants", "_grouped_entropy"}
+
+
+def test_a_fifty_digit_log_elsewhere_is_found():
+    tree = ast.parse(
+        "ln_2 = _CTX.ln(2)\n"
+        "def a(k):\n    '_CTX.log(k)'\n    return _CTX.log(k) + math.log(k)  # _CTX.log\n"
+        "class B:\n    def b(self):\n        return _CTX.ln2, mpmath.log(2), ctx.log(2)\n"
+        "def c(k):\n    log = _CTX.log\n    return log(k)\n")
+    assert high_precision_log_functions(tree) == {"<module>", "a", "c"}
 
 
 def mpmath_loaded_after(code: str) -> bool:

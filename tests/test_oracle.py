@@ -85,6 +85,23 @@ class TestSubsetSums:
             assert table.dtype == dtype
             assert table.tobytes() == np.asarray(expected, dtype=dtype).tobytes()
 
+    @pytest.mark.parametrize("dtype", [np.float64, np.int64])
+    def test_rows_equal_one_dimensional_tables(self, dtype):
+        # each row of a (rows, n) table is its row's 1-D table, bit for bit;
+        # float rows mix signed zeros, tiny and huge values
+        rng = np.random.default_rng(13)
+        for n in range(11):
+            if dtype is np.float64:
+                values = rng.choice([0.0, -0.0, 5e-324, 0.1, -1 / 3, 1e300, -1e300],
+                                    size=(2, n))
+                values = np.concatenate([values, rng.normal(size=(3, n)) * 1e3])
+            else:
+                values = rng.integers(-2**61, 2**61, (5, n), dtype=np.int64)
+            tables = subset_sums(values)
+            assert tables.dtype == dtype and tables.shape == (5, 2**n)
+            for row, table in zip(values, tables):
+                assert table.tobytes() == subset_sums(row).tobytes()
+
 
 class TestKeyRangeSubsets:
     @staticmethod
@@ -152,6 +169,26 @@ class TestKeyRangeSubsets:
                         spans += highs > 1
                         singles += highs == 1
         assert spans and singles
+
+    @pytest.mark.parametrize("floored", [False, True])
+    def test_no_lower_bound_is_minus_infinity(self, floored):
+        rng = np.random.default_rng(24)
+        for k, n in [(0, 2), (3, 3), (4, 9), (BLOCK_BITS, BLOCK_BITS + 3)]:
+            values = rng.random(n)
+            low_mass = subset_sums(values[:k])
+            low_keys = rng.integers(0, 40, 2**k).astype(float)
+            upper = rng.integers(-3, 45, 2 ** (n - k)).astype(float)
+            upper[0] = 40.0  # high mask 0 takes every low
+            floor = rng.random(upper.size) * k / 2 if floored else None
+            chunks = [key_range_subsets([low_mass], [values[k:]], low_keys, lower, upper,
+                                        floor)
+                      for lower in (None, np.full_like(upper, -np.inf))]
+            found = 0
+            for (masks, (sums,)), (masks_inf, (sums_inf,)) in itertools.zip_longest(*chunks):
+                assert masks.tobytes() == masks_inf.tobytes()
+                assert sums.tobytes() == sums_inf.tobytes()
+                found += masks.size
+            assert found
 
     def test_floor_drops_whole_runs(self):
         # the heaviest low up to a run's end in key order misses the floor of
