@@ -64,20 +64,20 @@ high-precision numbers (``Mpf``) belong to that context.
 
 The bound E.  With u = 2**-53, a candidate is s <= m <= 28 heavy weights
 1 <= w < 2**62 (the enumerator's guard) and b <= K boosters of weight
-w_b = tau/(2K), together weighing exactly tau (so tau < 2**63 and, for
-K <= 2**62, w_b >= 2**-63): every weight v has |ln v| <= L = 44, and the
-entropy is h = ln tau - A/tau, A = sum v ln v, with 0 <= h < L.  Each
-term v ln v is w * math.log(w) in float64: the weight rounds once
-(relative u, so an absolute u in its log), libm's log is within 1 ulp
-(2u relative) and the product and a float count of boosters round once
-each, an error of at most v u (6 |ln v| + 1).  The terms are summed in s
-additions, at most s u tau L more; A / tau rounds tau and the quotient
-(2 u L), ln tau errs by u (1 + 2 L) and the final subtraction by u L.
-Together |h_float - h| <= u (39 L + 2) + O(u**2) < 2e-13, and E is a
-hundred times that.  The float budget is within u |budget| <= 45 u of the
-budget wherever the comparison is not settled by 0 <= h < 44, so a
-decision from h_float is the exact one, and the 50-digit one, with more
-than 1e-11 to spare.
+w_b = tau/(2K), together weighing exactly tau (so tau < 2**63 and, as
+the decider refuses K > 2**62, w_b >= 2**-63): every weight v has
+|ln v| <= L = 44, and the entropy is h = ln tau - A/tau, A = sum v ln v,
+with 0 <= h < L.  Each term v ln v is w * math.log(w) in float64: the
+weight rounds once (relative u, so an absolute u in its log), libm's log
+is within 1 ulp (2u relative) and the product and a float count of
+boosters round once each, an error of at most v u (6 |ln v| + 1).  The
+terms are summed in s additions, at most s u tau L more; A / tau rounds
+tau and the quotient (2 u L), ln tau errs by u (1 + 2 L) and the final
+subtraction by u L.  Together |h_float - h| <= u (39 L + 2) + O(u**2)
+< 2e-13, and E is a hundred times that.  The float budget is within
+u |budget| <= 45 u of the budget wherever the comparison is not settled
+by 0 <= h < 44, so a decision from h_float is the exact one, and the
+50-digit one, with more than 1e-11 to spare.
 """
 
 from __future__ import annotations
@@ -200,11 +200,10 @@ def prepare(instance: CcssInstance) -> CcssInstance:
 
 
 @functools.lru_cache(maxsize=64)
-def _k_constants(k: int) -> tuple[Mpf, Mpf, str]:
-    """ln K, the budget ln K + 1/(4K) and the budget's text in an ECME file."""
+def _k_constants(k: int) -> tuple[Mpf, Mpf]:
+    """ln K and the budget ln K + 1/(4K)."""
     ln_k = _CTX.log(k)
-    budget = ln_k + _CTX.mpf(1) / (4 * k)
-    return ln_k, budget, _CTX.nstr(budget, DEFAULT_DPS - 5)
+    return ln_k, ln_k + _CTX.mpf(1) / (4 * k)
 
 
 def reduce_to_ecme(instance: CcssInstance) -> EcmeInstance:
@@ -339,7 +338,9 @@ def decide_ecme_small(instance: EcmeInstance, mode: str = "structural") -> EcmeD
     answer is the one a 50-digit comparison of every candidate gives.
     ``structural`` mode takes the subsets of weight exactly tau, the only
     ones the proof admits; ``full`` mode cross-checks over every deficit a
-    whole number of boosters fills.
+    whole number of boosters fills.  K above 2**62, beyond the derivation
+    of E and the int64 booster counts, is refused (a reduction output has
+    K <= m <= ``MAX_FULL_SPACE_ITEMS``).
     """
     if mode not in ("structural", "full"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -347,9 +348,9 @@ def decide_ecme_small(instance: EcmeInstance, mode: str = "structural") -> EcmeD
         raise TooManyHeavyItems(
             f"m={instance.m} exceeds the full-space limit {MAX_FULL_SPACE_ITEMS}"
         )
-    budget = float(instance.budget)
-    # E is derived for boosters of at least 2**-63, i.e. K <= 2**62
-    error = FLOAT_ENTROPY_ERROR if instance.k <= 2**62 else math.inf
+    if instance.k > 2**62:
+        raise InvalidParameters(f"K={instance.k} exceeds 2**62, the largest K E holds for")
+    budget, error = float(instance.budget), FLOAT_ENTROPY_ERROR
     for mask, b, h_float in _candidates(instance, full=mode == "full"):
         if h_float > budget + error:
             continue
@@ -432,7 +433,6 @@ def ecme_to_json(instance: EcmeInstance) -> dict:
     total weight: p_i = 2 w_i'/d, p_b = tau'/(K d), beta = 2 tau'/d."""
     tau, k, pad = instance.tau, instance.k, instance.pad
     d = 2 * sum(instance.weights) + tau
-    _, budget, text = _k_constants(k)
     return {
         "schema_version": SCHEMA_VERSION,
         "kind": "ecme",
@@ -444,8 +444,7 @@ def ecme_to_json(instance: EcmeInstance) -> dict:
         "booster_count": str(instance.booster_count),
         "booster_prob": _ratio_json(tau, k * d),
         "beta": _ratio_json(2 * tau, d),
-        "budget": text if instance.budget == budget else _CTX.nstr(instance.budget,
-                                                                     DEFAULT_DPS - 5),
+        "budget": _CTX.nstr(instance.budget, DEFAULT_DPS - 5),
     }
 
 

@@ -124,11 +124,10 @@ def mask_indices(mask: int) -> tuple[int, ...]:
 
 
 def key_range_subsets(low: Sequence[np.ndarray], high_values: Sequence[np.ndarray],
-                      low_keys: np.ndarray, lower: np.ndarray | None, upper: np.ndarray,
+                      low_keys: np.ndarray, lower: np.ndarray, upper: np.ndarray,
                       floor: np.ndarray | None = None) -> Iterator[tuple[np.ndarray, tuple]]:
-    """The masks ``high << k | low`` with ``lower[high] <= low_keys[low] <= upper[high]``
-    (no lower bound if ``lower`` is None), less some with
-    ``low[0][low] < floor[high]`` if ``floor`` is given.
+    """The masks ``high << k | low`` with ``lower[high] <= low_keys[low] <= upper[high]``,
+    less some with ``low[0][low] < floor[high]`` if ``floor`` is given.
 
     ``low[c]`` is the ``subset_sums`` table of the first k items of column
     c (``2**k`` entries, as ``low_keys`` has), ``high_values[c]`` the rest.
@@ -147,8 +146,7 @@ def key_range_subsets(low: Sequence[np.ndarray], high_values: Sequence[np.ndarra
     k = low_keys.size.bit_length() - 1
     order = np.argsort(low_keys).astype(np.int32)  # unstable: each chunk is sorted below
     keys = low_keys[order]
-    starts = (np.zeros(upper.shape, dtype=np.intp) if lower is None
-              else keys.searchsorted(lower, "left"))
+    starts = keys.searchsorted(lower, "left")
     ends = keys.searchsorted(upper, "right")
     if floor is not None:
         np.maximum(starts, np.maximum.accumulate(low[0][order]).searchsorted(floor), out=starts)
@@ -224,7 +222,8 @@ def exact_ecmm(instance: EcmmInstance) -> EcmmSolution:
     # best_mass, starts as the top token, feasible at any budget
     best_mask = 1 << int(np.argmax(probs))
     best_mass, best_ent = float(probs.max()), 0.0
-    chunks = key_range_subsets(low, (probs[k:], plp[k:]), low_key, None, high_key,
+    chunks = key_range_subsets(low, (probs[k:], plp[k:]), low_key,
+                               np.full_like(high_key, -np.inf), high_key,
                                (prefix - _SCREEN_MARGIN) - high[0])
     with np.errstate(divide="ignore", invalid="ignore"):  # at mass 0: nan, infeasible
         for masks, (mass, hsum) in chunks:

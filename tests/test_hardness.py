@@ -19,6 +19,7 @@ from hypothesis import given, settings, strategies as st
 from toph.errors import InvalidParameters, MalformedRecord, TooManyHeavyItems, WrongMass
 from toph.hardness import (
     CcssInstance,
+    EcmeDecision,
     brute_force_ccss,
     budget_margins,
     ccss_from_json,
@@ -322,10 +323,10 @@ class TestProof:
                 probs = [Fraction(ecme.weights[i], ecme.tau) for i in subset]
                 h = _entropy(probs + [Fraction(1, 2 * k)] * b)
                 assert sum(probs) + Fraction(b, 2 * k) == 1
-                if b == 0:
-                    # equal weights give exactly ln K, and h and ln_k are
-                    # rounded apart at 50 digits
-                    assert h - ln_k <= mp.mpf("1e-45") and ln_k < ecme.budget
+                if b == 0 and all(p == Fraction(1, k) for p in probs):
+                    assert ln_k < ecme.budget  # h = ln K exactly
+                elif b == 0:
+                    assert h < ln_k < ecme.budget
                 else:
                     assert h - ln_k > bound > ecme.budget - ln_k
 
@@ -758,6 +759,18 @@ class TestFloatCertificate:
         for m in (3, 12, 20, 28):
             assert 2**62 - 2**10 < sum(_guard_instance(ecme_spread, m).weights) < 2**62
 
+    @pytest.mark.parametrize("mode", ["structural", "full"])
+    def test_k_beyond_the_derivation_is_refused(self, ecme_spread, mode):
+        # E holds for K <= 2**62; at that K the one booster witness, weight
+        # 5 of tau = 10 and 5 (2K / 10) = K boosters, is found in float
+        expected = {"structural": EcmeDecision(True, (1, 3)),
+                    "full": EcmeDecision(True, (2,), 2**62)}[mode]
+        at_guard = _hand_ecme(ecme_spread, [3, 4, 5, 6, 7], 10, 2**62, "43")
+        assert _decide_counting_confirmations(at_guard, mode) == (expected, 0)
+        beyond = dataclasses.replace(at_guard, k=2**62 + 1)
+        with pytest.raises(InvalidParameters, match="exceeds 2"):
+            decide_ecme_small(beyond, mode=mode)
+
 
 def _blocks_against_full_tables(weights, column, target, step, count):
     """Check ``_exact_sum_blocks`` against full tables; return the masks it found."""
@@ -861,13 +874,6 @@ class TestSerialization:
         assert obj["booster_count"] == "3"
         assert obj["beta"] == {"num": "2", "den": "3"}
         assert obj["schema_version"] == SCHEMA_VERSION == 1
-
-    def test_budget_text_is_the_instances_own(self, ecme_yes):
-        # the reduction's budget text is kept per K; another budget is written as it is
-        other = dataclasses.replace(ecme_yes, budget=ecme_yes.budget + hardness.Mpf("1e-40"))
-        with mp.workdps(50):
-            assert ecme_to_json(other)["budget"] == mp.nstr(other.budget, 45)
-        assert ecme_to_json(other)["budget"] != ecme_to_json(ecme_yes)["budget"]
 
     def test_old_format_is_refused(self, ecme_spread):
         # a file as the reduction with B = K**lambda boosters wrote it

@@ -170,26 +170,6 @@ class TestKeyRangeSubsets:
                         singles += highs == 1
         assert spans and singles
 
-    @pytest.mark.parametrize("floored", [False, True])
-    def test_no_lower_bound_is_minus_infinity(self, floored):
-        rng = np.random.default_rng(24)
-        for k, n in [(0, 2), (3, 3), (4, 9), (BLOCK_BITS, BLOCK_BITS + 3)]:
-            values = rng.random(n)
-            low_mass = subset_sums(values[:k])
-            low_keys = rng.integers(0, 40, 2**k).astype(float)
-            upper = rng.integers(-3, 45, 2 ** (n - k)).astype(float)
-            upper[0] = 40.0  # high mask 0 takes every low
-            floor = rng.random(upper.size) * k / 2 if floored else None
-            chunks = [key_range_subsets([low_mass], [values[k:]], low_keys, lower, upper,
-                                        floor)
-                      for lower in (None, np.full_like(upper, -np.inf))]
-            found = 0
-            for (masks, (sums,)), (masks_inf, (sums_inf,)) in itertools.zip_longest(*chunks):
-                assert masks.tobytes() == masks_inf.tobytes()
-                assert sums.tobytes() == sums_inf.tobytes()
-                found += masks.size
-            assert found
-
     def test_floor_drops_whole_runs(self):
         # the heaviest low up to a run's end in key order misses the floor of
         # some high masks whose runs are not empty: they are dropped
